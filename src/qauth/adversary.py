@@ -14,14 +14,10 @@ from typing import Optional
 from .codes import LinearCode
 from .errors import DimensionError
 from .gf2 import BitWord
-from .qsim import Basis, ChannelTap, QubitHandle, measure, prepare
+from .qsim import ChannelTap, QubitHandle, _basis_of, measure, prepare
 
 ABORT = "abort"
 RESEND_UNCORRECTED = "resend_uncorrected"
-
-
-def _basis_of(key_bit: int) -> Basis:
-    return Basis.Z if key_bit == 0 else Basis.X
 
 
 def _prepare_word(word: BitWord, bases: BitWord) -> list[QubitHandle]:

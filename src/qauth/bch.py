@@ -1,10 +1,13 @@
 """Narrow-sense primitive binary BCH codes of length 2^w - 1.
 
 The generator polynomial is the lcm of the minimal polynomials of
-alpha..alpha^(2t); decoding computes syndromes, runs Berlekamp-Massey
+alpha..alpha^(2t).  Every BCH code, short or long, decodes with
+``BchAlgebraicDecoder``: it computes syndromes, runs Berlekamp-Massey
 for the error locator, and locates roots by Chien search.  Syndrome and
 Chien evaluations are vectorized with numpy so that long-code decoding
-stays fast enough for large randomized test campaigns.
+stays fast enough for large randomized test campaigns.  For designed
+distance 2t+1 this is the same bounded-distance map as a syndrome
+table, which the tests use as its oracle.
 """
 
 from __future__ import annotations
@@ -14,16 +17,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .codes import (
-    Decoder,
-    DecodeResult,
-    LinearCode,
-    SYNDROME_TABLE_MAX_CHECKS,
-    code_from_generator_rows,
-)
-from .errors import UnsupportedSizeError
+from .codes import LinearCode, code_from_generator_rows
+from .errors import ParameterError, UnsupportedSizeError
 from .gf2 import (
-    BitMatrix,
     BitWord,
     DEFAULT_PRIMITIVE_POLY,
     GF2m,
@@ -50,6 +46,10 @@ class BchSpec:
     def m(self) -> int:
         return self.n - self.generator_poly.degree()
 
+    def generator_rows(self) -> list[int]:
+        """The m shifts x^i·g(x), a basis of the code."""
+        return [self.generator_poly.coeffs << i for i in range(self.m)]
+
 
 def bch_generator_poly(field: GF2m, designed_t: int) -> GF2Poly:
     g = GF2Poly.one()
@@ -75,9 +75,11 @@ def make_bch_spec(
         raise UnsupportedSizeError(f"field exponent {w} outside [2, 8]")
     n = (1 << w) - 1
     if not 1 <= designed_t < (1 << (w - 1)):
-        raise ValueError(f"designed t={designed_t} outside [1, {(1 << (w - 1)) - 1}]")
+        raise ParameterError(
+            f"designed t={designed_t} outside [1, {(1 << (w - 1)) - 1}]"
+        )
     poly = primitive_poly if primitive_poly is not None else DEFAULT_PRIMITIVE_POLY[w]
-    field = _field(w, poly)
+    field = bch_field(w, poly)
     g = bch_generator_poly(field, designed_t)
     spec = BchSpec(w=w, designed_t=designed_t, primitive_poly=poly, generator_poly=g)
     if spec.m <= 0:
@@ -91,7 +93,7 @@ def make_bch_spec(
 
 
 @lru_cache(maxsize=None)
-def _field(w: int, primitive_poly: int) -> GF2m:
+def bch_field(w: int, primitive_poly: int) -> GF2m:
     return GF2m(w, primitive_poly)
 
 
@@ -188,56 +190,15 @@ class BchAlgebraicDecoder:
         return True, frozenset(roots)
 
 
-def bch_decoder_factory(w: int, t: int, primitive_poly: int | None = None):
-    """Decoder factory matching the ``code_from_generator_rows`` interface."""
-    poly = primitive_poly if primitive_poly is not None else DEFAULT_PRIMITIVE_POLY[w]
-
-    def factory(parity_check: BitMatrix, t_: int) -> Decoder:
-        return BchAlgebraicDecoder(_field(w, poly), t_)
-
-    return factory
-
-
 def build_bch(
     w: int, designed_t: int, primitive_poly: int | None = None
 ) -> LinearCode:
-    """Construct C[2^w - 1, m, t] as a LinearCode.
-
-    Short syndromes decode by lookup table; otherwise the algebraic
-    decoder is attached.
-    """
+    """Construct C[2^w - 1, m, t] as a LinearCode with the algebraic decoder."""
     spec = make_bch_spec(w, designed_t, primitive_poly)
-    n = spec.n
-    g = spec.generator_poly.coeffs
-    rows = [g << i for i in range(spec.m)]
-    factory = None
-    if n - spec.m > SYNDROME_TABLE_MAX_CHECKS:
-        factory = bch_decoder_factory(w, designed_t, spec.primitive_poly)
-    return code_from_generator_rows(
-        f"bch-{n}-{spec.m}-{designed_t}",
-        rows,
-        n,
-        designed_t,
-        factory,
-        field_info={"w": w, "primitive_poly": spec.primitive_poly},
-    )
-
-
-@lru_cache(maxsize=None)
-def _algebraic_code(w: int, designed_t: int, primitive_poly: int) -> LinearCode:
-    spec = make_bch_spec(w, designed_t, primitive_poly)
-    rows = [spec.generator_poly.coeffs << i for i in range(spec.m)]
     return code_from_generator_rows(
         f"bch-{spec.n}-{spec.m}-{designed_t}",
-        rows,
+        spec.generator_rows(),
         spec.n,
         designed_t,
-        bch_decoder_factory(w, designed_t, primitive_poly),
-        field_info={"w": w, "primitive_poly": primitive_poly},
+        field_info={"w": w, "primitive_poly": spec.primitive_poly},
     )
-
-
-def bch_decode(spec: BchSpec, received: BitWord) -> DecodeResult:
-    """Decode with the algebraic path regardless of code size."""
-    code = _algebraic_code(spec.w, spec.designed_t, spec.primitive_poly)
-    return code.decode(received)

@@ -55,21 +55,8 @@ DEFAULT_TABLE_CODES = [
 ]
 
 
-class ConfigError(Exception):
+class ConfigError(QauthError):
     """Bad command-line configuration (exit code 2)."""
-
-
-def _threads() -> int:
-    """Parallelism cap from QAUTH_THREADS; trials run on one worker by
-    default, so any cap >= 1 is honored."""
-    raw = os.environ.get("QAUTH_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"QAUTH_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        raise ConfigError(f"QAUTH_THREADS must be >= 1, got {value}")
-    return value
 
 
 def resolve_code(selector: str) -> LinearCode:
@@ -213,7 +200,6 @@ def _adversary_from_args(kind: str, code: LinearCode, args):
 
 
 def cmd_simulate(args) -> int:
-    _threads()
     code = resolve_code(args.code)
     adversary = _adversary_from_args(args.attack, code, args)
     stats = verify.monte_carlo(
@@ -318,9 +304,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except UnsupportedSizeError as exc:
         print(
             f"error: {exc} (try a smaller code, e.g. rep3 or hamming74)",

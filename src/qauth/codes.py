@@ -2,9 +2,10 @@
 
 The message-to-codeword map is c = k·G with a public G kept in reduced
 row echelon form, so the message is read back off the pivot columns.
-Decoding is bounded-distance: a syndrome lookup table when the check
-dimension allows it, or an algebraic decoder supplied by the
-constructor (see the bch module).
+Decoding is bounded-distance, with one decoder per code family, chosen
+in ``code_from_generator_rows``: BCH codes (those built over a field)
+decode algebraically (see the bch module), every other code by
+syndrome lookup table.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Optional, Protocol
+from typing import Optional, Protocol
 
-from .errors import DimensionError, UnsupportedSizeError
+from .errors import DimensionError, ParameterError, SpecError, UnsupportedSizeError
 from .gf2 import BitMatrix, BitWord, mat_vec_mul
 
 SYNDROME_TABLE_MAX_CHECKS = 24
@@ -195,7 +196,7 @@ def _standard_form(generator_rows: list[int], n: int) -> tuple[BitMatrix, BitMat
     pivots = g.pivot_columns()
     free = [j for j in range(n) if j not in pivots]
     h_rows = []
-    for k, j in enumerate(free):
+    for j in free:
         row = 1 << j
         for i, p in enumerate(pivots):
             if g.entry(i, j):
@@ -211,11 +212,22 @@ def code_from_generator_rows(
     rows: list[int],
     n: int,
     t: int,
-    decoder_factory: Optional[Callable[[BitMatrix, int], Decoder]] = None,
     field_info: Optional[dict] = None,
 ) -> LinearCode:
+    """The code spanned by ``rows``, with the decoder of its family.
+
+    This is the one place a decoder is chosen.  ``field_info`` ({w,
+    primitive_poly}) marks a BCH code over GF(2^w), which decodes by
+    Berlekamp-Massey + Chien; any other code decodes by syndrome table.
+    """
     g, h = _standard_form(rows, n)
-    factory = decoder_factory or syndrome_table_decoder
+    if field_info:
+        from .bch import BchAlgebraicDecoder, bch_field  # bch imports this module
+
+        field = bch_field(field_info["w"], field_info["primitive_poly"])
+        decoder = BchAlgebraicDecoder(field, t)
+    else:
+        decoder = syndrome_table_decoder(h, t)
     return LinearCode(
         name=name,
         n=n,
@@ -223,7 +235,7 @@ def code_from_generator_rows(
         t=t,
         generator=g,
         parity_check=h,
-        _decoder=factory(h, t),
+        _decoder=decoder,
         field_info=field_info,
     )
 
@@ -231,7 +243,7 @@ def code_from_generator_rows(
 def make_repetition(n: int) -> LinearCode:
     """The [n, 1, (n-1)/2] repetition code; n must be odd so majority decides."""
     if n < 3 or n % 2 == 0:
-        raise ValueError(f"repetition length must be odd and >= 3, got {n}")
+        raise ParameterError(f"repetition length must be odd and >= 3, got {n}")
     t = (n - 1) // 2
     return code_from_generator_rows(f"rep{n}", [(1 << n) - 1], n, t)
 
@@ -247,23 +259,41 @@ def make_hamming_7_4() -> LinearCode:
     return code_from_generator_rows("hamming74", rows, 7, 1)
 
 
+def _require(d: dict, keys: tuple[str, ...], where: str) -> None:
+    missing = [k for k in keys if k not in d]
+    if missing:
+        raise SpecError(f"{where} lacks {', '.join(missing)}")
+
+
 def load_code_spec(path) -> LinearCode:
     """Rebuild a code from the JSON spec written by ``save_spec``.
 
-    BCH specs (field present) get an algebraic decoder when the check
-    dimension rules out a syndrome table.
+    A spec with a ``field`` must hold the generator rows, m and t of
+    ``make_bch_spec(w, t, primitive_poly)``; any spec must hold the m
+    its rows span.  Anything else raises ``SpecError``.
     """
     with open(path) as fh:
-        d = json.load(fh)
-    n, t = d["n"], d["t"]
+        try:
+            d = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SpecError(f"spec file {path} is not JSON: {exc}") from None
+    _require(d, ("name", "n", "m", "t", "generator_rows"), f"spec file {path}")
+    n, m, t, info = d["n"], d["m"], d["t"], d.get("field")
     rows = [int(r, 16) for r in d["generator_rows"]]
-    factory = None
-    if d.get("field") and n - d["m"] > SYNDROME_TABLE_MAX_CHECKS:
-        from .bch import bch_decoder_factory
+    if info:
+        from .bch import make_bch_spec  # bch imports this module
 
-        factory = bch_decoder_factory(
-            d["field"]["w"], t, primitive_poly=d["field"]["primitive_poly"]
-        )
-    return code_from_generator_rows(
-        d["name"], rows, n, t, factory, field_info=d.get("field")
-    )
+        _require(info, ("w", "primitive_poly"), f"field of spec file {path}")
+        bch = make_bch_spec(info["w"], t, info["primitive_poly"])
+        if (n, m) != (bch.n, bch.m) or (
+            BitMatrix(tuple(rows), n).row_reduce()
+            != BitMatrix(tuple(bch.generator_rows()), n).row_reduce()
+        ):
+            raise SpecError(
+                f"spec file {path} ([{n}, {m}], t={t}) is not BCH(w={info['w']}, "
+                f"t={t}), a [{bch.n}, {bch.m}] code"
+            )
+    code = code_from_generator_rows(d["name"], rows, n, t, field_info=info)
+    if code.m != m:
+        raise SpecError(f"spec file {path} says m={m}, its rows span m={code.m}")
+    return code

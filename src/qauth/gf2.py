@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import DimensionError, UnsupportedSizeError
+from .errors import DimensionError, ParameterError, UnsupportedSizeError
 
 MAX_LEN = 1024
 
@@ -116,14 +116,6 @@ class BitWord:
         return "".join(str(b) for b in self)
 
 
-def hamming_weight(v: BitWord) -> int:
-    return v.weight()
-
-
-def hamming_distance(u: BitWord, v: BitWord) -> int:
-    return (u ^ v).weight()
-
-
 @dataclass(frozen=True)
 class BitMatrix:
     """Immutable dense matrix over GF(2); each row is a bit-packed int."""
@@ -152,10 +144,6 @@ class BitMatrix:
     def identity(cls, n: int) -> "BitMatrix":
         return cls(tuple(1 << i for i in range(n)), n)
 
-    @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "BitMatrix":
-        return cls((0,) * nrows, ncols)
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -168,21 +156,10 @@ class BitMatrix:
     def row(self, i: int) -> BitWord:
         return BitWord(self.rows[i], self.ncols)
 
-    def transpose(self) -> "BitMatrix":
-        cols = []
-        for j in range(self.ncols):
-            c = 0
-            for i, r in enumerate(self.rows):
-                c |= ((r >> j) & 1) << i
-            cols.append(c)
-        return BitMatrix(tuple(cols), self.nrows)
-
     def row_reduce(self) -> "BitMatrix":
         """Reduced row echelon form (zero rows dropped)."""
         rows = list(self.rows)
-        pivots: list[tuple[int, int]] = []  # (col, row value)
         reduced: list[int] = []
-        col = 0
         for col in range(self.ncols):
             pivot = None
             for k, r in enumerate(rows):
@@ -194,7 +171,6 @@ class BitMatrix:
             reduced = [r ^ pivot if (r >> col) & 1 else r for r in reduced]
             rows = [r ^ pivot if (r >> col) & 1 else r for r in rows]
             reduced.append(pivot)
-            pivots.append((col, pivot))
         if not reduced:
             reduced = [0]
         return BitMatrix(tuple(reduced), self.ncols)
@@ -214,36 +190,14 @@ class BitMatrix:
         return "\n".join(str(self.row(i)) for i in range(self.nrows))
 
 
-def mat_vec_mul(m: BitMatrix, v: BitWord, transpose: bool = False) -> BitWord:
-    """GF(2) product M·v, or Mᵀ·v when ``transpose`` is set.
-
-    With ``transpose=True`` this computes v·M read as a column, which is
-    how syndromes w·Hᵀ are evaluated.
-    """
-    if transpose:
-        if v.length != m.nrows:
-            raise DimensionError(
-                f"vector length {v.length} != row count {m.nrows}"
-            )
-        acc = 0
-        for i, r in enumerate(m.rows):
-            if (v.value >> i) & 1:
-                acc ^= r
-        return BitWord(acc, m.ncols)
+def mat_vec_mul(m: BitMatrix, v: BitWord) -> BitWord:
+    """GF(2) product M·v; with M = H this is the syndrome H·vᵀ."""
     if v.length != m.ncols:
         raise DimensionError(f"vector length {v.length} != column count {m.ncols}")
     out = 0
     for i, r in enumerate(m.rows):
         out |= ((r & v.value).bit_count() & 1) << i
     return BitWord(out, m.nrows)
-
-
-def rank(m: BitMatrix) -> int:
-    return m.rank()
-
-
-def row_reduce(m: BitMatrix) -> BitMatrix:
-    return m.row_reduce()
 
 
 # ---------------------------------------------------------------------------
@@ -337,12 +291,6 @@ def poly_lcm(a: GF2Poly, b: GF2Poly) -> GF2Poly:
     return (a * b) // poly_gcd(a, b)
 
 
-def poly_mod_mul(a: GF2Poly, b: GF2Poly, modulus: GF2Poly) -> GF2Poly:
-    if modulus.is_zero():
-        raise ValueError("zero modulus")
-    return (a * b) % modulus
-
-
 # ---------------------------------------------------------------------------
 # GF(2^w) with exp/log tables over a primitive polynomial.
 # ---------------------------------------------------------------------------
@@ -361,7 +309,7 @@ class GF2m:
                     f"no default primitive polynomial for w={w}; supply one"
                 ) from None
         if primitive_poly.bit_length() - 1 != w:
-            raise ValueError(
+            raise ParameterError(
                 f"primitive polynomial 0b{primitive_poly:b} must have degree {w}"
             )
         self.w = w
@@ -379,7 +327,7 @@ class GF2m:
         # x must generate the whole multiplicative group: every power
         # distinct and the cycle closing exactly at 2^w - 1 steps
         if x != 1 or len(set(exp[: self.order])) != self.order:
-            raise ValueError(
+            raise ParameterError(
                 f"0b{primitive_poly:b} is not primitive over GF(2^{w})"
             )
         for k in range(self.order, 2 * self.order):
@@ -445,15 +393,6 @@ class GF2mElement:
     def __post_init__(self) -> None:
         if not 0 <= self.value <= self.field.order:
             raise ValueError(f"{self.value} outside GF(2^{self.field.w})")
-
-    def __mul__(self, other: "GF2mElement") -> "GF2mElement":
-        return GF2mElement(self.field, self.field.mul(self.value, other.value))
-
-    def __add__(self, other: "GF2mElement") -> "GF2mElement":
-        return GF2mElement(self.field, self.value ^ other.value)
-
-    def coefficients(self) -> tuple[int, ...]:
-        return tuple((self.value >> k) & 1 for k in range(self.field.w))
 
 
 def minimal_polynomial(elem: GF2mElement) -> GF2Poly:

@@ -18,11 +18,7 @@ from typing import Optional, Sequence
 from .codes import LinearCode
 from .errors import DimensionError, KeyReuseError
 from .gf2 import BitWord
-from .qsim import Basis, QubitHandle, channel_send, measure, prepare
-
-
-def _basis_of(key_bit: int) -> Basis:
-    return Basis.Z if key_bit == 0 else Basis.X
+from .qsim import QubitHandle, _basis_of, channel_send, measure, prepare
 
 
 class SecretKey:

@@ -32,6 +32,11 @@ class Basis(Enum):
     X = "X"
 
 
+def _basis_of(key_bit: int) -> Basis:
+    """Key bit 0 selects Z, key bit 1 selects X."""
+    return Basis.Z if key_bit == 0 else Basis.X
+
+
 class QubitHandle:
     """Opaque, measure-once reference to a prepared qubit.
 

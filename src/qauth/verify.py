@@ -20,7 +20,7 @@ from scipy.stats import beta
 from . import analytics
 from .adversary import ABORT, RESEND_UNCORRECTED
 from .codes import LinearCode
-from .errors import UnsupportedSizeError
+from .errors import ParameterError, UnsupportedSizeError
 from .gf2 import BitWord
 from .protocol import run_session
 from .rng import substream
@@ -286,7 +286,7 @@ def monte_carlo(
     bit-reproducible for a fixed seed regardless of scheduling.
     """
     if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+        raise ParameterError(f"trials must be >= 1, got {trials}")
     if message is None:
         message = BitWord.zeros(code.m)
     successes = 0

@@ -13,7 +13,7 @@ from qauth.adversary import (
 )
 from qauth.codes import make_hamming_7_4, make_repetition
 from qauth.errors import DimensionError
-from qauth.gf2 import BitWord, hamming_weight
+from qauth.gf2 import BitWord
 from qauth.protocol import SecretKey, alice_send, bob_receive
 from qauth.qsim import channel_send
 
@@ -115,8 +115,8 @@ class TestInterceptResend:
             checked += 1
             mismatched = (key_bits ^ tr.x_e).support()
             assert tr.corrected_positions <= mismatched
-            assert hamming_weight(key_bits ^ tr.x_e_prime) == (
-                hamming_weight(key_bits ^ tr.x_e) - len(tr.corrected_positions)
+            assert (key_bits ^ tr.x_e_prime).weight() == (
+                (key_bits ^ tr.x_e).weight() - len(tr.corrected_positions)
             )
         assert checked > 50  # the slice is common for random keys
 

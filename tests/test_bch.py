@@ -1,16 +1,21 @@
-"""Tests for BCH construction and the algebraic decoder."""
+"""Tests for BCH construction and the algebraic decoder.
+
+The syndrome-table decoder is the algebraic decoder's oracle: for
+designed distance 2t+1 both are the same bounded-distance map.
+"""
 
 import random
+from itertools import combinations
 
 import pytest
 
 from qauth.bch import (
     BchAlgebraicDecoder,
-    bch_decode,
     bch_generator_poly,
     build_bch,
     make_bch_spec,
 )
+from qauth.codes import syndrome_table_decoder
 from qauth.errors import UnsupportedSizeError
 from qauth.gf2 import BitWord, GF2m, GF2Poly
 
@@ -63,6 +68,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_bch_spec(6, 0)
 
+    def test_every_bch_code_decodes_algebraically(self, grid_codes):
+        small = [build_bch(w, t) for w, t in [(3, 1), (4, 2), (5, 3)]]
+        for code in small + list(grid_codes.values()):
+            assert isinstance(code._decoder, BchAlgebraicDecoder), code.name
+
     def test_hamming_via_bch(self):
         # t=1 BCH of length 7 is the [7,4] Hamming code
         code = build_bch(3, 1)
@@ -100,27 +110,27 @@ class TestDecoding:
         assert outcomes[False] > 0  # weight-3 errors mostly uncorrectable
 
     def test_algebraic_agrees_with_table_decoder(self, grid_codes):
-        # bch-63-57 decodes by syndrome table; cross-check the algebraic path
         code = grid_codes[(6, 1)]
-        spec = make_bch_spec(6, 1)
+        table = syndrome_table_decoder(code.parity_check, code.t)
         rng = random.Random(5)
         for _ in range(200):
             cw = code.encode(BitWord(rng.getrandbits(code.m), code.m))
             errors = rng.sample(range(code.n), rng.randint(0, 1))
             received = cw.flip(errors)
-            assert code.decode(received) == bch_decode(spec, received)
+            assert code._decoder(received) == table(received)
 
     def test_random_words_decode_consistently(self, grid_codes):
-        # on arbitrary words both paths are bounded-distance decoders
+        # on arbitrary words both are the same bounded-distance decoder
         code = grid_codes[(6, 1)]
-        spec = make_bch_spec(6, 1)
+        table = syndrome_table_decoder(code.parity_check, code.t)
         rng = random.Random(6)
         for _ in range(100):
             received = BitWord(rng.getrandbits(63), 63)
-            for res in (code.decode(received), bch_decode(spec, received)):
-                if res.ok:
-                    assert code.is_codeword(res.codeword)
-                    assert len(res.corrected_positions) <= code.t
+            ok, positions = code._decoder(received)
+            assert (ok, positions) == table(received)
+            if ok:
+                assert code.is_codeword(received.flip(positions))
+                assert len(positions) <= code.t
 
     def test_zero_word_decodes_clean(self, grid_codes):
         code = grid_codes[(7, 23)]
@@ -135,6 +145,31 @@ class TestDecoding:
         for _ in range(20):
             cw = code.encode(BitWord(rng.getrandbits(code.m), code.m))
             assert not any(decoder.syndromes(cw))
+
+
+def _assert_decoders_agree(code, values):
+    table = syndrome_table_decoder(code.parity_check, code.t)
+    for value in values:
+        received = BitWord(value, code.n)
+        assert code._decoder(received) == table(received), received
+
+
+class TestAlgebraicMatchesTable:
+    def test_every_word_of_bch_15_7_2(self):
+        _assert_decoders_agree(build_bch(4, 2), range(1 << 15))
+
+    @pytest.mark.parametrize("w", [4, 5])
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_patterns_up_to_weight_t_plus_1(self, w, t):
+        code = build_bch(w, t)
+        rng = random.Random(1000 * w + t)
+        cw = code.encode(BitWord(rng.randrange(1, 1 << code.m), code.m))
+        patterns = (
+            sum(1 << p for p in positions)
+            for weight in range(t + 2)
+            for positions in combinations(range(code.n), weight)
+        )
+        _assert_decoders_agree(code, (cw.value ^ e for e in patterns))
 
 
 def test_generator_poly_deterministic():

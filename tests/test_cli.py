@@ -18,6 +18,19 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def _edited_spec(tmp_path, selector, **edits):
+    """Write ``selector``'s spec with keys set (value) or dropped (None)."""
+    spec = resolve_code(selector).to_spec_dict()
+    for key, value in edits.items():
+        if value is None:
+            del spec[key]
+        else:
+            spec[key] = value
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
 class TestResolveCode:
     def test_builtins(self):
         assert resolve_code("rep3").n == 3
@@ -148,3 +161,38 @@ class TestOracle:
         rc = run_cli("oracle", "pdec", "--code", "bch-63-18")
         assert rc == EXIT_CONFIG
         assert "smaller code" in capsys.readouterr().err
+
+
+class TestUserInputErrors:
+    """Bad user input exits 2 with one line on stderr, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            lambda tmp: ["simulate", "honest", "--code", "rep3", "--trials", "0"],
+            lambda tmp: ["simulate", "honest", "--code", "rep4"],
+            lambda tmp: ["code", "build", "--bch", "6", "40"],
+            lambda tmp: [
+                "simulate", "honest", "--code", _edited_spec(tmp, "hamming74", t=None),
+            ],
+            lambda tmp: [
+                "simulate", "honest", "--code", _edited_spec(tmp, "bch-15-7-2", t=3),
+            ],
+            # x^4 + x^3 + x^2 + x + 1 has order 5, so it is not primitive
+            lambda tmp: [
+                "simulate", "honest", "--code",
+                _edited_spec(tmp, "bch-15-7-2", field={"w": 4, "primitive_poly": 0b11111}),
+            ],
+        ],
+        ids=[
+            "trials-0", "rep4", "bch-6-40", "spec-missing-t", "bch-spec-edited-t",
+            "bch-spec-not-primitive",
+        ],
+    )
+    def test_exits_2_with_one_line(self, argv, tmp_path, capsys):
+        rc = run_cli(*argv(tmp_path))
+        captured = capsys.readouterr()
+        assert rc == EXIT_CONFIG
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -1,6 +1,8 @@
 """Tests for linear block codes and bounded-distance decoding."""
 
 import itertools
+import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +15,9 @@ from qauth.codes import (
     make_hamming_7_4,
     make_repetition,
 )
-from qauth.errors import DimensionError
-from qauth.gf2 import BitWord, hamming_distance
+from qauth.bch import build_bch
+from qauth.errors import DimensionError, SpecError
+from qauth.gf2 import BitWord
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +33,16 @@ def rep5():
 @pytest.fixture(scope="module")
 def ham(scope="module"):
     return make_hamming_7_4()
+
+
+@pytest.fixture(scope="module")
+def bch15_7_2():
+    return build_bch(4, 2)
+
+
+@pytest.fixture(scope="module")
+def bch31_6_7():
+    return build_bch(5, 7)
 
 
 SMALL_CODES = ["rep3", "rep5", "ham"]
@@ -118,7 +131,7 @@ class TestDecoding:
             res = code.decode(received)
             if res.ok:
                 assert code.is_codeword(res.codeword)
-                assert hamming_distance(received, res.codeword) <= code.t
+                assert (received ^ res.codeword).weight() <= code.t
                 assert res.codeword == received.flip(res.corrected_positions)
 
     def test_decode_length_check(self, ham):
@@ -131,7 +144,9 @@ class TestDecoding:
 
 
 class TestSerialization:
-    @pytest.mark.parametrize("code", SMALL_CODES, indirect=True)
+    @pytest.mark.parametrize(
+        "code", SMALL_CODES + ["bch15_7_2", "bch31_6_7"], indirect=True
+    )
     def test_spec_roundtrip(self, code, tmp_path):
         path = tmp_path / "code.json"
         code.save_spec(path)
@@ -139,10 +154,26 @@ class TestSerialization:
         assert loaded.generator == code.generator
         assert loaded.parity_check == code.parity_check
         assert (loaded.n, loaded.m, loaded.t) == (code.n, code.m, code.t)
-        # the reloaded decoder behaves identically
-        for value in range(0, 1 << code.n, 7):
+        # the reloaded decoder is the same decoder and behaves identically
+        assert type(loaded._decoder) is type(code._decoder)
+        rng = random.Random(code.n)
+        values = (
+            range(0, 1 << code.n, 7)
+            if code.n <= 15
+            else [rng.getrandbits(code.n) for _ in range(2000)]
+        )
+        for value in values:
             received = BitWord(value, code.n)
             assert loaded.decode(received) == code.decode(received)
+
+    def test_bch_spec_with_edited_t_is_rejected(self, bch15_7_2, tmp_path):
+        # BCH(w=4, t=3) is a [15, 5] code, so these rows cannot be it
+        spec = bch15_7_2.to_spec_dict()
+        spec["t"] = 3
+        path = tmp_path / "code.json"
+        path.write_text(json.dumps(spec))
+        with pytest.raises(SpecError):
+            load_code_spec(path)
 
 
 @given(st.data())
