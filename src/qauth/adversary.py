@@ -2,6 +2,10 @@
 
 Both strategies see only public data (the code) and the opaque channel
 interface; intercepted qubits can be touched only through ``measure``.
+Each strategy acts twice over: ``act`` on a channel of qubit handles
+(the reference session), and ``forgery_bases`` on packed words (the
+Monte Carlo kernel), where Alice's qubits are reachable only through a
+readout callable.
 """
 
 from __future__ import annotations
@@ -9,9 +13,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from random import Random
-from typing import Optional
+from typing import Callable, Optional
 
-from .codes import LinearCode
+from .codes import DecodeResult, LinearCode
 from .errors import DimensionError
 from .gf2 import BitWord
 from .qsim import ChannelTap, QubitHandle, _basis_of, measure, prepare
@@ -86,6 +90,12 @@ class NoMessageStrategy:
         tap.replace(handles)
         return transcript.to_json_dict()
 
+    def forgery_bases(
+        self, code: LinearCode, read: Callable[[int], int], randomness: Random
+    ) -> Optional[int]:
+        """Word-level ``act``: Alice's qubits go unread, x_E is the answer."""
+        return randomness.getrandbits(code.n)
+
 
 class InterceptResendStrategy:
     """Measure with a guessed key, decode, correct the guess, resend.
@@ -128,41 +138,50 @@ class InterceptResendStrategy:
             measure(intercepted[j], _basis_of(x_e[j]), randomness)
             for j in range(n)
         )
-        result = code.decode(m_e)
-        c_f = code.encode(self.forged_message)
-        if result.ok:
-            x_e_prime = x_e.flip(result.corrected_positions)
-            transcript = AdversaryTranscript(
-                x_e=x_e,
-                m_e=m_e,
-                decode_success=True,
-                corrected_positions=result.corrected_positions,
-                x_e_prime=x_e_prime,
-                resent=True,
-            )
-            return _prepare_word(c_f, x_e_prime), transcript
-        if self.on_decode_failure == RESEND_UNCORRECTED:
-            transcript = AdversaryTranscript(
-                x_e=x_e,
-                m_e=m_e,
-                decode_success=False,
-                corrected_positions=frozenset(),
-                x_e_prime=x_e,
-                resent=True,
-            )
-            return _prepare_word(c_f, x_e), transcript
+        result, bases = self._resend_bases(code, x_e, m_e)
         transcript = AdversaryTranscript(
             x_e=x_e,
             m_e=m_e,
-            decode_success=False,
-            corrected_positions=frozenset(),
-            x_e_prime=None,
-            resent=False,
+            decode_success=result.ok,
+            corrected_positions=result.corrected_positions,
+            x_e_prime=bases,
+            resent=bases is not None,
         )
-        return None, transcript
+        if bases is None:
+            return None, transcript
+        return _prepare_word(code.encode(self.forged_message), bases), transcript
+
+    def _resend_bases(
+        self, code: LinearCode, x_e: BitWord, m_e: BitWord
+    ) -> tuple[DecodeResult, Optional[BitWord]]:
+        """Decode the readout; the bases to resend under, or None to drop.
+
+        A successful decode flips x_E at the corrected positions; a failed
+        one keeps x_E or drops the transmission, per ``on_decode_failure``.
+        """
+        result = code.decode(m_e)
+        if result.ok:
+            return result, x_e.flip(result.corrected_positions)
+        if self.on_decode_failure == RESEND_UNCORRECTED:
+            return result, x_e
+        return result, None
 
     def act(self, tap: ChannelTap, code: LinearCode, randomness: Random) -> dict:
         intercepted = tap.intercept()
         handles, transcript = self.attack(intercepted, code, randomness)
         tap.replace(handles if handles is not None else [])
         return transcript.to_json_dict()
+
+    def forgery_bases(
+        self, code: LinearCode, read: Callable[[int], int], randomness: Random
+    ) -> Optional[int]:
+        """Word-level ``attack``: the bases of the forgery, or None to drop.
+
+        ``read(x_E)`` is Eve's readout of Alice's qubits measured in the
+        bases of her random guess x_E.
+        """
+        n = code.n
+        x_e = randomness.getrandbits(n)
+        m_e = read(x_e)
+        _, bases = self._resend_bases(code, BitWord(x_e, n), BitWord(m_e, n))
+        return None if bases is None else bases.value

@@ -32,7 +32,8 @@ ExactProb = Fraction
 
 
 def _check_prob(p: Fraction) -> Fraction:
-    assert 0 <= p <= 1, f"probability out of range: {p}"
+    if not 0 <= p <= 1:
+        raise ValueError(f"probability out of range: {p}")
     return p
 
 

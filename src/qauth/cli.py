@@ -187,7 +187,13 @@ def _adversary_from_args(kind: str, code: LinearCode, args):
     if kind == "honest":
         return None
     if args.forged_message:
-        forged = BitWord.from_str(args.forged_message)
+        try:
+            forged = BitWord.from_str(args.forged_message)
+        except ValueError:
+            raise ConfigError(
+                f"forged message must be a string of 0s and 1s, "
+                f"got {args.forged_message!r}"
+            ) from None
         if forged.length != code.m:
             raise ConfigError(
                 f"forged message needs {code.m} bits, got {forged.length}"

@@ -86,13 +86,15 @@ class LinearCode:
                 acc ^= self.generator.rows[i]
         return BitWord(acc, self.n)
 
-    def syndrome(self, word: BitWord) -> BitWord:
+    def is_codeword(self, word: BitWord) -> bool:
+        """Zero syndrome, decided at the first parity check that fails."""
         if word.length != self.n:
             raise DimensionError(f"word length {word.length} != n={self.n}")
-        return mat_vec_mul(self.parity_check, word)
-
-    def is_codeword(self, word: BitWord) -> bool:
-        return self.syndrome(word).value == 0
+        value = word.value
+        for row in self.parity_check.rows:
+            if (row & value).bit_count() & 1:
+                return False
+        return True
 
     def message_of(self, codeword: BitWord) -> BitWord:
         """Project a codeword back to its message (pivot-column readout)."""
@@ -117,22 +119,34 @@ class LinearCode:
 
     # -- enumeration ----------------------------------------------------------
 
-    def codewords(self) -> list[BitWord]:
+    def _check_enumerable(self) -> None:
         if self.m > WEIGHT_ENUM_MAX_M:
             raise UnsupportedSizeError(
                 f"enumerating 2^{self.m} codewords exceeds the m <= "
                 f"{WEIGHT_ENUM_MAX_M} bound"
             )
+
+    def codewords(self) -> list[BitWord]:
+        self._check_enumerable()
         out = []
         for k in range(1 << self.m):
             out.append(self.encode(BitWord(k, self.m)))
         return out
 
     def weight_distribution(self) -> list[int]:
-        """A_w for w = 0..n; sums to 2^m."""
+        """A_w for w = 0..n; sums to 2^m.
+
+        Walks the codewords in Gray-code order, one generator row XORed
+        in per step, so no codeword is encoded from scratch.
+        """
+        self._check_enumerable()
+        rows = self.generator.rows
         counts = [0] * (self.n + 1)
-        for c in self.codewords():
-            counts[c.weight()] += 1
+        counts[0] = 1
+        word = 0
+        for k in range(1, 1 << self.m):
+            word ^= rows[(k & -k).bit_length() - 1]
+            counts[word.bit_count()] += 1
         return counts
 
     # -- serialization ---------------------------------------------------------
@@ -265,35 +279,87 @@ def _require(d: dict, keys: tuple[str, ...], where: str) -> None:
         raise SpecError(f"{where} lacks {', '.join(missing)}")
 
 
+def _count(d: dict, key: str, where: str, low: int = 0) -> int:
+    """``d[key]``, which must be an int >= ``low`` (JSON true is not one)."""
+    value = d[key]
+    if type(value) is not int or value < low:
+        raise SpecError(f"{where}: {key} must be an integer >= {low}, got {value!r}")
+    return value
+
+
+def _hex_rows(value, where: str) -> list[int]:
+    if isinstance(value, list) and all(isinstance(r, str) for r in value):
+        try:
+            return [int(r, 16) for r in value]
+        except ValueError:
+            pass
+    raise SpecError(f"{where}: generator_rows must be a list of hex strings")
+
+
+def _check_distance(code: LinearCode, t: int, where: str) -> None:
+    """Reject a t that the minimum distance of ``code`` cannot correct.
+
+    Only codes with m <= WEIGHT_ENUM_MAX_M are checked: d comes from
+    their weight distribution.
+    """
+    if code.m > WEIGHT_ENUM_MAX_M:
+        return
+    weights = code.weight_distribution()
+    d = next((w for w in range(1, code.n + 1) if weights[w]), None)
+    if d is not None and 2 * t + 1 > d:
+        raise SpecError(
+            f"{where} says t={t}, but its minimum distance {d} corrects "
+            f"at most {(d - 1) // 2} errors"
+        )
+
+
 def load_code_spec(path) -> LinearCode:
     """Rebuild a code from the JSON spec written by ``save_spec``.
 
-    A spec with a ``field`` must hold the generator rows, m and t of
-    ``make_bch_spec(w, t, primitive_poly)``; any spec must hold the m
-    its rows span.  Anything else raises ``SpecError``.
+    n, m, t, and the ``field``'s w and primitive_poly must be integers
+    and ``generator_rows`` a list of hex strings.  A spec with a
+    ``field`` must hold the generator rows, m and t of
+    ``make_bch_spec(w, t, primitive_poly)``; one without must hold a t
+    its minimum distance corrects (checked for m <= WEIGHT_ENUM_MAX_M).
+    Any spec must hold the m its rows span.  Anything else raises
+    ``SpecError``.
     """
+    where = f"spec file {path}"
     with open(path) as fh:
         try:
             d = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise SpecError(f"spec file {path} is not JSON: {exc}") from None
-    _require(d, ("name", "n", "m", "t", "generator_rows"), f"spec file {path}")
-    n, m, t, info = d["n"], d["m"], d["t"], d.get("field")
-    rows = [int(r, 16) for r in d["generator_rows"]]
+            raise SpecError(f"{where} is not JSON: {exc}") from None
+    if not isinstance(d, dict):
+        raise SpecError(f"{where} holds no JSON object")
+    _require(d, ("name", "n", "m", "t", "generator_rows"), where)
+    n = _count(d, "n", where, low=1)
+    m, t = _count(d, "m", where), _count(d, "t", where)
+    rows = _hex_rows(d["generator_rows"], where)
+    info = d.get("field")
     if info:
         from .bch import make_bch_spec  # bch imports this module
 
-        _require(info, ("w", "primitive_poly"), f"field of spec file {path}")
-        bch = make_bch_spec(info["w"], t, info["primitive_poly"])
+        where_field = f"field of {where}"
+        if not isinstance(info, dict):
+            raise SpecError(f"{where_field} is not a JSON object")
+        _require(info, ("w", "primitive_poly"), where_field)
+        w = _count(info, "w", where_field)
+        poly = _count(info, "primitive_poly", where_field)
+        bch = make_bch_spec(w, t, poly)
         if (n, m) != (bch.n, bch.m) or (
             BitMatrix(tuple(rows), n).row_reduce()
             != BitMatrix(tuple(bch.generator_rows()), n).row_reduce()
         ):
             raise SpecError(
-                f"spec file {path} ([{n}, {m}], t={t}) is not BCH(w={info['w']}, "
+                f"{where} ([{n}, {m}], t={t}) is not BCH(w={w}, "
                 f"t={t}), a [{bch.n}, {bch.m}] code"
             )
+    else:
+        # checked on the code at t = 0, whose table is trivial: a t that
+        # is too large is rejected before its table is ever built
+        _check_distance(code_from_generator_rows(d["name"], rows, n, 0), t, where)
     code = code_from_generator_rows(d["name"], rows, n, t, field_info=info)
     if code.m != m:
-        raise SpecError(f"spec file {path} says m={m}, its rows span m={code.m}")
+        raise SpecError(f"{where} says m={m}, its rows span m={code.m}")
     return code

@@ -8,7 +8,9 @@ statistics.
 
 No-cloning is modeled by opaque measure-once handles: the preparation
 record is readable only by the measurement engine, and a handle is
-consumed by its first measurement.
+consumed by its first measurement.  ``measure_word`` reads out a whole
+word of qubits packed into one int; Monte Carlo uses it instead of one
+handle per qubit.
 """
 
 from __future__ import annotations
@@ -70,6 +72,26 @@ class QubitHandle:
     def __repr__(self) -> str:  # never leaks the preparation record
         state = "consumed" if self.__consumed else "fresh"
         return f"<QubitHandle {state} at {id(self):#x}>"
+
+
+def measure_word(word: int, mismatch: int, randomness: Random) -> int:
+    """Read out n qubits prepared as ``word``, packed into one int.
+
+    Bit j of ``mismatch`` says qubit j is measured in the conjugate of
+    its preparation basis.  Each such qubit draws one
+    ``getrandbits(1)``, in ascending position order, and that coin is
+    its readout bit; every other qubit reads its bit of ``word``.  This
+    consumes ``randomness`` exactly as measuring the qubits one by one
+    with ``QubitHandle._measure`` does.
+    """
+    out = word & ~mismatch
+    getrandbits = randomness.getrandbits
+    while mismatch:
+        low = mismatch & -mismatch
+        if getrandbits(1):
+            out |= low
+        mismatch ^= low
+    return out
 
 
 def prepare(bit: int, basis: Basis) -> QubitHandle:

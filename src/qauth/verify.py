@@ -3,9 +3,10 @@
 The oracles recompute attack probabilities for small codes by complete
 enumeration against the real decoder, with exact rational weights; they
 are the yardstick for both the closed-form analytics and the
-simulator.  Monte Carlo runs full simulated sessions and reports exact
-(Clopper-Pearson) confidence intervals, since true probabilities near 0
-or 1 are common here.
+simulator.  Monte Carlo runs sessions on packed words, each the same
+session as ``protocol.run_session`` on the same stream, and reports
+exact (Clopper-Pearson) confidence intervals, since true probabilities
+near 0 or 1 are common here.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from random import Random
 from typing import Optional
 
 from scipy.stats import beta
@@ -22,7 +24,10 @@ from .adversary import ABORT, RESEND_UNCORRECTED
 from .codes import LinearCode
 from .errors import ParameterError, UnsupportedSizeError
 from .gf2 import BitWord
-from .protocol import run_session
+# monte_carlo does not call run_session, the qubit-handle session its
+# kernel is tested against; bench/spans.py traces it as verify.run_session.
+from .protocol import run_session  # noqa: F401
+from .qsim import measure_word
 from .rng import substream
 
 EXACT_CODEWORD_MAX_N = 16
@@ -41,8 +46,12 @@ class OracleReport:
     gap: Fraction  # exact_value - formula_value
 
     def __post_init__(self) -> None:
-        assert self.equal == (self.gap == 0)
-        assert self.gap == self.exact_value - self.formula_value
+        if self.gap != self.exact_value - self.formula_value:
+            raise ValueError(
+                f"gap {self.gap} != {self.exact_value} - {self.formula_value}"
+            )
+        if self.equal != (self.gap == 0):
+            raise ValueError(f"equal={self.equal} contradicts gap {self.gap}")
 
     @classmethod
     def compare(
@@ -239,7 +248,26 @@ class TrialStats:
     confidence: float = 0.99
 
     def __post_init__(self) -> None:
-        assert self.ci_low <= self.estimate <= self.ci_high
+        if not self.ci_low <= self.estimate <= self.ci_high:
+            raise ValueError(
+                f"estimate {self.estimate} outside its interval "
+                f"[{self.ci_low}, {self.ci_high}]"
+            )
+
+    @classmethod
+    def of(
+        cls, successes: int, trials: int, seed: int, confidence: float = 0.99
+    ) -> "TrialStats":
+        low, high = clopper_pearson(successes, trials, confidence)
+        return cls(
+            trials=trials,
+            successes=successes,
+            estimate=Fraction(successes, trials),
+            ci_low=low,
+            ci_high=high,
+            seed=seed,
+            confidence=confidence,
+        )
 
     def contains(self, p) -> bool:
         return self.ci_low <= p <= self.ci_high
@@ -272,6 +300,37 @@ def clopper_pearson(
     return low, high
 
 
+def word_session(
+    code: LinearCode,
+    sent: int,
+    adversary,
+    forged: Optional[int],
+    randomness: Random,
+) -> bool:
+    """One session on packed words; True iff Bob accepts.
+
+    ``sent`` is Alice's codeword and ``forged`` Eve's, as ints.  The
+    session draws the key, then Eve's bases and readout coins (through
+    ``adversary.forgery_bases``), then Bob's coins, each word's coins in
+    ascending position order: the draws ``protocol.run_session`` makes
+    on the same stream, so both accept alike and leave it in one state.
+    """
+    n = code.n
+    key = randomness.getrandbits(n)
+    if adversary is None:
+        received = sent  # every basis matches, so no coins
+    else:
+        bases = adversary.forgery_bases(
+            code,
+            lambda guess: measure_word(sent, key ^ guess, randomness),
+            randomness,
+        )
+        if bases is None:  # nothing arrives: Bob rejects
+            return False
+        received = measure_word(forged, key ^ bases, randomness)
+    return code.is_codeword(BitWord(received, n))
+
+
 def monte_carlo(
     code: LinearCode,
     trials: int,
@@ -282,30 +341,25 @@ def monte_carlo(
 ) -> TrialStats:
     """Acceptance frequency over independent simulated sessions.
 
-    Each trial runs a full session on its own substream, so results are
-    bit-reproducible for a fixed seed regardless of scheduling.
+    Trial i is one ``word_session`` on ``substream(seed, "trial", i)``,
+    so results are bit-reproducible for a fixed seed regardless of
+    scheduling, and equal to running ``protocol.run_session`` on the
+    same streams.  An adversary passed here must provide
+    ``forged_message`` and the word-level ``forgery_bases``;
+    ``run_session`` still takes any object with ``act``.
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     if message is None:
         message = BitWord.zeros(code.m)
+    sent = code.encode(message).value
+    forged = None
+    if adversary is not None:
+        forged = code.encode(adversary.forged_message).value
     successes = 0
     for trial in range(trials):
-        record = run_session(
-            message,
-            code,
-            adversary=adversary,
-            randomness=substream(seed, "trial", trial),
-        )
-        if record.accepted:
+        if word_session(
+            code, sent, adversary, forged, substream(seed, "trial", trial)
+        ):
             successes += 1
-    low, high = clopper_pearson(successes, trials, confidence)
-    return TrialStats(
-        trials=trials,
-        successes=successes,
-        estimate=Fraction(successes, trials),
-        ci_low=low,
-        ci_high=high,
-        seed=seed,
-        confidence=confidence,
-    )
+    return TrialStats.of(successes, trials, seed, confidence)

@@ -183,10 +183,49 @@ class TestUserInputErrors:
                 "simulate", "honest", "--code",
                 _edited_spec(tmp, "bch-15-7-2", field={"w": 4, "primitive_poly": 0b11111}),
             ],
+            lambda tmp: [
+                "simulate", "no-message", "--code", "hamming74",
+                "--forged-message", "0a11",
+            ],
+            lambda tmp: [
+                "simulate", "honest", "--code", _edited_spec(tmp, "hamming74", t="1"),
+            ],
+            lambda tmp: [
+                "simulate", "honest", "--code", _edited_spec(tmp, "hamming74", n=7.0),
+            ],
+            lambda tmp: [
+                "simulate", "honest", "--code", _edited_spec(tmp, "hamming74", t=True),
+            ],
+            lambda tmp: [
+                "simulate", "honest", "--code",
+                _edited_spec(tmp, "hamming74", generator_rows="31"),
+            ],
+            lambda tmp: [
+                "simulate", "honest", "--code",
+                _edited_spec(tmp, "hamming74", generator_rows=[49, 82, 100, 120]),
+            ],
+            lambda tmp: [
+                "simulate", "honest", "--code",
+                _edited_spec(tmp, "hamming74", generator_rows=["31", "zz", "64", "78"]),
+            ],
+            lambda tmp: [
+                "simulate", "honest", "--code",
+                _edited_spec(tmp, "bch-15-7-2", field={"w": "4", "primitive_poly": 19}),
+            ],
+            lambda tmp: [
+                "simulate", "honest", "--code",
+                _edited_spec(tmp, "bch-15-7-2", field={"w": 4, "primitive_poly": "0x13"}),
+            ],
+            lambda tmp: [
+                "analytics", "table", "--code", _edited_spec(tmp, "hamming74", t=2),
+            ],
         ],
         ids=[
             "trials-0", "rep4", "bch-6-40", "spec-missing-t", "bch-spec-edited-t",
-            "bch-spec-not-primitive",
+            "bch-spec-not-primitive", "forged-message-not-binary", "spec-t-string",
+            "spec-n-float", "spec-t-bool", "spec-rows-not-list", "spec-rows-not-strings",
+            "spec-rows-not-hex", "spec-field-w-string", "spec-field-poly-string",
+            "spec-t-beyond-distance",
         ],
     )
     def test_exits_2_with_one_line(self, argv, tmp_path, capsys):

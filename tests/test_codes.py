@@ -80,6 +80,15 @@ class TestEncoding:
     def test_hamming_weight_distribution(self, ham):
         assert ham.weight_distribution() == [1, 0, 0, 7, 7, 0, 0, 1]
 
+    @pytest.mark.parametrize(
+        "code", SMALL_CODES + ["bch15_7_2", "bch31_6_7"], indirect=True
+    )
+    def test_weight_distribution_counts_every_codeword(self, code):
+        counts = [0] * (code.n + 1)
+        for c in code.codewords():
+            counts[c.weight()] += 1
+        assert code.weight_distribution() == counts
+
     def test_repetition_codewords(self, rep3):
         assert {c.value for c in rep3.codewords()} == {0, 0b111}
 
@@ -165,6 +174,32 @@ class TestSerialization:
         for value in values:
             received = BitWord(value, code.n)
             assert loaded.decode(received) == code.decode(received)
+
+    def test_t_beyond_the_minimum_distance_is_rejected(self, ham, tmp_path):
+        # d = 3 corrects one error; with t = 2 the tables of p_dec and
+        # p_f_prime would describe a code that does not exist
+        spec = ham.to_spec_dict()
+        spec["t"] = 2
+        path = tmp_path / "code.json"
+        path.write_text(json.dumps(spec))
+        with pytest.raises(SpecError, match="minimum distance 3"):
+            load_code_spec(path)
+
+    @pytest.mark.parametrize("code", SMALL_CODES, indirect=True)
+    def test_unedited_specs_pass_the_distance_check(self, code, tmp_path):
+        path = tmp_path / "code.json"
+        code.save_spec(path)
+        assert load_code_spec(path).t == code.t
+
+    @pytest.mark.parametrize("text", [
+        "[]",
+        '{"name": "x", "n": 3, "m": 1, "t": 1, "generator_rows": ["7"], "field": 5}',
+    ], ids=["spec-not-object", "field-not-object"])
+    def test_non_object_is_rejected(self, text, tmp_path):
+        path = tmp_path / "code.json"
+        path.write_text(text)
+        with pytest.raises(SpecError):
+            load_code_spec(path)
 
     def test_bch_spec_with_edited_t_is_rejected(self, bch15_7_2, tmp_path):
         # BCH(w=4, t=3) is a [15, 5] code, so these rows cannot be it

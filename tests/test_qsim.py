@@ -10,9 +10,11 @@ from qauth.errors import ProtocolViolationError
 from qauth.qsim import (
     Basis,
     StateVector,
+    _basis_of,
     born_probabilities,
     channel_send,
     measure,
+    measure_word,
     prepare,
     statevector_of,
 )
@@ -56,6 +58,39 @@ class TestMeasurement:
             prepare(0, "Z")
         with pytest.raises(ValueError):
             measure(prepare(0, Basis.Z), "Z", random.Random(0))
+
+
+class TestMeasureWord:
+    """``measure_word`` is qubit-by-qubit measurement on packed ints."""
+
+    @pytest.mark.parametrize("n", [1, 3, 7, 63, 127])
+    def test_matches_handles_bit_for_bit(self, n):
+        words = random.Random(n)
+        for trial in range(200):
+            word, prep, meas = (words.getrandbits(n) for _ in range(3))
+            by_handle, by_word = random.Random(trial), random.Random(trial)
+            readout = 0
+            for j in range(n):
+                handle = prepare((word >> j) & 1, _basis_of((prep >> j) & 1))
+                bit = measure(handle, _basis_of((meas >> j) & 1), by_handle)
+                readout |= bit << j
+            assert measure_word(word, prep ^ meas, by_word) == readout
+            assert by_word.getstate() == by_handle.getstate()
+
+    def test_readout_is_the_coin_not_bit_xor_coin(self):
+        n = 64
+        coins = random.Random(5)
+        expected = 0
+        for j in range(n):
+            expected |= coins.getrandbits(1) << j
+        for word in (0, (1 << n) - 1):
+            assert measure_word(word, (1 << n) - 1, random.Random(5)) == expected
+
+    def test_matched_positions_draw_nothing(self):
+        rng = random.Random(9)
+        before = rng.getstate()
+        assert measure_word(0b1011, 0, rng) == 0b1011
+        assert rng.getstate() == before
 
 
 class TestOpacity:

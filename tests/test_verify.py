@@ -1,20 +1,29 @@
 """Tests for the enumeration oracles and Monte Carlo machinery."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from qauth import analytics
+from qauth import analytics, qsim
 from qauth.adversary import (
     ABORT,
     RESEND_UNCORRECTED,
+    InterceptResendStrategy,
     NoMessageStrategy,
 )
 from qauth.bch import build_bch
+from qauth.cli import resolve_code
 from qauth.codes import make_hamming_7_4, make_repetition
 from qauth.errors import UnsupportedSizeError
 from qauth.gf2 import BitWord
+from qauth.protocol import run_session
+from qauth.rng import substream
 from qauth.verify import (
+    TrialStats,
     clopper_pearson,
     intercept_resend_success_given_difference,
     monte_carlo,
@@ -22,6 +31,7 @@ from qauth.verify import (
     oracle_no_message_any_codeword,
     oracle_no_message_exact_codeword,
     oracle_p_dec,
+    word_session,
 )
 
 
@@ -188,3 +198,110 @@ class TestMonteCarlo:
             "trials", "successes", "estimate", "ci_low", "ci_high",
             "confidence", "seed",
         }
+
+
+KERNEL_CODES = ["rep3", "rep5", "hamming74", "bch-15-7-2", "bch-31-6-7", "bch-63-18"]
+KERNEL_MODES = {
+    "honest": lambda m: None,
+    "no-message-zero": lambda m: NoMessageStrategy(BitWord.zeros(m)),
+    "no-message-nonzero": lambda m: NoMessageStrategy(BitWord(1, m)),
+    "ir-abort": lambda m: InterceptResendStrategy(BitWord(1, m), ABORT),
+    "ir-resend-uncorrected": lambda m: InterceptResendStrategy(
+        BitWord(1, m), RESEND_UNCORRECTED
+    ),
+}
+
+
+def _reference_stats(code, trials, seed, adversary, message):
+    """monte_carlo's result, computed with qubit-handle sessions."""
+    successes = sum(
+        run_session(
+            message, code, adversary=adversary, randomness=substream(seed, "trial", i)
+        ).accepted
+        for i in range(trials)
+    )
+    return TrialStats.of(successes, trials, seed)
+
+
+class TestWordKernel:
+    """monte_carlo's word-level sessions are run_session's sessions."""
+
+    TRIALS = 200
+    SEED = 4242
+
+    @pytest.fixture(scope="class", params=KERNEL_CODES)
+    def kernel_code(self, request):
+        return resolve_code(request.param)
+
+    @pytest.mark.parametrize("mode", list(KERNEL_MODES))
+    def test_each_trial_matches_run_session(self, kernel_code, mode):
+        code = kernel_code
+        adversary = KERNEL_MODES[mode](code.m)
+        message = BitWord.zeros(code.m)
+        sent = code.encode(message).value
+        forged = None
+        if adversary is not None:
+            forged = code.encode(adversary.forged_message).value
+        for trial in range(self.TRIALS):
+            by_words = substream(self.SEED, "trial", trial)
+            by_handles = substream(self.SEED, "trial", trial)
+            record = run_session(message, code, adversary=adversary, randomness=by_handles)
+            assert word_session(code, sent, adversary, forged, by_words) == record.accepted
+            assert by_words.getstate() == by_handles.getstate()
+        assert monte_carlo(code, self.TRIALS, self.SEED, adversary=adversary) == (
+            _reference_stats(code, self.TRIALS, self.SEED, adversary, message)
+        )
+
+    @pytest.mark.parametrize("selector", ["rep3", "hamming74"])
+    def test_nonzero_message(self, selector):
+        code = resolve_code(selector)
+        message = BitWord(1, code.m)
+        for adversary in (
+            NoMessageStrategy(BitWord.zeros(code.m)),
+            InterceptResendStrategy(BitWord.zeros(code.m), RESEND_UNCORRECTED),
+        ):
+            stats = monte_carlo(code, 500, 9, adversary=adversary, message=message)
+            assert stats == _reference_stats(code, 500, 9, adversary, message)
+            assert 0 < stats.successes < 500
+
+    def test_builds_no_qubit_handles(self, ham, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("monte_carlo prepared a qubit handle")
+
+        monkeypatch.setattr(qsim.QubitHandle, "__init__", refuse)
+        adversary = InterceptResendStrategy(BitWord(1, ham.m))
+        assert monte_carlo(ham, 100, 1, adversary=adversary).trials == 100
+
+
+class TestChecksUnderOptimize:
+    def test_invariants_hold_under_dash_o(self):
+        # python -O strips asserts; these checks must survive it.  scipy is
+        # stubbed out: none of the checks uses it, and without installed -O
+        # bytecode importing it would recompile it for seconds.
+        script = (
+            "import sys, types\n"
+            "stats = types.ModuleType('scipy.stats')\n"
+            "stats.beta = None\n"
+            "sys.modules.update({'scipy': types.ModuleType('scipy'), 'scipy.stats': stats})\n"
+            "from fractions import Fraction\n"
+            "from qauth import analytics, verify\n"
+            "cases = [\n"
+            "    lambda: verify.TrialStats(10, 9, Fraction(9, 10), 0.0, 0.5, seed=0),\n"
+            "    lambda: verify.OracleReport('x', Fraction(1), Fraction(1), False, Fraction(0)),\n"
+            "    lambda: verify.OracleReport('x', Fraction(1), Fraction(0), False, Fraction(0)),\n"
+            "    lambda: analytics._check_prob(Fraction(3, 2)),\n"
+            "]\n"
+            "for case in cases:\n"
+            "    try:\n"
+            "        case()\n"
+            "        print('accepted')\n"
+            "    except ValueError:\n"
+            "        print('rejected')\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(qsim.__file__).parents[1])},
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["rejected"] * 4
