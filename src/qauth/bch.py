@@ -2,12 +2,12 @@
 
 The generator polynomial is the lcm of the minimal polynomials of
 alpha..alpha^(2t).  Every BCH code, short or long, decodes with
-``BchAlgebraicDecoder``: it computes syndromes, runs Berlekamp-Massey
-for the error locator, and locates roots by Chien search.  Syndrome and
-Chien evaluations are vectorized with numpy so that long-code decoding
-stays fast enough for large randomized test campaigns.  For designed
-distance 2t+1 this is the same bounded-distance map as a syndrome
-table, which the tests use as its oracle.
+``BchAlgebraicDecoder``: it computes the odd syndromes from a per-byte
+table and squares them into the even ones, runs binary (odd-step)
+Berlekamp-Massey in the log domain for the error locator, and locates
+its roots by a numpy Chien search.  For designed distance 2t+1 this is
+the same bounded-distance map as a syndrome table, which the tests use
+as its oracle.
 """
 
 from __future__ import annotations
@@ -98,96 +98,110 @@ def bch_field(w: int, primitive_poly: int) -> GF2m:
 
 
 class BchAlgebraicDecoder:
-    """Bounded-distance decoder: syndromes, Berlekamp-Massey, Chien search."""
+    """Bounded-distance decoder: syndromes, binary Berlekamp-Massey, Chien search.
+
+    Field arithmetic is table lookup in zero-absorbing copies of the
+    field's antilog/log lists: ``_log[0]`` is 2n, and ``_exp`` is 0 from
+    index 2n to 4n, so ``_exp[_log[a] + _log[b]]`` is a·b for every a
+    and b, zero included.  No ``GF2m`` method runs per decode.  Elements
+    are below 2^8, so the numpy tables are uint8 (elements) or int16
+    (exponents).
+    """
 
     def __init__(self, field: GF2m, t: int):
         self.field = field
         self.t = t
-        self.n = field.order
-        n = self.n
-        # pow_table[i-1, j] = alpha^(i*j), used for syndrome accumulation
-        js = np.arange(n, dtype=np.int64)
-        rows = []
-        for i in range(1, 2 * t + 1):
-            rows.append(
-                np.array([field.alpha_pow(int(i * j)) for j in range(n)], dtype=np.int64)
-            )
-        self._pow = np.vstack(rows)
-        # neg_jk[k-1, j] = (-j*k) mod n, log-domain offsets for Chien search
-        ks = np.arange(1, 2 * t + 1, dtype=np.int64)
-        self._neg_jk = (-np.outer(ks, js)) % n
-        self._exp = np.array([field.alpha_pow(k) for k in range(n)], dtype=np.int64)
+        self.n = n = field.order
+        self._zero = 2 * n  # the log that stands for 0
+        self._exp = field._exp + [0] * (2 * n + 1)
+        self._log = [self._zero] + field._log[1:]
+        self._exp_np = exp = np.array(self._exp, dtype=np.uint8)
+        js = np.arange(n)
+        # _pow[i-1, j] = alpha^(i*j) for i = 1..2t: column j is what a flip
+        # at position j adds to the 2t syndromes
+        self._pow = exp[np.outer(np.arange(1, 2 * t + 1), js) % n]
+        # _neg_jk[k-1, j] = -j*k mod n: Chien offsets of locator term k
+        self._neg_jk = (-np.outer(np.arange(1, t + 1), js) % n).astype(np.int16)
+        # _byte_rows[b][v] = S_1, S_3, .., S_(2t-1) of the word whose bits
+        # 8b..8b+7 hold v and whose other bits are 0, one syndrome per byte
+        odd = self._pow[::2]
+        columns = [int.from_bytes(odd[:, j].tobytes(), "little") for j in range(n)]
+        columns += [0] * (-n % 8)
+        self._byte_rows = []
+        for base in range(0, n, 8):
+            row = [0] * 256
+            for v in range(1, 256):
+                low = v & -v
+                row[v] = row[v ^ low] ^ columns[base + low.bit_length() - 1]
+            self._byte_rows.append(row)
 
     def syndromes(self, received: BitWord) -> list[int]:
-        idx = np.fromiter(
-            (j for j in range(self.n) if (received.value >> j) & 1),
-            dtype=np.int64,
-        )
-        if idx.size == 0:
-            return [0] * (2 * self.t)
-        cols = self._pow[:, idx]
-        return list(np.bitwise_xor.reduce(cols, axis=1))
+        """S_1..S_2t: the odd ones by byte table, then S_2k = S_k^2."""
+        acc = 0
+        rows = self._byte_rows
+        for row, v in zip(rows, received.value.to_bytes(len(rows), "little")):
+            acc ^= row[v]
+        syn = [0] * (2 * self.t)
+        syn[::2] = acc.to_bytes(self.t, "little")
+        exp, log = self._exp, self._log
+        for k in range(1, self.t + 1):
+            syn[2 * k - 1] = exp[2 * log[syn[k - 1]]]
+        return syn
 
-    def _berlekamp_massey(self, syndromes: list[int]) -> tuple[list[int], int]:
-        field = self.field
-        c = [1] + [0] * (2 * self.t)
-        b = [1] + [0] * (2 * self.t)
-        big_l, shift, last_d = 0, 1, 1
-        for step, s in enumerate(syndromes):
-            d = s
+    def _berlekamp_massey(self, syn: list[int]) -> list[int] | None:
+        """Logs of the error locator's coefficients, or None once L > t.
+
+        Binary form (Berlekamp 1968): S_2k = S_k^2 makes every
+        even-indexed discrepancy zero, so only the t odd steps run.  The
+        register length L never decreases, so L > t already means a
+        locator the decoder rejects.
+        """
+        exp, log, n, t = self._exp, self._log, self.n, self.t
+        log_syn = [log[s] for s in syn]
+        c = [0] + [self._zero] * t  # logs of the locator, which starts as 1
+        b = c[:]  # the locator before the last length change, of length len_b
+        big_l, len_b, shift, log_last = 0, 0, 1, 0
+        for step in range(0, 2 * t, 2):
+            d = syn[step]
             for i in range(1, big_l + 1):
-                if c[i] and syndromes[step - i]:
-                    d ^= field.mul(c[i], syndromes[step - i])
+                d ^= exp[c[i] + log_syn[step - i]]
             if d == 0:
-                shift += 1
+                shift += 2
                 continue
-            coef = field.mul(d, field.inv(last_d))
-            if 2 * big_l <= step:
-                prev_c = c[:]
-                for i in range(0, len(b) - shift):
-                    if b[i]:
-                        c[i + shift] ^= field.mul(coef, b[i])
-                big_l = step + 1 - big_l
-                b = prev_c
-                last_d = d
-                shift = 1
+            grows = 2 * big_l <= step
+            if grows and step + 1 - big_l > t:
+                return None
+            prev = c[:]
+            # c -= (d / last d)·x^shift·b, whose degree is at most the new L
+            log_coef = (log[d] - log_last) % n
+            for i in range(len_b + 1):
+                c[i + shift] = log[exp[c[i + shift]] ^ exp[log_coef + b[i]]]
+            if grows:
+                b, len_b, big_l, log_last, shift = prev, big_l, step + 1 - big_l, log[d], 2
             else:
-                for i in range(0, len(b) - shift):
-                    if b[i]:
-                        c[i + shift] ^= field.mul(coef, b[i])
-                shift += 1
-        return c[: big_l + 1], big_l
+                shift += 2
+        return c[: big_l + 1]
 
-    def _chien_roots(self, locator: list[int]) -> list[int]:
-        """Positions j with locator(alpha^-j) = 0."""
-        n = self.n
-        field = self.field
-        vals = np.full(n, locator[0], dtype=np.int64)
-        for k in range(1, len(locator)):
-            if locator[k] == 0:
-                continue
-            logc = field.log(locator[k])
-            vals ^= self._exp[(logc + self._neg_jk[k - 1]) % n]
-        return [int(j) for j in np.nonzero(vals == 0)[0]]
+    def _chien_roots(self, locator: list[int]) -> np.ndarray:
+        """Positions j with locator(alpha^-j) = 0, from the locator's logs."""
+        logs = np.array(locator[1:], dtype=np.int16)
+        terms = self._exp_np[self._neg_jk[: len(logs)] + logs[:, None]]
+        return np.flatnonzero(np.bitwise_xor.reduce(terms, axis=0) == 1)
 
     def __call__(self, received: BitWord) -> tuple[bool, frozenset[int]]:
         syn = self.syndromes(received)
         if not any(syn):
             return True, frozenset()
-        locator, degree = self._berlekamp_massey(syn)
-        if degree > self.t:
+        locator = self._berlekamp_massey(syn)
+        if locator is None:
             return False, frozenset()
         roots = self._chien_roots(locator)
-        if len(roots) != degree:
+        if len(roots) != len(locator) - 1:
             return False, frozenset()
         # confirm the flips cancel every syndrome (rejects inconsistent locators)
-        for i in range(2 * self.t):
-            s = syn[i]
-            for j in roots:
-                s ^= self.field.alpha_pow((i + 1) * j)
-            if s:
-                return False, frozenset()
-        return True, frozenset(roots)
+        if np.bitwise_xor.reduce(self._pow[:, roots], axis=1).tolist() != syn:
+            return False, frozenset()
+        return True, frozenset(roots.tolist())
 
 
 def build_bch(

@@ -13,12 +13,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import comb
 from typing import Optional, Protocol
 
 from .errors import DimensionError, ParameterError, SpecError, UnsupportedSizeError
 from .gf2 import BitMatrix, BitWord, mat_vec_mul
 
 SYNDROME_TABLE_MAX_CHECKS = 24
+# Patterns of weight <= t a syndrome table may enumerate: 2^16 builds in
+# under a second (rep17); a random [45, 21] code at t = 6 would need 9.5M.
+SYNDROME_TABLE_MAX_PATTERNS = 1 << 16
 WEIGHT_ENUM_MAX_M = 20
 
 
@@ -182,6 +186,12 @@ def syndrome_table_decoder(parity_check: BitMatrix, t: int) -> Decoder:
             f"({SYNDROME_TABLE_MAX_CHECKS})"
         )
     n = parity_check.ncols
+    patterns = sum(comb(n, h) for h in range(t + 1))
+    if patterns > SYNDROME_TABLE_MAX_PATTERNS:
+        raise UnsupportedSizeError(
+            f"{patterns} error patterns of weight <= {t} exceed the "
+            f"syndrome-table bound ({SYNDROME_TABLE_MAX_PATTERNS})"
+        )
     table: dict[int, frozenset[int]] = {0: frozenset()}
     for w in range(1, t + 1):
         for positions in combinations(range(n), w):
@@ -316,11 +326,12 @@ def _check_distance(code: LinearCode, t: int, where: str) -> None:
 def load_code_spec(path) -> LinearCode:
     """Rebuild a code from the JSON spec written by ``save_spec``.
 
-    n, m, t, and the ``field``'s w and primitive_poly must be integers
-    and ``generator_rows`` a list of hex strings.  A spec with a
-    ``field`` must hold the generator rows, m and t of
-    ``make_bch_spec(w, t, primitive_poly)``; one without must hold a t
-    its minimum distance corrects (checked for m <= WEIGHT_ENUM_MAX_M).
+    ``name`` must be a string, n, m, t, and the ``field``'s w and
+    primitive_poly integers, and ``generator_rows`` a list of hex
+    strings.  A spec with a ``field`` must hold the generator rows, m
+    and t of ``make_bch_spec(w, t, primitive_poly)``; one without must
+    hold a t its minimum distance corrects (checked for m <=
+    WEIGHT_ENUM_MAX_M).
     Any spec must hold the m its rows span.  Anything else raises
     ``SpecError``.
     """
@@ -333,6 +344,8 @@ def load_code_spec(path) -> LinearCode:
     if not isinstance(d, dict):
         raise SpecError(f"{where} holds no JSON object")
     _require(d, ("name", "n", "m", "t", "generator_rows"), where)
+    if not isinstance(d["name"], str):
+        raise SpecError(f"{where}: name must be a string, got {d['name']!r}")
     n = _count(d, "n", where, low=1)
     m, t = _count(d, "m", where), _count(d, "t", where)
     rows = _hex_rows(d["generator_rows"], where)

@@ -1,12 +1,16 @@
 """Tests for BCH construction and the algebraic decoder.
 
 The syndrome-table decoder is the algebraic decoder's oracle: for
-designed distance 2t+1 both are the same bounded-distance map.
+designed distance 2t+1 both are the same bounded-distance map.  Codes
+with more than 24 checks have no table; there the oracle is
+``ReferenceBchDecoder``, the general (all 2t steps) Berlekamp-Massey
+decoder over ``GF2m.mul``.
 """
 
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from qauth.bch import (
@@ -170,6 +174,109 @@ class TestAlgebraicMatchesTable:
             for positions in combinations(range(code.n), weight)
         )
         _assert_decoders_agree(code, (cw.value ^ e for e in patterns))
+
+
+class ReferenceBchDecoder:
+    """Syndromes, Berlekamp-Massey over all 2t steps, Chien search, re-check.
+
+    The general algorithm, field arithmetic through ``GF2m.mul``/``inv``:
+    it uses neither S_2k = S_k^2 nor an early exit, so it checks both.
+    """
+
+    def __init__(self, field, t):
+        self.field, self.t, self.n = field, t, field.order
+        js = np.arange(self.n, dtype=np.int64)
+        self._pow = np.array(
+            [[field.alpha_pow(i * j) for j in range(self.n)] for i in range(1, 2 * t + 1)],
+            dtype=np.int64,
+        )
+        ks = np.arange(1, 2 * t + 1, dtype=np.int64)
+        self._neg_jk = (-np.outer(ks, js)) % self.n
+        self._exp = np.array([field.alpha_pow(k) for k in range(self.n)], dtype=np.int64)
+
+    def syndromes(self, received):
+        idx = [j for j in range(self.n) if (received.value >> j) & 1]
+        if not idx:
+            return [0] * (2 * self.t)
+        return [int(s) for s in np.bitwise_xor.reduce(self._pow[:, idx], axis=1)]
+
+    def berlekamp_massey(self, syndromes):
+        field = self.field
+        c = [1] + [0] * (2 * self.t)
+        b = [1] + [0] * (2 * self.t)
+        big_l, shift, last_d = 0, 1, 1
+        for step, s in enumerate(syndromes):
+            d = s
+            for i in range(1, big_l + 1):
+                d ^= field.mul(c[i], syndromes[step - i])
+            if d == 0:
+                shift += 1
+                continue
+            coef = field.mul(d, field.inv(last_d))
+            prev_c = c[:]
+            for i in range(0, len(b) - shift):
+                c[i + shift] ^= field.mul(coef, b[i])
+            if 2 * big_l <= step:
+                big_l = step + 1 - big_l
+                b, last_d, shift = prev_c, d, 1
+            else:
+                shift += 1
+        return c[: big_l + 1], big_l
+
+    def __call__(self, received):
+        syn = self.syndromes(received)
+        if not any(syn):
+            return True, frozenset()
+        locator, degree = self.berlekamp_massey(syn)
+        if degree > self.t:
+            return False, frozenset()
+        vals = np.full(self.n, locator[0], dtype=np.int64)
+        for k in range(1, len(locator)):
+            if locator[k]:
+                logc = self.field.log(locator[k])
+                vals ^= self._exp[(logc + self._neg_jk[k - 1]) % self.n]
+        roots = [int(j) for j in np.nonzero(vals == 0)[0]]
+        if len(roots) != degree:
+            return False, frozenset()
+        for i in range(2 * self.t):
+            s = syn[i]
+            for j in roots:
+                s ^= self.field.alpha_pow((i + 1) * j)
+            if s:
+                return False, frozenset()
+        return True, frozenset(roots)
+
+
+class TestAlgebraicMatchesReference:
+    @pytest.mark.parametrize("wt", sorted(GRID) + [(5, 7)])
+    def test_random_words_and_beyond_t_patterns(self, wt):
+        code = build_bch(*wt)
+        decoder = code._decoder
+        reference = ReferenceBchDecoder(decoder.field, code.t)
+        rng = random.Random(4000 + 10 * wt[0] + wt[1])
+        for k in range(2000):
+            if k % 2:
+                received = BitWord(rng.getrandbits(code.n), code.n)
+            else:
+                cw = code.encode(BitWord(rng.getrandbits(code.m), code.m))
+                received = cw.flip(rng.sample(range(code.n), code.t + 1 + k % 3))
+            assert decoder(received) == reference(received), received
+
+    # A codeword of the supercode BCH(w, t'), t' < t, has S_1..S_(k-1) = 0
+    # and S_k != 0 for some k > 2t'.  With t < k < 2t - 1, Berlekamp-Massey
+    # sets L = k > t at step k - 1, before its last step, so it exits early.
+    @pytest.mark.parametrize("wt,supercode", [((5, 7), (5, 5)), ((7, 23), (7, 15))])
+    def test_locator_passing_t_early(self, wt, supercode):
+        code, sup = build_bch(*wt), build_bch(*supercode)
+        decoder = code._decoder
+        rng = random.Random(17)
+        word = sup.encode(BitWord(rng.randrange(1, 1 << sup.m), sup.m))
+        syn = decoder.syndromes(word)
+        k = next(i for i, s in enumerate(syn, start=1) if s)
+        assert code.t < k < 2 * code.t - 1
+        assert decoder._berlekamp_massey(syn) is None
+        reference = ReferenceBchDecoder(decoder.field, code.t)
+        assert decoder(word) == reference(word) == (False, frozenset())
 
 
 def test_generator_poly_deterministic():

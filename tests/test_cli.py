@@ -1,8 +1,11 @@
 """Tests for the command-line interface."""
 
 import json
+import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qauth.cli import (
     DEFAULT_SEED,
@@ -219,13 +222,17 @@ class TestUserInputErrors:
             lambda tmp: [
                 "analytics", "table", "--code", _edited_spec(tmp, "hamming74", t=2),
             ],
+            lambda tmp: [
+                "analytics", "table", "--code",
+                _edited_spec(tmp, "hamming74", name={"a": 1, "b": 2}),
+            ],
         ],
         ids=[
             "trials-0", "rep4", "bch-6-40", "spec-missing-t", "bch-spec-edited-t",
             "bch-spec-not-primitive", "forged-message-not-binary", "spec-t-string",
             "spec-n-float", "spec-t-bool", "spec-rows-not-list", "spec-rows-not-strings",
             "spec-rows-not-hex", "spec-field-w-string", "spec-field-poly-string",
-            "spec-t-beyond-distance",
+            "spec-t-beyond-distance", "spec-name-not-string",
         ],
     )
     def test_exits_2_with_one_line(self, argv, tmp_path, capsys):
@@ -235,3 +242,76 @@ class TestUserInputErrors:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_oversized_syndrome_table_exits_2(self, tmp_path, capsys):
+        # a [45, 21] code at t = 6: 24 checks, but ~9.5M patterns of weight <= 6
+        rng = random.Random(45)
+        rows = [(1 << i) | (rng.getrandbits(24) << 21) for i in range(21)]
+        spec = {"name": "c45", "n": 45, "m": 21, "t": 6,
+                "generator_rows": [format(r, "x") for r in rows]}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        rc = run_cli("simulate", "honest", "--code", str(path), "--trials", "1")
+        captured = capsys.readouterr()
+        assert rc == EXIT_CONFIG
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "error patterns" in lines[0]
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70)
+    | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8,
+)
+# values that get past the type checks, so the deeper checks run too
+PLAUSIBLE = {
+    "name": st.text(max_size=8),
+    "n": st.integers(0, 40),
+    "m": st.integers(0, 20),
+    "t": st.integers(0, 8),
+    "generator_rows": st.lists(st.text("0123456789abcdef", min_size=1, max_size=10),
+                               max_size=8),
+    "field": st.fixed_dictionaries({"w": st.integers(0, 9),
+                                    "primitive_poly": st.integers(0, 600)}),
+}
+BASE_SPECS = {sel: resolve_code(sel).to_spec_dict() for sel in ("rep3", "hamming74", "bch-15-7-2")}
+
+
+@st.composite
+def spec_documents(draw):
+    """A JSON document: arbitrary, or a valid spec with keys edited."""
+    if draw(st.booleans()):
+        return draw(JSON)
+    spec = dict(BASE_SPECS[draw(st.sampled_from(sorted(BASE_SPECS)))])
+    keys = sorted(PLAUSIBLE) + ["parity_rows", draw(st.text(max_size=6))]
+    for key in draw(st.lists(st.sampled_from(keys), max_size=4, unique=True)):
+        choice = draw(st.sampled_from(("drop", "any", "plausible")))
+        if choice == "drop":
+            spec.pop(key, None)
+        elif choice == "plausible" and key in PLAUSIBLE:
+            spec[key] = draw(PLAUSIBLE[key])
+        else:
+            spec[key] = draw(JSON)
+    return spec
+
+
+class TestSpecFuzz:
+    """Any spec file ends in exit 0 or 2, never in a traceback."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(document=spec_documents(),
+           command=st.sampled_from((("simulate", "honest", "--trials", "2"),
+                                    ("analytics", "table"))))
+    def test_spec_files_exit_0_or_2(self, document, command, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(document))
+        rc = run_cli(*command, "--code", str(path))
+        captured = capsys.readouterr()
+        assert rc in (EXIT_OK, EXIT_CONFIG)
+        if rc == EXIT_CONFIG:
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qauth.codes import (
+    SYNDROME_TABLE_MAX_PATTERNS,
     LinearCode,
     code_from_generator_rows,
     load_code_spec,
@@ -16,7 +17,7 @@ from qauth.codes import (
     make_repetition,
 )
 from qauth.bch import build_bch
-from qauth.errors import DimensionError, SpecError
+from qauth.errors import DimensionError, SpecError, UnsupportedSizeError
 from qauth.gf2 import BitWord
 
 
@@ -146,6 +147,13 @@ class TestDecoding:
     def test_decode_length_check(self, ham):
         with pytest.raises(DimensionError):
             ham.decode(BitWord(0, 6))
+
+    def test_syndrome_table_is_bounded_by_its_pattern_count(self):
+        # rep19 has 18 checks, within that bound, but 2^18 patterns of
+        # weight <= 9, beyond SYNDROME_TABLE_MAX_PATTERNS = 2^16
+        assert SYNDROME_TABLE_MAX_PATTERNS < 1 << 18
+        with pytest.raises(UnsupportedSizeError, match="error patterns"):
+            make_repetition(19)
 
     def test_majority_vote(self, rep3):
         assert rep3.decode(BitWord.from_str("110")).message == BitWord(1, 1)
