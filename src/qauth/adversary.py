@@ -10,7 +10,6 @@ readout callable.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from random import Random
 from typing import Callable, Optional
@@ -52,9 +51,6 @@ class AdversaryTranscript:
             ),
             "resent": self.resent,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 class NoMessageStrategy:

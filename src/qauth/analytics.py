@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -27,8 +26,6 @@ from typing import Iterable
 
 from .codes import LinearCode
 from .errors import DimensionError
-
-ExactProb = Fraction
 
 
 def _check_prob(p: Fraction) -> Fraction:
@@ -237,7 +234,3 @@ def table_to_csv(rows: Iterable[SecurityRow]) -> str:
     for row in rows:
         writer.writerow(row.rendered())
     return buf.getvalue()
-
-
-def table_to_json(rows: Iterable[SecurityRow], exact: bool = False) -> str:
-    return json.dumps([row.to_json_dict(exact=exact) for row in rows], indent=2)

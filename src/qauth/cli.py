@@ -289,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--forged-message", help="bit string, length m")
     p_sim.add_argument("--on-decode-failure", default=ABORT,
                        choices=("abort", "resend_uncorrected"))
-    p_sim.add_argument("--format", choices=("json",), default="json")
     p_sim.add_argument("--out")
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -298,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_or.add_argument("--code", required=True)
     p_or.add_argument("--on-decode-failure", default=ABORT,
                       choices=("abort", "resend_uncorrected"))
-    p_or.add_argument("--format", choices=("json",), default="json")
     p_or.add_argument("--out")
     p_or.set_defaults(func=cmd_oracle)
 

@@ -70,10 +70,6 @@ class BitWord:
     def zeros(cls, n: int) -> "BitWord":
         return cls(0, n)
 
-    @classmethod
-    def from_hex(cls, s: str, length: int) -> "BitWord":
-        return cls(int(s, 16), length)
-
     def to_hex(self) -> str:
         return format(self.value, "x")
 
@@ -98,9 +94,6 @@ class BitWord:
             )
         return BitWord(self.value ^ other.value, self.length)
 
-    def weight(self) -> int:
-        return self.value.bit_count()
-
     def flip(self, positions: Iterable[int]) -> "BitWord":
         mask = 0
         for p in positions:
@@ -108,9 +101,6 @@ class BitWord:
                 raise IndexError(f"position {p} out of range")
             mask |= 1 << p
         return BitWord(self.value ^ mask, self.length)
-
-    def support(self) -> frozenset[int]:
-        return frozenset(j for j in range(self.length) if (self.value >> j) & 1)
 
     def __str__(self) -> str:
         return "".join(str(b) for b in self)
@@ -129,20 +119,6 @@ class BitMatrix:
         for r in self.rows:
             if r < 0 or r >> self.ncols:
                 raise DimensionError(f"row 0x{r:x} wider than {self.ncols} columns")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "BitMatrix":
-        words = [BitWord.from_bits(r) for r in rows]
-        if not words:
-            raise DimensionError("matrix needs at least one row")
-        ncols = words[0].length
-        if any(w.length != ncols for w in words):
-            raise DimensionError("ragged rows")
-        return cls(tuple(w.value for w in words), ncols)
-
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls(tuple(1 << i for i in range(n)), n)
 
     @property
     def nrows(self) -> int:
@@ -201,97 +177,6 @@ def mat_vec_mul(m: BitMatrix, v: BitWord) -> BitWord:
 
 
 # ---------------------------------------------------------------------------
-# Polynomials over GF(2), bit i of the backing int = coefficient of x^i.
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GF2Poly:
-    """Polynomial over GF(2); over GF(2) every nonzero poly is monic."""
-
-    coeffs: int
-
-    def __post_init__(self) -> None:
-        if self.coeffs < 0:
-            raise ValueError("coefficient mask must be non-negative")
-
-    @classmethod
-    def from_coeff_list(cls, coeffs: Iterable[int]) -> "GF2Poly":
-        return cls(BitWord.from_bits(coeffs).value)
-
-    @classmethod
-    def x_power(cls, k: int) -> "GF2Poly":
-        return cls(1 << k)
-
-    @classmethod
-    def one(cls) -> "GF2Poly":
-        return cls(1)
-
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return self.coeffs.bit_length() - 1
-
-    def is_zero(self) -> bool:
-        return self.coeffs == 0
-
-    def __add__(self, other: "GF2Poly") -> "GF2Poly":
-        return GF2Poly(self.coeffs ^ other.coeffs)
-
-    __sub__ = __add__
-
-    def __mul__(self, other: "GF2Poly") -> "GF2Poly":
-        a, b = self.coeffs, other.coeffs
-        out = 0
-        while a:
-            if a & 1:
-                out ^= b
-            a >>= 1
-            b <<= 1
-        return GF2Poly(out)
-
-    def divmod(self, divisor: "GF2Poly") -> tuple["GF2Poly", "GF2Poly"]:
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        q = 0
-        r = self.coeffs
-        d = divisor.degree()
-        while r.bit_length() - 1 >= d and r:
-            shift = r.bit_length() - 1 - d
-            q |= 1 << shift
-            r ^= divisor.coeffs << shift
-        return GF2Poly(q), GF2Poly(r)
-
-    def __mod__(self, divisor: "GF2Poly") -> "GF2Poly":
-        return self.divmod(divisor)[1]
-
-    def __floordiv__(self, divisor: "GF2Poly") -> "GF2Poly":
-        return self.divmod(divisor)[0]
-
-    def divides(self, other: "GF2Poly") -> bool:
-        return (other % self).is_zero()
-
-    def __str__(self) -> str:
-        if self.coeffs == 0:
-            return "0"
-        terms = []
-        for k in range(self.degree(), -1, -1):
-            if (self.coeffs >> k) & 1:
-                terms.append("1" if k == 0 else ("x" if k == 1 else f"x^{k}"))
-        return " + ".join(terms)
-
-
-def poly_gcd(a: GF2Poly, b: GF2Poly) -> GF2Poly:
-    while not b.is_zero():
-        a, b = b, a % b
-    return a
-
-
-def poly_lcm(a: GF2Poly, b: GF2Poly) -> GF2Poly:
-    if a.is_zero() or b.is_zero():
-        return GF2Poly(0)
-    return (a * b) // poly_gcd(a, b)
-
-
-# ---------------------------------------------------------------------------
 # GF(2^w) with exp/log tables over a primitive polynomial.
 # ---------------------------------------------------------------------------
 
@@ -335,88 +220,10 @@ class GF2m:
         self._exp = exp
         self._log = log
 
-    @property
-    def alpha(self) -> int:
-        return 2 if self.w > 1 else 1
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
         return self._exp[self._log[a] + self._log[b]]
 
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return self._exp[self.order - self._log[a]]
-
-    def pow(self, a: int, k: int) -> int:
-        if a == 0:
-            if k < 0:
-                raise ZeroDivisionError("0 to a negative power")
-            return 0 if k else 1
-        return self._exp[(self._log[a] * k) % self.order]
-
-    def alpha_pow(self, k: int) -> int:
-        return self._exp[k % self.order]
-
-    def log(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("log of 0")
-        return self._log[a]
-
-    def element(self, value: int) -> "GF2mElement":
-        return GF2mElement(self, value)
-
-    def poly_eval(self, poly: GF2Poly, at: int) -> int:
-        """Evaluate a GF(2)-coefficient polynomial at a field element."""
-        acc = 0
-        c = poly.coeffs
-        k = 0
-        while c:
-            if c & 1:
-                acc ^= self.pow(at, k)
-            c >>= 1
-            k += 1
-        return acc
-
     def __repr__(self) -> str:
         return f"GF2m(w={self.w}, primitive_poly=0b{self.primitive_poly:b})"
-
-
-@dataclass(frozen=True)
-class GF2mElement:
-    """An element of a concrete GF(2^w), as a coefficient vector packed in an int."""
-
-    field: GF2m
-    value: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.value <= self.field.order:
-            raise ValueError(f"{self.value} outside GF(2^{self.field.w})")
-
-
-def minimal_polynomial(elem: GF2mElement) -> GF2Poly:
-    """Lowest-degree monic GF(2) polynomial with ``elem`` as a root.
-
-    Built as the product of (x - c) over the conjugacy class
-    {e, e^2, e^4, ...}; the product's coefficients land in GF(2).
-    """
-    field = elem.field
-    if elem.value == 0:
-        return GF2Poly.x_power(1)
-    conjugates = []
-    c = elem.value
-    while c not in conjugates:
-        conjugates.append(c)
-        c = field.mul(c, c)
-    # poly with GF(2^w) coefficients, lowest degree first; start with "1"
-    coeffs = [1]
-    for root in conjugates:
-        nxt = [0] * (len(coeffs) + 1)
-        for k, a in enumerate(coeffs):
-            nxt[k] ^= field.mul(a, root)  # (x + root): constant-term part
-            nxt[k + 1] ^= a
-        coeffs = nxt
-    if any(a not in (0, 1) for a in coeffs):
-        raise AssertionError("conjugacy product left the prime field")
-    return GF2Poly.from_coeff_list(coeffs)

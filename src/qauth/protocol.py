@@ -10,7 +10,6 @@ is exactly c_A).  Keys are hard single-use.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from random import Random
 from typing import Optional, Sequence
@@ -150,9 +149,6 @@ class SessionRecord:
             "m": self.m,
             "t": self.t,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 def run_session(

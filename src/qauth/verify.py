@@ -11,7 +11,6 @@ near 0 or 1 are common here.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -74,9 +73,6 @@ class OracleReport:
             "equal": self.equal,
             "gap": str(self.gap),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +265,6 @@ class TrialStats:
             confidence=confidence,
         )
 
-    def contains(self, p) -> bool:
-        return self.ci_low <= p <= self.ci_high
-
     def to_json_dict(self) -> dict:
         return {
             "trials": self.trials,
@@ -282,9 +275,6 @@ class TrialStats:
             "confidence": self.confidence,
             "seed": self.seed,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 def clopper_pearson(

@@ -194,7 +194,7 @@ class TestCriterion5StatisticalSoundness:
         )
         truth = oracle_no_message_any_codeword(code)
         assert truth == Fraction(28, 64)
-        assert stats.contains(truth)
+        assert stats.ci_low <= truth <= stats.ci_high
 
 
 class TestCriterion6ProtocolCompleteness:

@@ -113,10 +113,11 @@ class TestInterceptResend:
             if not (tr.decode_success and (tr.m_e.flip(tr.corrected_positions) == true_cw)):
                 continue
             checked += 1
-            mismatched = (key_bits ^ tr.x_e).support()
-            assert tr.corrected_positions <= mismatched
-            assert (key_bits ^ tr.x_e_prime).weight() == (
-                (key_bits ^ tr.x_e).weight() - len(tr.corrected_positions)
+            mismatched = key_bits.value ^ tr.x_e.value
+            corrected = sum(1 << j for j in tr.corrected_positions)
+            assert (corrected & ~mismatched) == 0
+            assert (key_bits.value ^ tr.x_e_prime.value).bit_count() == (
+                mismatched.bit_count() - len(tr.corrected_positions)
             )
         assert checked > 50  # the slice is common for random keys
 

@@ -19,7 +19,6 @@ from qauth.analytics import (
     security_row,
     table1,
     table_to_csv,
-    table_to_json,
 )
 from qauth.codes import make_hamming_7_4, make_repetition
 from qauth.errors import DimensionError
@@ -178,7 +177,7 @@ class TestTable:
         import json
 
         rows = table1([make_repetition(3)])
-        data = json.loads(table_to_json(rows, exact=True))
+        data = json.loads(json.dumps([row.to_json_dict(exact=True) for row in rows]))
         exact = data[0]["p_f_exact"]
         assert Fraction(int(exact["numerator"]), int(exact["denominator"])) == (
             Fraction(27, 64)

@@ -4,7 +4,7 @@ The syndrome-table decoder is the algebraic decoder's oracle: for
 designed distance 2t+1 both are the same bounded-distance map.  Codes
 with more than 24 checks have no table; there the oracle is
 ``ReferenceBchDecoder``, the general (all 2t steps) Berlekamp-Massey
-decoder over ``GF2m.mul``.
+decoder over field tables of its own.
 """
 
 import random
@@ -21,7 +21,7 @@ from qauth.bch import (
 )
 from qauth.codes import syndrome_table_decoder
 from qauth.errors import UnsupportedSizeError
-from qauth.gf2 import BitWord, GF2m, GF2Poly
+from qauth.gf2 import BitWord, GF2m
 
 # (w, t) -> (n, m) for the standard parameter grid
 GRID = {
@@ -55,14 +55,33 @@ class TestConstruction:
         assert code.generator.rank() == code.m
 
     def test_generator_poly_divides_xn_plus_1(self):
-        spec = make_bch_spec(6, 10)
-        assert spec.generator_poly.divides(GF2Poly((1 << 63) | 1))
+        # long division over GF(2) on packed ints: bit i = coefficient of x^i
+        g = make_bch_spec(6, 10).generator_poly
+        rem, deg = (1 << 63) | 1, g.bit_length() - 1
+        while rem.bit_length() - 1 >= deg:
+            rem ^= g << (rem.bit_length() - 1 - deg)
+        assert rem == 0
 
-    def test_generator_poly_has_designed_roots(self):
-        spec = make_bch_spec(5, 2)
-        field = GF2m(5)
-        for k in range(1, 2 * 2 + 1):
-            assert field.poly_eval(spec.generator_poly, field.alpha_pow(k)) == 0
+    def test_generator_poly_has_designed_roots(self, grid_codes):
+        # every row x^i·g(x) has alpha..alpha^(2t) as roots: S_1..S_2t = 0
+        small = [build_bch(w, t) for w, t in [(3, 1), (4, 2), (5, 3), (5, 7)]]
+        for code in small + list(grid_codes.values()):
+            for row in code.generator.rows:
+                assert not any(code._decoder.syndromes(BitWord(row, code.n))), code.name
+
+    def test_generator_polys_match_lin_costello(self):
+        # Lin & Costello, Error Control Coding, App. C, by (w, t); octal,
+        # highest degree first, which is the packing bit i = coefficient of x^i
+        table = {
+            (4, 1): 0o23, (4, 2): 0o721, (4, 3): 0o2467,
+            (5, 1): 0o45, (5, 2): 0o3551, (5, 3): 0o107657,
+            (5, 5): 0o5423325, (5, 7): 0o313365047,
+            (6, 1): 0o103, (6, 2): 0o12471, (6, 3): 0o1701317,
+            (7, 1): 0o211, (7, 2): 0o41567,
+        }
+        for (w, t), g in table.items():
+            assert bch_generator_poly(GF2m(w), t) == g, (w, t)
+            assert make_bch_spec(w, t).generator_poly == g, (w, t)
 
     def test_rejects_bad_w(self):
         with pytest.raises(UnsupportedSizeError):
@@ -179,20 +198,41 @@ class TestAlgebraicMatchesTable:
 class ReferenceBchDecoder:
     """Syndromes, Berlekamp-Massey over all 2t steps, Chien search, re-check.
 
-    The general algorithm, field arithmetic through ``GF2m.mul``/``inv``:
-    it uses neither S_2k = S_k^2 nor an early exit, so it checks both.
+    The general algorithm: it uses neither S_2k = S_k^2 nor an early
+    exit, so it checks both.  Its antilog/log lists are built here from
+    ``field.primitive_poly`` by shift-and-reduce, so it shares no table
+    with the decoder it checks.
     """
 
     def __init__(self, field, t):
-        self.field, self.t, self.n = field, t, field.order
+        self.t, self.n = t, field.order
+        antilog, x = [], 1
+        for _ in range(self.n):
+            antilog.append(x)
+            x <<= 1
+            if x >> field.w:
+                x ^= field.primitive_poly
+        self._antilog = antilog
+        self._log = {a: k for k, a in enumerate(antilog)}
         js = np.arange(self.n, dtype=np.int64)
         self._pow = np.array(
-            [[field.alpha_pow(i * j) for j in range(self.n)] for i in range(1, 2 * t + 1)],
+            [[self.alpha_pow(i * j) for j in range(self.n)] for i in range(1, 2 * t + 1)],
             dtype=np.int64,
         )
         ks = np.arange(1, 2 * t + 1, dtype=np.int64)
         self._neg_jk = (-np.outer(ks, js)) % self.n
-        self._exp = np.array([field.alpha_pow(k) for k in range(self.n)], dtype=np.int64)
+        self._exp = np.array(antilog, dtype=np.int64)
+
+    def alpha_pow(self, k):
+        return self._antilog[k % self.n]
+
+    def mul(self, a, b):
+        if a == 0 or b == 0:
+            return 0
+        return self.alpha_pow(self._log[a] + self._log[b])
+
+    def inv(self, a):
+        return self.alpha_pow(-self._log[a])
 
     def syndromes(self, received):
         idx = [j for j in range(self.n) if (received.value >> j) & 1]
@@ -201,21 +241,20 @@ class ReferenceBchDecoder:
         return [int(s) for s in np.bitwise_xor.reduce(self._pow[:, idx], axis=1)]
 
     def berlekamp_massey(self, syndromes):
-        field = self.field
         c = [1] + [0] * (2 * self.t)
         b = [1] + [0] * (2 * self.t)
         big_l, shift, last_d = 0, 1, 1
         for step, s in enumerate(syndromes):
             d = s
             for i in range(1, big_l + 1):
-                d ^= field.mul(c[i], syndromes[step - i])
+                d ^= self.mul(c[i], syndromes[step - i])
             if d == 0:
                 shift += 1
                 continue
-            coef = field.mul(d, field.inv(last_d))
+            coef = self.mul(d, self.inv(last_d))
             prev_c = c[:]
             for i in range(0, len(b) - shift):
-                c[i + shift] ^= field.mul(coef, b[i])
+                c[i + shift] ^= self.mul(coef, b[i])
             if 2 * big_l <= step:
                 big_l = step + 1 - big_l
                 b, last_d, shift = prev_c, d, 1
@@ -233,7 +272,7 @@ class ReferenceBchDecoder:
         vals = np.full(self.n, locator[0], dtype=np.int64)
         for k in range(1, len(locator)):
             if locator[k]:
-                logc = self.field.log(locator[k])
+                logc = self._log[locator[k]]
                 vals ^= self._exp[(logc + self._neg_jk[k - 1]) % self.n]
         roots = [int(j) for j in np.nonzero(vals == 0)[0]]
         if len(roots) != degree:
@@ -241,7 +280,7 @@ class ReferenceBchDecoder:
         for i in range(2 * self.t):
             s = syn[i]
             for j in roots:
-                s ^= self.field.alpha_pow((i + 1) * j)
+                s ^= self.alpha_pow((i + 1) * j)
             if s:
                 return False, frozenset()
         return True, frozenset(roots)
@@ -278,7 +317,3 @@ class TestAlgebraicMatchesReference:
         reference = ReferenceBchDecoder(decoder.field, code.t)
         assert decoder(word) == reference(word) == (False, frozenset())
 
-
-def test_generator_poly_deterministic():
-    field = GF2m(6)
-    assert bch_generator_poly(field, 3) == bch_generator_poly(field, 3)

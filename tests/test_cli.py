@@ -243,6 +243,13 @@ class TestUserInputErrors:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+    @pytest.mark.parametrize("command", [["simulate", "honest"], ["oracle", "pdec"]])
+    def test_format_is_only_an_analytics_table_option(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*command, "--code", "rep3", "--format", "json")
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
     def test_oversized_syndrome_table_exits_2(self, tmp_path, capsys):
         # a [45, 21] code at t = 6: 24 checks, but ~9.5M patterns of weight <= 6
         rng = random.Random(45)

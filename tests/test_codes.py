@@ -87,7 +87,7 @@ class TestEncoding:
     def test_weight_distribution_counts_every_codeword(self, code):
         counts = [0] * (code.n + 1)
         for c in code.codewords():
-            counts[c.weight()] += 1
+            counts[c.value.bit_count()] += 1
         assert code.weight_distribution() == counts
 
     def test_repetition_codewords(self, rep3):
@@ -141,7 +141,7 @@ class TestDecoding:
             res = code.decode(received)
             if res.ok:
                 assert code.is_codeword(res.codeword)
-                assert (received ^ res.codeword).weight() <= code.t
+                assert (received ^ res.codeword).value.bit_count() <= code.t
                 assert res.codeword == received.flip(res.corrected_positions)
 
     def test_decode_length_check(self, ham):

@@ -10,11 +10,7 @@ from qauth.gf2 import (
     BitWord,
     DEFAULT_PRIMITIVE_POLY,
     GF2m,
-    GF2Poly,
     mat_vec_mul,
-    minimal_polynomial,
-    poly_gcd,
-    poly_lcm,
 )
 
 words = st.integers(min_value=1, max_value=64).flatmap(
@@ -45,12 +41,12 @@ class TestBitWord:
 
     def test_hex_roundtrip(self):
         w = BitWord.from_str("10110011101")
-        assert BitWord.from_hex(w.to_hex(), w.length) == w
+        assert BitWord(int(w.to_hex(), 16), w.length) == w
 
     def test_weight_and_support(self):
         w = BitWord.from_str("01101")
-        assert w.weight() == 3
-        assert w.support() == frozenset({1, 2, 4})
+        assert w.value.bit_count() == 3
+        assert [j for j in range(len(w)) if w[j]] == [1, 2, 4]
 
     def test_flip(self):
         w = BitWord.from_str("0000")
@@ -76,26 +72,32 @@ class TestBitWord:
 
     @given(words)
     def test_weight_counts_ones(self, w):
-        assert w.weight() == sum(w)
+        assert w.value.bit_count() == sum(w)
+
+
+def identity(n):
+    return BitMatrix(tuple(1 << i for i in range(n)), n)
 
 
 class TestBitMatrix:
     def test_identity_rank(self):
-        assert BitMatrix.identity(5).rank() == 5
+        assert identity(5).rank() == 5
 
     def test_from_rows_and_entry(self):
-        m = BitMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
+        # rows 101 and 011, column 0 first
+        m = BitMatrix((0b101, 0b110), 3)
         assert m.entry(0, 0) == 1 and m.entry(0, 1) == 0 and m.entry(1, 2) == 1
+        assert str(m) == "101\n011"
 
     def test_row_reduce_idempotent(self):
-        m = BitMatrix.from_rows([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
+        m = BitMatrix((0b011, 0b101, 0b110), 3)
         r = m.row_reduce()
         assert r.row_reduce() == r
         assert m.rank() == 2  # third row is the sum of the first two
 
     def test_mat_vec_mul_identity(self):
         v = BitWord.from_str("10110")
-        assert mat_vec_mul(BitMatrix.identity(5), v) == v
+        assert mat_vec_mul(identity(5), v) == v
 
     @given(st.integers(1, 8), st.data())
     def test_mat_vec_mul_linear(self, n, data):
@@ -108,36 +110,8 @@ class TestBitMatrix:
         assert mat_vec_mul(m, u ^ v) == mat_vec_mul(m, u) ^ mat_vec_mul(m, v)
 
     def test_pivot_columns(self):
-        m = BitMatrix.from_rows([[1, 0, 1, 1], [0, 1, 1, 0]])
+        m = BitMatrix((0b1101, 0b0110), 4)
         assert m.pivot_columns() == [0, 1]
-
-
-polys = st.integers(min_value=0, max_value=(1 << 12) - 1).map(GF2Poly)
-nonzero_polys = st.integers(min_value=1, max_value=(1 << 12) - 1).map(GF2Poly)
-
-
-class TestGF2Poly:
-    def test_mul_example(self):
-        # (x + 1)(x + 1) = x^2 + 1 over GF(2)
-        p = GF2Poly(0b11)
-        assert (p * p).coeffs == 0b101
-
-    @given(polys, nonzero_polys)
-    def test_divmod_roundtrip(self, a, d):
-        q, r = a.divmod(d)
-        assert q * d + r == a
-        assert r.is_zero() or r.degree() < d.degree()
-
-    @given(nonzero_polys, nonzero_polys)
-    def test_gcd_divides_both(self, a, b):
-        g = poly_gcd(a, b)
-        assert g.divides(a) and g.divides(b)
-
-    @given(nonzero_polys, nonzero_polys)
-    def test_lcm_is_multiple(self, a, b):
-        l = poly_lcm(a, b)
-        assert a.divides(l) and b.divides(l)
-        assert l.degree() <= a.degree() + b.degree()
 
 
 class TestGF2m:
@@ -150,41 +124,27 @@ class TestGF2m:
         x = 1
         for _ in range(order):
             seen.add(x)
-            x = field.mul(x, field.alpha)
+            x = field.mul(x, 2)  # alpha
         assert len(seen) == order
         for a in range(1, min(order + 1, 40)):
-            assert field.mul(a, field.inv(a)) == 1
+            assert sum(field.mul(a, b) == 1 for b in range(1, order + 1)) == 1
 
     def test_non_primitive_poly_rejected(self):
         # x^4 + x^3 + x^2 + x + 1 has order-5 roots, not primitive
         with pytest.raises(ValueError):
             GF2m(4, 0b11111)
 
-    @pytest.mark.parametrize("w", [3, 4, 6, 7])
-    def test_minimal_polynomial_annihilates(self, w):
-        field = GF2m(w)
-        for k in (1, 2, 3, 5):
-            elem = field.element(field.alpha_pow(k))
-            mp = minimal_polynomial(elem)
-            assert field.poly_eval(mp, elem.value) == 0
-            assert mp.degree() <= w
-            # divides x^(2^w - 1) + 1
-            assert mp.divides(GF2Poly((1 << field.order) | 1))
-
-    def test_minimal_polynomial_of_one(self):
-        field = GF2m(4)
-        assert minimal_polynomial(field.element(1)) == GF2Poly(0b11)
-
     @given(st.sampled_from([3, 4, 6]), st.data())
     @settings(max_examples=50)
     def test_pow_consistent_with_mul(self, w, data):
+        # a^k by repeated mul equals alpha^(k·log a) read from the tables
         field = GF2m(w)
         a = data.draw(st.integers(1, field.order))
         k = data.draw(st.integers(0, 10))
         acc = 1
         for _ in range(k):
             acc = field.mul(acc, a)
-        assert field.pow(a, k) == acc
+        assert acc == field._exp[field._log[a] * k % field.order]
 
     def test_default_polys_cover_6_and_7(self):
         assert DEFAULT_PRIMITIVE_POLY[6] == 0b1000011

@@ -149,7 +149,7 @@ class TestRunSession:
         record = run_session(
             BitWord(1, 1), rep3, randomness=substream(0, "s"), seed=0
         )
-        d = json.loads(record.to_json())
+        d = json.loads(json.dumps(record.to_json_dict()))
         assert set(d) == {
             "code_name", "message_hex", "accepted", "forged",
             "adversary", "seed", "n", "m", "t",

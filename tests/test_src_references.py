@@ -1,0 +1,83 @@
+"""No helper is kept in ``src/qauth`` only for its tests.
+
+Every function, class and method defined at module or class level in
+``src/qauth`` must be referenced, as a name, an attribute or an import,
+somewhere in ``src/qauth`` or ``bench/`` outside its own definition.
+Tests do not count as callers.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+# qualified name -> why it stays without a caller in src/qauth or bench/
+EXEMPT = {
+    "qsim.StateVector": "Born-rule reference oracle for the qubit simulator",
+    "qsim.statevector_of": "Born-rule reference oracle for the qubit simulator",
+    "qsim.born_probabilities": "Born-rule reference oracle for the qubit simulator",
+    "qsim.QubitHandle.consumed": (
+        "the handle's one public attribute, which Criterion 7 pins"
+    ),
+    "protocol.SecretKey.used": "the key's public state, the twin of consumed",
+    "analytics.p_forge_given_i": (
+        "the model's residual-forgery term, named in the module docstring; "
+        "tests/test_acceptance.py builds the printed p_f' column from it"
+    ),
+}
+
+
+def _referenced_names(node):
+    """Every name, attribute and imported name under ``node``."""
+    names = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            names[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            names[sub.name.rpartition(".")[2]] += 1
+    return names
+
+
+def _definitions(module, tree):
+    for node in tree.body:
+        if isinstance(node, DEFS):
+            yield f"{module}.{node.name}", node
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, DEFS):
+                        yield f"{module}.{node.name}.{sub.name}", sub
+
+
+def _src_definitions():
+    for path in sorted((ROOT / "src" / "qauth").glob("*.py")):
+        yield from _definitions(path.stem, ast.parse(path.read_text()))
+
+
+def _unreferenced():
+    paths = sorted((ROOT / "src" / "qauth").glob("*.py"))
+    paths += sorted((ROOT / "bench").glob("*.py"))
+    everywhere = Counter()
+    for path in paths:
+        everywhere += _referenced_names(ast.parse(path.read_text()))
+    unused = []
+    for qualname, node in _src_definitions():
+        name = node.name
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        if everywhere[name] == _referenced_names(node)[name]:
+            unused.append(qualname)
+    return unused
+
+
+def test_every_src_definition_has_a_caller_outside_tests():
+    unused = [name for name in _unreferenced() if name not in EXEMPT]
+    assert unused == [], f"defined in src/qauth but used only by tests: {unused}"
+
+
+def test_exemptions_name_existing_definitions():
+    defined = {qualname for qualname, _ in _src_definitions()}
+    assert set(EXEMPT) <= defined
