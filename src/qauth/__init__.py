@@ -15,7 +15,7 @@ Subpackages by layer:
 """
 
 from .gf2 import BitMatrix, BitWord
-from .codes import DecodeResult, LinearCode, make_hamming_7_4, make_repetition
+from .codes import LinearCode, make_hamming_7_4, make_repetition
 from .bch import BchSpec, build_bch
 from .qsim import Basis, QubitHandle, measure, prepare
 from .protocol import SecretKey, SessionOutcome, keygen, run_session
@@ -28,7 +28,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BitMatrix",
     "BitWord",
-    "DecodeResult",
     "LinearCode",
     "make_hamming_7_4",
     "make_repetition",

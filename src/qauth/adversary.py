@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Callable, Optional
 
-from .codes import DecodeResult, LinearCode
+from .codes import LinearCode
 from .errors import DimensionError
 from .gf2 import BitWord
 from .qsim import ChannelTap, QubitHandle, _basis_of, measure, prepare
@@ -36,7 +36,7 @@ class AdversaryTranscript:
     x_e: BitWord
     m_e: Optional[BitWord]
     decode_success: bool
-    corrected_positions: frozenset[int]
+    flips: int  # bit j set for each position the decode corrected
     x_e_prime: Optional[BitWord]
     resent: bool
 
@@ -45,7 +45,9 @@ class AdversaryTranscript:
             "x_E": self.x_e.to_hex(),
             "m_E": self.m_e.to_hex() if self.m_e is not None else None,
             "decode_success": self.decode_success,
-            "corrected_positions": sorted(self.corrected_positions),
+            "corrected_positions": [
+                j for j in range(self.x_e.length) if self.flips >> j & 1
+            ],
             "x_E_prime": (
                 self.x_e_prime.to_hex() if self.x_e_prime is not None else None
             ),
@@ -74,7 +76,7 @@ class NoMessageStrategy:
             x_e=x_e,
             m_e=None,
             decode_success=False,
-            corrected_positions=frozenset(),
+            flips=0,
             x_e_prime=None,
             resent=True,
         )
@@ -134,33 +136,31 @@ class InterceptResendStrategy:
             measure(intercepted[j], _basis_of(x_e[j]), randomness)
             for j in range(n)
         )
-        result, bases = self._resend_bases(code, x_e, m_e)
+        ok, flips = code.decode(m_e)
+        bases = self._resend_bases(x_e.value, ok, flips)
+        x_e_prime = None if bases is None else BitWord(bases, n)
         transcript = AdversaryTranscript(
             x_e=x_e,
             m_e=m_e,
-            decode_success=result.ok,
-            corrected_positions=result.corrected_positions,
-            x_e_prime=bases,
+            decode_success=ok,
+            flips=flips,
+            x_e_prime=x_e_prime,
             resent=bases is not None,
         )
-        if bases is None:
+        if x_e_prime is None:
             return None, transcript
-        return _prepare_word(code.encode(self.forged_message), bases), transcript
+        return _prepare_word(code.encode(self.forged_message), x_e_prime), transcript
 
-    def _resend_bases(
-        self, code: LinearCode, x_e: BitWord, m_e: BitWord
-    ) -> tuple[DecodeResult, Optional[BitWord]]:
-        """Decode the readout; the bases to resend under, or None to drop.
+    def _resend_bases(self, x_e: int, ok: bool, flips: int) -> Optional[int]:
+        """The bases to resend under after a decode, or None to drop.
 
         A successful decode flips x_E at the corrected positions; a failed
-        one keeps x_E or drops the transmission, per ``on_decode_failure``.
+        one (whose ``flips`` is 0) keeps x_E or drops the transmission,
+        per ``on_decode_failure``.
         """
-        result = code.decode(m_e)
-        if result.ok:
-            return result, x_e.flip(result.corrected_positions)
-        if self.on_decode_failure == RESEND_UNCORRECTED:
-            return result, x_e
-        return result, None
+        if ok or self.on_decode_failure == RESEND_UNCORRECTED:
+            return x_e ^ flips
+        return None
 
     def act(self, tap: ChannelTap, code: LinearCode, randomness: Random) -> dict:
         intercepted = tap.intercept()
@@ -176,8 +176,6 @@ class InterceptResendStrategy:
         ``read(x_E)`` is Eve's readout of Alice's qubits measured in the
         bases of her random guess x_E.
         """
-        n = code.n
-        x_e = randomness.getrandbits(n)
-        m_e = read(x_e)
-        _, bases = self._resend_bases(code, BitWord(x_e, n), BitWord(m_e, n))
-        return None if bases is None else bases.value
+        x_e = randomness.getrandbits(code.n)
+        ok, flips = code.decode(BitWord(read(x_e), code.n))
+        return self._resend_bases(x_e, ok, flips)

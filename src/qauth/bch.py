@@ -8,9 +8,11 @@ generator rows (bit i = coefficient of x^i).  Every BCH code, short or
 long, decodes with ``BchAlgebraicDecoder``: it computes the odd
 syndromes from a per-byte table and squares them into the even ones,
 runs binary (odd-step) Berlekamp-Massey in the log domain for the error
-locator, and locates its roots by a numpy Chien search.  For designed
-distance 2t+1 this is the same bounded-distance map as a syndrome
-table, which the tests use as its oracle.
+locator, and locates its roots by a numpy Chien search.  It returns
+``(ok, flips)`` like every decoder, the roots packed into the int
+``flips``.  For designed distance 2t+1 this is the same
+bounded-distance map as a syndrome table, which the tests use as its
+oracle.
 """
 
 from __future__ import annotations
@@ -182,8 +184,11 @@ class BchAlgebraicDecoder:
         terms = self._exp_np[self._neg_jk[: len(logs)] + logs[:, None]]
         return np.flatnonzero(np.bitwise_xor.reduce(terms, axis=0) == 1)
 
-    def __call__(self, received: BitWord) -> tuple[bool, frozenset[int]]:
-        """(ok, flip positions); a locator of degree L <= t with L roots is ok.
+    def __call__(self, received: BitWord) -> tuple[bool, int]:
+        """(ok, flips); a locator of degree L <= t with L roots is ok.
+
+        ``flips`` has bit j set for each root position j, and is 0 when
+        the decode fails.
 
         No syndrome re-check is needed after Chien search.  Say
         Berlekamp-Massey returns the shortest LFSR of S_1..S_2t, of
@@ -198,14 +203,14 @@ class BchAlgebraicDecoder:
         """
         syn = self.syndromes(received)
         if not any(syn):
-            return True, frozenset()
+            return True, 0
         locator = self._berlekamp_massey(syn)
         if locator is None:
-            return False, frozenset()
+            return False, 0
         roots = self._chien_roots(locator)
         if len(roots) != len(locator) - 1:
-            return False, frozenset()
-        return True, frozenset(roots.tolist())
+            return False, 0
+        return True, sum(1 << j for j in roots.tolist())
 
 
 def build_bch(

@@ -43,16 +43,7 @@ BCH_PARAMS = {
     (127, 36): 15,
     (127, 22): 23,
 }
-DEFAULT_TABLE_CODES = [
-    "bch-63-57",
-    "bch-63-51",
-    "bch-63-18",
-    "bch-63-10",
-    "bch-127-120",
-    "bch-127-113",
-    "bch-127-36",
-    "bch-127-22",
-]
+DEFAULT_TABLE_CODES = [f"bch-{n}-{m}" for n, m in BCH_PARAMS]
 
 
 class ConfigError(QauthError):
@@ -109,13 +100,20 @@ def _parse_kv_int(token: str, key: str) -> int:
         raise ConfigError(f"expected an integer for {key}, got {token!r}")
 
 
-def _emit(report: dict, args) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
+def _write(text: str, out) -> None:
+    """Write ``text`` to the file ``out``, or to stdout when it is unset."""
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        with open(out, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc}") from None
+
+
+def _emit(report: dict, args) -> None:
+    _write(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
 
 
 def _report(command: str, config: dict, results) -> dict:
@@ -151,7 +149,10 @@ def cmd_code_build(args) -> int:
         "parity_rank": code.parity_check.rank(),
     }
     if args.out:
-        code.save_spec(args.out)
+        try:
+            code.save_spec(args.out)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {args.out}: {exc}") from None
     print(
         f"{code.name}: n={code.n} m={code.m} t={code.t} "
         f"rank(G)={results['generator_rank']} rank(H)={results['parity_rank']}"
@@ -165,12 +166,7 @@ def cmd_analytics_table(args) -> int:
     codes = [resolve_code(s) for s in selectors]
     rows = analytics.table1(codes)
     if args.format == "csv":
-        text = analytics.table_to_csv(rows)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(analytics.table_to_csv(rows), args.out)
         return EXIT_OK
     _emit(
         _report(

@@ -5,7 +5,9 @@ row echelon form, so the message is read back off the pivot columns.
 Decoding is bounded-distance, with one decoder per code family, chosen
 in ``code_from_generator_rows``: BCH codes (those built over a field)
 decode algebraically (see the bch module), every other code by
-syndrome lookup table.
+syndrome lookup table.  Every decoder returns ``(ok, flips)``: ``flips``
+is an int with bit j set for each position j to flip, and 0 when ``ok``
+is False.
 """
 
 from __future__ import annotations
@@ -26,28 +28,9 @@ SYNDROME_TABLE_MAX_PATTERNS = 1 << 16
 WEIGHT_ENUM_MAX_M = 20
 
 
-@dataclass(frozen=True)
-class DecodeResult:
-    """Outcome of bounded-distance decoding.
-
-    ``ok`` means a codeword within distance t of the received word was
-    returned; it is the transmitted one whenever the true error weight
-    was <= t, and may be a miscorrection otherwise.
-    """
-
-    ok: bool
-    codeword: Optional[BitWord] = None
-    message: Optional[BitWord] = None
-    corrected_positions: frozenset[int] = field(default_factory=frozenset)
-
-    @classmethod
-    def failure(cls) -> "DecodeResult":
-        return cls(ok=False)
-
-
 class Decoder(Protocol):
-    def __call__(self, received: BitWord) -> tuple[bool, frozenset[int]]:
-        """Return (success, error positions to flip)."""
+    def __call__(self, received: BitWord) -> tuple[bool, int]:
+        """Return (success, mask of the positions to flip)."""
 
 
 @dataclass(frozen=True)
@@ -107,19 +90,16 @@ class LinearCode:
 
     # -- decoding ------------------------------------------------------------
 
-    def decode(self, received: BitWord) -> DecodeResult:
+    def decode(self, received: BitWord) -> tuple[bool, int]:
+        """(ok, flips): ``ok`` if a codeword lies within distance t.
+
+        That codeword is ``received.value ^ flips``.  It is the
+        transmitted one whenever the true error weight was <= t, and may
+        be a miscorrection otherwise.  A failed decode flips nothing.
+        """
         if received.length != self.n:
             raise DimensionError(f"received length {received.length} != n={self.n}")
-        ok, positions = self._decoder(received)
-        if not ok:
-            return DecodeResult.failure()
-        codeword = received.flip(positions)
-        return DecodeResult(
-            ok=True,
-            codeword=codeword,
-            message=self.message_of(codeword),
-            corrected_positions=positions,
-        )
+        return self._decoder(received)
 
     # -- enumeration ----------------------------------------------------------
 
@@ -192,7 +172,7 @@ def syndrome_table_decoder(parity_check: BitMatrix, t: int) -> Decoder:
             f"{patterns} error patterns of weight <= {t} exceed the "
             f"syndrome-table bound ({SYNDROME_TABLE_MAX_PATTERNS})"
         )
-    table: dict[int, frozenset[int]] = {0: frozenset()}
+    table = {0: 0}  # syndrome -> error pattern
     for w in range(1, t + 1):
         for positions in combinations(range(n), w):
             pattern = 0
@@ -200,13 +180,12 @@ def syndrome_table_decoder(parity_check: BitMatrix, t: int) -> Decoder:
                 pattern |= 1 << p
             syn = mat_vec_mul(parity_check, BitWord(pattern, n)).value
             # weight-ordered fill: smallest pattern wins a syndrome collision
-            table.setdefault(syn, frozenset(positions))
+            table.setdefault(syn, pattern)
 
-    def decode(received: BitWord) -> tuple[bool, frozenset[int]]:
-        syn = mat_vec_mul(parity_check, received).value
-        hit = table.get(syn)
+    def decode(received: BitWord) -> tuple[bool, int]:
+        hit = table.get(mat_vec_mul(parity_check, received).value)
         if hit is None:
-            return False, frozenset()
+            return False, 0
         return True, hit
 
     return decode
@@ -336,18 +315,22 @@ def load_code_spec(path) -> LinearCode:
     ``SpecError``.
     """
     where = f"spec file {path}"
-    with open(path) as fh:
-        try:
-            d = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"{where} is not JSON: {exc}") from None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SpecError(f"{where} is not readable UTF-8 text: {exc}") from None
+    try:
+        d = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SpecError(f"{where} is not JSON: {exc}") from None
     if not isinstance(d, dict):
         raise SpecError(f"{where} holds no JSON object")
     _require(d, ("name", "n", "m", "t", "generator_rows"), where)
     if not isinstance(d["name"], str):
         raise SpecError(f"{where}: name must be a string, got {d['name']!r}")
     n = _count(d, "n", where, low=1)
-    m, t = _count(d, "m", where), _count(d, "t", where)
+    m, t = _count(d, "m", where, low=1), _count(d, "t", where)
     rows = _hex_rows(d["generator_rows"], where)
     info = d.get("field")
     if info:

@@ -94,14 +94,6 @@ class BitWord:
             )
         return BitWord(self.value ^ other.value, self.length)
 
-    def flip(self, positions: Iterable[int]) -> "BitWord":
-        mask = 0
-        for p in positions:
-            if not 0 <= p < self.length:
-                raise IndexError(f"position {p} out of range")
-            mask |= 1 << p
-        return BitWord(self.value ^ mask, self.length)
-
     def __str__(self) -> str:
         return "".join(str(b) for b in self)
 
@@ -183,16 +175,9 @@ def mat_vec_mul(m: BitMatrix, v: BitWord) -> BitWord:
 class GF2m:
     """The field GF(2^w); elements are ints in [0, 2^w) in the alpha basis."""
 
-    def __init__(self, w: int, primitive_poly: int | None = None):
+    def __init__(self, w: int, primitive_poly: int):
         if not 1 <= w <= 16:
             raise UnsupportedSizeError(f"field exponent {w} outside [1, 16]")
-        if primitive_poly is None:
-            try:
-                primitive_poly = DEFAULT_PRIMITIVE_POLY[w]
-            except KeyError:
-                raise UnsupportedSizeError(
-                    f"no default primitive polynomial for w={w}; supply one"
-                ) from None
         if primitive_poly.bit_length() - 1 != w:
             raise ParameterError(
                 f"primitive polynomial 0b{primitive_poly:b} must have degree {w}"

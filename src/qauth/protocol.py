@@ -123,32 +123,13 @@ def bob_receive(
 class SessionRecord:
     """Auditable result of one session; never contains keys or qubit state."""
 
-    code_name: str
-    n: int
-    m: int
-    t: int
-    message_hex: str
     accepted: bool
     forged: bool
     adversary: Optional[str]
-    seed: Optional[int]
     outcome: SessionOutcome = field(compare=False, repr=False)
     adversary_transcript: Optional[dict] = field(
         default=None, compare=False, repr=False
     )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "code_name": self.code_name,
-            "message_hex": self.message_hex,
-            "accepted": self.accepted,
-            "forged": self.forged,
-            "adversary": self.adversary,
-            "seed": self.seed,
-            "n": self.n,
-            "m": self.m,
-            "t": self.t,
-        }
 
 
 def run_session(
@@ -183,15 +164,9 @@ def run_session(
         outcome.accepted and adversary is not None and outcome.message != message
     )
     return SessionRecord(
-        code_name=code.name,
-        n=code.n,
-        m=code.m,
-        t=code.t,
-        message_hex=message.to_hex(),
         accepted=outcome.accepted,
         forged=forged,
         adversary=adversary_name,
-        seed=seed,
         outcome=outcome,
         adversary_transcript=transcript,
     )

@@ -133,20 +133,22 @@ def oracle_p_dec(code: LinearCode) -> OracleReport:
     mismatched positions, running the real decoder; an event counts only
     when the decoded codeword is the transmitted one (a miscorrection is
     not a correct decode).  Contract: equals p_dec(n, t) exactly.
+
+    The zero codeword is sent, so readout e decodes correctly iff the
+    decoder flips exactly e.
     """
     n = code.n
     if n > P_DEC_MAX_N:
         raise UnsupportedSizeError(
             f"n={n} exceeds the decode-oracle enumeration bound ({P_DEC_MAX_N})"
         )
-    c = code.encode(BitWord.zeros(code.m))
     total = Fraction(0)
     for d in range(1 << n):
         k = d.bit_count()
         successes = 0
         for e in _submasks(d):
-            result = code.decode(BitWord(c.value ^ e, n))
-            if result.ok and result.codeword == c:
+            ok, flips = code.decode(BitWord(e, n))
+            if ok and flips == e:
                 successes += 1
         total += Fraction(successes, 1 << (n + k))
     return OracleReport.compare(
@@ -172,10 +174,10 @@ def intercept_resend_success_given_difference(
     mismatch R = D xor flips.  The receiver reads the forged codeword
     exactly off R and fair coins on R, accepting iff the perturbation is
     itself a codeword: P = |{codewords with support in R}| / 2^|R|.
+    The zero codeword is sent, so the readout is e itself.
     """
     n = code.n
     codewords = _codewords if _codewords is not None else _codeword_masks(code)
-    c = code.encode(BitWord.zeros(code.m))
 
     def acceptance(r: int) -> Fraction:
         inside = sum(1 for cw in codewords if cw & ~r == 0)
@@ -184,15 +186,10 @@ def intercept_resend_success_given_difference(
     k = d.bit_count()
     total = Fraction(0)
     for e in _submasks(d):
-        result = code.decode(BitWord(c.value ^ e, n))
-        if result.ok:
-            flips = 0
-            for j in result.corrected_positions:
-                flips |= 1 << j
+        ok, flips = code.decode(BitWord(e, n))
+        # a failed decode flips nothing; under abort it contributes 0
+        if ok or on_decode_failure == RESEND_UNCORRECTED:
             total += acceptance(d ^ flips)
-        elif on_decode_failure == RESEND_UNCORRECTED:
-            total += acceptance(d)
-        # abort: failed forgery, contributes 0
     return total / (1 << k)
 
 

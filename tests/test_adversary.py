@@ -93,7 +93,7 @@ class TestInterceptResend:
             intercepted, ham, _FixedBits(key_bits.value)
         )
         assert transcript.decode_success
-        assert transcript.corrected_positions == frozenset()
+        assert transcript.flips == 0
         assert transcript.x_e_prime == key_bits
         outcome = bob_receive(handles, key_bits, ham, random.Random(3))
         assert outcome.accepted and outcome.message == forged
@@ -110,14 +110,13 @@ class TestInterceptResend:
             intercepted = self._intercepted(ham, message, key_bits)
             strategy = InterceptResendStrategy(BitWord(1, 4))
             _, tr = strategy.attack(intercepted, ham, rng)
-            if not (tr.decode_success and (tr.m_e.flip(tr.corrected_positions) == true_cw)):
+            if not (tr.decode_success and (tr.m_e.value ^ tr.flips == true_cw.value)):
                 continue
             checked += 1
             mismatched = key_bits.value ^ tr.x_e.value
-            corrected = sum(1 << j for j in tr.corrected_positions)
-            assert (corrected & ~mismatched) == 0
+            assert (tr.flips & ~mismatched) == 0
             assert (key_bits.value ^ tr.x_e_prime.value).bit_count() == (
-                mismatched.bit_count() - len(tr.corrected_positions)
+                mismatched.bit_count() - tr.flips.bit_count()
             )
         assert checked > 50  # the slice is common for random keys
 
@@ -133,7 +132,7 @@ class TestInterceptResend:
         assert tr.x_e == BitWord.from_str("111")
         assert tr.m_e == BitWord.from_str("110")
         assert tr.decode_success
-        assert tr.corrected_positions == frozenset({2})
+        assert tr.flips == 1 << 2
         assert tr.x_e_prime == BitWord.from_str("110")
 
     def test_abort_policy_drops_transmission(self):
@@ -176,7 +175,7 @@ class TestInterceptResend:
             if not tr.decode_success:
                 saw_failure = True
                 assert tr.x_e_prime == tr.x_e
-                assert tr.corrected_positions == frozenset()
+                assert tr.flips == 0
         assert saw_failure
 
     def test_wrong_qubit_count_rejected(self, ham):
@@ -190,7 +189,7 @@ class TestTranscript:
             x_e=BitWord.from_str("101"),
             m_e=BitWord.from_str("111"),
             decode_success=True,
-            corrected_positions=frozenset({2, 0}),
+            flips=0b101,
             x_e_prime=BitWord.from_str("000"),
             resent=True,
         )

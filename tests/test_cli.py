@@ -11,6 +11,7 @@ from qauth.cli import (
     DEFAULT_SEED,
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_VERIFY,
     main,
     resolve_code,
 )
@@ -31,6 +32,12 @@ def _edited_spec(tmp_path, selector, **edits):
             spec[key] = value
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
+    return str(path)
+
+
+def _raw_file(tmp_path, data):
+    path = tmp_path / "spec.json"
+    path.write_bytes(data)
     return str(path)
 
 
@@ -226,13 +233,30 @@ class TestUserInputErrors:
                 "analytics", "table", "--code",
                 _edited_spec(tmp, "hamming74", name={"a": 1, "b": 2}),
             ],
+            lambda tmp: [
+                "analytics", "table", "--code",
+                _edited_spec(tmp, "hamming74", m=0, generator_rows=[]),
+            ],
+            lambda tmp: ["simulate", "honest", "--code", "."],
+            lambda tmp: ["simulate", "honest", "--code", _raw_file(tmp, b"\xff\xfe\x00")],
+            lambda tmp: [
+                "simulate", "honest", "--code", "rep3", "--trials", "5",
+                "--out", str(tmp / "missing" / "x.json"),
+            ],
+            lambda tmp: ["code", "build", "--bch", "6", "10",
+                         "--out", str(tmp / "missing" / "a.json")],
+            lambda tmp: ["analytics", "table", "--code", "rep3",
+                         "--out", str(tmp / "missing" / "t.csv")],
         ],
         ids=[
             "trials-0", "rep4", "bch-6-40", "spec-missing-t", "bch-spec-edited-t",
             "bch-spec-not-primitive", "forged-message-not-binary", "spec-t-string",
             "spec-n-float", "spec-t-bool", "spec-rows-not-list", "spec-rows-not-strings",
             "spec-rows-not-hex", "spec-field-w-string", "spec-field-poly-string",
-            "spec-t-beyond-distance", "spec-name-not-string",
+            "spec-t-beyond-distance", "spec-name-not-string", "spec-spans-no-word",
+            "spec-is-directory",
+            "spec-not-utf8", "simulate-out-unwritable", "code-build-out-unwritable",
+            "table-csv-out-unwritable",
         ],
     )
     def test_exits_2_with_one_line(self, argv, tmp_path, capsys):
@@ -319,6 +343,61 @@ class TestSpecFuzz:
         rc = run_cli(*command, "--code", str(path))
         captured = capsys.readouterr()
         assert rc in (EXIT_OK, EXIT_CONFIG)
+        if rc == EXIT_CONFIG:
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+SELECTORS = (
+    st.builds("rep{}".format, st.integers(-1, 10))
+    | st.just("hamming74")
+    | st.builds(
+        lambda n, m, t: f"bch-{n}-{m}" + ("" if t is None else f"-{t}"),
+        st.sampled_from((3, 7, 15, 31, 63, 127, 255)) | st.integers(0, 300),
+        st.integers(0, 260),
+        st.none() | st.integers(0, 130),
+    )
+    # "." and ".." are directories, not spec files
+    | st.text("abcdehmpr0123456789-.", max_size=10)
+)
+POLICIES = st.sampled_from(("abort", "resend_uncorrected"))
+
+
+@st.composite
+def cli_runs(draw):
+    """argv for one simulate, oracle or analytics-table run."""
+    code = f"--code={draw(SELECTORS)}"
+    group = draw(st.sampled_from(("simulate", "oracle", "analytics")))
+    if group == "analytics":
+        return ["analytics", "table", code,
+                f"--format={draw(st.sampled_from(('csv', 'json')))}"]
+    if group == "oracle":
+        which = draw(st.sampled_from(("nomsg", "pdec", "ir")))
+        argv = ["oracle", which, code]
+        if which == "ir":
+            argv.append(f"--on-decode-failure={draw(POLICIES)}")
+        return argv
+    attack = draw(st.sampled_from(("honest", "no-message", "intercept-resend")))
+    argv = ["simulate", attack, code,
+            f"--trials={draw(st.integers(-2, 5))}",
+            f"--seed={draw(st.integers(-(2**70), 2**70))}",
+            f"--on-decode-failure={draw(POLICIES)}"]
+    forged = draw(st.none() | st.text("01x", max_size=8))
+    if forged is not None:
+        argv.append(f"--forged-message={forged}")
+    return argv
+
+
+class TestCliFuzz:
+    """Any selector and option values end in exit 0, 2 or 3, never a traceback."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=cli_runs())
+    def test_runs_exit_0_2_or_3(self, argv, capsys):
+        rc = run_cli(*argv)
+        captured = capsys.readouterr()
+        assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_VERIFY)
         if rc == EXIT_CONFIG:
             lines = captured.err.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: ")

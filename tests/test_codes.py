@@ -119,6 +119,12 @@ class TestEncoding:
             assert code.message_of(code.encode(msg)) == msg
 
 
+def _decoded(code, received):
+    """(ok, the codeword ``decode`` corrects ``received`` to)."""
+    ok, flips = code.decode(received)
+    return ok, BitWord(received.value ^ flips, code.n)
+
+
 class TestDecoding:
     @pytest.mark.parametrize("code", SMALL_CODES, indirect=True)
     def test_roundtrip_within_t(self, code):
@@ -127,22 +133,26 @@ class TestDecoding:
             cw = code.encode(msg)
             for weight in range(code.t + 1):
                 for positions in itertools.combinations(range(code.n), weight):
-                    res = code.decode(cw.flip(positions))
-                    assert res.ok
-                    assert res.codeword == cw
-                    assert res.message == msg
-                    assert res.corrected_positions == frozenset(positions)
+                    e = sum(1 << j for j in positions)
+                    ok, flips = code.decode(BitWord(cw.value ^ e, code.n))
+                    decoded = BitWord(cw.value ^ e ^ flips, code.n)
+                    assert ok
+                    assert decoded == cw
+                    assert code.message_of(decoded) == msg
+                    assert flips == e
 
     @pytest.mark.parametrize("code", SMALL_CODES, indirect=True)
     def test_bounded_distance_contract(self, code):
-        # on any input: failure, or a codeword within distance t
+        # on any input: failure that flips nothing, or a codeword within
+        # distance t
         for value in range(1 << code.n):
             received = BitWord(value, code.n)
-            res = code.decode(received)
-            if res.ok:
-                assert code.is_codeword(res.codeword)
-                assert (received ^ res.codeword).value.bit_count() <= code.t
-                assert res.codeword == received.flip(res.corrected_positions)
+            ok, codeword = _decoded(code, received)
+            if ok:
+                assert code.is_codeword(codeword)
+                assert (received ^ codeword).value.bit_count() <= code.t
+            else:
+                assert codeword == received
 
     def test_decode_length_check(self, ham):
         with pytest.raises(DimensionError):
@@ -156,8 +166,9 @@ class TestDecoding:
             make_repetition(19)
 
     def test_majority_vote(self, rep3):
-        assert rep3.decode(BitWord.from_str("110")).message == BitWord(1, 1)
-        assert rep3.decode(BitWord.from_str("100")).message == BitWord(0, 1)
+        for received, bit in (("110", 1), ("100", 0)):
+            ok, codeword = _decoded(rep3, BitWord.from_str(received))
+            assert ok and rep3.message_of(codeword) == BitWord(bit, 1)
 
 
 class TestSerialization:

@@ -1,6 +1,5 @@
 """Tests for Alice/Bob procedures, key lifecycle, and full sessions."""
 
-import json
 import random
 
 import pytest
@@ -144,20 +143,6 @@ class TestRunSession:
             assert record.outcome.message == msg
             assert not record.forged
             assert record.adversary is None
-
-    def test_record_serialization(self, rep3):
-        record = run_session(
-            BitWord(1, 1), rep3, randomness=substream(0, "s"), seed=0
-        )
-        d = json.loads(json.dumps(record.to_json_dict()))
-        assert set(d) == {
-            "code_name", "message_hex", "accepted", "forged",
-            "adversary", "seed", "n", "m", "t",
-        }
-        assert d["code_name"] == "rep3"
-        assert d["accepted"] is True
-        # no key material or qubit state in the record
-        assert "key" not in json.dumps(d).lower()
 
     def test_adversary_session_names_strategy(self, rep3):
         record = run_session(
