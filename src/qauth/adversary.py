@@ -23,9 +23,9 @@ ABORT = "abort"
 RESEND_UNCORRECTED = "resend_uncorrected"
 
 
-def _prepare_word(word: BitWord, bases: BitWord) -> list[QubitHandle]:
+def _prepare_word(word: int, bases: BitWord) -> list[QubitHandle]:
     return [
-        prepare(word[j], _basis_of(bases[j])) for j in range(word.length)
+        prepare((word >> j) & 1, _basis_of(bases[j])) for j in range(bases.length)
     ]
 
 
@@ -136,7 +136,7 @@ class InterceptResendStrategy:
             measure(intercepted[j], _basis_of(x_e[j]), randomness)
             for j in range(n)
         )
-        ok, flips = code.decode(m_e)
+        ok, flips = code.decode(m_e.value)
         bases = self._resend_bases(x_e.value, ok, flips)
         x_e_prime = None if bases is None else BitWord(bases, n)
         transcript = AdversaryTranscript(
@@ -177,5 +177,5 @@ class InterceptResendStrategy:
         bases of her random guess x_E.
         """
         x_e = randomness.getrandbits(code.n)
-        ok, flips = code.decode(BitWord(read(x_e), code.n))
+        ok, flips = code.decode(read(x_e))
         return self._resend_bases(x_e, ok, flips)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .codes import LinearCode, code_from_generator_rows
 from .errors import ParameterError, UnsupportedSizeError
-from .gf2 import BitWord, DEFAULT_PRIMITIVE_POLY, GF2m
+from .gf2 import DEFAULT_PRIMITIVE_POLY, GF2m
 
 
 @dataclass(frozen=True)
@@ -131,11 +131,11 @@ class BchAlgebraicDecoder:
                 row[v] = row[v ^ low] ^ columns[base + low.bit_length() - 1]
             self._byte_rows.append(row)
 
-    def syndromes(self, received: BitWord) -> list[int]:
+    def syndromes(self, received: int) -> list[int]:
         """S_1..S_2t: the odd ones by byte table, then S_2k = S_k^2."""
         acc = 0
         rows = self._byte_rows
-        for row, v in zip(rows, received.value.to_bytes(len(rows), "little")):
+        for row, v in zip(rows, received.to_bytes(len(rows), "little")):
             acc ^= row[v]
         syn = [0] * (2 * self.t)
         syn[::2] = acc.to_bytes(self.t, "little")
@@ -184,7 +184,7 @@ class BchAlgebraicDecoder:
         terms = self._exp_np[self._neg_jk[: len(logs)] + logs[:, None]]
         return np.flatnonzero(np.bitwise_xor.reduce(terms, axis=0) == 1)
 
-    def __call__(self, received: BitWord) -> tuple[bool, int]:
+    def __call__(self, received: int) -> tuple[bool, int]:
         """(ok, flips); a locator of degree L <= t with L roots is ok.
 
         ``flips`` has bit j set for each root position j, and is 0 when

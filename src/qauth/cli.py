@@ -102,7 +102,7 @@ def _parse_kv_int(token: str, key: str) -> int:
 
 def _write(text: str, out) -> None:
     """Write ``text`` to the file ``out``, or to stdout when it is unset."""
-    if not out:
+    if out is None:
         sys.stdout.write(text)
         return
     try:
@@ -130,16 +130,16 @@ def _report(command: str, config: dict, results) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_code_build(args) -> int:
-    if args.bch:
+    if sum((args.bch is not None, args.repetition is not None, args.hamming74)) != 1:
+        raise ConfigError("choose exactly one of --bch, --repetition, --hamming74")
+    if args.bch is not None:
         w = _parse_kv_int(args.bch[0], "w")
         t = _parse_kv_int(args.bch[1], "t")
         code = build_bch(w, t)
-    elif args.repetition:
+    elif args.repetition is not None:
         code = make_repetition(args.repetition)
-    elif args.hamming74:
-        code = make_hamming_7_4()
     else:
-        raise ConfigError("choose one of --bch, --repetition, --hamming74")
+        code = make_hamming_7_4()
     results = {
         "name": code.name,
         "n": code.n,
@@ -148,7 +148,7 @@ def cmd_code_build(args) -> int:
         "generator_rank": code.generator.rank(),
         "parity_rank": code.parity_check.rank(),
     }
-    if args.out:
+    if args.out is not None:
         try:
             code.save_spec(args.out)
         except OSError as exc:
@@ -156,13 +156,13 @@ def cmd_code_build(args) -> int:
     print(
         f"{code.name}: n={code.n} m={code.m} t={code.t} "
         f"rank(G)={results['generator_rank']} rank(H)={results['parity_rank']}"
-        + (f" -> {args.out}" if args.out else "")
+        + (f" -> {args.out}" if args.out is not None else "")
     )
     return EXIT_OK
 
 
 def cmd_analytics_table(args) -> int:
-    selectors = args.code or DEFAULT_TABLE_CODES
+    selectors = args.code if args.code is not None else DEFAULT_TABLE_CODES
     codes = [resolve_code(s) for s in selectors]
     rows = analytics.table1(codes)
     if args.format == "csv":
@@ -182,7 +182,7 @@ def cmd_analytics_table(args) -> int:
 def _adversary_from_args(kind: str, code: LinearCode, args):
     if kind == "honest":
         return None
-    if args.forged_message:
+    if args.forged_message is not None:
         try:
             forged = BitWord.from_str(args.forged_message)
         except ValueError:

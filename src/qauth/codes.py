@@ -8,15 +8,20 @@ decode algebraically (see the bch module), every other code by
 syndrome lookup table.  Every decoder returns ``(ok, flips)``: ``flips``
 is an int with bit j set for each position j to flip, and 0 when ``ok``
 is False.
+
+Inside this layer an n-bit word (codeword, received word, flip mask) is
+an int, bit j the symbol at position j; ``BitWord`` carries only the
+m-bit messages, whose length the int alone cannot give.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
-from typing import Optional, Protocol
+from operator import xor
+from typing import Iterator, Optional, Protocol
 
 from .errors import DimensionError, ParameterError, SpecError, UnsupportedSizeError
 from .gf2 import BitMatrix, BitWord, mat_vec_mul
@@ -29,7 +34,7 @@ WEIGHT_ENUM_MAX_M = 20
 
 
 class Decoder(Protocol):
-    def __call__(self, received: BitWord) -> tuple[bool, int]:
+    def __call__(self, received: int) -> tuple[bool, int]:
         """Return (success, mask of the positions to flip)."""
 
 
@@ -44,8 +49,8 @@ class LinearCode:
     generator: BitMatrix        # m x n, reduced row echelon form
     parity_check: BitMatrix     # (n-m) x n
     _decoder: Decoder = field(compare=False)
-    message_columns: tuple[int, ...] = ()
     field_info: Optional[dict] = None
+    message_columns: tuple[int, ...] = field(init=False)  # G's pivots
 
     def __post_init__(self) -> None:
         if self.generator.nrows != self.m or self.generator.ncols != self.n:
@@ -54,51 +59,51 @@ class LinearCode:
             raise DimensionError("parity-check width mismatch")
         if self.generator.rank() != self.m:
             raise ValueError("generator rows are dependent")
-        for i in range(self.m):
-            if mat_vec_mul(self.parity_check, self.generator.row(i)).value != 0:
+        for row in self.generator.rows:
+            if mat_vec_mul(self.parity_check, row) != 0:
                 raise ValueError("G·Hᵀ != 0")
-        if not self.message_columns:
-            object.__setattr__(
-                self, "message_columns", tuple(self.generator.pivot_columns())
-            )
+        object.__setattr__(
+            self, "message_columns", tuple(self.generator.pivot_columns())
+        )
 
     # -- encoding / verification -------------------------------------------
 
-    def encode(self, message: BitWord) -> BitWord:
+    def _check_word(self, word: int) -> None:
+        if word < 0 or word >> self.n:
+            raise DimensionError(f"word {word:#x} does not fit in n={self.n} bits")
+
+    def encode(self, message: BitWord) -> int:
+        """The codeword of ``message``: the XOR of G's rows it selects."""
         if message.length != self.m:
             raise DimensionError(f"message length {message.length} != m={self.m}")
         acc = 0
         for i in range(self.m):
             if (message.value >> i) & 1:
                 acc ^= self.generator.rows[i]
-        return BitWord(acc, self.n)
+        return acc
 
-    def is_codeword(self, word: BitWord) -> bool:
+    def is_codeword(self, word: int) -> bool:
         """Zero syndrome, decided at the first parity check that fails."""
-        if word.length != self.n:
-            raise DimensionError(f"word length {word.length} != n={self.n}")
-        value = word.value
+        self._check_word(word)
         for row in self.parity_check.rows:
-            if (row & value).bit_count() & 1:
+            if (row & word).bit_count() & 1:
                 return False
         return True
 
-    def message_of(self, codeword: BitWord) -> BitWord:
+    def message_of(self, codeword: int) -> BitWord:
         """Project a codeword back to its message (pivot-column readout)."""
-        bits = [codeword[j] for j in self.message_columns]
-        return BitWord.from_bits(bits)
+        return BitWord.from_bits((codeword >> j) & 1 for j in self.message_columns)
 
     # -- decoding ------------------------------------------------------------
 
-    def decode(self, received: BitWord) -> tuple[bool, int]:
+    def decode(self, received: int) -> tuple[bool, int]:
         """(ok, flips): ``ok`` if a codeword lies within distance t.
 
-        That codeword is ``received.value ^ flips``.  It is the
-        transmitted one whenever the true error weight was <= t, and may
-        be a miscorrection otherwise.  A failed decode flips nothing.
+        That codeword is ``received ^ flips``.  It is the transmitted
+        one whenever the true error weight was <= t, and may be a
+        miscorrection otherwise.  A failed decode flips nothing.
         """
-        if received.length != self.n:
-            raise DimensionError(f"received length {received.length} != n={self.n}")
+        self._check_word(received)
         return self._decoder(received)
 
     # -- enumeration ----------------------------------------------------------
@@ -110,26 +115,21 @@ class LinearCode:
                 f"{WEIGHT_ENUM_MAX_M} bound"
             )
 
-    def codewords(self) -> list[BitWord]:
-        self._check_enumerable()
-        out = []
-        for k in range(1 << self.m):
-            out.append(self.encode(BitWord(k, self.m)))
-        return out
+    def codewords(self) -> Iterator[int]:
+        """All 2^m codewords, in Gray-code order.
 
-    def weight_distribution(self) -> list[int]:
-        """A_w for w = 0..n; sums to 2^m.
-
-        Walks the codewords in Gray-code order, one generator row XORed
-        in per step, so no codeword is encoded from scratch.
+        Each step XORs in one generator row, so no codeword is encoded
+        from scratch.
         """
         self._check_enumerable()
         rows = self.generator.rows
+        steps = (rows[(k & -k).bit_length() - 1] for k in range(1, 1 << self.m))
+        return accumulate(steps, xor, initial=0)
+
+    def weight_distribution(self) -> list[int]:
+        """A_w for w = 0..n; sums to 2^m."""
         counts = [0] * (self.n + 1)
-        counts[0] = 1
-        word = 0
-        for k in range(1, 1 << self.m):
-            word ^= rows[(k & -k).bit_length() - 1]
+        for word in self.codewords():
             counts[word.bit_count()] += 1
         return counts
 
@@ -178,12 +178,12 @@ def syndrome_table_decoder(parity_check: BitMatrix, t: int) -> Decoder:
             pattern = 0
             for p in positions:
                 pattern |= 1 << p
-            syn = mat_vec_mul(parity_check, BitWord(pattern, n)).value
+            syn = mat_vec_mul(parity_check, pattern)
             # weight-ordered fill: smallest pattern wins a syndrome collision
             table.setdefault(syn, pattern)
 
-    def decode(received: BitWord) -> tuple[bool, int]:
-        hit = table.get(mat_vec_mul(parity_check, received).value)
+    def decode(received: int) -> tuple[bool, int]:
+        hit = table.get(mat_vec_mul(parity_check, received))
         if hit is None:
             return False, 0
         return True, hit

@@ -121,9 +121,6 @@ class BitMatrix:
             raise IndexError(f"({i},{j}) out of range")
         return (self.rows[i] >> j) & 1
 
-    def row(self, i: int) -> BitWord:
-        return BitWord(self.rows[i], self.ncols)
-
     def row_reduce(self) -> "BitMatrix":
         """Reduced row echelon form (zero rows dropped)."""
         rows = list(self.rows)
@@ -155,17 +152,17 @@ class BitMatrix:
         return cols
 
     def __str__(self) -> str:
-        return "\n".join(str(self.row(i)) for i in range(self.nrows))
+        return "\n".join(str(BitWord(r, self.ncols)) for r in self.rows)
 
 
-def mat_vec_mul(m: BitMatrix, v: BitWord) -> BitWord:
-    """GF(2) product M·v; with M = H this is the syndrome H·vᵀ."""
-    if v.length != m.ncols:
-        raise DimensionError(f"vector length {v.length} != column count {m.ncols}")
+def mat_vec_mul(m: BitMatrix, v: int) -> int:
+    """GF(2) product M·v, packed like v; with M = H this is the syndrome H·vᵀ."""
+    if v < 0 or v >> m.ncols:
+        raise DimensionError(f"vector {v:#x} does not fit in {m.ncols} columns")
     out = 0
     for i, r in enumerate(m.rows):
-        out |= ((r & v.value).bit_count() & 1) << i
-    return BitWord(out, m.nrows)
+        out |= ((r & v).bit_count() & 1) << i
+    return out
 
 
 # ---------------------------------------------------------------------------

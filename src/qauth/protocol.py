@@ -91,7 +91,7 @@ def alice_send(
     bits = key.consume()
     codeword = code.encode(message)
     return [
-        prepare(codeword[j], _basis_of(bits[j])) for j in range(code.n)
+        prepare((codeword >> j) & 1, _basis_of(bits[j])) for j in range(code.n)
     ]
 
 
@@ -109,11 +109,9 @@ def bob_receive(
         raise DimensionError(f"key length {key_bits.length} != n={code.n}")
     if len(qubits) != code.n:
         return SessionOutcome.rejected()
-    measured = [
-        measure(qubits[j], _basis_of(key_bits[j]), randomness)
-        for j in range(code.n)
-    ]
-    m_b = BitWord.from_bits(measured)
+    m_b = 0
+    for j in range(code.n):
+        m_b |= measure(qubits[j], _basis_of(key_bits[j]), randomness) << j
     if not code.is_codeword(m_b):
         return SessionOutcome.rejected()
     return SessionOutcome.accept(code.message_of(m_b))

@@ -16,8 +16,6 @@ from fractions import Fraction
 from random import Random
 from typing import Optional
 
-from scipy.stats import beta
-
 from . import analytics
 from .adversary import ABORT, RESEND_UNCORRECTED
 from .codes import LinearCode
@@ -147,17 +145,13 @@ def oracle_p_dec(code: LinearCode) -> OracleReport:
         k = d.bit_count()
         successes = 0
         for e in _submasks(d):
-            ok, flips = code.decode(BitWord(e, n))
+            ok, flips = code.decode(e)
             if ok and flips == e:
                 successes += 1
         total += Fraction(successes, 1 << (n + k))
     return OracleReport.compare(
         f"p_dec[{code.name}]", total, analytics.p_dec(n, code.t)
     )
-
-
-def _codeword_masks(code: LinearCode) -> list[int]:
-    return [cw.value for cw in code.codewords()]
 
 
 def intercept_resend_success_given_difference(
@@ -176,8 +170,7 @@ def intercept_resend_success_given_difference(
     itself a codeword: P = |{codewords with support in R}| / 2^|R|.
     The zero codeword is sent, so the readout is e itself.
     """
-    n = code.n
-    codewords = _codewords if _codewords is not None else _codeword_masks(code)
+    codewords = _codewords if _codewords is not None else list(code.codewords())
 
     def acceptance(r: int) -> Fraction:
         inside = sum(1 for cw in codewords if cw & ~r == 0)
@@ -186,7 +179,7 @@ def intercept_resend_success_given_difference(
     k = d.bit_count()
     total = Fraction(0)
     for e in _submasks(d):
-        ok, flips = code.decode(BitWord(e, n))
+        ok, flips = code.decode(e)
         # a failed decode flips nothing; under abort it contributes 0
         if ok or on_decode_failure == RESEND_UNCORRECTED:
             total += acceptance(d ^ flips)
@@ -210,7 +203,7 @@ def oracle_intercept_resend(
             f"n={n} exceeds the intercept-resend enumeration bound "
             f"({INTERCEPT_RESEND_MAX_N})"
         )
-    codewords = _codeword_masks(code)
+    codewords = list(code.codewords())
     total = Fraction(0)
     for d in range(1 << n):
         total += intercept_resend_success_given_difference(
@@ -277,6 +270,8 @@ class TrialStats:
 def clopper_pearson(
     successes: int, trials: int, confidence: float = 0.99
 ) -> tuple[float, float]:
+    from scipy.stats import beta  # seconds to import; only intervals need it
+
     alpha = 1.0 - confidence
     low = 0.0 if successes == 0 else float(
         beta.ppf(alpha / 2, successes, trials - successes + 1)
@@ -302,8 +297,7 @@ def word_session(
     ascending position order: the draws ``protocol.run_session`` makes
     on the same stream, so both accept alike and leave it in one state.
     """
-    n = code.n
-    key = randomness.getrandbits(n)
+    key = randomness.getrandbits(code.n)
     if adversary is None:
         received = sent  # every basis matches, so no coins
     else:
@@ -315,7 +309,7 @@ def word_session(
         if bases is None:  # nothing arrives: Bob rejects
             return False
         received = measure_word(forged, key ^ bases, randomness)
-    return code.is_codeword(BitWord(received, n))
+    return code.is_codeword(received)
 
 
 def monte_carlo(
@@ -339,10 +333,10 @@ def monte_carlo(
         raise ParameterError(f"trials must be >= 1, got {trials}")
     if message is None:
         message = BitWord.zeros(code.m)
-    sent = code.encode(message).value
+    sent = code.encode(message)
     forged = None
     if adversary is not None:
-        forged = code.encode(adversary.forged_message).value
+        forged = code.encode(adversary.forged_message)
     successes = 0
     for trial in range(trials):
         if word_session(

@@ -251,8 +251,8 @@ class TestCriterion8BchDecoderContract:
             cw = code.encode(msg)
             errors = rng.sample(range(code.n), rng.randint(0, code.t))
             e = sum(1 << j for j in errors)
-            ok, flips = code.decode(BitWord(cw.value ^ e, code.n))
-            decoded = BitWord(cw.value ^ e ^ flips, code.n)
+            ok, flips = code.decode(cw ^ e)
+            decoded = cw ^ e ^ flips
             if not (
                 ok
                 and decoded == cw

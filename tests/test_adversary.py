@@ -110,7 +110,7 @@ class TestInterceptResend:
             intercepted = self._intercepted(ham, message, key_bits)
             strategy = InterceptResendStrategy(BitWord(1, 4))
             _, tr = strategy.attack(intercepted, ham, rng)
-            if not (tr.decode_success and (tr.m_e.value ^ tr.flips == true_cw.value)):
+            if not (tr.decode_success and (tr.m_e.value ^ tr.flips == true_cw)):
                 continue
             checked += 1
             mismatched = key_bits.value ^ tr.x_e.value

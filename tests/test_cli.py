@@ -247,6 +247,12 @@ class TestUserInputErrors:
                          "--out", str(tmp / "missing" / "a.json")],
             lambda tmp: ["analytics", "table", "--code", "rep3",
                          "--out", str(tmp / "missing" / "t.csv")],
+            lambda tmp: ["simulate", "no-message", "--code", "rep3",
+                         "--forged-message", ""],
+            lambda tmp: ["code", "build", "--repetition", "0"],
+            lambda tmp: ["code", "build", "--bch", "6", "10", "--repetition", "3"],
+            lambda tmp: ["simulate", "honest", "--code", "rep3", "--trials", "5",
+                         "--out", ""],
         ],
         ids=[
             "trials-0", "rep4", "bch-6-40", "spec-missing-t", "bch-spec-edited-t",
@@ -256,7 +262,8 @@ class TestUserInputErrors:
             "spec-t-beyond-distance", "spec-name-not-string", "spec-spans-no-word",
             "spec-is-directory",
             "spec-not-utf8", "simulate-out-unwritable", "code-build-out-unwritable",
-            "table-csv-out-unwritable",
+            "table-csv-out-unwritable", "forged-message-empty",
+            "code-build-repetition-0", "code-build-two-codes", "simulate-out-empty",
         ],
     )
     def test_exits_2_with_one_line(self, argv, tmp_path, capsys):

@@ -91,8 +91,13 @@ class TestBitMatrix:
         assert m.rank() == 2  # third row is the sum of the first two
 
     def test_mat_vec_mul_identity(self):
-        v = BitWord.from_str("10110")
+        v = BitWord.from_str("10110").value
         assert mat_vec_mul(identity(5), v) == v
+
+    @pytest.mark.parametrize("v", [-1, 1 << 5])
+    def test_mat_vec_mul_rejects_vectors_outside_the_columns(self, v):
+        with pytest.raises(DimensionError):
+            mat_vec_mul(identity(5), v)
 
     @given(st.integers(1, 8), st.data())
     def test_mat_vec_mul_linear(self, n, data):
@@ -100,8 +105,8 @@ class TestBitMatrix:
             data.draw(st.integers(0, (1 << n) - 1)) for _ in range(3)
         )
         m = BitMatrix(rows, n)
-        u = BitWord(data.draw(st.integers(0, (1 << n) - 1)), n)
-        v = BitWord(data.draw(st.integers(0, (1 << n) - 1)), n)
+        u = data.draw(st.integers(0, (1 << n) - 1))
+        v = data.draw(st.integers(0, (1 << n) - 1))
         assert mat_vec_mul(m, u ^ v) == mat_vec_mul(m, u) ^ mat_vec_mul(m, v)
 
     def test_pivot_columns(self):

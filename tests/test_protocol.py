@@ -89,7 +89,7 @@ class TestAliceSend:
         rng = random.Random(0)
         bases = [Basis.Z if b == 0 else Basis.X for b in BitWord.from_str("0101101")]
         measured = [measure(q, b, rng) for q, b in zip(qubits, bases)]
-        assert measured == list(cw)
+        assert measured == [(cw >> j) & 1 for j in range(7)]
 
     def test_dimension_checks(self, ham):
         with pytest.raises(DimensionError):
@@ -161,7 +161,7 @@ class TestRunSession:
         eve_codeword = rep3.encode(BitWord(1, 1))
         bits = key.peek()
         qubits = [
-            prepare(eve_codeword[j], Basis.Z if bits[j] == 0 else Basis.X)
+            prepare((eve_codeword >> j) & 1, Basis.Z if bits[j] == 0 else Basis.X)
             for j in range(3)
         ]
         outcome = bob_receive(qubits, bits, rep3, random.Random(9))

@@ -155,6 +155,16 @@ class TestClopperPearson:
         wide = clopper_pearson(50, 100)
         assert narrow[1] - narrow[0] < wide[1] - wide[0]
 
+    def test_importing_qauth_leaves_scipy_unloaded(self):
+        # scipy.stats takes over a second to import; only an interval needs it
+        out = subprocess.run(
+            [sys.executable, "-c", "import qauth, sys; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(qsim.__file__).parents[1])},
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["False"]
+
 
 class TestMonteCarlo:
     def test_reproducible(self, rep3):
@@ -236,10 +246,10 @@ class TestWordKernel:
         code = kernel_code
         adversary = KERNEL_MODES[mode](code.m)
         message = BitWord.zeros(code.m)
-        sent = code.encode(message).value
+        sent = code.encode(message)
         forged = None
         if adversary is not None:
-            forged = code.encode(adversary.forged_message).value
+            forged = code.encode(adversary.forged_message)
         for trial in range(self.TRIALS):
             by_words = substream(self.SEED, "trial", trial)
             by_handles = substream(self.SEED, "trial", trial)
@@ -273,14 +283,8 @@ class TestWordKernel:
 
 class TestChecksUnderOptimize:
     def test_invariants_hold_under_dash_o(self):
-        # python -O strips asserts; these checks must survive it.  scipy is
-        # stubbed out: none of the checks uses it, and without installed -O
-        # bytecode importing it would recompile it for seconds.
+        # python -O strips asserts; these checks must survive it.
         script = (
-            "import sys, types\n"
-            "stats = types.ModuleType('scipy.stats')\n"
-            "stats.beta = None\n"
-            "sys.modules.update({'scipy': types.ModuleType('scipy'), 'scipy.stats': stats})\n"
             "from fractions import Fraction\n"
             "from qauth import analytics, verify\n"
             "cases = [\n"
