@@ -8,7 +8,8 @@ generator rows (bit i = coefficient of x^i).  Every BCH code, short or
 long, decodes with ``BchAlgebraicDecoder``: it computes the odd
 syndromes from a per-byte table and squares them into the even ones,
 runs binary (odd-step) Berlekamp-Massey in the log domain for the error
-locator, and locates its roots by a numpy Chien search.  It returns
+locator, and locates its roots by a Chien search over byte lanes, one
+lane per position, in plain ``bytes`` and ints.  It returns
 ``(ok, flips)`` like every decoder, the roots packed into the int
 ``flips``.  For designed distance 2t+1 this is the same
 bounded-distance map as a syndrome table, which the tests use as its
@@ -20,11 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .codes import LinearCode, code_from_generator_rows
 from .errors import ParameterError, UnsupportedSizeError
-from .gf2 import DEFAULT_PRIMITIVE_POLY, GF2m
+from .gf2 import DEFAULT_PRIMITIVE_POLY, GF2m, linear_byte_tables
 
 
 @dataclass(frozen=True)
@@ -97,39 +96,38 @@ def bch_field(w: int, primitive_poly: int) -> GF2m:
 class BchAlgebraicDecoder:
     """Bounded-distance decoder: syndromes, binary Berlekamp-Massey, Chien search.
 
-    Field arithmetic is table lookup in zero-absorbing copies of the
-    field's antilog/log lists: ``_log[0]`` is 2n, and ``_exp`` is 0 from
-    index 2n to 4n, so ``_exp[_log[a] + _log[b]]`` is a·b for every a
-    and b, zero included.  No ``GF2m`` method runs per decode.  Elements
-    are below 2^8, so the numpy tables are uint8 (elements) or int16
-    (exponents).
+    Field arithmetic is table lookup in the field's zero-absorbing
+    antilog/log lists (``GF2m._exp``/``_log``), read in place: no
+    ``GF2m`` method runs per decode.  Elements are below 2^8, so each
+    fits one byte: the odd syndromes pack into an int one byte apiece,
+    and Chien search keeps position j in byte lane j of one n-byte word.
     """
 
     def __init__(self, field: GF2m, t: int):
         self.field = field
         self.t = t
         self.n = n = field.order
-        self._zero = 2 * n  # the log that stands for 0
-        self._exp = field._exp + [0] * (2 * n + 1)
-        self._log = [self._zero] + field._log[1:]
-        self._exp_np = exp = np.array(self._exp, dtype=np.uint8)
-        js = np.arange(n)
-        # odd[k, j] = alpha^((2k+1)*j): column j is what a flip at position
-        # j adds to the odd syndromes S_1, S_3, .., S_(2t-1)
-        odd = exp[np.outer(np.arange(1, 2 * t, 2), js) % n]
-        # _neg_jk[k-1, j] = -j*k mod n: Chien offsets of locator term k
-        self._neg_jk = (-np.outer(np.arange(1, t + 1), js) % n).astype(np.int16)
-        # _byte_rows[b][v] = S_1, S_3, .., S_(2t-1) of the word whose bits
-        # 8b..8b+7 hold v and whose other bits are 0, one syndrome per byte
-        columns = [int.from_bytes(odd[:, j].tobytes(), "little") for j in range(n)]
-        columns += [0] * (-n % 8)
-        self._byte_rows = []
-        for base in range(0, n, 8):
-            row = [0] * 256
-            for v in range(1, 256):
-                low = v & -v
-                row[v] = row[v ^ low] ^ columns[base + low.bit_length() - 1]
-            self._byte_rows.append(row)
+        exp, log = field._exp, field._log
+        self._zero = log[0]  # the log that stands for 0
+        # column j holds S_1, S_3, .., S_(2t-1) of a flip at position j,
+        # S_(2k+1) = alpha^((2k+1)j) in byte k
+        columns = [
+            int.from_bytes(bytes(exp[(2 * k + 1) * j % n] for k in range(t)), "little")
+            for j in range(n)
+        ]
+        self._byte_rows = linear_byte_tables(columns)
+        # _lanes[k-1] holds alpha^(-jk) in lane j: locator term k at
+        # alpha^-j, before its coefficient is multiplied in
+        self._lanes = [
+            bytes(exp[-j * k % n] for j in range(n)) for k in range(1, t + 1)
+        ]
+        # _times[l] is the bytes.translate table of a -> a·alpha^l
+        self._times = [
+            bytes(exp[log[a] + l] for a in range(n + 1)).ljust(256, b"\0")
+            for l in range(n)
+        ]
+        # the locator's constant term, 1, in every lane
+        self._ones = int.from_bytes(b"\1" * n, "little")
 
     def syndromes(self, received: int) -> list[int]:
         """S_1..S_2t: the odd ones by byte table, then S_2k = S_k^2."""
@@ -139,7 +137,7 @@ class BchAlgebraicDecoder:
             acc ^= row[v]
         syn = [0] * (2 * self.t)
         syn[::2] = acc.to_bytes(self.t, "little")
-        exp, log = self._exp, self._log
+        exp, log = self.field._exp, self.field._log
         for k in range(1, self.t + 1):
             syn[2 * k - 1] = exp[2 * log[syn[k - 1]]]
         return syn
@@ -152,7 +150,7 @@ class BchAlgebraicDecoder:
         register length L never decreases, so L > t already means a
         locator the decoder rejects.
         """
-        exp, log, n, t = self._exp, self._log, self.n, self.t
+        exp, log, n, t = self.field._exp, self.field._log, self.n, self.t
         log_syn = [log[s] for s in syn]
         c = [0] + [self._zero] * t  # logs of the locator, which starts as 1
         b = c[:]  # the locator before the last length change, of length len_b
@@ -178,11 +176,18 @@ class BchAlgebraicDecoder:
                 shift += 2
         return c[: big_l + 1]
 
-    def _chien_roots(self, locator: list[int]) -> np.ndarray:
-        """Positions j with locator(alpha^-j) = 0, from the locator's logs."""
-        logs = np.array(locator[1:], dtype=np.int16)
-        terms = self._exp_np[self._neg_jk[: len(logs)] + logs[:, None]]
-        return np.flatnonzero(np.bitwise_xor.reduce(terms, axis=0) == 1)
+    def _chien_values(self, locator: list[int]) -> bytes:
+        """locator(alpha^-j) in byte j, from the locator's logs.
+
+        Each nonzero term k translates its lanes alpha^(-jk) by its
+        coefficient's table and is XORed in as an int; the roots are the
+        zero lanes.
+        """
+        acc, zero, times = self._ones, self._zero, self._times
+        for lanes, log_coef in zip(self._lanes, locator[1:]):
+            if log_coef != zero:
+                acc ^= int.from_bytes(lanes.translate(times[log_coef]), "little")
+        return acc.to_bytes(self.n, "little")
 
     def __call__(self, received: int) -> tuple[bool, int]:
         """(ok, flips); a locator of degree L <= t with L roots is ok.
@@ -207,17 +212,19 @@ class BchAlgebraicDecoder:
         locator = self._berlekamp_massey(syn)
         if locator is None:
             return False, 0
-        roots = self._chien_roots(locator)
-        if len(roots) != len(locator) - 1:
+        values = self._chien_values(locator)
+        if values.count(0) != len(locator) - 1:
             return False, 0
-        return True, sum(1 << j for j in roots.tolist())
+        flips, j = 0, values.find(0)
+        while j >= 0:
+            flips |= 1 << j
+            j = values.find(0, j + 1)
+        return True, flips
 
 
-def build_bch(
-    w: int, designed_t: int, primitive_poly: int | None = None
-) -> LinearCode:
+def build_bch(w: int, designed_t: int) -> LinearCode:
     """Construct C[2^w - 1, m, t] as a LinearCode with the algebraic decoder."""
-    spec = make_bch_spec(w, designed_t, primitive_poly)
+    spec = make_bch_spec(w, designed_t)
     return code_from_generator_rows(
         f"bch-{spec.n}-{spec.m}-{designed_t}",
         spec.generator_rows(),

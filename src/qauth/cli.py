@@ -162,6 +162,8 @@ def cmd_code_build(args) -> int:
 
 
 def cmd_analytics_table(args) -> int:
+    if args.exact and args.format != "json":
+        raise ConfigError("--exact needs --format json; CSV carries no exact values")
     selectors = args.code if args.code is not None else DEFAULT_TABLE_CODES
     codes = [resolve_code(s) for s in selectors]
     rows = analytics.table1(codes)
@@ -181,6 +183,8 @@ def cmd_analytics_table(args) -> int:
 
 def _adversary_from_args(kind: str, code: LinearCode, args):
     if kind == "honest":
+        if args.forged_message is not None:
+            raise ConfigError("--forged-message needs an attack, not honest sessions")
         return None
     if args.forged_message is not None:
         try:
@@ -273,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="code selector; repeatable (default: standard grid)")
     p_table.add_argument("--format", choices=("csv", "json"), default="csv")
     p_table.add_argument("--exact", action="store_true",
-                         help="include exact numerator/denominator strings (json)")
+                         help="include exact numerator/denominator strings (json only)")
     p_table.add_argument("--out")
     p_table.set_defaults(func=cmd_analytics_table)
 

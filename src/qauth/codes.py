@@ -24,7 +24,7 @@ from operator import xor
 from typing import Iterator, Optional, Protocol
 
 from .errors import DimensionError, ParameterError, SpecError, UnsupportedSizeError
-from .gf2 import BitMatrix, BitWord, mat_vec_mul
+from .gf2 import BitMatrix, BitWord, linear_byte_tables, mat_vec_mul
 
 SYNDROME_TABLE_MAX_CHECKS = 24
 # Patterns of weight <= t a syndrome table may enumerate: 2^16 builds in
@@ -172,18 +172,25 @@ def syndrome_table_decoder(parity_check: BitMatrix, t: int) -> Decoder:
             f"{patterns} error patterns of weight <= {t} exceed the "
             f"syndrome-table bound ({SYNDROME_TABLE_MAX_PATTERNS})"
         )
+    # columns[j] is the syndrome of a flip at position j
+    columns = [mat_vec_mul(parity_check, 1 << j) for j in range(n)]
     table = {0: 0}  # syndrome -> error pattern
     for w in range(1, t + 1):
         for positions in combinations(range(n), w):
-            pattern = 0
+            pattern = syn = 0
             for p in positions:
                 pattern |= 1 << p
-            syn = mat_vec_mul(parity_check, pattern)
+                syn ^= columns[p]
             # weight-ordered fill: smallest pattern wins a syndrome collision
             table.setdefault(syn, pattern)
+    byte_tables = linear_byte_tables(columns)
+    n_bytes = len(byte_tables)
 
     def decode(received: int) -> tuple[bool, int]:
-        hit = table.get(mat_vec_mul(parity_check, received))
+        syn = 0
+        for row, v in zip(byte_tables, received.to_bytes(n_bytes, "little")):
+            syn ^= row[v]
+        hit = table.get(syn)
         if hit is None:
             return False, 0
         return True, hit

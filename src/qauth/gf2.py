@@ -165,12 +165,36 @@ def mat_vec_mul(m: BitMatrix, v: int) -> int:
     return out
 
 
+def linear_byte_tables(columns: list[int]) -> list[list[int]]:
+    """Per-byte lookup tables of the GF(2)-linear map bit j -> ``columns[j]``.
+
+    ``tables[b][v]`` is the image of the word whose bits 8b..8b+7 hold v
+    and whose other bits are 0, so a word's image is the XOR of
+    ``tables[b][byte]`` over its little-endian bytes: one lookup per
+    byte instead of one parity per output bit.
+    """
+    columns = columns + [0] * (-len(columns) % 8)
+    tables = []
+    for base in range(0, len(columns), 8):
+        table = [0] * 256
+        for v in range(1, 256):
+            low = v & -v
+            table[v] = table[v ^ low] ^ columns[base + low.bit_length() - 1]
+        tables.append(table)
+    return tables
+
+
 # ---------------------------------------------------------------------------
 # GF(2^w) with exp/log tables over a primitive polynomial.
 # ---------------------------------------------------------------------------
 
 class GF2m:
-    """The field GF(2^w); elements are ints in [0, 2^w) in the alpha basis."""
+    """The field GF(2^w); elements are ints in [0, 2^w) in the alpha basis.
+
+    The antilog/log tables absorb zero: ``_log[0]`` is 2·order, and
+    ``_exp`` is 0 from index 2·order to 4·order, so
+    ``_exp[_log[a] + _log[b]]`` is a·b for every a and b, zero included.
+    """
 
     def __init__(self, w: int, primitive_poly: int):
         if not 1 <= w <= 16:
@@ -180,12 +204,12 @@ class GF2m:
                 f"primitive polynomial 0b{primitive_poly:b} must have degree {w}"
             )
         self.w = w
-        self.order = (1 << w) - 1  # size of the multiplicative group
+        self.order = order = (1 << w) - 1  # size of the multiplicative group
         self.primitive_poly = primitive_poly
-        exp = [0] * (2 * self.order)
-        log = [0] * (1 << w)
+        exp = [0] * (4 * order + 1)
+        log = [2 * order] + [0] * order
         x = 1
-        for k in range(self.order):
+        for k in range(order):
             exp[k] = x
             log[x] = k
             x <<= 1
@@ -193,18 +217,15 @@ class GF2m:
                 x ^= primitive_poly
         # x must generate the whole multiplicative group: every power
         # distinct and the cycle closing exactly at 2^w - 1 steps
-        if x != 1 or len(set(exp[: self.order])) != self.order:
+        if x != 1 or len(set(exp[:order])) != order:
             raise ParameterError(
                 f"0b{primitive_poly:b} is not primitive over GF(2^{w})"
             )
-        for k in range(self.order, 2 * self.order):
-            exp[k] = exp[k - self.order]
+        exp[order : 2 * order] = exp[:order]
         self._exp = exp
         self._log = log
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
         return self._exp[self._log[a] + self._log[b]]
 
     def __repr__(self) -> str:

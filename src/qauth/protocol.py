@@ -134,19 +134,16 @@ def run_session(
     message: BitWord,
     code: LinearCode,
     adversary=None,
-    randomness: Optional[Random] = None,
-    seed: Optional[int] = None,
+    *,
+    randomness: Random,
 ) -> SessionRecord:
     """One end-to-end session: keygen, Alice, channel (+ Eve), Bob.
 
     ``adversary`` is any object with ``name`` and
     ``act(tap, code, randomness) -> transcript-dict-or-None``; it works
-    on the channel tap between Alice and Bob.
+    on the channel tap between Alice and Bob.  ``randomness`` is the
+    session's one stream: the key, then Eve's draws, then Bob's coins.
     """
-    if randomness is None:
-        from .rng import substream
-
-        randomness = substream(seed if seed is not None else 0, "session")
     if message.length != code.m:
         raise DimensionError(f"message length {message.length} != m={code.m}")
     key = keygen(code.n, randomness)

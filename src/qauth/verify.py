@@ -30,6 +30,7 @@ from .rng import substream
 EXACT_CODEWORD_MAX_N = 16
 P_DEC_MAX_N = 12
 INTERCEPT_RESEND_MAX_N = 10
+CONFIDENCE = 0.99  # of every Monte Carlo interval
 
 
 @dataclass(frozen=True)
@@ -231,7 +232,6 @@ class TrialStats:
     ci_low: float
     ci_high: float
     seed: int
-    confidence: float = 0.99
 
     def __post_init__(self) -> None:
         if not self.ci_low <= self.estimate <= self.ci_high:
@@ -241,10 +241,8 @@ class TrialStats:
             )
 
     @classmethod
-    def of(
-        cls, successes: int, trials: int, seed: int, confidence: float = 0.99
-    ) -> "TrialStats":
-        low, high = clopper_pearson(successes, trials, confidence)
+    def of(cls, successes: int, trials: int, seed: int) -> "TrialStats":
+        low, high = clopper_pearson(successes, trials)
         return cls(
             trials=trials,
             successes=successes,
@@ -252,7 +250,6 @@ class TrialStats:
             ci_low=low,
             ci_high=high,
             seed=seed,
-            confidence=confidence,
         )
 
     def to_json_dict(self) -> dict:
@@ -262,17 +259,15 @@ class TrialStats:
             "estimate": str(self.estimate),
             "ci_low": self.ci_low,
             "ci_high": self.ci_high,
-            "confidence": self.confidence,
+            "confidence": CONFIDENCE,
             "seed": self.seed,
         }
 
 
-def clopper_pearson(
-    successes: int, trials: int, confidence: float = 0.99
-) -> tuple[float, float]:
+def clopper_pearson(successes: int, trials: int) -> tuple[float, float]:
     from scipy.stats import beta  # seconds to import; only intervals need it
 
-    alpha = 1.0 - confidence
+    alpha = 1.0 - CONFIDENCE
     low = 0.0 if successes == 0 else float(
         beta.ppf(alpha / 2, successes, trials - successes + 1)
     )
@@ -318,7 +313,6 @@ def monte_carlo(
     seed: int,
     adversary=None,
     message: Optional[BitWord] = None,
-    confidence: float = 0.99,
 ) -> TrialStats:
     """Acceptance frequency over independent simulated sessions.
 
@@ -343,4 +337,4 @@ def monte_carlo(
             code, sent, adversary, forged, substream(seed, "trial", trial)
         ):
             successes += 1
-    return TrialStats.of(successes, trials, seed, confidence)
+    return TrialStats.of(successes, trials, seed)

@@ -206,7 +206,8 @@ class ReferenceBchDecoder:
     The general algorithm: it uses neither S_2k = S_k^2 nor an early
     exit, so it checks both.  Its antilog/log lists are built here from
     ``field.primitive_poly`` by shift-and-reduce, so it shares no table
-    with the decoder it checks.
+    with the decoder it checks, and its syndromes and Chien search are
+    numpy reductions, not the decoder's byte lanes.
     """
 
     def __init__(self, field, t):
@@ -292,7 +293,9 @@ class ReferenceBchDecoder:
 
 
 class TestAlgebraicMatchesReference:
-    @pytest.mark.parametrize("wt", sorted(GRID) + [(5, 7)])
+    # w = 8 fills the whole byte lane; (8, 1) is perfect, so every word
+    # that is not a codeword reaches Chien search
+    @pytest.mark.parametrize("wt", sorted(GRID) + [(5, 7), (8, 1), (8, 12)])
     def test_random_words_and_beyond_t_patterns(self, wt):
         code = build_bch(*wt)
         decoder = code._decoder

@@ -253,6 +253,9 @@ class TestUserInputErrors:
             lambda tmp: ["code", "build", "--bch", "6", "10", "--repetition", "3"],
             lambda tmp: ["simulate", "honest", "--code", "rep3", "--trials", "5",
                          "--out", ""],
+            lambda tmp: ["analytics", "table", "--code", "rep3", "--exact"],
+            lambda tmp: ["simulate", "honest", "--code", "rep3", "--trials", "5",
+                         "--forged-message", "1"],
         ],
         ids=[
             "trials-0", "rep4", "bch-6-40", "spec-missing-t", "bch-spec-edited-t",
@@ -264,6 +267,7 @@ class TestUserInputErrors:
             "spec-not-utf8", "simulate-out-unwritable", "code-build-out-unwritable",
             "table-csv-out-unwritable", "forged-message-empty",
             "code-build-repetition-0", "code-build-two-codes", "simulate-out-empty",
+            "table-exact-without-json", "honest-forged-message",
         ],
     )
     def test_exits_2_with_one_line(self, argv, tmp_path, capsys):

@@ -128,6 +128,10 @@ class TestGF2m:
         assert len(seen) == order
         for a in range(1, min(order + 1, 40)):
             assert sum(field.mul(a, b) == 1 for b in range(1, order + 1)) == 1
+        # the zero-absorbing tables make 0 absorb without a branch
+        assert field._log[0] == 2 * order
+        for a in range(order + 1):
+            assert field.mul(0, a) == field.mul(a, 0) == 0
 
     def test_non_primitive_poly_rejected(self):
         # x^4 + x^3 + x^2 + x + 1 has order-5 roots, not primitive

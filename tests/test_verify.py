@@ -156,14 +156,16 @@ class TestClopperPearson:
         assert narrow[1] - narrow[0] < wide[1] - wide[0]
 
     def test_importing_qauth_leaves_scipy_unloaded(self):
-        # scipy.stats takes over a second to import; only an interval needs it
+        # scipy.stats takes over a second to import; only an interval needs
+        # it.  numpy is a dependency of scipy and of the tests, not of qauth.
         out = subprocess.run(
-            [sys.executable, "-c", "import qauth, sys; print('scipy' in sys.modules)"],
+            [sys.executable, "-c",
+             "import qauth, sys; print('scipy' in sys.modules, 'numpy' in sys.modules)"],
             capture_output=True, text=True, timeout=120,
             env={**os.environ, "PYTHONPATH": str(Path(qsim.__file__).parents[1])},
         )
         assert out.returncode == 0, out.stderr
-        assert out.stdout.split() == ["False"]
+        assert out.stdout.split() == ["False", "False"]
 
 
 class TestMonteCarlo:
