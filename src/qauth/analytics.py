@@ -154,11 +154,10 @@ def render_scientific(p: Fraction, sig: int = 2) -> str:
     return f"{mantissa}e{exp:+03d}"
 
 
-def render_fixed(x: Fraction, decimals: int = 2) -> str:
-    """Fixed-point rendering ('.' separator), half-to-even."""
-    scaled = round(x * Fraction(10**decimals))
-    s = f"{scaled:0{decimals + 1}d}"
-    return f"{s[:-decimals]}.{s[-decimals:]}" if decimals else s
+def render_fixed(x: Fraction) -> str:
+    """Fixed-point rendering at two decimals ('.' separator), half-to-even."""
+    s = f"{round(x * 100):03d}"
+    return f"{s[:-2]}.{s[-2:]}"
 
 
 @dataclass(frozen=True)
@@ -174,16 +173,16 @@ class SecurityRow:
     p_f_prime: Fraction
     key_overhead: Fraction
 
-    def rendered(self, sig: int = 2) -> dict:
+    def rendered(self) -> dict:
         return {
             "code": self.name,
             "n": self.n,
             "m": self.m,
             "t": self.t,
-            "p_f": render_scientific(self.p_f, sig),
-            "p_dec": render_scientific(self.p_dec, sig),
-            "p_f_prime": render_scientific(self.p_f_prime, sig),
-            "key_overhead": render_fixed(self.key_overhead, 2),
+            "p_f": render_scientific(self.p_f),
+            "p_dec": render_scientific(self.p_dec),
+            "p_f_prime": render_scientific(self.p_f_prime),
+            "key_overhead": render_fixed(self.key_overhead),
         }
 
     def to_json_dict(self, exact: bool = False) -> dict:

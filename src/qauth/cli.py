@@ -181,7 +181,19 @@ def cmd_analytics_table(args) -> int:
     return EXIT_OK
 
 
-def _adversary_from_args(kind: str, code: LinearCode, args):
+def _decode_failure_policy(args, uses_it: bool) -> str:
+    """``--on-decode-failure``, or abort when it is not given.
+
+    Only intercept-resend decodes, so elsewhere the option is an error.
+    """
+    if args.on_decode_failure is None:
+        return ABORT
+    if not uses_it:
+        raise ConfigError("--on-decode-failure needs an intercept-resend attack")
+    return args.on_decode_failure
+
+
+def _adversary_from_args(kind: str, code: LinearCode, args, policy: str):
     if kind == "honest":
         if args.forged_message is not None:
             raise ConfigError("--forged-message needs an attack, not honest sessions")
@@ -202,12 +214,13 @@ def _adversary_from_args(kind: str, code: LinearCode, args):
         forged = BitWord(1, code.m)  # fixed default, distinct from the zero message
     if kind == "no-message":
         return NoMessageStrategy(forged)
-    return InterceptResendStrategy(forged, on_decode_failure=args.on_decode_failure)
+    return InterceptResendStrategy(forged, on_decode_failure=policy)
 
 
 def cmd_simulate(args) -> int:
+    policy = _decode_failure_policy(args, args.attack == "intercept-resend")
     code = resolve_code(args.code)
-    adversary = _adversary_from_args(args.attack, code, args)
+    adversary = _adversary_from_args(args.attack, code, args, policy)
     stats = verify.monte_carlo(
         code, args.trials, args.seed, adversary=adversary
     )
@@ -217,13 +230,14 @@ def cmd_simulate(args) -> int:
         "trials": args.trials,
         "seed": args.seed,
         "forged_message": args.forged_message,
-        "on_decode_failure": args.on_decode_failure,
+        "on_decode_failure": policy,
     }
     _emit(_report(f"simulate {args.attack}", config, stats.to_json_dict()), args)
     return EXIT_OK
 
 
 def cmd_oracle(args) -> int:
+    policy = _decode_failure_policy(args, args.which == "ir")
     code = resolve_code(args.code)
     config = {"oracle": args.which, "code": args.code}
     if args.which == "nomsg":
@@ -239,10 +253,8 @@ def cmd_oracle(args) -> int:
         results = report.to_json_dict()
         failed = not report.equal
     else:  # ir
-        config["on_decode_failure"] = args.on_decode_failure
-        report = verify.oracle_intercept_resend(
-            code, on_decode_failure=args.on_decode_failure
-        )
+        config["on_decode_failure"] = policy
+        report = verify.oracle_intercept_resend(code, on_decode_failure=policy)
         results = report.to_json_dict()
         failed = False  # the signed gap is the result, not a failure
     _emit(_report(f"oracle {args.which}", config, results), args)
@@ -287,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--trials", type=int, default=10000)
     p_sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_sim.add_argument("--forged-message", help="bit string, length m")
-    p_sim.add_argument("--on-decode-failure", default=ABORT,
+    p_sim.add_argument("--on-decode-failure",
                        choices=("abort", "resend_uncorrected"))
     p_sim.add_argument("--out")
     p_sim.set_defaults(func=cmd_simulate)
@@ -295,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_or = sub.add_parser("oracle", help="exhaustive ground-truth checks")
     p_or.add_argument("which", choices=("nomsg", "pdec", "ir"))
     p_or.add_argument("--code", required=True)
-    p_or.add_argument("--on-decode-failure", default=ABORT,
+    p_or.add_argument("--on-decode-failure",
                       choices=("abort", "resend_uncorrected"))
     p_or.add_argument("--out")
     p_or.set_defaults(func=cmd_oracle)

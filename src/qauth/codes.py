@@ -26,7 +26,6 @@ from typing import Iterator, Optional, Protocol
 from .errors import DimensionError, ParameterError, SpecError, UnsupportedSizeError
 from .gf2 import BitMatrix, BitWord, linear_byte_tables, mat_vec_mul
 
-SYNDROME_TABLE_MAX_CHECKS = 24
 # Patterns of weight <= t a syndrome table may enumerate: 2^16 builds in
 # under a second (rep17); a random [45, 21] code at t = 6 would need 9.5M.
 SYNDROME_TABLE_MAX_PATTERNS = 1 << 16
@@ -159,12 +158,6 @@ def syndrome_table_decoder(parity_check: BitMatrix, t: int) -> Decoder:
     weight decode to whatever <= t pattern shares their syndrome
     (miscorrection) or to failure.
     """
-    n_checks = parity_check.nrows
-    if n_checks > SYNDROME_TABLE_MAX_CHECKS:
-        raise UnsupportedSizeError(
-            f"{n_checks} checks exceed the syndrome-table bound "
-            f"({SYNDROME_TABLE_MAX_CHECKS})"
-        )
     n = parity_check.ncols
     patterns = sum(comb(n, h) for h in range(t + 1))
     if patterns > SYNDROME_TABLE_MAX_PATTERNS:

@@ -1,12 +1,14 @@
 """Ground-truth engines: exhaustive oracles and Monte Carlo estimation.
 
 The oracles recompute attack probabilities for small codes by complete
-enumeration against the real decoder, with exact rational weights; they
-are the yardstick for both the closed-form analytics and the
-simulator.  Monte Carlo runs sessions on packed words, each the same
-session as ``protocol.run_session`` on the same stream, and reports
-exact (Clopper-Pearson) confidence intervals, since true probabilities
-near 0 or 1 are common here.
+enumeration against the real decoder; they are the yardstick for both
+the closed-form analytics and the simulator.  The decoder-in-the-loop
+oracles decode once per (basis difference, readout) pair and sum an
+integer numerator over 2^(2n) (p_dec) or 2^(3n) (intercept-resend),
+so each result is one exact ``Fraction``.  Monte Carlo runs sessions
+on packed words, each the same session as ``protocol.run_session`` on
+the same stream, and reports exact (Clopper-Pearson) confidence
+intervals, since true probabilities near 0 or 1 are common here.
 """
 
 from __future__ import annotations
@@ -134,57 +136,23 @@ def oracle_p_dec(code: LinearCode) -> OracleReport:
     not a correct decode).  Contract: equals p_dec(n, t) exactly.
 
     The zero codeword is sent, so readout e decodes correctly iff the
-    decoder flips exactly e.
+    decoder flips exactly e.  Each (D, e) pair has probability
+    2^-n * 2^-|D|, so the sum is an integer over 2^(2n).
     """
     n = code.n
     if n > P_DEC_MAX_N:
         raise UnsupportedSizeError(
             f"n={n} exceeds the decode-oracle enumeration bound ({P_DEC_MAX_N})"
         )
-    total = Fraction(0)
+    hits = 0
     for d in range(1 << n):
-        k = d.bit_count()
-        successes = 0
         for e in _submasks(d):
             ok, flips = code.decode(e)
             if ok and flips == e:
-                successes += 1
-        total += Fraction(successes, 1 << (n + k))
+                hits += 1 << (n - d.bit_count())
     return OracleReport.compare(
-        f"p_dec[{code.name}]", total, analytics.p_dec(n, code.t)
+        f"p_dec[{code.name}]", Fraction(hits, 4**n), analytics.p_dec(n, code.t)
     )
-
-
-def intercept_resend_success_given_difference(
-    code: LinearCode,
-    d: int,
-    on_decode_failure: str = ABORT,
-    _codewords: Optional[list[int]] = None,
-) -> Fraction:
-    """P(receiver accepts | basis-difference pattern d), exactly.
-
-    Conditional slice of the intercept-resend attack: the eavesdropper's
-    readout errs uniformly on the mismatched set D; after decoding she
-    flips her basis guess at the corrected positions, leaving residual
-    mismatch R = D xor flips.  The receiver reads the forged codeword
-    exactly off R and fair coins on R, accepting iff the perturbation is
-    itself a codeword: P = |{codewords with support in R}| / 2^|R|.
-    The zero codeword is sent, so the readout is e itself.
-    """
-    codewords = _codewords if _codewords is not None else list(code.codewords())
-
-    def acceptance(r: int) -> Fraction:
-        inside = sum(1 for cw in codewords if cw & ~r == 0)
-        return Fraction(inside, 1 << r.bit_count())
-
-    k = d.bit_count()
-    total = Fraction(0)
-    for e in _submasks(d):
-        ok, flips = code.decode(e)
-        # a failed decode flips nothing; under abort it contributes 0
-        if ok or on_decode_failure == RESEND_UNCORRECTED:
-            total += acceptance(d ^ flips)
-    return total / (1 << k)
 
 
 def oracle_intercept_resend(
@@ -192,11 +160,19 @@ def oracle_intercept_resend(
 ) -> OracleReport:
     """Exact intercept-resend forgery probability vs. the closed form.
 
-    Full enumeration over the basis-difference pattern, the
-    eavesdropper's readout (decoder in the loop, miscorrections
+    Full enumeration over the basis-difference pattern D, the
+    eavesdropper's readout e (decoder in the loop, miscorrections
     included), and the receiver's readout under the any-codeword
-    acceptance rule.  Equality with p_f_prime is NOT expected; the
-    signed gap is the result.
+    acceptance rule.  The zero codeword is sent, so the readout errs
+    exactly on e, uniform over the submasks of D.  After decoding she
+    flips her basis guess at the corrected positions (a failed decode
+    flips nothing, and under abort sends nothing), leaving residual
+    mismatch R = D xor flips.  The receiver reads the forged codeword
+    exactly off R and fair coins on R, accepting iff the perturbation is
+    itself a codeword: |{codewords with support in R}| / 2^|R|.  With
+    (D, e) at probability 2^-n * 2^-|D|, the sum is an integer over
+    2^(3n).  Equality with p_f_prime is NOT expected; the signed gap is
+    the result.
     """
     n = code.n
     if n > INTERCEPT_RESEND_MAX_N:
@@ -205,15 +181,18 @@ def oracle_intercept_resend(
             f"({INTERCEPT_RESEND_MAX_N})"
         )
     codewords = list(code.codewords())
-    total = Fraction(0)
+    resend = on_decode_failure == RESEND_UNCORRECTED
+    total = 0
     for d in range(1 << n):
-        total += intercept_resend_success_given_difference(
-            code, d, on_decode_failure, _codewords=codewords
-        )
-    exact = total / (1 << n)
+        for e in _submasks(d):
+            ok, flips = code.decode(e)
+            if ok or resend:
+                r = d ^ flips
+                inside = sum(1 for c in codewords if c & ~r == 0)
+                total += inside << (2 * n - d.bit_count() - r.bit_count())
     return OracleReport.compare(
         f"p_f_prime[{code.name}:{on_decode_failure}]",
-        exact,
+        Fraction(total, 8**n),
         analytics.p_f_prime(n, code.t),
     )
 

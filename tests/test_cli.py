@@ -256,6 +256,14 @@ class TestUserInputErrors:
             lambda tmp: ["analytics", "table", "--code", "rep3", "--exact"],
             lambda tmp: ["simulate", "honest", "--code", "rep3", "--trials", "5",
                          "--forged-message", "1"],
+            lambda tmp: ["simulate", "honest", "--code", "rep3", "--trials", "5",
+                         "--on-decode-failure", "abort"],
+            lambda tmp: ["simulate", "no-message", "--code", "rep3", "--trials", "5",
+                         "--on-decode-failure", "resend_uncorrected"],
+            lambda tmp: ["oracle", "pdec", "--code", "rep3",
+                         "--on-decode-failure", "resend_uncorrected"],
+            lambda tmp: ["oracle", "nomsg", "--code", "rep3",
+                         "--on-decode-failure", "abort"],
         ],
         ids=[
             "trials-0", "rep4", "bch-6-40", "spec-missing-t", "bch-spec-edited-t",
@@ -268,6 +276,8 @@ class TestUserInputErrors:
             "table-csv-out-unwritable", "forged-message-empty",
             "code-build-repetition-0", "code-build-two-codes", "simulate-out-empty",
             "table-exact-without-json", "honest-forged-message",
+            "honest-on-decode-failure", "no-message-on-decode-failure",
+            "pdec-on-decode-failure", "nomsg-on-decode-failure",
         ],
     )
     def test_exits_2_with_one_line(self, argv, tmp_path, capsys):
@@ -374,6 +384,14 @@ SELECTORS = (
 POLICIES = st.sampled_from(("abort", "resend_uncorrected"))
 
 
+def _with_policy(draw, argv):
+    """argv, with ``--on-decode-failure`` drawn as absent or a policy."""
+    policy = draw(st.none() | POLICIES)
+    if policy is not None:
+        argv.append(f"--on-decode-failure={policy}")
+    return argv
+
+
 @st.composite
 def cli_runs(draw):
     """argv for one simulate, oracle or analytics-table run."""
@@ -384,15 +402,11 @@ def cli_runs(draw):
                 f"--format={draw(st.sampled_from(('csv', 'json')))}"]
     if group == "oracle":
         which = draw(st.sampled_from(("nomsg", "pdec", "ir")))
-        argv = ["oracle", which, code]
-        if which == "ir":
-            argv.append(f"--on-decode-failure={draw(POLICIES)}")
-        return argv
+        return _with_policy(draw, ["oracle", which, code])
     attack = draw(st.sampled_from(("honest", "no-message", "intercept-resend")))
-    argv = ["simulate", attack, code,
-            f"--trials={draw(st.integers(-2, 5))}",
-            f"--seed={draw(st.integers(-(2**70), 2**70))}",
-            f"--on-decode-failure={draw(POLICIES)}"]
+    argv = _with_policy(draw, ["simulate", attack, code,
+                               f"--trials={draw(st.integers(-2, 5))}",
+                               f"--seed={draw(st.integers(-(2**70), 2**70))}"])
     forged = draw(st.none() | st.text("01x", max_size=8))
     if forged is not None:
         argv.append(f"--forged-message={forged}")

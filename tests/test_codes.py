@@ -46,6 +46,14 @@ def bch31_6_7():
     return build_bch(5, 7)
 
 
+@pytest.fixture(scope="module")
+def random60_30():
+    # 30 checks, but only 1831 patterns of weight <= 2 to tabulate
+    rng = random.Random(60)
+    rows = [(1 << i) | (rng.getrandbits(30) << 30) for i in range(30)]
+    return code_from_generator_rows("random60_30", rows, 60, 2)
+
+
 SMALL_CODES = ["rep3", "rep5", "ham"]
 
 
@@ -182,7 +190,7 @@ class TestDecoding:
 
 class TestSerialization:
     @pytest.mark.parametrize(
-        "code", SMALL_CODES + ["bch15_7_2", "bch31_6_7"], indirect=True
+        "code", SMALL_CODES + ["bch15_7_2", "bch31_6_7", "random60_30"], indirect=True
     )
     def test_spec_roundtrip(self, code, tmp_path):
         path = tmp_path / "code.json"

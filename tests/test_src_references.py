@@ -81,3 +81,24 @@ def test_every_src_definition_has_a_caller_outside_tests():
 def test_exemptions_name_existing_definitions():
     defined = {qualname for qualname, _ in _src_definitions()}
     assert set(EXEMPT) <= defined
+
+
+def _underscore_parameters(tree):
+    """(function, parameter) for every ``_``-prefixed parameter in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+            for param in params:
+                if param is not None and param.arg.startswith("_"):
+                    yield getattr(node, "name", "<lambda>"), param.arg
+
+
+def test_no_function_takes_an_underscore_parameter():
+    # such a parameter is a hidden knob that only an internal caller sets
+    found = [
+        f"{path.stem}.{function}({param})"
+        for path in sorted((ROOT / "src" / "qauth").glob("*.py"))
+        for function, param in _underscore_parameters(ast.parse(path.read_text()))
+    ]
+    assert found == [], f"underscore parameters in src/qauth: {found}"

@@ -17,7 +17,7 @@ from qauth.adversary import (
 )
 from qauth.bch import build_bch
 from qauth.cli import resolve_code
-from qauth.codes import make_hamming_7_4, make_repetition
+from qauth.codes import code_from_generator_rows, make_hamming_7_4, make_repetition
 from qauth.errors import UnsupportedSizeError
 from qauth.gf2 import BitWord
 from qauth.protocol import run_session
@@ -25,7 +25,6 @@ from qauth.rng import substream
 from qauth.verify import (
     TrialStats,
     clopper_pearson,
-    intercept_resend_success_given_difference,
     monte_carlo,
     oracle_intercept_resend,
     oracle_no_message_any_codeword,
@@ -109,10 +108,6 @@ class TestInterceptResendOracle:
         b = oracle_intercept_resend(rep3)
         assert a == b
 
-    def test_matched_slice_is_certain(self, rep3, ham):
-        for code in (rep3, ham):
-            assert intercept_resend_success_given_difference(code, 0) == 1
-
     def test_gap_is_reported_signed(self, rep3, ham):
         for code in (rep3, ham):
             report = oracle_intercept_resend(code)
@@ -136,6 +131,59 @@ class TestInterceptResendOracle:
     def test_size_bound(self, rep3):
         with pytest.raises(UnsupportedSizeError):
             oracle_intercept_resend(make_repetition(11))
+
+
+def _pinned_code(selector):
+    if selector == "short-hamming63":
+        # shortened Hamming [6, 3]: 7 patterns of weight <= 1 fill 7 of its
+        # 8 syndromes, so some decodes fail and the two policies differ
+        return code_from_generator_rows(
+            selector, [0b110001, 0b101010, 0b011100], 6, 1
+        )
+    return resolve_code(selector)
+
+
+class TestPinnedOracleValues:
+    """Exact oracle rationals; any change to the enumeration must keep them."""
+
+    # perfect codes: no decode fails, so both policies give these values
+    IR_VALUES = {
+        "rep3": Fraction(37, 64),
+        "rep5": Fraction(913, 2048),
+        "rep7": Fraction(46085, 131072),
+        "rep9": Fraction(2317217, 8388608),
+        "hamming74": Fraction(233, 1024),
+        "bch-7-4-1": Fraction(233, 1024),
+    }
+    P_DEC_VALUES = {
+        "rep3": Fraction(27, 32),
+        "rep5": Fraction(459, 512),
+        "rep7": Fraction(3807, 4096),
+        "rep9": Fraction(124659, 131072),
+        "rep11": Fraction(1012581, 1048576),
+        "hamming74": Fraction(3645, 8192),
+        "short-hamming63": Fraction(2187, 4096),
+    }
+
+    CASES = [
+        (f"ir-{policy}", selector, value)
+        for selector, value in IR_VALUES.items()
+        for policy in (ABORT, RESEND_UNCORRECTED)
+    ] + [
+        (f"ir-{ABORT}", "short-hamming63", Fraction(545, 2048)),
+        (f"ir-{RESEND_UNCORRECTED}", "short-hamming63", Fraction(285, 1024)),
+    ] + [("pdec", selector, value) for selector, value in P_DEC_VALUES.items()]
+
+    @pytest.mark.parametrize(
+        "oracle, selector, expected", CASES, ids=[f"{o}-{s}" for o, s, _ in CASES]
+    )
+    def test_exact_value(self, oracle, selector, expected):
+        code = _pinned_code(selector)
+        if oracle == "pdec":
+            report = oracle_p_dec(code)
+        else:
+            report = oracle_intercept_resend(code, oracle.removeprefix("ir-"))
+        assert report.exact_value == expected
 
 
 class TestClopperPearson:
