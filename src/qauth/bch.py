@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .codes import LinearCode, code_from_generator_rows
+from .codes import LinearCode
 from .errors import ParameterError, UnsupportedSizeError
 from .gf2 import DEFAULT_PRIMITIVE_POLY, GF2m, linear_byte_tables
 
@@ -225,7 +225,7 @@ class BchAlgebraicDecoder:
 def build_bch(w: int, designed_t: int) -> LinearCode:
     """Construct C[2^w - 1, m, t] as a LinearCode with the algebraic decoder."""
     spec = make_bch_spec(w, designed_t)
-    return code_from_generator_rows(
+    return LinearCode(
         f"bch-{spec.n}-{spec.m}-{designed_t}",
         spec.generator_rows(),
         spec.n,

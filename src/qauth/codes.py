@@ -3,7 +3,7 @@
 The message-to-codeword map is c = k·G with a public G kept in reduced
 row echelon form, so the message is read back off the pivot columns.
 Decoding is bounded-distance, with one decoder per code family, chosen
-in ``code_from_generator_rows``: BCH codes (those built over a field)
+by the ``LinearCode`` constructor: BCH codes (those built over a field)
 decode algebraically (see the bch module), every other code by
 syndrome lookup table.  Every decoder returns ``(ok, flips)``: ``flips``
 is an int with bit j set for each position j to flip, and 0 when ``ok``
@@ -17,10 +17,10 @@ m-bit messages, whose length the int alone cannot give.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import accumulate, combinations
 from math import comb
 from operator import xor
+from string import hexdigits
 from typing import Iterator, Optional, Protocol
 
 from .errors import DimensionError, ParameterError, SpecError, UnsupportedSizeError
@@ -37,33 +37,57 @@ class Decoder(Protocol):
         """Return (success, mask of the positions to flip)."""
 
 
-@dataclass(frozen=True)
 class LinearCode:
-    """A binary [n, m] code correcting t errors, with public G and H."""
+    """A binary [n, m] code correcting t errors, with public G and H.
 
-    name: str
-    n: int
-    m: int
-    t: int
-    generator: BitMatrix        # m x n, reduced row echelon form
-    parity_check: BitMatrix     # (n-m) x n
-    _decoder: Decoder = field(compare=False)
-    field_info: Optional[dict] = None
-    message_columns: tuple[int, ...] = field(init=False)  # G's pivots
+    Built from any rows that span it, in one pass: G is their reduced
+    row echelon form, whose pivots are the message columns, and H has
+    one row per free column j, with bit j set and bit p set for each
+    pivot p whose row of G holds j.  A code over a field (``field_info``
+    {w, primitive_poly}) is a BCH code and decodes by Berlekamp-Massey +
+    Chien; any other code must have a minimum distance that corrects t
+    (checked for m <= WEIGHT_ENUM_MAX_M) and decodes by syndrome table.
+    """
 
-    def __post_init__(self) -> None:
-        if self.generator.nrows != self.m or self.generator.ncols != self.n:
-            raise DimensionError("generator shape mismatch")
-        if self.parity_check.ncols != self.n:
-            raise DimensionError("parity-check width mismatch")
-        if self.generator.rank() != self.m:
-            raise ValueError("generator rows are dependent")
-        for row in self.generator.rows:
-            if mat_vec_mul(self.parity_check, row) != 0:
-                raise ValueError("G·Hᵀ != 0")
-        object.__setattr__(
-            self, "message_columns", tuple(self.generator.pivot_columns())
-        )
+    def __init__(
+        self,
+        name: str,
+        rows: list[int],
+        n: int,
+        t: int,
+        field_info: Optional[dict] = None,
+    ):
+        generator = BitMatrix(tuple(rows), n).row_reduce()
+        pivots = tuple((r & -r).bit_length() - 1 for r in generator.rows)
+        h_rows = []
+        for j in range(n):
+            if j in pivots:
+                continue
+            row = 1 << j
+            for p, g_row in zip(pivots, generator.rows):
+                if (g_row >> j) & 1:
+                    row |= 1 << p
+            h_rows.append(row)
+        self.name, self.n, self.m, self.t = name, n, len(pivots), t
+        self.field_info = field_info
+        self.generator = generator  # m x n, reduced row echelon form
+        self.parity_check = BitMatrix(tuple(h_rows or [0]), n)  # (n-m) x n
+        self.message_columns = pivots
+        if field_info:
+            from .bch import BchAlgebraicDecoder, bch_field  # bch imports this module
+
+            field = bch_field(field_info["w"], field_info["primitive_poly"])
+            self.decoder: Decoder = BchAlgebraicDecoder(field, t)
+            return
+        if self.m <= WEIGHT_ENUM_MAX_M:
+            weights = self.weight_distribution()
+            d = next((w for w in range(1, n + 1) if weights[w]), None)
+            if d is not None and 2 * t + 1 > d:
+                raise ParameterError(
+                    f"t={t}, but its minimum distance {d} corrects at most "
+                    f"{(d - 1) // 2} errors"
+                )
+        self.decoder = syndrome_table_decoder(self.parity_check, t)
 
     # -- encoding / verification -------------------------------------------
 
@@ -103,7 +127,7 @@ class LinearCode:
         miscorrection otherwise.  A failed decode flips nothing.
         """
         self._check_word(received)
-        return self._decoder(received)
+        return self.decoder(received)
 
     # -- enumeration ----------------------------------------------------------
 
@@ -191,64 +215,12 @@ def syndrome_table_decoder(parity_check: BitMatrix, t: int) -> Decoder:
     return decode
 
 
-def _standard_form(generator_rows: list[int], n: int) -> tuple[BitMatrix, BitMatrix]:
-    """RREF generator plus a parity-check matrix from the non-pivot columns."""
-    g = BitMatrix(tuple(generator_rows), n).row_reduce()
-    m = sum(1 for r in g.rows if r)
-    g = BitMatrix(tuple(r for r in g.rows if r), n)
-    pivots = g.pivot_columns()
-    free = [j for j in range(n) if j not in pivots]
-    h_rows = []
-    for j in free:
-        row = 1 << j
-        for i, p in enumerate(pivots):
-            if g.entry(i, j):
-                row |= 1 << p
-        h_rows.append(row)
-    if not h_rows:
-        h_rows = [0]
-    return g, BitMatrix(tuple(h_rows), n)
-
-
-def code_from_generator_rows(
-    name: str,
-    rows: list[int],
-    n: int,
-    t: int,
-    field_info: Optional[dict] = None,
-) -> LinearCode:
-    """The code spanned by ``rows``, with the decoder of its family.
-
-    This is the one place a decoder is chosen.  ``field_info`` ({w,
-    primitive_poly}) marks a BCH code over GF(2^w), which decodes by
-    Berlekamp-Massey + Chien; any other code decodes by syndrome table.
-    """
-    g, h = _standard_form(rows, n)
-    if field_info:
-        from .bch import BchAlgebraicDecoder, bch_field  # bch imports this module
-
-        field = bch_field(field_info["w"], field_info["primitive_poly"])
-        decoder = BchAlgebraicDecoder(field, t)
-    else:
-        decoder = syndrome_table_decoder(h, t)
-    return LinearCode(
-        name=name,
-        n=n,
-        m=g.nrows,
-        t=t,
-        generator=g,
-        parity_check=h,
-        _decoder=decoder,
-        field_info=field_info,
-    )
-
-
 def make_repetition(n: int) -> LinearCode:
     """The [n, 1, (n-1)/2] repetition code; n must be odd so majority decides."""
     if n < 3 or n % 2 == 0:
         raise ParameterError(f"repetition length must be odd and >= 3, got {n}")
     t = (n - 1) // 2
-    return code_from_generator_rows(f"rep{n}", [(1 << n) - 1], n, t)
+    return LinearCode(f"rep{n}", [(1 << n) - 1], n, t)
 
 
 def make_hamming_7_4() -> LinearCode:
@@ -259,7 +231,7 @@ def make_hamming_7_4() -> LinearCode:
         BitWord.from_str("0010011").value,
         BitWord.from_str("0001111").value,
     ]
-    return code_from_generator_rows("hamming74", rows, 7, 1)
+    return LinearCode("hamming74", rows, 7, 1)
 
 
 def _require(d: dict, keys: tuple[str, ...], where: str) -> None:
@@ -276,41 +248,30 @@ def _count(d: dict, key: str, where: str, low: int = 0) -> int:
     return value
 
 
-def _hex_rows(value, where: str) -> list[int]:
-    if isinstance(value, list) and all(isinstance(r, str) for r in value):
-        try:
-            return [int(r, 16) for r in value]
-        except ValueError:
-            pass
-    raise SpecError(f"{where}: generator_rows must be a list of hex strings")
-
-
-def _check_distance(code: LinearCode, t: int, where: str) -> None:
-    """Reject a t that the minimum distance of ``code`` cannot correct.
-
-    Only codes with m <= WEIGHT_ENUM_MAX_M are checked: d comes from
-    their weight distribution.
-    """
-    if code.m > WEIGHT_ENUM_MAX_M:
-        return
-    weights = code.weight_distribution()
-    d = next((w for w in range(1, code.n + 1) if weights[w]), None)
-    if d is not None and 2 * t + 1 > d:
-        raise SpecError(
-            f"{where} says t={t}, but its minimum distance {d} corrects "
-            f"at most {(d - 1) // 2} errors"
-        )
+def _hex_rows(value, n: int, where: str) -> list[int]:
+    """The spec's rows: strings of hex digits only, as ``save_spec`` writes."""
+    if not isinstance(value, list) or not all(
+        isinstance(r, str) and r and set(r) <= set(hexdigits) for r in value
+    ):
+        raise SpecError(f"{where}: generator_rows must be a list of hex strings")
+    rows = [int(r, 16) for r in value]
+    for r in rows:
+        if r >> n:
+            raise SpecError(f"{where}: row {r:x} is wider than n={n}")
+    return rows
 
 
 def load_code_spec(path) -> LinearCode:
     """Rebuild a code from the JSON spec written by ``save_spec``.
 
     ``name`` must be a string, n, m, t, and the ``field``'s w and
-    primitive_poly integers, and ``generator_rows`` a list of hex
-    strings.  A spec with a ``field`` must hold the generator rows, m
-    and t of ``make_bch_spec(w, t, primitive_poly)``; one without must
-    hold a t its minimum distance corrects (checked for m <=
-    WEIGHT_ENUM_MAX_M).
+    primitive_poly integers, and ``generator_rows`` a list of strings of
+    hex digits, each at most n bits wide.  A spec with a ``field`` must
+    hold the generator rows, m and t of ``make_bch_spec(w, t,
+    primitive_poly)``.  The rest is the ``LinearCode`` constructor's,
+    built once: a spec without a field must hold a t its minimum
+    distance corrects (checked for m <= WEIGHT_ENUM_MAX_M), and its
+    ``ParameterError`` becomes a ``SpecError``.
     Any spec must hold the m its rows span.  Anything else raises
     ``SpecError``.
     """
@@ -331,7 +292,7 @@ def load_code_spec(path) -> LinearCode:
         raise SpecError(f"{where}: name must be a string, got {d['name']!r}")
     n = _count(d, "n", where, low=1)
     m, t = _count(d, "m", where, low=1), _count(d, "t", where)
-    rows = _hex_rows(d["generator_rows"], where)
+    rows = _hex_rows(d["generator_rows"], n, where)
     info = d.get("field")
     if info:
         from .bch import make_bch_spec  # bch imports this module
@@ -351,11 +312,10 @@ def load_code_spec(path) -> LinearCode:
                 f"{where} ([{n}, {m}], t={t}) is not BCH(w={w}, "
                 f"t={t}), a [{bch.n}, {bch.m}] code"
             )
-    else:
-        # checked on the code at t = 0, whose table is trivial: a t that
-        # is too large is rejected before its table is ever built
-        _check_distance(code_from_generator_rows(d["name"], rows, n, 0), t, where)
-    code = code_from_generator_rows(d["name"], rows, n, t, field_info=info)
+    try:
+        code = LinearCode(d["name"], rows, n, t, field_info=info)
+    except ParameterError as exc:
+        raise SpecError(f"{where} says {exc}") from None
     if code.m != m:
         raise SpecError(f"{where} says m={m}, its rows span m={code.m}")
     return code

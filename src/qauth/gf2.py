@@ -112,15 +112,6 @@ class BitMatrix:
             if r < 0 or r >> self.ncols:
                 raise DimensionError(f"row 0x{r:x} wider than {self.ncols} columns")
 
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    def entry(self, i: int, j: int) -> int:
-        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
-            raise IndexError(f"({i},{j}) out of range")
-        return (self.rows[i] >> j) & 1
-
     def row_reduce(self) -> "BitMatrix":
         """Reduced row echelon form (zero rows dropped)."""
         rows = list(self.rows)
@@ -136,20 +127,10 @@ class BitMatrix:
             reduced = [r ^ pivot if (r >> col) & 1 else r for r in reduced]
             rows = [r ^ pivot if (r >> col) & 1 else r for r in rows]
             reduced.append(pivot)
-        if not reduced:
-            reduced = [0]
         return BitMatrix(tuple(reduced), self.ncols)
 
     def rank(self) -> int:
-        r = self.row_reduce()
-        return sum(1 for row in r.rows if row)
-
-    def pivot_columns(self) -> list[int]:
-        cols = []
-        for row in self.row_reduce().rows:
-            if row:
-                cols.append((row & -row).bit_length() - 1)
-        return cols
+        return len(self.row_reduce().rows)
 
     def __str__(self) -> str:
         return "\n".join(str(BitWord(r, self.ncols)) for r in self.rows)

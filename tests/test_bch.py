@@ -71,7 +71,7 @@ class TestConstruction:
         small = [build_bch(w, t) for w, t in [(3, 1), (4, 2), (5, 3), (5, 7)]]
         for code in small + list(grid_codes.values()):
             for row in code.generator.rows:
-                assert not any(code._decoder.syndromes(row)), code.name
+                assert not any(code.decoder.syndromes(row)), code.name
 
     def test_generator_polys_match_lin_costello(self):
         # Lin & Costello, Error Control Coding, App. C, by (w, t); octal,
@@ -98,7 +98,7 @@ class TestConstruction:
     def test_every_bch_code_decodes_algebraically(self, grid_codes):
         small = [build_bch(w, t) for w, t in [(3, 1), (4, 2), (5, 3)]]
         for code in small + list(grid_codes.values()):
-            assert isinstance(code._decoder, BchAlgebraicDecoder), code.name
+            assert isinstance(code.decoder, BchAlgebraicDecoder), code.name
 
     def test_hamming_via_bch(self):
         # t=1 BCH of length 7 is the [7,4] Hamming code
@@ -147,7 +147,7 @@ class TestDecoding:
             cw = code.encode(BitWord(rng.getrandbits(code.m), code.m))
             errors = rng.sample(range(code.n), rng.randint(0, 1))
             received = cw ^ _mask(errors)
-            assert code._decoder(received) == table(received)
+            assert code.decoder(received) == table(received)
 
     def test_random_words_decode_consistently(self, grid_codes):
         # on arbitrary words both are the same bounded-distance decoder
@@ -156,7 +156,7 @@ class TestDecoding:
         rng = random.Random(6)
         for _ in range(100):
             received = rng.getrandbits(63)
-            ok, flips = code._decoder(received)
+            ok, flips = code.decoder(received)
             assert (ok, flips) == table(received)
             if ok:
                 assert code.is_codeword(received ^ flips)
@@ -168,7 +168,7 @@ class TestDecoding:
 
     def test_syndromes_of_codewords_vanish(self, grid_codes):
         code = grid_codes[(6, 10)]
-        decoder = code._decoder
+        decoder = code.decoder
         assert isinstance(decoder, BchAlgebraicDecoder)
         rng = random.Random(11)
         for _ in range(20):
@@ -179,7 +179,7 @@ class TestDecoding:
 def _assert_decoders_agree(code, values):
     table = syndrome_table_decoder(code.parity_check, code.t)
     for received in values:
-        assert code._decoder(received) == table(received), received
+        assert code.decoder(received) == table(received), received
 
 
 class TestAlgebraicMatchesTable:
@@ -298,7 +298,7 @@ class TestAlgebraicMatchesReference:
     @pytest.mark.parametrize("wt", sorted(GRID) + [(5, 7), (8, 1), (8, 12)])
     def test_random_words_and_beyond_t_patterns(self, wt):
         code = build_bch(*wt)
-        decoder = code._decoder
+        decoder = code.decoder
         reference = ReferenceBchDecoder(decoder.field, code.t)
         rng = random.Random(4000 + 10 * wt[0] + wt[1])
         for k in range(2000):
@@ -315,7 +315,7 @@ class TestAlgebraicMatchesReference:
     @pytest.mark.parametrize("wt,supercode", [((5, 7), (5, 5)), ((7, 23), (7, 15))])
     def test_locator_passing_t_early(self, wt, supercode):
         code, sup = build_bch(*wt), build_bch(*supercode)
-        decoder = code._decoder
+        decoder = code.decoder
         rng = random.Random(17)
         word = sup.encode(BitWord(rng.randrange(1, 1 << sup.m), sup.m))
         syn = decoder.syndromes(word)

@@ -220,6 +220,22 @@ class TestUserInputErrors:
             ],
             lambda tmp: [
                 "simulate", "honest", "--code",
+                _edited_spec(tmp, "hamming74", generator_rows=["-31", "52", "64", "78"]),
+            ],
+            lambda tmp: [
+                "simulate", "honest", "--code",
+                _edited_spec(tmp, "hamming74", generator_rows=["0x31", "52", "64", "78"]),
+            ],
+            lambda tmp: [
+                "simulate", "honest", "--code",
+                _edited_spec(tmp, "hamming74", generator_rows=[" 31 ", "52", "64", "78"]),
+            ],
+            lambda tmp: [
+                "simulate", "honest", "--code",
+                _edited_spec(tmp, "hamming74", generator_rows=["31", "52", "64", "f8"]),
+            ],
+            lambda tmp: [
+                "simulate", "honest", "--code",
                 _edited_spec(tmp, "bch-15-7-2", field={"w": "4", "primitive_poly": 19}),
             ],
             lambda tmp: [
@@ -269,7 +285,8 @@ class TestUserInputErrors:
             "trials-0", "rep4", "bch-6-40", "spec-missing-t", "bch-spec-edited-t",
             "bch-spec-not-primitive", "forged-message-not-binary", "spec-t-string",
             "spec-n-float", "spec-t-bool", "spec-rows-not-list", "spec-rows-not-strings",
-            "spec-rows-not-hex", "spec-field-w-string", "spec-field-poly-string",
+            "spec-rows-not-hex", "spec-row-negative", "spec-row-0x-prefix",
+            "spec-row-padded", "spec-row-wider-than-n", "spec-field-w-string", "spec-field-poly-string",
             "spec-t-beyond-distance", "spec-name-not-string", "spec-spans-no-word",
             "spec-is-directory",
             "spec-not-utf8", "simulate-out-unwritable", "code-build-out-unwritable",

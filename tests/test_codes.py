@@ -3,6 +3,8 @@
 import itertools
 import json
 import random
+import re
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -11,14 +13,13 @@ from hypothesis import strategies as st
 from qauth.codes import (
     SYNDROME_TABLE_MAX_PATTERNS,
     LinearCode,
-    code_from_generator_rows,
     load_code_spec,
     make_hamming_7_4,
     make_repetition,
 )
-from qauth.bch import build_bch
+from qauth.bch import build_bch, make_bch_spec
 from qauth.errors import DimensionError, SpecError, UnsupportedSizeError
-from qauth.gf2 import BitWord
+from qauth.gf2 import BitMatrix, BitWord
 
 
 @pytest.fixture(scope="module")
@@ -51,10 +52,19 @@ def random60_30():
     # 30 checks, but only 1831 patterns of weight <= 2 to tabulate
     rng = random.Random(60)
     rows = [(1 << i) | (rng.getrandbits(30) << 30) for i in range(30)]
-    return code_from_generator_rows("random60_30", rows, 60, 2)
+    return LinearCode("random60_30", rows, 60, 2)
+
+
+@pytest.fixture(scope="module")
+def short_hamming63():
+    # the shortened Hamming [6, 3] code that tests/test_verify.py pins
+    return LinearCode("short-hamming63", [0b110001, 0b101010, 0b011100], 6, 1)
 
 
 SMALL_CODES = ["rep3", "rep5", "ham"]
+EVERY_FAMILY = SMALL_CODES + [
+    "short_hamming63", "random60_30", "bch15_7_2", "bch31_6_7",
+]
 
 
 @pytest.fixture
@@ -74,15 +84,51 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_repetition(4)
 
-    def test_generator_checks_out(self, ham):
-        for i in range(ham.m):
-            assert ham.is_codeword(ham.generator.rows[i])
+    @pytest.mark.parametrize("code", EVERY_FAMILY, indirect=True)
+    def test_generator_checks_out(self, code):
+        # G·Hᵀ = 0, both ranks full, and the pivot readout inverts encode
+        assert all(code.is_codeword(row) for row in code.generator.rows)
+        assert code.generator.rank() == code.m
+        assert code.parity_check.rank() == code.n - code.m
+        for i in range(code.m):
+            unit = BitWord(1 << i, code.m)
+            assert code.message_of(code.encode(unit)) == unit
 
     def test_dependent_rows_reduce_to_rank(self):
         # a spanning set with a dependent row yields m = rank, not an error
-        code = code_from_generator_rows("dep", [0b011, 0b101, 0b110], 3, 0)
+        code = LinearCode("dep", [0b011, 0b101, 0b110], 3, 0)
         assert code.m == 2
         assert code.generator.rank() == 2
+
+
+class TestOneReduction:
+    """A code's G, H, message columns and decoder come from one row reduction."""
+
+    @pytest.fixture
+    def reductions(self, monkeypatch):
+        calls = []
+        row_reduce = BitMatrix.row_reduce
+
+        def counted(matrix):
+            calls.append(matrix)
+            return row_reduce(matrix)
+
+        monkeypatch.setattr(BitMatrix, "row_reduce", counted)
+        return calls
+
+    def test_constructor_reduces_once(self, reductions):
+        LinearCode("hamming74", [0b0110001, 0b1010010, 0b1100100, 0b1111000], 7, 1)
+        assert len(reductions) == 1
+        spec = make_bch_spec(4, 2)
+        field_info = {"w": 4, "primitive_poly": spec.primitive_poly}
+        LinearCode("bch-15-7-2", spec.generator_rows(), 15, 2, field_info)
+        assert len(reductions) == 2
+
+    def test_loading_a_spec_reduces_once(self, ham, tmp_path, reductions):
+        path = tmp_path / "code.json"
+        ham.save_spec(path)
+        load_code_spec(path)
+        assert len(reductions) == 1
 
 
 class TestEncoding:
@@ -200,7 +246,7 @@ class TestSerialization:
         assert loaded.parity_check == code.parity_check
         assert (loaded.n, loaded.m, loaded.t) == (code.n, code.m, code.t)
         # the reloaded decoder is the same decoder and behaves identically
-        assert type(loaded._decoder) is type(code._decoder)
+        assert type(loaded.decoder) is type(code.decoder)
         rng = random.Random(code.n)
         values = (
             range(0, 1 << code.n, 7)
@@ -218,6 +264,26 @@ class TestSerialization:
         path = tmp_path / "code.json"
         path.write_text(json.dumps(spec))
         with pytest.raises(SpecError, match="minimum distance 3"):
+            load_code_spec(path)
+
+    def test_distance_is_checked_before_the_table_is_built(self, tmp_path):
+        # rep19 at t = 10 would tabulate more patterns than the table bound;
+        # the error names the distance, so the table was never started
+        assert sum(comb(19, h) for h in range(11)) > SYNDROME_TABLE_MAX_PATTERNS
+        spec = {"name": "rep19", "n": 19, "m": 1, "t": 10,
+                "generator_rows": [format((1 << 19) - 1, "x")]}
+        path = tmp_path / "code.json"
+        path.write_text(json.dumps(spec))
+        with pytest.raises(SpecError, match="minimum distance 19"):
+            load_code_spec(path)
+
+    @pytest.mark.parametrize("row", ["-7", "0x7", " 7 ", "+7", "7_0", "", "f"])
+    def test_malformed_rows_name_the_file(self, row, tmp_path):
+        # only hex digits, as save_spec writes them, and at most n bits wide
+        spec = {"name": "rep3", "n": 3, "m": 1, "t": 1, "generator_rows": [row]}
+        path = tmp_path / "code.json"
+        path.write_text(json.dumps(spec))
+        with pytest.raises(SpecError, match=re.escape(str(path))):
             load_code_spec(path)
 
     @pytest.mark.parametrize("code", SMALL_CODES, indirect=True)

@@ -83,8 +83,31 @@ def test_exemptions_name_existing_definitions():
     assert set(EXEMPT) <= defined
 
 
+def _is_dataclass(node):
+    return any(
+        getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+        for d in node.decorator_list
+    )
+
+
+def _is_init_false(value):
+    """``value`` is ``field(..., init=False, ...)``: no ``__init__`` parameter."""
+    return (
+        isinstance(value, ast.Call)
+        and getattr(value.func, "id", None) == "field"
+        and any(
+            k.arg == "init" and isinstance(k.value, ast.Constant) and k.value.value is False
+            for k in value.keywords
+        )
+    )
+
+
 def _underscore_parameters(tree):
-    """(function, parameter) for every ``_``-prefixed parameter in ``tree``."""
+    """(function, parameter) for every ``_``-prefixed parameter in ``tree``.
+
+    A ``@dataclass`` field is a parameter of the generated ``__init__``
+    unless it is declared ``field(init=False)``.
+    """
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             a = node.args
@@ -92,6 +115,15 @@ def _underscore_parameters(tree):
             for param in params:
                 if param is not None and param.arg.startswith("_"):
                     yield getattr(node, "name", "<lambda>"), param.arg
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            for stmt in node.body:
+                if (
+                    isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)
+                    and stmt.target.id.startswith("_")
+                    and not _is_init_false(stmt.value)
+                ):
+                    yield f"{node.name}.__init__", stmt.target.id
 
 
 def test_no_function_takes_an_underscore_parameter():

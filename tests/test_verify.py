@@ -17,7 +17,7 @@ from qauth.adversary import (
 )
 from qauth.bch import build_bch
 from qauth.cli import resolve_code
-from qauth.codes import code_from_generator_rows, make_hamming_7_4, make_repetition
+from qauth.codes import LinearCode, make_hamming_7_4, make_repetition
 from qauth.errors import UnsupportedSizeError
 from qauth.gf2 import BitWord
 from qauth.protocol import run_session
@@ -120,10 +120,11 @@ class TestInterceptResendOracle:
             resend = oracle_intercept_resend(code, RESEND_UNCORRECTED).exact_value
             assert abort <= resend
 
-    def test_policies_differ_on_imperfect_code(self):
-        # BCH[7,4] is perfect; repetition is perfect; use a code whose
-        # syndrome table has gaps so the failure branch matters
-        code = build_bch(3, 1)  # perfect Hamming: identical values
+    def test_policies_agree_on_perfect_code(self):
+        # BCH[7,4] is the perfect Hamming code: every word decodes, so the
+        # failure policy never applies (TestPinnedOracleValues pins the
+        # imperfect short-hamming63, where the two differ)
+        code = build_bch(3, 1)
         a = oracle_intercept_resend(code, ABORT).exact_value
         r = oracle_intercept_resend(code, RESEND_UNCORRECTED).exact_value
         assert a == r
@@ -137,9 +138,7 @@ def _pinned_code(selector):
     if selector == "short-hamming63":
         # shortened Hamming [6, 3]: 7 patterns of weight <= 1 fill 7 of its
         # 8 syndromes, so some decodes fail and the two policies differ
-        return code_from_generator_rows(
-            selector, [0b110001, 0b101010, 0b011100], 6, 1
-        )
+        return LinearCode(selector, [0b110001, 0b101010, 0b011100], 6, 1)
     return resolve_code(selector)
 
 
