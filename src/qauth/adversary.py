@@ -1,11 +1,15 @@
 """Eve's strategies against the channel: no-message and intercept-resend.
 
 Both strategies see only public data (the code) and the opaque channel
-interface; intercepted qubits can be touched only through ``measure``.
-Each strategy acts twice over: ``act`` on a channel of qubit handles
-(the reference session), and ``forgery_bases`` on packed words (the
-Monte Carlo kernel), where Alice's qubits are reachable only through a
-readout callable.
+interface.  Each writes its attack once, as ``forge(code, read,
+randomness)``: ``read(bases)`` is Eve's readout of Alice's qubits, each
+measured in the basis its bit of ``bases`` selects, and ``forge``
+returns the plain tuple ``(x_E, m_E, decode_success, flips, x_E')``,
+where x_E' is the basis word the forgery is sent under, or None when
+nothing is sent.  ``act`` runs ``forge`` on a channel of qubit handles
+(the reference session), reading each handle through ``measure``;
+``verify.word_session`` runs the same ``forge`` on packed words.  In
+both, Eve reaches Alice's qubits only through ``read``.
 """
 
 from __future__ import annotations
@@ -17,82 +21,94 @@ from typing import Callable, Optional
 from .codes import LinearCode
 from .errors import DimensionError
 from .gf2 import BitWord
-from .qsim import ChannelTap, QubitHandle, _basis_of, measure, prepare
+from .qsim import ChannelTap, _basis_of, measure, prepare
 
 ABORT = "abort"
 RESEND_UNCORRECTED = "resend_uncorrected"
 
-
-def _prepare_word(word: int, bases: BitWord) -> list[QubitHandle]:
-    return [
-        prepare((word >> j) & 1, _basis_of(bases[j])) for j in range(bases.length)
-    ]
+# (x_E, m_E, decode_success, flips, x_E'); flips has bit j set for each
+# position the decode corrected, and m_E is None when Eve reads nothing
+Forgery = tuple[int, Optional[int], bool, int, Optional[int]]
 
 
 @dataclass(frozen=True)
 class AdversaryTranscript:
     """Audit record of one attack attempt; never includes x_AB."""
 
-    x_e: BitWord
-    m_e: Optional[BitWord]
+    x_e: int
+    m_e: Optional[int]
     decode_success: bool
-    flips: int  # bit j set for each position the decode corrected
-    x_e_prime: Optional[BitWord]
-    resent: bool
+    flips: int
+    x_e_prime: Optional[int]
+
+    @property
+    def resent(self) -> bool:
+        return self.x_e_prime is not None
 
     def to_json_dict(self) -> dict:
+        def hex_or_none(word: Optional[int]) -> Optional[str]:
+            return None if word is None else format(word, "x")
+
         return {
-            "x_E": self.x_e.to_hex(),
-            "m_E": self.m_e.to_hex() if self.m_e is not None else None,
+            "x_E": hex_or_none(self.x_e),
+            "m_E": hex_or_none(self.m_e),
             "decode_success": self.decode_success,
             "corrected_positions": [
-                j for j in range(self.x_e.length) if self.flips >> j & 1
+                j for j in range(self.flips.bit_length()) if self.flips >> j & 1
             ],
-            "x_E_prime": (
-                self.x_e_prime.to_hex() if self.x_e_prime is not None else None
-            ),
+            "x_E_prime": hex_or_none(self.x_e_prime),
             "resent": self.resent,
         }
 
 
+def act_on_channel(strategy, tap: ChannelTap, code: LinearCode,
+                   randomness: Random) -> dict:
+    """Run ``strategy.forge`` on the qubit handles in flight on ``tap``.
+
+    Eve takes Alice's handles, reads them only through ``read``, and
+    puts her forged codeword back under x_E' (nothing when x_E' is
+    None).  Returns the transcript's JSON dict.
+    """
+    intercepted = tap.intercept()
+    if strategy.forged_message.length != code.m:
+        raise DimensionError(
+            f"forged message length {strategy.forged_message.length} != m={code.m}"
+        )
+
+    def read(bases: int) -> int:
+        if len(intercepted) != code.n:
+            raise DimensionError(
+                f"expected {code.n} intercepted qubits, got {len(intercepted)}"
+            )
+        word = 0
+        for j, handle in enumerate(intercepted):
+            word |= measure(handle, _basis_of(bases >> j & 1), randomness) << j
+        return word
+
+    transcript = AdversaryTranscript(*strategy.forge(code, read, randomness))
+    bases, handles = transcript.x_e_prime, []
+    if bases is not None:
+        forged = code.encode(strategy.forged_message)
+        handles = [prepare(forged >> j & 1, _basis_of(bases >> j & 1))
+                   for j in range(code.n)]
+    tap.replace(handles)
+    return transcript.to_json_dict()
+
+
 class NoMessageStrategy:
-    """Forge from scratch: random basis guess x_E, no interception."""
+    """Forge from scratch: random basis guess x_E, Alice's qubits unread."""
 
     name = "no-message"
 
     def __init__(self, forged_message: BitWord):
         self.forged_message = forged_message
 
-    def forge(self, code: LinearCode, randomness: Random) -> tuple[
-        list[QubitHandle], AdversaryTranscript
-    ]:
-        if self.forged_message.length != code.m:
-            raise DimensionError(
-                f"forged message length {self.forged_message.length} != m={code.m}"
-            )
-        x_e = BitWord(randomness.getrandbits(code.n), code.n)
-        c_e = code.encode(self.forged_message)
-        transcript = AdversaryTranscript(
-            x_e=x_e,
-            m_e=None,
-            decode_success=False,
-            flips=0,
-            x_e_prime=None,
-            resent=True,
-        )
-        return _prepare_word(c_e, x_e), transcript
+    def forge(self, code: LinearCode, read: Callable[[int], int],
+              randomness: Random) -> Forgery:
+        x_e = randomness.getrandbits(code.n)
+        return x_e, None, False, 0, x_e
 
-    def act(self, tap: ChannelTap, code: LinearCode, randomness: Random) -> dict:
-        tap.intercept()  # anything of Alice's in flight is discarded
-        handles, transcript = self.forge(code, randomness)
-        tap.replace(handles)
-        return transcript.to_json_dict()
-
-    def forgery_bases(
-        self, code: LinearCode, read: Callable[[int], int], randomness: Random
-    ) -> Optional[int]:
-        """Word-level ``act``: Alice's qubits go unread, x_E is the answer."""
-        return randomness.getrandbits(code.n)
+    act = act_on_channel
 
 
 class InterceptResendStrategy:
@@ -116,66 +132,14 @@ class InterceptResendStrategy:
         self.forged_message = forged_message
         self.on_decode_failure = on_decode_failure
 
-    def attack(
-        self,
-        intercepted: list[QubitHandle],
-        code: LinearCode,
-        randomness: Random,
-    ) -> tuple[Optional[list[QubitHandle]], AdversaryTranscript]:
-        if self.forged_message.length != code.m:
-            raise DimensionError(
-                f"forged message length {self.forged_message.length} != m={code.m}"
-            )
-        if len(intercepted) != code.n:
-            raise DimensionError(
-                f"expected {code.n} intercepted qubits, got {len(intercepted)}"
-            )
-        n = code.n
-        x_e = BitWord(randomness.getrandbits(n), n)
-        m_e = BitWord.from_bits(
-            measure(intercepted[j], _basis_of(x_e[j]), randomness)
-            for j in range(n)
-        )
-        ok, flips = code.decode(m_e.value)
-        bases = self._resend_bases(x_e.value, ok, flips)
-        x_e_prime = None if bases is None else BitWord(bases, n)
-        transcript = AdversaryTranscript(
-            x_e=x_e,
-            m_e=m_e,
-            decode_success=ok,
-            flips=flips,
-            x_e_prime=x_e_prime,
-            resent=bases is not None,
-        )
-        if x_e_prime is None:
-            return None, transcript
-        return _prepare_word(code.encode(self.forged_message), x_e_prime), transcript
-
-    def _resend_bases(self, x_e: int, ok: bool, flips: int) -> Optional[int]:
-        """The bases to resend under after a decode, or None to drop.
-
-        A successful decode flips x_E at the corrected positions; a failed
-        one (whose ``flips`` is 0) keeps x_E or drops the transmission,
-        per ``on_decode_failure``.
-        """
-        if ok or self.on_decode_failure == RESEND_UNCORRECTED:
-            return x_e ^ flips
-        return None
-
-    def act(self, tap: ChannelTap, code: LinearCode, randomness: Random) -> dict:
-        intercepted = tap.intercept()
-        handles, transcript = self.attack(intercepted, code, randomness)
-        tap.replace(handles if handles is not None else [])
-        return transcript.to_json_dict()
-
-    def forgery_bases(
-        self, code: LinearCode, read: Callable[[int], int], randomness: Random
-    ) -> Optional[int]:
-        """Word-level ``attack``: the bases of the forgery, or None to drop.
-
-        ``read(x_E)`` is Eve's readout of Alice's qubits measured in the
-        bases of her random guess x_E.
-        """
+    def forge(self, code: LinearCode, read: Callable[[int], int],
+              randomness: Random) -> Forgery:
         x_e = randomness.getrandbits(code.n)
-        ok, flips = code.decode(read(x_e))
-        return self._resend_bases(x_e, ok, flips)
+        m_e = read(x_e)
+        ok, flips = code.decode(m_e)
+        # a failed decode flips nothing: x_E is resent as is, or dropped
+        if ok or self.on_decode_failure == RESEND_UNCORRECTED:
+            return x_e, m_e, ok, flips, x_e ^ flips
+        return x_e, m_e, ok, flips, None
+
+    act = act_on_channel

@@ -129,12 +129,8 @@ def p_f_prime(n: int, t: int) -> Fraction:
 # Rendering and the security table.
 # ---------------------------------------------------------------------------
 
-def render_scientific(p: Fraction, sig: int = 2) -> str:
-    """Scientific notation at ``sig`` significant digits, half-to-even."""
-    if sig < 1:
-        raise ValueError("need at least one significant digit")
-    if p < 0:
-        return "-" + render_scientific(-p, sig)
+def render_scientific(p: Fraction) -> str:
+    """Scientific notation at two significant digits, half-to-even."""
     if p == 0:
         return "0"
     exp = 0
@@ -145,13 +141,12 @@ def render_scientific(p: Fraction, sig: int = 2) -> str:
     while q < 1:
         q *= 10
         exp -= 1
-    digits = round(q * Fraction(10 ** (sig - 1)))  # Fraction round is half-even
-    if digits >= 10**sig:  # rounding carried into a new decade
+    digits = round(q * 10)  # Fraction round is half-even
+    if digits >= 100:  # rounding carried into a new decade
         digits //= 10
         exp += 1
     s = str(digits)
-    mantissa = s[0] if sig == 1 else f"{s[0]}.{s[1:]}"
-    return f"{mantissa}e{exp:+03d}"
+    return f"{s[0]}.{s[1:]}e{exp:+03d}"
 
 
 def render_fixed(x: Fraction) -> str:

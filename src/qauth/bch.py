@@ -23,7 +23,7 @@ from functools import lru_cache
 
 from .codes import LinearCode
 from .errors import ParameterError, UnsupportedSizeError
-from .gf2 import DEFAULT_PRIMITIVE_POLY, GF2m, linear_byte_tables
+from .gf2 import DEFAULT_PRIMITIVE_POLY, GF2m, linear_byte_tables, poly_mod
 
 
 @dataclass(frozen=True)
@@ -78,11 +78,8 @@ def make_bch_spec(
     poly = primitive_poly if primitive_poly is not None else DEFAULT_PRIMITIVE_POLY[w]
     field = bch_field(w, poly)
     g = bch_generator_poly(field, designed_t)
-    # sanity: g must divide x^n + 1 (long division over GF(2))
-    rem, deg = (1 << n) | 1, g.bit_length() - 1
-    while rem.bit_length() - 1 >= deg:
-        rem ^= g << (rem.bit_length() - 1 - deg)
-    if rem:
+    # sanity: g must divide x^n + 1
+    if poly_mod((1 << n) | 1, g):
         raise AssertionError("generator polynomial does not divide x^n + 1")
     # 2t <= n - 1, so K lies in 1..n-1 and deg g <= n - 1: m >= 1
     return BchSpec(w=w, designed_t=designed_t, primitive_poly=poly, generator_poly=g)

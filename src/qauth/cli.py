@@ -140,14 +140,6 @@ def cmd_code_build(args) -> int:
         code = make_repetition(args.repetition)
     else:
         code = make_hamming_7_4()
-    results = {
-        "name": code.name,
-        "n": code.n,
-        "m": code.m,
-        "t": code.t,
-        "generator_rank": code.generator.rank(),
-        "parity_rank": code.parity_check.rank(),
-    }
     if args.out is not None:
         try:
             code.save_spec(args.out)
@@ -155,7 +147,7 @@ def cmd_code_build(args) -> int:
             raise ConfigError(f"cannot write {args.out}: {exc}") from None
     print(
         f"{code.name}: n={code.n} m={code.m} t={code.t} "
-        f"rank(G)={results['generator_rank']} rank(H)={results['parity_rank']}"
+        f"rank(G)={code.m} rank(H)={code.n - code.m}"
         + (f" -> {args.out}" if args.out is not None else "")
     )
     return EXIT_OK

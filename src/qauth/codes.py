@@ -24,7 +24,7 @@ from string import hexdigits
 from typing import Iterator, Optional, Protocol
 
 from .errors import DimensionError, ParameterError, SpecError, UnsupportedSizeError
-from .gf2 import BitMatrix, BitWord, linear_byte_tables, mat_vec_mul
+from .gf2 import BitMatrix, BitWord, linear_byte_tables, mat_vec_mul, poly_mod
 
 # Patterns of weight <= t a syndrome table may enumerate: 2^16 builds in
 # under a second (rep17); a random [45, 21] code at t = 6 would need 9.5M.
@@ -267,8 +267,9 @@ def load_code_spec(path) -> LinearCode:
     ``name`` must be a string, n, m, t, and the ``field``'s w and
     primitive_poly integers, and ``generator_rows`` a list of strings of
     hex digits, each at most n bits wide.  A spec with a ``field`` must
-    hold the generator rows, m and t of ``make_bch_spec(w, t,
-    primitive_poly)``.  The rest is the ``LinearCode`` constructor's,
+    hold the n, m and t of ``make_bch_spec(w, t, primitive_poly)`` and
+    rows that are multiples of its g(x), so rows spanning m dimensions
+    are that code.  The rest is the ``LinearCode`` constructor's,
     built once: a spec without a field must hold a t its minimum
     distance corrects (checked for m <= WEIGHT_ENUM_MAX_M), and its
     ``ParameterError`` becomes a ``SpecError``.
@@ -304,9 +305,9 @@ def load_code_spec(path) -> LinearCode:
         w = _count(info, "w", where_field)
         poly = _count(info, "primitive_poly", where_field)
         bch = make_bch_spec(w, t, poly)
-        if (n, m) != (bch.n, bch.m) or (
-            BitMatrix(tuple(rows), n).row_reduce()
-            != BitMatrix(tuple(bch.generator_rows()), n).row_reduce()
+        # rows in the BCH code that span its m dimensions are that code
+        if (n, m) != (bch.n, bch.m) or any(
+            poly_mod(r, bch.generator_poly) for r in rows
         ):
             raise SpecError(
                 f"{where} ([{n}, {m}], t={t}) is not BCH(w={w}, "

@@ -70,9 +70,6 @@ class BitWord:
     def zeros(cls, n: int) -> "BitWord":
         return cls(0, n)
 
-    def to_hex(self) -> str:
-        return format(self.value, "x")
-
     def __len__(self) -> int:
         return self.length
 
@@ -129,9 +126,6 @@ class BitMatrix:
             reduced.append(pivot)
         return BitMatrix(tuple(reduced), self.ncols)
 
-    def rank(self) -> int:
-        return len(self.row_reduce().rows)
-
     def __str__(self) -> str:
         return "\n".join(str(BitWord(r, self.ncols)) for r in self.rows)
 
@@ -144,6 +138,14 @@ def mat_vec_mul(m: BitMatrix, v: int) -> int:
     for i, r in enumerate(m.rows):
         out |= ((r & v).bit_count() & 1) << i
     return out
+
+
+def poly_mod(a: int, b: int) -> int:
+    """Remainder of a(x) / b(x) over GF(2); bit i = coefficient of x^i."""
+    deg = b.bit_length() - 1
+    while a.bit_length() - 1 >= deg:
+        a ^= b << (a.bit_length() - 1 - deg)
+    return a
 
 
 def linear_byte_tables(columns: list[int]) -> list[list[int]]:

@@ -22,7 +22,6 @@ from . import analytics
 from .adversary import ABORT, RESEND_UNCORRECTED
 from .codes import LinearCode
 from .errors import ParameterError, UnsupportedSizeError
-from .gf2 import BitWord
 # monte_carlo does not call run_session, the qubit-handle session its
 # kernel is tested against; bench/spans.py traces it as verify.run_session.
 from .protocol import run_session  # noqa: F401
@@ -267,19 +266,20 @@ def word_session(
 
     ``sent`` is Alice's codeword and ``forged`` Eve's, as ints.  The
     session draws the key, then Eve's bases and readout coins (through
-    ``adversary.forgery_bases``), then Bob's coins, each word's coins in
-    ascending position order: the draws ``protocol.run_session`` makes
-    on the same stream, so both accept alike and leave it in one state.
+    ``adversary.forge``, whose ``read`` measures Alice's word), then
+    Bob's coins, each word's coins in ascending position order: the
+    draws ``protocol.run_session`` makes on the same stream, so both
+    accept alike and leave it in one state.
     """
     key = randomness.getrandbits(code.n)
     if adversary is None:
         received = sent  # every basis matches, so no coins
     else:
-        bases = adversary.forgery_bases(
+        bases = adversary.forge(
             code,
             lambda guess: measure_word(sent, key ^ guess, randomness),
             randomness,
-        )
+        )[4]
         if bases is None:  # nothing arrives: Bob rejects
             return False
         received = measure_word(forged, key ^ bases, randomness)
@@ -287,26 +287,20 @@ def word_session(
 
 
 def monte_carlo(
-    code: LinearCode,
-    trials: int,
-    seed: int,
-    adversary=None,
-    message: Optional[BitWord] = None,
+    code: LinearCode, trials: int, seed: int, adversary=None
 ) -> TrialStats:
     """Acceptance frequency over independent simulated sessions.
 
-    Trial i is one ``word_session`` on ``substream(seed, "trial", i)``,
-    so results are bit-reproducible for a fixed seed regardless of
-    scheduling, and equal to running ``protocol.run_session`` on the
-    same streams.  An adversary passed here must provide
-    ``forged_message`` and the word-level ``forgery_bases``;
-    ``run_session`` still takes any object with ``act``.
+    Alice sends the zero message.  Trial i is one ``word_session`` on
+    ``substream(seed, "trial", i)``, so results are bit-reproducible for
+    a fixed seed regardless of scheduling, and equal to running
+    ``protocol.run_session`` on the same streams.  An adversary is an
+    object with ``forged_message`` and ``forge``, as in the adversary
+    module; ``run_session`` runs the same ``forge`` through its ``act``.
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
-    if message is None:
-        message = BitWord.zeros(code.m)
-    sent = code.encode(message)
+    sent = 0  # the codeword of the zero message
     forged = None
     if adversary is not None:
         forged = code.encode(adversary.forged_message)

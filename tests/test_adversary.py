@@ -1,4 +1,8 @@
-"""Tests for the no-message and intercept-resend strategies."""
+"""Tests for the no-message and intercept-resend strategies.
+
+Each test drives a strategy through ``act`` on a channel of qubit
+handles, or through ``forge`` with a scripted ``read``.
+"""
 
 import random
 
@@ -7,7 +11,6 @@ import pytest
 from qauth.adversary import (
     ABORT,
     RESEND_UNCORRECTED,
-    AdversaryTranscript,
     InterceptResendStrategy,
     NoMessageStrategy,
 )
@@ -34,6 +37,19 @@ class _FixedBits(random.Random):
         return super().getrandbits(k)
 
 
+def _unread(bases):
+    raise AssertionError("the no-message forger read Alice's qubits")
+
+
+def _tap(code, message, key_bits):
+    """A channel carrying Alice's qubits for ``message`` under ``key_bits``."""
+    return channel_send(alice_send(message, SecretKey(key_bits), code))
+
+
+def _hex(bits):
+    return format(BitWord.from_str(bits).value, "x")
+
+
 @pytest.fixture
 def ham():
     return make_hamming_7_4()
@@ -47,14 +63,17 @@ def rep3():
 class TestNoMessage:
     def test_forgery_structure(self, ham):
         strategy = NoMessageStrategy(BitWord.from_str("1010"))
-        handles, transcript = strategy.forge(ham, random.Random(4))
-        assert len(handles) == 7
-        assert transcript.x_e.length == 7
-        assert transcript.m_e is None and transcript.resent
+        tap = _tap(ham, BitWord.from_str("1011"), BitWord.from_str("0110100"))
+        transcript = strategy.act(tap, ham, random.Random(4))
+        assert len(tap.deliver()) == 7
+        assert transcript["m_E"] is None and transcript["resent"]
+        assert transcript["x_E_prime"] == transcript["x_E"]
+        assert transcript["corrected_positions"] == []
 
     def test_wrong_message_length(self, ham):
+        tap = _tap(ham, BitWord(0, 4), BitWord(0, 7))
         with pytest.raises(DimensionError):
-            NoMessageStrategy(BitWord(0, 3)).forge(ham, random.Random(0))
+            NoMessageStrategy(BitWord(0, 3)).act(tap, ham, random.Random(0))
 
     def test_basis_guess_uniform(self, rep3):
         strategy = NoMessageStrategy(BitWord(1, 1))
@@ -62,9 +81,10 @@ class TestNoMessage:
         counts = [0, 0, 0]
         samples = 6000
         for _ in range(samples):
-            _, transcript = strategy.forge(rep3, rng)
+            x_e, m_e, ok, flips, x_e_prime = strategy.forge(rep3, _unread, rng)
+            assert (m_e, ok, flips, x_e_prime) == (None, False, 0, x_e)
             for j in range(3):
-                counts[j] += transcript.x_e[j]
+                counts[j] += x_e >> j & 1
         for c in counts:
             assert abs(c / samples - 0.5) < 0.05
 
@@ -72,30 +92,26 @@ class TestNoMessage:
         # when Eve's basis guess equals Bob's key, her codeword is read exactly
         key_bits = BitWord.from_str("101")
         strategy = NoMessageStrategy(BitWord(1, 1))
-        handles, transcript = strategy.forge(rep3, _FixedBits(key_bits.value))
-        assert transcript.x_e == key_bits
-        outcome = bob_receive(handles, key_bits, rep3, random.Random(1))
+        tap = _tap(rep3, BitWord(0, 1), key_bits)
+        transcript = strategy.act(tap, rep3, _FixedBits(key_bits.value))
+        assert transcript["x_E"] == _hex("101")
+        outcome = bob_receive(tap.deliver(), key_bits, rep3, random.Random(1))
         assert outcome.accepted and outcome.message == BitWord(1, 1)
 
 
 class TestInterceptResend:
-    def _intercepted(self, code, message, key_bits):
-        key = SecretKey(key_bits)
-        return alice_send(message, key, code)
-
     def test_correct_guess_succeeds_always(self, ham):
         # x_E = x_AB: every basis matches, decode is clean, forgery lands
         key_bits = BitWord.from_str("0110100")
         forged = BitWord.from_str("0011")
         strategy = InterceptResendStrategy(forged)
-        intercepted = self._intercepted(ham, BitWord.from_str("1011"), key_bits)
-        handles, transcript = strategy.attack(
-            intercepted, ham, _FixedBits(key_bits.value)
-        )
-        assert transcript.decode_success
-        assert transcript.flips == 0
-        assert transcript.x_e_prime == key_bits
-        outcome = bob_receive(handles, key_bits, ham, random.Random(3))
+        tap = _tap(ham, BitWord.from_str("1011"), key_bits)
+        transcript = strategy.act(tap, ham, _FixedBits(key_bits.value))
+        assert transcript["decode_success"]
+        assert transcript["corrected_positions"] == []
+        assert transcript["m_E"] == format(ham.encode(BitWord.from_str("1011")), "x")
+        assert transcript["x_E_prime"] == _hex("0110100")
+        outcome = bob_receive(tap.deliver(), key_bits, ham, random.Random(3))
         assert outcome.accepted and outcome.message == forged
 
     def test_transcript_invariants_on_true_decode(self, ham):
@@ -104,19 +120,20 @@ class TestInterceptResend:
         rng = random.Random(77)
         message = BitWord.from_str("1100")
         true_cw = ham.encode(message)
+        strategy = InterceptResendStrategy(BitWord(1, 4))
         checked = 0
         for _ in range(300):
-            key_bits = BitWord(rng.getrandbits(7), 7)
-            intercepted = self._intercepted(ham, message, key_bits)
-            strategy = InterceptResendStrategy(BitWord(1, 4))
-            _, tr = strategy.attack(intercepted, ham, rng)
-            if not (tr.decode_success and (tr.m_e.value ^ tr.flips == true_cw)):
+            key = rng.getrandbits(7)
+            tap = _tap(ham, message, BitWord(key, 7))
+            tr = strategy.act(tap, ham, rng)
+            flips = sum(1 << j for j in tr["corrected_positions"])
+            if not (tr["decode_success"] and int(tr["m_E"], 16) ^ flips == true_cw):
                 continue
             checked += 1
-            mismatched = key_bits.value ^ tr.x_e.value
-            assert (tr.flips & ~mismatched) == 0
-            assert (key_bits.value ^ tr.x_e_prime.value).bit_count() == (
-                mismatched.bit_count() - tr.flips.bit_count()
+            mismatched = key ^ int(tr["x_E"], 16)
+            assert (flips & ~mismatched) == 0
+            assert (key ^ int(tr["x_E_prime"], 16)).bit_count() == (
+                mismatched.bit_count() - flips.bit_count()
             )
         assert checked > 50  # the slice is common for random keys
 
@@ -124,16 +141,19 @@ class TestInterceptResend:
         # Alice sends 000; Eve guesses every basis wrong and happens to read
         # 110: the decoder "corrects" toward 111 and Eve proceeds with the
         # wrong codeword rather than learning she failed
-        key_bits = BitWord.from_str("000")
-        intercepted = self._intercepted(rep3, BitWord(0, 1), key_bits)
+        asked = []
+
+        def read(bases):
+            asked.append(bases)
+            return BitWord.from_str("110").value
+
         strategy = InterceptResendStrategy(BitWord(0, 1))
-        rng = _FixedBits(0b111, 1, 1, 0)  # x_E guess, then Eve's three readouts
-        handles, tr = strategy.attack(intercepted, rep3, rng)
-        assert tr.x_e == BitWord.from_str("111")
-        assert tr.m_e == BitWord.from_str("110")
-        assert tr.decode_success
-        assert tr.flips == 1 << 2
-        assert tr.x_e_prime == BitWord.from_str("110")
+        x_e, m_e, ok, flips, x_e_prime = strategy.forge(rep3, read, _FixedBits(0b111))
+        assert asked == [x_e] and x_e == BitWord.from_str("111").value
+        assert m_e == BitWord.from_str("110").value
+        assert ok
+        assert flips == 1 << 2
+        assert x_e_prime == BitWord.from_str("110").value
 
     def test_abort_policy_drops_transmission(self):
         # BCH[15,7,2] is not perfect, so Eve's decode can genuinely fail
@@ -145,7 +165,7 @@ class TestInterceptResend:
         saw_abort = False
         for _ in range(300):
             key_bits = BitWord(rng.getrandbits(15), 15)
-            tap = channel_send(self._intercepted(code, BitWord(0, 7), key_bits))
+            tap = _tap(code, BitWord(0, 7), key_bits)
             transcript = strategy.act(tap, code, rng)
             delivered = tap.deliver()
             if not transcript["resent"]:
@@ -169,34 +189,38 @@ class TestInterceptResend:
         saw_failure = False
         for _ in range(300):
             key_bits = BitWord(rng.getrandbits(15), 15)
-            intercepted = self._intercepted(code, BitWord(0, 7), key_bits)
-            handles, tr = strategy.attack(intercepted, code, rng)
-            assert handles is not None and tr.resent
-            if not tr.decode_success:
+            tap = _tap(code, BitWord(0, 7), key_bits)
+            tr = strategy.act(tap, code, rng)
+            assert len(tap.deliver()) == 15 and tr["resent"]
+            if not tr["decode_success"]:
                 saw_failure = True
-                assert tr.x_e_prime == tr.x_e
-                assert tr.flips == 0
+                assert tr["x_E_prime"] == tr["x_E"]
+                assert tr["corrected_positions"] == []
         assert saw_failure
 
     def test_wrong_qubit_count_rejected(self, ham):
+        strategy = InterceptResendStrategy(BitWord(0, 4))
+        for handles in ([], alice_send(BitWord(0, 1), SecretKey(BitWord(0, 3)),
+                                       make_repetition(3))):
+            with pytest.raises(DimensionError):
+                strategy.act(channel_send(handles), ham, random.Random(0))
+        tap = _tap(ham, BitWord(0, 4), BitWord(0, 7))
         with pytest.raises(DimensionError):
-            InterceptResendStrategy(BitWord(0, 4)).attack([], ham, random.Random(0))
+            InterceptResendStrategy(BitWord(0, 3)).act(tap, ham, random.Random(0))
 
 
 class TestTranscript:
-    def test_json_shape(self):
-        tr = AdversaryTranscript(
-            x_e=BitWord.from_str("101"),
-            m_e=BitWord.from_str("111"),
-            decode_success=True,
-            flips=0b101,
-            x_e_prime=BitWord.from_str("000"),
-            resent=True,
-        )
-        d = tr.to_json_dict()
-        assert d["corrected_positions"] == [0, 2]
-        assert d["decode_success"] is True
-        assert set(d) == {
-            "x_E", "m_E", "decode_success", "corrected_positions",
-            "x_E_prime", "resent",
+    def test_json_shape(self, rep3):
+        # the scripted miscorrection, run on qubit handles: Alice's 000 in
+        # Z bases, Eve's guess 111, her three readout coins 1, 1, 0
+        strategy = InterceptResendStrategy(BitWord(0, 1))
+        tap = _tap(rep3, BitWord(0, 1), BitWord.from_str("000"))
+        d = strategy.act(tap, rep3, _FixedBits(0b111, 1, 1, 0))
+        assert d == {
+            "x_E": _hex("111"),
+            "m_E": _hex("110"),
+            "decode_success": True,
+            "corrected_positions": [2],
+            "x_E_prime": _hex("110"),
+            "resent": True,
         }

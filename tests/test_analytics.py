@@ -146,9 +146,6 @@ class TestRendering:
     def test_carry_into_next_decade(self):
         assert render_scientific(Fraction(996, 1000)) == "1.0e+00"
 
-    def test_one_digit(self):
-        assert render_scientific(Fraction(27, 100), sig=1) == "3e-01"
-
     def test_fixed_point(self):
         assert render_fixed(Fraction(127, 120)) == "1.06"
         assert render_fixed(Fraction(3, 1)) == "3.00"

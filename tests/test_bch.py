@@ -56,7 +56,7 @@ class TestConstruction:
     def test_small_fields(self, w, t):
         code = build_bch(w, t)
         assert code.n == (1 << w) - 1
-        assert code.generator.rank() == code.m
+        assert len(code.generator.row_reduce().rows) == code.m
 
     def test_generator_poly_divides_xn_plus_1(self):
         # long division over GF(2) on packed ints: bit i = coefficient of x^i

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qauth import cli
 from qauth.codes import (
     SYNDROME_TABLE_MAX_PATTERNS,
     LinearCode,
@@ -88,8 +89,8 @@ class TestConstruction:
     def test_generator_checks_out(self, code):
         # G·Hᵀ = 0, both ranks full, and the pivot readout inverts encode
         assert all(code.is_codeword(row) for row in code.generator.rows)
-        assert code.generator.rank() == code.m
-        assert code.parity_check.rank() == code.n - code.m
+        assert len(code.generator.row_reduce().rows) == code.m
+        assert len(code.parity_check.row_reduce().rows) == code.n - code.m
         for i in range(code.m):
             unit = BitWord(1 << i, code.m)
             assert code.message_of(code.encode(unit)) == unit
@@ -98,7 +99,7 @@ class TestConstruction:
         # a spanning set with a dependent row yields m = rank, not an error
         code = LinearCode("dep", [0b011, 0b101, 0b110], 3, 0)
         assert code.m == 2
-        assert code.generator.rank() == 2
+        assert len(code.generator.row_reduce().rows) == 2
 
 
 class TestOneReduction:
@@ -126,9 +127,19 @@ class TestOneReduction:
 
     def test_loading_a_spec_reduces_once(self, ham, tmp_path, reductions):
         path = tmp_path / "code.json"
-        ham.save_spec(path)
-        load_code_spec(path)
+        for code in (ham, build_bch(4, 2)):
+            code.save_spec(path)
+            del reductions[:]
+            load_code_spec(path)
+            assert len(reductions) == 1, code.name
+
+    def test_code_build_reduces_once(self, reductions, capsys):
+        # the ranks it prints are m and n - m, not two more reductions
+        assert cli.main(["code", "build", "--bch", "4", "2"]) == 0
         assert len(reductions) == 1
+        assert capsys.readouterr().out == (
+            "bch-15-7-2: n=15 m=7 t=2 rank(G)=7 rank(H)=8\n"
+        )
 
 
 class TestEncoding:
@@ -299,6 +310,21 @@ class TestSerialization:
     def test_non_object_is_rejected(self, text, tmp_path):
         path = tmp_path / "code.json"
         path.write_text(text)
+        with pytest.raises(SpecError):
+            load_code_spec(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda rows: rows[:-1] + [rows[-1] ^ 1],
+        lambda rows: rows[:-1] + [rows[0]],
+    ], ids=["row-outside-the-code", "rows-span-less"])
+    def test_bch_spec_with_other_rows_is_rejected(self, bch15_7_2, tmp_path, edit):
+        # a row that g(x) does not divide is not in the code; multiples
+        # of g(x) spanning fewer than m dimensions are a subcode
+        spec = bch15_7_2.to_spec_dict()
+        rows = [int(r, 16) for r in spec["generator_rows"]]
+        spec["generator_rows"] = [format(r, "x") for r in edit(rows)]
+        path = tmp_path / "code.json"
+        path.write_text(json.dumps(spec))
         with pytest.raises(SpecError):
             load_code_spec(path)
 

@@ -39,10 +39,6 @@ class TestBitWord:
         bits = [1, 0, 0, 1, 1]
         assert list(BitWord.from_bits(bits)) == bits
 
-    def test_hex_roundtrip(self):
-        w = BitWord.from_str("10110011101")
-        assert BitWord(int(w.to_hex(), 16), w.length) == w
-
     def test_weight_and_support(self):
         w = BitWord.from_str("01101")
         assert w.value.bit_count() == 3
@@ -76,7 +72,7 @@ def identity(n):
 
 class TestBitMatrix:
     def test_identity_rank(self):
-        assert identity(5).rank() == 5
+        assert len(identity(5).row_reduce().rows) == 5
 
     def test_from_rows_and_entry(self):
         # rows 101 and 011, column 0 first
@@ -91,7 +87,7 @@ class TestBitMatrix:
         m = BitMatrix((0b011, 0b101, 0b110), 3)
         r = m.row_reduce()
         assert r.row_reduce() == r
-        assert m.rank() == 2  # third row is the sum of the first two
+        assert len(r.rows) == 2  # third row is the sum of the first two
 
     def test_mat_vec_mul_identity(self):
         v = BitWord.from_str("10110").value

@@ -248,6 +248,26 @@ class TestMonteCarlo:
         covered = sum(stats.ci_low <= truth <= stats.ci_high for stats in runs)
         assert covered >= 38
 
+    @pytest.mark.parametrize("selector, policy", [
+        ("hamming74", ABORT),
+        ("short-hamming63", ABORT),
+        ("short-hamming63", RESEND_UNCORRECTED),
+    ])
+    def test_intercept_resend_interval_covers_oracle(self, selector, policy):
+        # forge is the one rule both engines run, so the exhaustive oracle
+        # is its independent check; a 1 - 1e-6 Clopper-Pearson interval
+        # misses the truth once in a million runs of a correct kernel
+        from scipy.stats import beta
+
+        code = _pinned_code(selector)
+        truth = oracle_intercept_resend(code, policy).exact_value
+        trials, alpha = 20000, 1e-6
+        adversary = InterceptResendStrategy(BitWord(1, code.m), policy)
+        k = monte_carlo(code, trials, 2024, adversary=adversary).successes
+        low = beta.ppf(alpha / 2, k, trials - k + 1) if k else 0.0
+        high = beta.ppf(1 - alpha / 2, k + 1, trials - k) if k < trials else 1.0
+        assert low <= truth <= high, (k, float(truth))
+
     def test_json_fields(self, rep3):
         stats = monte_carlo(rep3, 50, 1)
         d = stats.to_json_dict()
@@ -313,13 +333,24 @@ class TestWordKernel:
     def test_nonzero_message(self, selector):
         code = resolve_code(selector)
         message = BitWord(1, code.m)
+        sent = code.encode(message)
         for adversary in (
             NoMessageStrategy(BitWord.zeros(code.m)),
             InterceptResendStrategy(BitWord.zeros(code.m), RESEND_UNCORRECTED),
         ):
-            stats = monte_carlo(code, 500, 9, adversary=adversary, message=message)
-            assert stats == _reference_stats(code, 500, 9, adversary, message)
-            assert 0 < stats.successes < 500
+            forged = code.encode(adversary.forged_message)
+            successes = 0
+            for trial in range(500):
+                by_words = substream(9, "trial", trial)
+                by_handles = substream(9, "trial", trial)
+                record = run_session(
+                    message, code, adversary=adversary, randomness=by_handles
+                )
+                accepted = word_session(code, sent, adversary, forged, by_words)
+                assert accepted == record.accepted
+                assert by_words.getstate() == by_handles.getstate()
+                successes += accepted
+            assert 0 < successes < 500
 
     def test_builds_no_qubit_handles(self, ham, monkeypatch):
         def refuse(*args):
