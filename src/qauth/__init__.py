@@ -18,7 +18,7 @@ from .gf2 import BitMatrix, BitWord
 from .codes import LinearCode, make_hamming_7_4, make_repetition
 from .bch import BchSpec, build_bch
 from .qsim import Basis, QubitHandle, measure, prepare
-from .protocol import SecretKey, SessionOutcome, keygen, run_session
+from .protocol import SecretKey, keygen, run_session
 from .adversary import InterceptResendStrategy, NoMessageStrategy
 from .analytics import p_dec, p_f_no_message, p_f_prime, table1
 from .verify import monte_carlo, oracle_p_dec
@@ -38,7 +38,6 @@ __all__ = [
     "measure",
     "prepare",
     "SecretKey",
-    "SessionOutcome",
     "keygen",
     "run_session",
     "InterceptResendStrategy",

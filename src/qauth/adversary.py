@@ -14,12 +14,11 @@ both, Eve reaches Alice's qubits only through ``read``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from random import Random
 from typing import Callable, Optional
 
 from .codes import LinearCode
-from .errors import DimensionError
+from .errors import DimensionError, ParameterError
 from .gf2 import BitWord
 from .qsim import ChannelTap, _basis_of, measure, prepare
 
@@ -31,34 +30,18 @@ RESEND_UNCORRECTED = "resend_uncorrected"
 Forgery = tuple[int, Optional[int], bool, int, Optional[int]]
 
 
-@dataclass(frozen=True)
-class AdversaryTranscript:
-    """Audit record of one attack attempt; never includes x_AB."""
+def decode_failure_policy(on_decode_failure: str) -> str:
+    """``on_decode_failure`` itself, if it names a policy."""
+    if on_decode_failure not in (ABORT, RESEND_UNCORRECTED):
+        raise ParameterError(
+            f"on_decode_failure must be '{ABORT}' or '{RESEND_UNCORRECTED}', "
+            f"got {on_decode_failure!r}"
+        )
+    return on_decode_failure
 
-    x_e: int
-    m_e: Optional[int]
-    decode_success: bool
-    flips: int
-    x_e_prime: Optional[int]
 
-    @property
-    def resent(self) -> bool:
-        return self.x_e_prime is not None
-
-    def to_json_dict(self) -> dict:
-        def hex_or_none(word: Optional[int]) -> Optional[str]:
-            return None if word is None else format(word, "x")
-
-        return {
-            "x_E": hex_or_none(self.x_e),
-            "m_E": hex_or_none(self.m_e),
-            "decode_success": self.decode_success,
-            "corrected_positions": [
-                j for j in range(self.flips.bit_length()) if self.flips >> j & 1
-            ],
-            "x_E_prime": hex_or_none(self.x_e_prime),
-            "resent": self.resent,
-        }
+def _hex(word: Optional[int]) -> Optional[str]:
+    return None if word is None else format(word, "x")
 
 
 def act_on_channel(strategy, tap: ChannelTap, code: LinearCode,
@@ -67,7 +50,8 @@ def act_on_channel(strategy, tap: ChannelTap, code: LinearCode,
 
     Eve takes Alice's handles, reads them only through ``read``, and
     puts her forged codeword back under x_E' (nothing when x_E' is
-    None).  Returns the transcript's JSON dict.
+    None).  Returns the transcript as a JSON dict of hex words; it never
+    includes Bob's key.
     """
     intercepted = tap.intercept()
     if strategy.forged_message.length != code.m:
@@ -85,14 +69,23 @@ def act_on_channel(strategy, tap: ChannelTap, code: LinearCode,
             word |= measure(handle, _basis_of(bases >> j & 1), randomness) << j
         return word
 
-    transcript = AdversaryTranscript(*strategy.forge(code, read, randomness))
-    bases, handles = transcript.x_e_prime, []
-    if bases is not None:
+    x_e, m_e, ok, flips, x_e_prime = strategy.forge(code, read, randomness)
+    handles = []
+    if x_e_prime is not None:
         forged = code.encode(strategy.forged_message)
-        handles = [prepare(forged >> j & 1, _basis_of(bases >> j & 1))
+        handles = [prepare(forged >> j & 1, _basis_of(x_e_prime >> j & 1))
                    for j in range(code.n)]
     tap.replace(handles)
-    return transcript.to_json_dict()
+    return {
+        "x_E": _hex(x_e),
+        "m_E": _hex(m_e),
+        "decode_success": ok,
+        "corrected_positions": [
+            j for j in range(flips.bit_length()) if flips >> j & 1
+        ],
+        "x_E_prime": _hex(x_e_prime),
+        "resent": x_e_prime is not None,
+    }
 
 
 class NoMessageStrategy:
@@ -125,12 +118,8 @@ class InterceptResendStrategy:
     name = "intercept-resend"
 
     def __init__(self, forged_message: BitWord, on_decode_failure: str = ABORT):
-        if on_decode_failure not in (ABORT, RESEND_UNCORRECTED):
-            raise ValueError(
-                f"on_decode_failure must be '{ABORT}' or '{RESEND_UNCORRECTED}'"
-            )
         self.forged_message = forged_message
-        self.on_decode_failure = on_decode_failure
+        self.on_decode_failure = decode_failure_policy(on_decode_failure)
 
     def forge(self, code: LinearCode, read: Callable[[int], int],
               randomness: Random) -> Forgery:

@@ -234,7 +234,7 @@ def cmd_oracle(args) -> int:
     config = {"oracle": args.which, "code": args.code}
     if args.which == "nomsg":
         exact = verify.oracle_no_message_exact_codeword(code)
-        report = verify.OracleReport.compare(
+        report = verify.OracleReport(
             f"p_f[{code.name}]", exact, analytics.p_f_no_message(code.n)
         )
         results = report.to_json_dict()

@@ -248,16 +248,17 @@ def _count(d: dict, key: str, where: str, low: int = 0) -> int:
     return value
 
 
-def _hex_rows(value, n: int, where: str) -> list[int]:
-    """The spec's rows: strings of hex digits only, as ``save_spec`` writes."""
+def _hex_rows(d: dict, key: str, n: int, where: str) -> list[int]:
+    """``d[key]``'s rows: strings of hex digits only, as ``save_spec`` writes."""
+    value = d[key]
     if not isinstance(value, list) or not all(
         isinstance(r, str) and r and set(r) <= set(hexdigits) for r in value
     ):
-        raise SpecError(f"{where}: generator_rows must be a list of hex strings")
+        raise SpecError(f"{where}: {key} must be a list of hex strings")
     rows = [int(r, 16) for r in value]
     for r in rows:
         if r >> n:
-            raise SpecError(f"{where}: row {r:x} is wider than n={n}")
+            raise SpecError(f"{where}: {key} row {r:x} is wider than n={n}")
     return rows
 
 
@@ -273,8 +274,9 @@ def load_code_spec(path) -> LinearCode:
     built once: a spec without a field must hold a t its minimum
     distance corrects (checked for m <= WEIGHT_ENUM_MAX_M), and its
     ``ParameterError`` becomes a ``SpecError``.
-    Any spec must hold the m its rows span.  Anything else raises
-    ``SpecError``.
+    Any spec must hold the m its rows span, and its ``parity_rows``, when
+    present, must be the rows of the H the constructor derives.
+    Anything else raises ``SpecError``.
     """
     where = f"spec file {path}"
     try:
@@ -293,7 +295,7 @@ def load_code_spec(path) -> LinearCode:
         raise SpecError(f"{where}: name must be a string, got {d['name']!r}")
     n = _count(d, "n", where, low=1)
     m, t = _count(d, "m", where, low=1), _count(d, "t", where)
-    rows = _hex_rows(d["generator_rows"], n, where)
+    rows = _hex_rows(d, "generator_rows", n, where)
     info = d.get("field")
     if info:
         from .bch import make_bch_spec  # bch imports this module
@@ -319,4 +321,8 @@ def load_code_spec(path) -> LinearCode:
         raise SpecError(f"{where} says {exc}") from None
     if code.m != m:
         raise SpecError(f"{where} says m={m}, its rows span m={code.m}")
+    if "parity_rows" in d and _hex_rows(d, "parity_rows", n, where) != list(
+        code.parity_check.rows
+    ):
+        raise SpecError(f"{where}: parity_rows are not the H its generator_rows give")
     return code

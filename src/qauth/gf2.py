@@ -84,13 +84,6 @@ class BitWord:
             yield v & 1
             v >>= 1
 
-    def __xor__(self, other: "BitWord") -> "BitWord":
-        if self.length != other.length:
-            raise DimensionError(
-                f"xor of lengths {self.length} and {other.length}"
-            )
-        return BitWord(self.value ^ other.value, self.length)
-
     def __str__(self) -> str:
         return "".join(str(b) for b in self)
 

@@ -5,12 +5,14 @@ qubit j as c_A[j] in the Z basis when key bit j is 0, in the X basis
 when it is 1.  Bob measures with the same key, accepts iff the measured
 word has zero syndrome, and reads the message off the codeword's
 systematic positions (the channel is noiseless, so an unperturbed word
-is exactly c_A).  Keys are hard single-use.
+is exactly c_A).  A session ends in one outcome: Bob accepts a message
+or rejects, which ``bob_receive`` returns as None.  Keys are hard
+single-use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 from typing import Optional, Sequence
 
@@ -56,28 +58,6 @@ def keygen(n: int, randomness: Random) -> SecretKey:
     return SecretKey(BitWord(randomness.getrandbits(n), n))
 
 
-@dataclass(frozen=True)
-class SessionOutcome:
-    """accepted(message) or rejected."""
-
-    accepted: bool
-    message: Optional[BitWord] = None
-
-    def __post_init__(self) -> None:
-        if self.accepted and self.message is None:
-            raise ValueError("accepted outcome requires a message")
-        if not self.accepted and self.message is not None:
-            raise ValueError("rejected outcome carries no message")
-
-    @classmethod
-    def rejected(cls) -> "SessionOutcome":
-        return cls(accepted=False)
-
-    @classmethod
-    def accept(cls, message: BitWord) -> "SessionOutcome":
-        return cls(accepted=True, message=message)
-
-
 def alice_send(
     message: BitWord, key: SecretKey, code: LinearCode
 ) -> list[QubitHandle]:
@@ -100,34 +80,40 @@ def bob_receive(
     key_bits: BitWord,
     code: LinearCode,
     randomness: Random,
-) -> SessionOutcome:
-    """Measure with the shared key and accept iff the syndrome is zero.
+) -> Optional[BitWord]:
+    """Measure with the shared key; the accepted message, or None.
 
-    A wrong qubit count is treated as tampering and rejected outright.
+    Bob accepts iff the measured word has zero syndrome, and then
+    returns the message it encodes; a rejection is None.  A wrong qubit
+    count is treated as tampering and rejected outright.
     """
     if key_bits.length != code.n:
         raise DimensionError(f"key length {key_bits.length} != n={code.n}")
     if len(qubits) != code.n:
-        return SessionOutcome.rejected()
+        return None
     m_b = 0
     for j in range(code.n):
         m_b |= measure(qubits[j], _basis_of(key_bits[j]), randomness) << j
     if not code.is_codeword(m_b):
-        return SessionOutcome.rejected()
-    return SessionOutcome.accept(code.message_of(m_b))
+        return None
+    return code.message_of(m_b)
 
 
 @dataclass(frozen=True)
 class SessionRecord:
-    """Auditable result of one session; never contains keys or qubit state."""
+    """Auditable result of one session; never contains keys or qubit state.
 
-    accepted: bool
+    ``message`` is what Bob accepted, or None on a rejection.
+    """
+
+    message: Optional[BitWord]
     forged: bool
     adversary: Optional[str]
-    outcome: SessionOutcome = field(compare=False, repr=False)
-    adversary_transcript: Optional[dict] = field(
-        default=None, compare=False, repr=False
-    )
+    adversary_transcript: Optional[dict]
+
+    @property
+    def accepted(self) -> bool:
+        return self.message is not None
 
 
 def run_session(
@@ -154,14 +140,13 @@ def run_session(
     if adversary is not None:
         adversary_name = adversary.name
         transcript = adversary.act(tap, code, randomness)
-    outcome = bob_receive(tap.deliver(), key_bits, code, randomness)
-    forged = bool(
-        outcome.accepted and adversary is not None and outcome.message != message
+    received = bob_receive(tap.deliver(), key_bits, code, randomness)
+    forged = (
+        received is not None and adversary is not None and received != message
     )
     return SessionRecord(
-        accepted=outcome.accepted,
+        message=received,
         forged=forged,
         adversary=adversary_name,
-        outcome=outcome,
         adversary_transcript=transcript,
     )

@@ -19,7 +19,7 @@ from random import Random
 from typing import Optional
 
 from . import analytics
-from .adversary import ABORT, RESEND_UNCORRECTED
+from .adversary import ABORT, RESEND_UNCORRECTED, decode_failure_policy
 from .codes import LinearCode
 from .errors import ParameterError, UnsupportedSizeError
 # monte_carlo does not call run_session, the qubit-handle session its
@@ -41,29 +41,14 @@ class OracleReport:
     name: str
     exact_value: Fraction
     formula_value: Fraction
-    equal: bool
-    gap: Fraction  # exact_value - formula_value
 
-    def __post_init__(self) -> None:
-        if self.gap != self.exact_value - self.formula_value:
-            raise ValueError(
-                f"gap {self.gap} != {self.exact_value} - {self.formula_value}"
-            )
-        if self.equal != (self.gap == 0):
-            raise ValueError(f"equal={self.equal} contradicts gap {self.gap}")
+    @property
+    def gap(self) -> Fraction:
+        return self.exact_value - self.formula_value
 
-    @classmethod
-    def compare(
-        cls, name: str, exact_value: Fraction, formula_value: Fraction
-    ) -> "OracleReport":
-        gap = exact_value - formula_value
-        return cls(
-            name=name,
-            exact_value=exact_value,
-            formula_value=formula_value,
-            equal=(gap == 0),
-            gap=gap,
-        )
+    @property
+    def equal(self) -> bool:
+        return self.gap == 0
 
     def to_json_dict(self) -> dict:
         return {
@@ -149,7 +134,7 @@ def oracle_p_dec(code: LinearCode) -> OracleReport:
             ok, flips = code.decode(e)
             if ok and flips == e:
                 hits += 1 << (n - d.bit_count())
-    return OracleReport.compare(
+    return OracleReport(
         f"p_dec[{code.name}]", Fraction(hits, 4**n), analytics.p_dec(n, code.t)
     )
 
@@ -173,6 +158,7 @@ def oracle_intercept_resend(
     2^(3n).  Equality with p_f_prime is NOT expected; the signed gap is
     the result.
     """
+    resend = decode_failure_policy(on_decode_failure) == RESEND_UNCORRECTED
     n = code.n
     if n > INTERCEPT_RESEND_MAX_N:
         raise UnsupportedSizeError(
@@ -180,7 +166,6 @@ def oracle_intercept_resend(
             f"({INTERCEPT_RESEND_MAX_N})"
         )
     codewords = list(code.codewords())
-    resend = on_decode_failure == RESEND_UNCORRECTED
     total = 0
     for d in range(1 << n):
         for e in _submasks(d):
@@ -189,7 +174,7 @@ def oracle_intercept_resend(
                 r = d ^ flips
                 inside = sum(1 for c in codewords if c & ~r == 0)
                 total += inside << (2 * n - d.bit_count() - r.bit_count())
-    return OracleReport.compare(
+    return OracleReport(
         f"p_f_prime[{code.name}:{on_decode_failure}]",
         Fraction(total, 8**n),
         analytics.p_f_prime(n, code.t),
@@ -206,10 +191,13 @@ class TrialStats:
 
     trials: int
     successes: int
-    estimate: Fraction
     ci_low: float
     ci_high: float
     seed: int
+
+    @property
+    def estimate(self) -> Fraction:
+        return Fraction(self.successes, self.trials)
 
     def __post_init__(self) -> None:
         if not self.ci_low <= self.estimate <= self.ci_high:
@@ -221,14 +209,7 @@ class TrialStats:
     @classmethod
     def of(cls, successes: int, trials: int, seed: int) -> "TrialStats":
         low, high = clopper_pearson(successes, trials)
-        return cls(
-            trials=trials,
-            successes=successes,
-            estimate=Fraction(successes, trials),
-            ci_low=low,
-            ci_high=high,
-            seed=seed,
-        )
+        return cls(trials, successes, low, high, seed)
 
     def to_json_dict(self) -> dict:
         return {

@@ -217,7 +217,7 @@ class TestCriterion6ProtocolCompleteness:
                 msg, code, randomness=substream(606, code.name, trial)
             )
             assert record.accepted
-            assert record.outcome.message == msg
+            assert record.message == msg
 
 
 class TestCriterion7NoCloningOpacity:

@@ -235,6 +235,14 @@ class TestUserInputErrors:
                 _edited_spec(tmp, "hamming74", generator_rows=["31", "52", "64", "f8"]),
             ],
             lambda tmp: [
+                "oracle", "pdec", "--code",
+                _edited_spec(tmp, "hamming74", parity_rows=["zz", "1"]),
+            ],
+            lambda tmp: [
+                "oracle", "pdec", "--code",
+                _edited_spec(tmp, "hamming74", parity_rows=["1", "2", "4"]),
+            ],
+            lambda tmp: [
                 "simulate", "honest", "--code",
                 _edited_spec(tmp, "bch-15-7-2", field={"w": "4", "primitive_poly": 19}),
             ],
@@ -286,7 +294,8 @@ class TestUserInputErrors:
             "bch-spec-not-primitive", "forged-message-not-binary", "spec-t-string",
             "spec-n-float", "spec-t-bool", "spec-rows-not-list", "spec-rows-not-strings",
             "spec-rows-not-hex", "spec-row-negative", "spec-row-0x-prefix",
-            "spec-row-padded", "spec-row-wider-than-n", "spec-field-w-string", "spec-field-poly-string",
+            "spec-row-padded", "spec-row-wider-than-n", "spec-parity-rows-not-hex",
+            "spec-parity-rows-edited", "spec-field-w-string", "spec-field-poly-string",
             "spec-t-beyond-distance", "spec-name-not-string", "spec-spans-no-word",
             "spec-is-directory",
             "spec-not-utf8", "simulate-out-unwritable", "code-build-out-unwritable",

@@ -170,8 +170,8 @@ class TestEncoding:
     @pytest.mark.parametrize("code", SMALL_CODES, indirect=True)
     def test_encode_linear(self, code):
         for a, b in itertools.product(range(1 << code.m), repeat=2):
-            u, v = BitWord(a, code.m), BitWord(b, code.m)
-            assert code.encode(u ^ v) == code.encode(u) ^ code.encode(v)
+            u, v, w = (BitWord(x, code.m) for x in (a, b, a ^ b))
+            assert code.encode(w) == code.encode(u) ^ code.encode(v)
 
     @pytest.mark.parametrize("code", SMALL_CODES, indirect=True)
     def test_min_distance_supports_t(self, code):

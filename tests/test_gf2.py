@@ -20,14 +20,6 @@ words = st.integers(min_value=1, max_value=64).flatmap(
 )
 
 
-def same_length_pairs():
-    return st.integers(min_value=1, max_value=64).flatmap(
-        lambda n: st.tuples(
-            st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1)
-        ).map(lambda uv: (BitWord(uv[0], n), BitWord(uv[1], n)))
-    )
-
-
 class TestBitWord:
     def test_bit_order_index_zero_is_first(self):
         w = BitWord.from_str("1101")
@@ -44,10 +36,6 @@ class TestBitWord:
         assert w.value.bit_count() == 3
         assert [j for j in range(len(w)) if w[j]] == [1, 2, 4]
 
-    def test_length_mismatch_xor(self):
-        with pytest.raises(DimensionError):
-            BitWord(0, 3) ^ BitWord(0, 4)
-
     def test_max_len_guard(self):
         with pytest.raises(UnsupportedSizeError):
             BitWord(0, 1025)
@@ -55,11 +43,6 @@ class TestBitWord:
     def test_value_out_of_range(self):
         with pytest.raises(ValueError):
             BitWord(8, 3)
-
-    @given(same_length_pairs())
-    def test_xor_commutes(self, pair):
-        u, v = pair
-        assert u ^ v == v ^ u
 
     @given(words)
     def test_weight_counts_ones(self, w):

@@ -10,7 +10,6 @@ from qauth.errors import DimensionError, KeyReuseError
 from qauth.gf2 import BitWord
 from qauth.protocol import (
     SecretKey,
-    SessionOutcome,
     alice_send,
     bob_receive,
     keygen,
@@ -105,29 +104,21 @@ class TestBobReceive:
             msg = BitWord(k, 4)
             key = keygen(7, rng)
             bits = key.peek()
-            outcome = bob_receive(alice_send(msg, key, ham), bits, ham, rng)
-            assert outcome.accepted
-            assert outcome.message == msg
+            assert bob_receive(alice_send(msg, key, ham), bits, ham, rng) == msg
 
     def test_wrong_qubit_count_rejected(self, ham):
         key = keygen(7, random.Random(2))
-        outcome = bob_receive(
+        received = bob_receive(
             [prepare(0, Basis.Z)] * 6, key.peek(), ham, random.Random(2)
         )
-        assert not outcome.accepted
+        assert received is None
 
     def test_single_flip_rejected(self, rep3):
         key = SecretKey(BitWord.from_str("000"))
         qubits = alice_send(BitWord(1, 1), key, rep3)
         qubits[1] = prepare(0, Basis.Z)  # flip one bit, same basis
-        outcome = bob_receive(qubits, BitWord.from_str("000"), rep3, random.Random(0))
-        assert not outcome.accepted
-
-    def test_outcome_invariants(self):
-        with pytest.raises(ValueError):
-            SessionOutcome(accepted=True, message=None)
-        with pytest.raises(ValueError):
-            SessionOutcome(accepted=False, message=BitWord(0, 1))
+        received = bob_receive(qubits, BitWord.from_str("000"), rep3, random.Random(0))
+        assert received is None
 
 
 class TestRunSession:
@@ -140,7 +131,7 @@ class TestRunSession:
                 msg, code, randomness=substream(7, "t", trial)
             )
             assert record.accepted
-            assert record.outcome.message == msg
+            assert record.message == msg
             assert not record.forged
             assert record.adversary is None
 
@@ -155,6 +146,22 @@ class TestRunSession:
         assert record.adversary_transcript is not None
         assert "x_E" in record.adversary_transcript
 
+    def test_forged_iff_another_message_accepted(self, rep3):
+        # Alice sends 0, Eve forges 1: a session is forged exactly when
+        # Bob accepts Eve's message, and some of 200 sessions are
+        adversary = NoMessageStrategy(BitWord(1, 1))
+        records = [
+            run_session(
+                BitWord(0, 1), rep3, adversary=adversary,
+                randomness=substream(31, "forged", trial),
+            )
+            for trial in range(200)
+        ]
+        assert any(record.forged for record in records)
+        for record in records:
+            assert record.forged == (record.message == BitWord(1, 1))
+            assert record.accepted == (record.message is not None)
+
     def test_acceptance_depends_only_on_syndrome(self, rep3):
         # a forged codeword sent in Bob's exact bases is always accepted
         key = keygen(3, random.Random(9))
@@ -164,5 +171,4 @@ class TestRunSession:
             prepare((eve_codeword >> j) & 1, Basis.Z if bits[j] == 0 else Basis.X)
             for j in range(3)
         ]
-        outcome = bob_receive(qubits, bits, rep3, random.Random(9))
-        assert outcome.accepted and outcome.message == BitWord(1, 1)
+        assert bob_receive(qubits, bits, rep3, random.Random(9)) == BitWord(1, 1)

@@ -22,6 +22,10 @@ EXEMPT = {
         "the handle's one public attribute, which Criterion 7 pins"
     ),
     "protocol.SecretKey.used": "the key's public state, the twin of consumed",
+    "protocol.SessionRecord.accepted": (
+        "the session's verdict, derived from the accepted message; the "
+        "word-level kernel is checked against it trial by trial"
+    ),
     "analytics.p_forge_given_i": (
         "the model's residual-forgery term, named in the module docstring; "
         "tests/test_acceptance.py builds the printed p_f' column from it"
@@ -81,6 +85,14 @@ def test_every_src_definition_has_a_caller_outside_tests():
 def test_exemptions_name_existing_definitions():
     defined = {qualname for qualname, _ in _src_definitions()}
     assert set(EXEMPT) <= defined
+
+
+def test_every_export_is_defined():
+    # a stale name in __all__ breaks only ``from qauth import *``
+    import qauth
+
+    missing = [name for name in qauth.__all__ if not hasattr(qauth, name)]
+    assert missing == [], f"qauth.__all__ names undefined attributes: {missing}"
 
 
 def _is_dataclass(node):

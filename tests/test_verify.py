@@ -18,7 +18,7 @@ from qauth.adversary import (
 from qauth.bch import build_bch
 from qauth.cli import resolve_code
 from qauth.codes import LinearCode, make_hamming_7_4, make_repetition
-from qauth.errors import UnsupportedSizeError
+from qauth.errors import ParameterError, UnsupportedSizeError
 from qauth.gf2 import BitWord
 from qauth.protocol import run_session
 from qauth.rng import substream
@@ -132,6 +132,10 @@ class TestInterceptResendOracle:
     def test_size_bound(self, rep3):
         with pytest.raises(UnsupportedSizeError):
             oracle_intercept_resend(make_repetition(11))
+
+    def test_invalid_policy_rejected(self, rep3):
+        with pytest.raises(ParameterError):
+            oracle_intercept_resend(rep3, "bogus")
 
 
 def _pinned_code(selector):
@@ -368,9 +372,7 @@ class TestChecksUnderOptimize:
             "from fractions import Fraction\n"
             "from qauth import analytics, verify\n"
             "cases = [\n"
-            "    lambda: verify.TrialStats(10, 9, Fraction(9, 10), 0.0, 0.5, seed=0),\n"
-            "    lambda: verify.OracleReport('x', Fraction(1), Fraction(1), False, Fraction(0)),\n"
-            "    lambda: verify.OracleReport('x', Fraction(1), Fraction(0), False, Fraction(0)),\n"
+            "    lambda: verify.TrialStats(10, 9, 0.0, 0.5, seed=0),\n"
             "    lambda: analytics._check_prob(Fraction(3, 2)),\n"
             "]\n"
             "for case in cases:\n"
@@ -386,4 +388,4 @@ class TestChecksUnderOptimize:
             env={**os.environ, "PYTHONPATH": str(Path(qsim.__file__).parents[1])},
         )
         assert out.returncode == 0, out.stderr
-        assert out.stdout.split() == ["rejected"] * 4
+        assert out.stdout.split() == ["rejected"] * 2
