@@ -191,7 +191,8 @@ def syndrome_table_decoder(parity_check: BitMatrix, t: int) -> Decoder:
         )
     # columns[j] is the syndrome of a flip at position j
     columns = [mat_vec_mul(parity_check, 1 << j) for j in range(n)]
-    table = {0: 0}  # syndrome -> error pattern
+    # syndrome -> the decode result, built once: (True, error pattern)
+    table = {0: (True, 0)}
     for w in range(1, t + 1):
         for positions in combinations(range(n), w):
             pattern = syn = 0
@@ -199,7 +200,7 @@ def syndrome_table_decoder(parity_check: BitMatrix, t: int) -> Decoder:
                 pattern |= 1 << p
                 syn ^= columns[p]
             # weight-ordered fill: smallest pattern wins a syndrome collision
-            table.setdefault(syn, pattern)
+            table.setdefault(syn, (True, pattern))
     byte_tables = linear_byte_tables(columns)
     n_bytes = len(byte_tables)
 
@@ -207,10 +208,7 @@ def syndrome_table_decoder(parity_check: BitMatrix, t: int) -> Decoder:
         syn = 0
         for row, v in zip(byte_tables, received.to_bytes(n_bytes, "little")):
             syn ^= row[v]
-        hit = table.get(syn)
-        if hit is None:
-            return False, 0
-        return True, hit
+        return table.get(syn, (False, 0))  # a constant: no tuple is built
 
     return decode
 

@@ -3,12 +3,15 @@
 The oracles recompute attack probabilities for small codes by complete
 enumeration against the real decoder; they are the yardstick for both
 the closed-form analytics and the simulator.  The decoder-in-the-loop
-oracles decode once per (basis difference, readout) pair and sum an
-integer numerator over 2^(2n) (p_dec) or 2^(3n) (intercept-resend),
-so each result is one exact ``Fraction``.  Monte Carlo runs sessions
-on packed words, each the same session as ``protocol.run_session`` on
-the same stream, and reports exact (Clopper-Pearson) confidence
-intervals, since true probabilities near 0 or 1 are common here.
+oracles decode once per (basis difference, readout) pair, 3^n decodes,
+and sum an integer numerator over 2^(2n) (p_dec) or 2^(3n)
+(intercept-resend), so each result is one exact ``Fraction``.  The
+intercept-resend oracle reads acceptance from a containment table, the
+count of codewords inside every n-bit mask, built by n·2^(n-1)
+additions.  Monte Carlo runs sessions on packed words, each the same
+session as ``protocol.run_session`` on the same stream, and reports
+exact (Clopper-Pearson) confidence intervals, since true probabilities
+near 0 or 1 are common here.
 """
 
 from __future__ import annotations
@@ -130,10 +133,11 @@ def oracle_p_dec(code: LinearCode) -> OracleReport:
         )
     hits = 0
     for d in range(1 << n):
+        weight = 1 << (n - d.bit_count())
         for e in _submasks(d):
             ok, flips = code.decode(e)
             if ok and flips == e:
-                hits += 1 << (n - d.bit_count())
+                hits += weight
     return OracleReport(
         f"p_dec[{code.name}]", Fraction(hits, 4**n), analytics.p_dec(n, code.t)
     )
@@ -157,6 +161,13 @@ def oracle_intercept_resend(
     (D, e) at probability 2^-n * 2^-|D|, the sum is an integer over
     2^(3n).  Equality with p_f_prime is NOT expected; the signed gap is
     the result.
+
+    The counts come from one containment table, ``inside[r]`` = the
+    codewords c with c ⊆ r, built by the subset-sum (zeta) transform:
+    a 1 at every codeword, then for each bit j every r holding j adds
+    ``inside[r ^ (1 << j)]``.  The cost is 3^n decodes plus n·2^(n-1)
+    table additions (a walk of n·2^n entries), with O(1) work per
+    (D, e) pair.
     """
     resend = decode_failure_policy(on_decode_failure) == RESEND_UNCORRECTED
     n = code.n
@@ -165,15 +176,22 @@ def oracle_intercept_resend(
             f"n={n} exceeds the intercept-resend enumeration bound "
             f"({INTERCEPT_RESEND_MAX_N})"
         )
-    codewords = list(code.codewords())
+    inside = [0] * (1 << n)
+    for c in code.codewords():
+        inside[c] = 1
+    for j in range(n):
+        bit = 1 << j
+        for r in range(1 << n):
+            if r & bit:
+                inside[r] += inside[r ^ bit]
     total = 0
     for d in range(1 << n):
+        shift = 2 * n - d.bit_count()
         for e in _submasks(d):
             ok, flips = code.decode(e)
             if ok or resend:
                 r = d ^ flips
-                inside = sum(1 for c in codewords if c & ~r == 0)
-                total += inside << (2 * n - d.bit_count() - r.bit_count())
+                total += inside[r] << (shift - r.bit_count())
     return OracleReport(
         f"p_f_prime[{code.name}:{on_decode_failure}]",
         Fraction(total, 8**n),

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -23,6 +24,7 @@ from qauth.gf2 import BitWord
 from qauth.protocol import run_session
 from qauth.rng import substream
 from qauth.verify import (
+    INTERCEPT_RESEND_MAX_N,
     TrialStats,
     clopper_pearson,
     monte_carlo,
@@ -115,10 +117,17 @@ class TestInterceptResendOracle:
             assert report.gap != 0  # the closed form embeds a modeling assumption
 
     def test_abort_at_most_resend(self, rep3, ham):
-        for code in (rep3, ham):
+        # rep3 and hamming74 are perfect, so only the imperfect codes can
+        # make the inequality strict
+        for code, strict in (
+            (rep3, False),
+            (ham, False),
+            (_pinned_code("short-hamming63"), True),
+            (_pinned_code("random-10-6"), True),
+        ):
             abort = oracle_intercept_resend(code, ABORT).exact_value
             resend = oracle_intercept_resend(code, RESEND_UNCORRECTED).exact_value
-            assert abort <= resend
+            assert abort < resend if strict else abort == resend, code.name
 
     def test_policies_agree_on_perfect_code(self):
         # BCH[7,4] is the perfect Hamming code: every word decodes, so the
@@ -143,6 +152,14 @@ def _pinned_code(selector):
         # shortened Hamming [6, 3]: 7 patterns of weight <= 1 fill 7 of its
         # 8 syndromes, so some decodes fail and the two policies differ
         return LinearCode(selector, [0b110001, 0b101010, 0b011100], 6, 1)
+    if selector == "random-10-6":
+        # a random [10, 6] code at the intercept-resend size bound: seed 43
+        # is the first whose six 10-bit rows span six dimensions at d = 3
+        # (the constructor checks that t = 1 is corrected); 11 patterns of
+        # weight <= 1 fill 11 of its 16 syndromes
+        randomness = Random(43)
+        rows = [randomness.getrandbits(10) for _ in range(6)]
+        return LinearCode(selector, rows, 10, 1)
     return resolve_code(selector)
 
 
@@ -166,6 +183,7 @@ class TestPinnedOracleValues:
         "rep11": Fraction(1012581, 1048576),
         "hamming74": Fraction(3645, 8192),
         "short-hamming63": Fraction(2187, 4096),
+        "random-10-6": Fraction(255879, 1048576),
     }
 
     CASES = [
@@ -175,6 +193,8 @@ class TestPinnedOracleValues:
     ] + [
         (f"ir-{ABORT}", "short-hamming63", Fraction(545, 2048)),
         (f"ir-{RESEND_UNCORRECTED}", "short-hamming63", Fraction(285, 1024)),
+        (f"ir-{ABORT}", "random-10-6", Fraction(11551, 131072)),
+        (f"ir-{RESEND_UNCORRECTED}", "random-10-6", Fraction(1779, 16384)),
     ] + [("pdec", selector, value) for selector, value in P_DEC_VALUES.items()]
 
     @pytest.mark.parametrize(
@@ -187,6 +207,11 @@ class TestPinnedOracleValues:
         else:
             report = oracle_intercept_resend(code, oracle.removeprefix("ir-"))
         assert report.exact_value == expected
+
+    def test_random_code_is_at_the_size_bound(self):
+        code = _pinned_code("random-10-6")
+        assert (code.n, code.m, code.t) == (INTERCEPT_RESEND_MAX_N, 6, 1)
+        assert code.weight_distribution()[:4] == [1, 0, 0, 9]
 
 
 class TestClopperPearson:
