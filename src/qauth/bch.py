@@ -4,16 +4,14 @@ The generator polynomial is g(x) = prod (x + alpha^k) over K, the union
 of the cyclotomic cosets {k·2^i mod n} of k = 1..2t: the product of the
 minimal polynomials of alpha..alpha^(2t), each taken once.  It is
 multiplied out with the field's tables and packed into an int like the
-generator rows (bit i = coefficient of x^i).  Every BCH code, short or
-long, decodes with ``BchAlgebraicDecoder``: it computes the odd
-syndromes from a per-byte table and squares them into the even ones,
-runs binary (odd-step) Berlekamp-Massey in the log domain for the error
-locator, and locates its roots by a Chien search over byte lanes, one
-lane per position, in plain ``bytes`` and ints.  It returns
-``(ok, flips)`` like every decoder, the roots packed into the int
-``flips``.  For designed distance 2t+1 this is the same
-bounded-distance map as a syndrome table, which the tests use as its
-oracle.
+generator rows (bit i = coefficient of x^i).  Every BCH code decodes
+with ``BchAlgebraicDecoder``: odd syndromes from a per-byte table,
+squared into the even ones; binary (odd-step) Berlekamp-Massey on one
+int register of field elements in byte lanes; a Chien search with one
+byte lane per position.  It returns ``(ok, flips)`` like every decoder,
+the roots packed into the int ``flips``.  For designed distance 2t+1
+this is the same bounded-distance map as a syndrome table, which the
+tests use as its oracle.
 """
 
 from __future__ import annotations
@@ -48,15 +46,20 @@ class BchSpec:
         return [self.generator_poly << i for i in range(self.m)]
 
 
-def bch_generator_poly(field: GF2m, designed_t: int) -> int:
-    """g(x) = prod (x + alpha^k) over the cyclotomic cosets of 1..2t."""
+def cyclotomic_exponents(order: int, designed_t: int) -> set[int]:
+    """K: the union of the cyclotomic cosets {k·2^i mod n} of k = 1..2t."""
     exponents: set[int] = set()
     for k in range(1, 2 * designed_t + 1):
         while k not in exponents:
             exponents.add(k)
-            k = 2 * k % field.order
+            k = 2 * k % order
+    return exponents
+
+
+def bch_generator_poly(field: GF2m, designed_t: int) -> int:
+    """g(x) = prod (x + alpha^k) over the cyclotomic cosets of 1..2t."""
     coeffs = [1]  # GF(2^w) coefficients, lowest degree first
-    for k in sorted(exponents):
+    for k in sorted(cyclotomic_exponents(field.order, designed_t)):
         root = field._exp[k]
         # (x + root)·g: x·g plus root·g
         coeffs = [a ^ field.mul(root, b) for a, b in zip([0] + coeffs, coeffs + [0])]
@@ -65,16 +68,21 @@ def bch_generator_poly(field: GF2m, designed_t: int) -> int:
     return sum(c << i for i, c in enumerate(coeffs))
 
 
+def check_bch_parameters(w: int, designed_t: int) -> None:
+    """w in [2, 8], so that an element fits one byte lane, and 2t < 2^w - 1."""
+    if not 2 <= w <= 8:
+        raise UnsupportedSizeError(
+            f"field exponent {w} outside [2, 8]: an element must fit one byte lane"
+        )
+    if not 1 <= designed_t < (1 << (w - 1)):
+        raise ParameterError(f"designed t={designed_t} outside [1, {2 ** (w - 1) - 1}]")
+
+
 def make_bch_spec(
     w: int, designed_t: int, primitive_poly: int | None = None
 ) -> BchSpec:
-    if not 2 <= w <= 8:
-        raise UnsupportedSizeError(f"field exponent {w} outside [2, 8]")
+    check_bch_parameters(w, designed_t)
     n = (1 << w) - 1
-    if not 1 <= designed_t < (1 << (w - 1)):
-        raise ParameterError(
-            f"designed t={designed_t} outside [1, {(1 << (w - 1)) - 1}]"
-        )
     poly = primitive_poly if primitive_poly is not None else DEFAULT_PRIMITIVE_POLY[w]
     field = bch_field(w, poly)
     g = bch_generator_poly(field, designed_t)
@@ -93,19 +101,18 @@ def bch_field(w: int, primitive_poly: int) -> GF2m:
 class BchAlgebraicDecoder:
     """Bounded-distance decoder: syndromes, binary Berlekamp-Massey, Chien search.
 
-    Field arithmetic is table lookup in the field's zero-absorbing
-    antilog/log lists (``GF2m._exp``/``_log``), read in place: no
-    ``GF2m`` method runs per decode.  Elements are below 2^8, so each
-    fits one byte: the odd syndromes pack into an int one byte apiece,
-    and Chien search keeps position j in byte lane j of one n-byte word.
+    Elements are below 2^8, so each fits one byte lane, and field
+    arithmetic is ``bytes.translate`` by ``_mul[a]``, the table of
+    b -> a·b, which multiplies every lane of a register by a at once.
+    Chien search keeps position j in byte lane j of one n-byte word.
     """
 
     def __init__(self, field: GF2m, t: int):
+        check_bch_parameters(field.w, t)
         self.field = field
         self.t = t
         self.n = n = field.order
         exp, log = field._exp, field._log
-        self._zero = log[0]  # the log that stands for 0
         # column j holds S_1, S_3, .., S_(2t-1) of a flip at position j,
         # S_(2k+1) = alpha^((2k+1)j) in byte k
         columns = [
@@ -118,11 +125,8 @@ class BchAlgebraicDecoder:
         self._lanes = [
             bytes(exp[-j * k % n] for j in range(n)) for k in range(1, t + 1)
         ]
-        # _times[l] is the bytes.translate table of a -> a·alpha^l
-        self._times = [
-            bytes(exp[log[a] + l] for a in range(n + 1)).ljust(256, b"\0")
-            for l in range(n)
-        ]
+        # _mul[a] is the bytes.translate table of b -> a·b
+        self._mul = [bytes(exp[i + j] for j in log).ljust(256, b"\0") for i in log]
         # the locator's constant term, 1, in every lane
         self._ones = int.from_bytes(b"\1" * n, "little")
 
@@ -134,56 +138,51 @@ class BchAlgebraicDecoder:
             acc ^= row[v]
         syn = [0] * (2 * self.t)
         syn[::2] = acc.to_bytes(self.t, "little")
-        exp, log = self.field._exp, self.field._log
+        mul = self._mul
         for k in range(1, self.t + 1):
-            syn[2 * k - 1] = exp[2 * log[syn[k - 1]]]
+            syn[2 * k - 1] = mul[syn[k - 1]][syn[k - 1]]
         return syn
 
-    def _berlekamp_massey(self, syn: list[int]) -> list[int] | None:
-        """Logs of the error locator's coefficients, or None once L > t.
+    def _berlekamp_massey(self, syn: list[int]) -> bytes | None:
+        """The error locator's coefficients, one byte each, or None once L > t.
 
         Binary form (Berlekamp 1968): S_2k = S_k^2 makes every
         even-indexed discrepancy zero, so only the t odd steps run.  The
         register length L never decreases, so L > t already means a
-        locator the decoder rejects.
+        locator the decoder rejects.  As in the reformulated algorithm
+        of Sarwate & Shanbhag (2001), register X holds C·S from lane
+        ``step`` up, so lane 0 is the discrepancy, and the locator C at
+        lane 4t - step, above C·S's at most 3t lanes.  Y is X as it was
+        at the last length change (lane 0 its discrepancy), first
+        1 + x·X.  X drops two lanes a step and Y none, which is the
+        x^shift of C -= (d / d_last)·x^shift·B, so one translate of Y
+        updates C and C·S at once.
         """
-        exp, log, n, t = self.field._exp, self.field._log, self.n, self.t
-        log_syn = [log[s] for s in syn]
-        c = [0] + [self._zero] * t  # logs of the locator, which starts as 1
-        b = c[:]  # the locator before the last length change, of length len_b
-        big_l, len_b, shift, log_last = 0, 0, 1, 0
+        exp, log, mul = self.field._exp, self.field._log, self._mul
+        n, t, width = self.n, self.t, 5 * self.t + 2
+        x = int.from_bytes(bytes(syn), "little") | 1 << 32 * t
+        y = (x << 8 | 1).to_bytes(width, "little")
+        big_l = 0
         for step in range(0, 2 * t, 2):
-            d = syn[step]
-            for i in range(1, big_l + 1):
-                d ^= exp[c[i] + log_syn[step - i]]
-            if d == 0:
-                shift += 2
-                continue
-            grows = 2 * big_l <= step
-            if grows and step + 1 - big_l > t:
-                return None
-            prev = c[:]
-            # c -= (d / last d)·x^shift·b, whose degree is at most the new L
-            log_coef = (log[d] - log_last) % n
-            for i in range(len_b + 1):
-                c[i + shift] = log[exp[c[i + shift]] ^ exp[log_coef + b[i]]]
-            if grows:
-                b, len_b, big_l, log_last, shift = prev, big_l, step + 1 - big_l, log[d], 2
-            else:
-                shift += 2
-        return c[: big_l + 1]
+            d = x & 255
+            if d:
+                quotient = exp[log[d] + n - log[y[0]]]
+                fix = int.from_bytes(y.translate(mul[quotient]), "little")
+                if 2 * big_l <= step:
+                    big_l = step + 1 - big_l
+                    if big_l > t:
+                        return None
+                    y = x.to_bytes(width, "little")
+                x ^= fix
+            x >>= 16
+        return (x >> 16 * t).to_bytes(big_l + 1, "little")
 
-    def _chien_values(self, locator: list[int]) -> bytes:
-        """locator(alpha^-j) in byte j, from the locator's logs.
-
-        Each nonzero term k translates its lanes alpha^(-jk) by its
-        coefficient's table and is XORed in as an int; the roots are the
-        zero lanes.
-        """
-        acc, zero, times = self._ones, self._zero, self._times
-        for lanes, log_coef in zip(self._lanes, locator[1:]):
-            if log_coef != zero:
-                acc ^= int.from_bytes(lanes.translate(times[log_coef]), "little")
+    def _chien_values(self, locator: bytes) -> bytes:
+        """locator(alpha^-j) in byte j: a translate per nonzero term; roots are 0."""
+        acc, mul = self._ones, self._mul
+        for lanes, coef in zip(self._lanes, locator[1:]):
+            if coef:
+                acc ^= int.from_bytes(lanes.translate(mul[coef]), "little")
         return acc.to_bytes(self.n, "little")
 
     def __call__(self, received: int) -> tuple[bool, int]:

@@ -24,7 +24,7 @@ from string import hexdigits
 from typing import Iterator, Optional, Protocol
 
 from .errors import DimensionError, ParameterError, SpecError, UnsupportedSizeError
-from .gf2 import BitMatrix, BitWord, linear_byte_tables, mat_vec_mul, poly_mod
+from .gf2 import BitMatrix, BitWord, linear_byte_tables, mat_vec_mul
 
 # Patterns of weight <= t a syndrome table may enumerate: 2^16 builds in
 # under a second (rep17); a random [45, 21] code at t = 6 would need 9.5M.
@@ -44,9 +44,12 @@ class LinearCode:
     row echelon form, whose pivots are the message columns, and H has
     one row per free column j, with bit j set and bit p set for each
     pivot p whose row of G holds j.  A code over a field (``field_info``
-    {w, primitive_poly}) is a BCH code and decodes by Berlekamp-Massey +
-    Chien; any other code must have a minimum distance that corrects t
-    (checked for m <= WEIGHT_ENUM_MAX_M) and decodes by syndrome table.
+    {w, primitive_poly}) must be BCH(w, t): n = 2^w - 1, every row has
+    zero syndromes S_1..S_2t, and m = n - |K| (the cyclotomic cosets of
+    1..2t), so the rows span that whole code.  It decodes by
+    Berlekamp-Massey + Chien.  Any other code must have a minimum
+    distance that corrects t (checked for m <= WEIGHT_ENUM_MAX_M) and
+    decodes by syndrome table.
     """
 
     def __init__(
@@ -74,10 +77,21 @@ class LinearCode:
         self.parity_check = BitMatrix(tuple(h_rows or [0]), n)  # (n-m) x n
         self.message_columns = pivots
         if field_info:
-            from .bch import BchAlgebraicDecoder, bch_field  # bch imports this module
+            # imported here: the bch module imports this one
+            from .bch import BchAlgebraicDecoder, bch_field, cyclotomic_exponents
 
-            field = bch_field(field_info["w"], field_info["primitive_poly"])
-            self.decoder: Decoder = BchAlgebraicDecoder(field, t)
+            w = field_info["w"]
+            field = bch_field(w, field_info["primitive_poly"])
+            decoder = BchAlgebraicDecoder(field, t)
+            bch_m = field.order - len(cyclotomic_exponents(field.order, t))
+            if (n, self.m) != (field.order, bch_m) or any(
+                any(decoder.syndromes(row)) for row in generator.rows
+            ):
+                raise ParameterError(
+                    f"[{n}, {self.m}] rows are not BCH(w={w}, t={t}), "
+                    f"a [{field.order}, {bch_m}] code"
+                )
+            self.decoder: Decoder = decoder
             return
         if self.m <= WEIGHT_ENUM_MAX_M:
             weights = self.weight_distribution()
@@ -265,13 +279,12 @@ def load_code_spec(path) -> LinearCode:
 
     ``name`` must be a string, n, m, t, and the ``field``'s w and
     primitive_poly integers, and ``generator_rows`` a list of strings of
-    hex digits, each at most n bits wide.  A spec with a ``field`` must
-    hold the n, m and t of ``make_bch_spec(w, t, primitive_poly)`` and
-    rows that are multiples of its g(x), so rows spanning m dimensions
-    are that code.  The rest is the ``LinearCode`` constructor's,
-    built once: a spec without a field must hold a t its minimum
-    distance corrects (checked for m <= WEIGHT_ENUM_MAX_M), and its
-    ``ParameterError`` becomes a ``SpecError``.
+    hex digits, each at most n bits wide.  The rest is the
+    ``LinearCode`` constructor's, built once: a spec with a ``field``
+    must hold rows that span BCH(w, t), and one without a field must
+    hold a t its minimum distance corrects (checked for m <=
+    WEIGHT_ENUM_MAX_M).  Its ``ParameterError`` becomes a ``SpecError``;
+    a w outside [2, 8] raises ``UnsupportedSizeError``.
     Any spec must hold the m its rows span, and its ``parity_rows``, when
     present, must be the rows of the H the constructor derives.
     Anything else raises ``SpecError``.
@@ -296,23 +309,12 @@ def load_code_spec(path) -> LinearCode:
     rows = _hex_rows(d, "generator_rows", n, where)
     info = d.get("field")
     if info:
-        from .bch import make_bch_spec  # bch imports this module
-
         where_field = f"field of {where}"
         if not isinstance(info, dict):
             raise SpecError(f"{where_field} is not a JSON object")
         _require(info, ("w", "primitive_poly"), where_field)
-        w = _count(info, "w", where_field)
-        poly = _count(info, "primitive_poly", where_field)
-        bch = make_bch_spec(w, t, poly)
-        # rows in the BCH code that span its m dimensions are that code
-        if (n, m) != (bch.n, bch.m) or any(
-            poly_mod(r, bch.generator_poly) for r in rows
-        ):
-            raise SpecError(
-                f"{where} ([{n}, {m}], t={t}) is not BCH(w={w}, "
-                f"t={t}), a [{bch.n}, {bch.m}] code"
-            )
+        _count(info, "w", where_field)
+        _count(info, "primitive_poly", where_field)
     try:
         code = LinearCode(d["name"], rows, n, t, field_info=info)
     except ParameterError as exc:

@@ -8,10 +8,13 @@ decoder over field tables of its own.
 """
 
 import random
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qauth.bch import (
     BchAlgebraicDecoder,
@@ -325,3 +328,47 @@ class TestAlgebraicMatchesReference:
         reference = ReferenceBchDecoder(decoder.field, code.t)
         assert decoder(word) == reference(word) == (False, 0)
 
+
+class TestLocatorRegister:
+    """The locator as read off the register, checked without Chien search."""
+
+    @pytest.mark.parametrize("wt", sorted(GRID) + [(3, 1), (5, 7), (8, 1), (8, 12)])
+    def test_locator_is_the_product_over_error_positions(self, wt):
+        # for weight <= t, BM's locator is prod (1 + alpha^j x) over e
+        code = build_bch(*wt)
+        decoder = code.decoder
+        reference = ReferenceBchDecoder(decoder.field, code.t)
+        rng = random.Random(7000 + 10 * wt[0] + wt[1])
+        for k in range(300):
+            positions = rng.sample(range(code.n), k % (code.t + 1))
+            expected = [1]
+            for j in positions:
+                root = reference.alpha_pow(j)
+                expected = [
+                    a ^ reference.mul(root, b)
+                    for a, b in zip(expected + [0], [0] + expected)
+                ]
+            syn = decoder.syndromes(_mask(positions))
+            assert list(decoder._berlekamp_massey(syn)) == expected, positions
+
+
+@lru_cache(maxsize=None)
+def _code_and_reference(w, t):
+    code = build_bch(w, t)
+    return code, ReferenceBchDecoder(code.decoder.field, t)
+
+
+@given(data=st.data(), w=st.integers(3, 8))
+@settings(max_examples=120, deadline=None)
+def test_codeword_plus_error_decodes_as_the_reference(data, w):
+    t = data.draw(st.integers(1, (1 << (w - 1)) - 1), label="t")
+    code, reference = _code_and_reference(w, t)
+    cw = code.encode(BitWord(data.draw(st.integers(0, (1 << code.m) - 1)), code.m))
+    weight = data.draw(st.integers(0, t + 3), label="weight")
+    positions = data.draw(
+        st.lists(st.integers(0, code.n - 1), min_size=weight, max_size=weight,
+                 unique=True),
+        label="positions",
+    )
+    received = cw ^ _mask(positions)
+    assert code.decoder(received) == reference(received)

@@ -193,6 +193,11 @@ class TestUserInputErrors:
                 "simulate", "honest", "--code",
                 _edited_spec(tmp, "bch-15-7-2", field={"w": 4, "primitive_poly": 0b11111}),
             ],
+            # x^9 + x^4 + 1 is primitive, but GF(2^9) elements overflow a byte lane
+            lambda tmp: [
+                "simulate", "honest", "--code",
+                _edited_spec(tmp, "bch-15-7-2", field={"w": 9, "primitive_poly": 0x211}),
+            ],
             lambda tmp: [
                 "simulate", "no-message", "--code", "hamming74",
                 "--forged-message", "0a11",
@@ -291,7 +296,8 @@ class TestUserInputErrors:
         ],
         ids=[
             "trials-0", "rep4", "bch-6-40", "spec-missing-t", "bch-spec-edited-t",
-            "bch-spec-not-primitive", "forged-message-not-binary", "spec-t-string",
+            "bch-spec-not-primitive", "bch-spec-w-9", "forged-message-not-binary",
+            "spec-t-string",
             "spec-n-float", "spec-t-bool", "spec-rows-not-list", "spec-rows-not-strings",
             "spec-rows-not-hex", "spec-row-negative", "spec-row-0x-prefix",
             "spec-row-padded", "spec-row-wider-than-n", "spec-parity-rows-not-hex",

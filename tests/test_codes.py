@@ -19,7 +19,12 @@ from qauth.codes import (
     make_repetition,
 )
 from qauth.bch import build_bch, make_bch_spec
-from qauth.errors import DimensionError, SpecError, UnsupportedSizeError
+from qauth.errors import (
+    DimensionError,
+    ParameterError,
+    SpecError,
+    UnsupportedSizeError,
+)
 from qauth.gf2 import BitMatrix, BitWord
 
 
@@ -100,6 +105,42 @@ class TestConstruction:
         code = LinearCode("dep", [0b011, 0b101, 0b110], 3, 0)
         assert code.m == 2
         assert len(code.generator.row_reduce().rows) == 2
+
+
+class TestFieldCodesAreBch:
+    """A code built over a field is checked to be BCH(w, t) before it decodes."""
+
+    FIELD3 = {"w": 3, "primitive_poly": 0b1011}
+
+    def test_rows_of_another_code_are_rejected(self):
+        # the [7, 4] Hamming code holds codewords BCH(3, 2) decodes as errors
+        with pytest.raises(ParameterError, match=r"not BCH\(w=3, t=2\), a \[7, 1\]"):
+            LinearCode("x", [0b1011 << i for i in range(4)], 7, 2, self.FIELD3)
+
+    def test_rows_spanning_a_subcode_are_rejected(self):
+        spec = make_bch_spec(4, 2)
+        field_info = {"w": 4, "primitive_poly": spec.primitive_poly}
+        with pytest.raises(ParameterError, match=r"\[15, 6\] rows"):
+            LinearCode("x", spec.generator_rows()[1:], 15, 2, field_info)
+
+    def test_n_other_than_2_to_the_w_minus_1_is_rejected(self):
+        with pytest.raises(ParameterError, match=r"\[8, 4\] rows"):
+            LinearCode("x", [0b1011 << i for i in range(4)], 8, 1, self.FIELD3)
+
+    @pytest.mark.parametrize("t", [0, 4])
+    def test_t_outside_the_designed_range_is_rejected(self, t):
+        with pytest.raises(ParameterError, match="designed t"):
+            LinearCode("x", [0b1111111], 7, t, self.FIELD3)
+
+    def test_fields_wider_than_a_byte_lane_are_unsupported(self):
+        # x^9 + x^4 + 1 is primitive: the field builds, the decoder does not
+        field_info = {"w": 9, "primitive_poly": (1 << 9) | (1 << 4) | 1}
+        with pytest.raises(UnsupportedSizeError, match=r"outside \[2, 8\]"):
+            LinearCode("x", [(1 << 511) - 1], 511, 1, field_info)
+
+    def test_the_cyclic_hamming_code_is_bch_3_1(self):
+        code = LinearCode("x", [0b1011 << i for i in range(4)], 7, 1, self.FIELD3)
+        assert code.decode(0b1011 ^ 0b100) == (True, 0b100)
 
 
 class TestOneReduction:
