@@ -114,15 +114,15 @@ def p_f_prime(n: int, t: int) -> Fraction:
     """
     if not 0 <= t < n:
         raise DimensionError(f"t={t} outside [0, {n})")
-    total = Fraction(0)
+    # one integer numerator over 8^n: term i is C(n, i) * inner / 2^(3n-2i-t)
+    # below n - t, and C(n, i) / 2^n from there on
+    total = 0
     for i in range(n - t):
         inner = sum(comb(n - i, h) for h in range(t + 1))
-        total += Fraction(
-            comb(n, i) * inner, 2 ** (3 * n - 2 * i - t)
-        )
+        total += comb(n, i) * inner << (2 * i + t)
     for i in range(n - t, n + 1):
-        total += Fraction(comb(n, i), 2**n)
-    return _check_prob(total)
+        total += comb(n, i) << 2 * n
+    return _check_prob(Fraction(total, 8**n))
 
 
 # ---------------------------------------------------------------------------

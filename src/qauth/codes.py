@@ -5,9 +5,10 @@ row echelon form, so the message is read back off the pivot columns.
 Decoding is bounded-distance, with one decoder per code family, chosen
 by the ``LinearCode`` constructor: BCH codes (those built over a field)
 decode algebraically (see the bch module), every other code by
-syndrome lookup table.  Every decoder returns ``(ok, flips)``: ``flips``
-is an int with bit j set for each position j to flip, and 0 when ``ok``
-is False.
+syndrome lookup table; for n <= 16 that table is the whole decode map,
+one entry per received word.  Every decoder returns ``(ok, flips)``:
+``flips`` is an int with bit j set for each position j to flip, and 0
+when ``ok`` is False.
 
 Inside this layer an n-bit word (codeword, received word, flip mask) is
 an int, bit j the symbol at position j; ``BitWord`` carries only the
@@ -28,6 +29,7 @@ from .gf2 import BitMatrix, BitWord, linear_byte_tables, mat_vec_mul
 
 # Patterns of weight <= t a syndrome table may enumerate: 2^16 builds in
 # under a second (rep17); a random [45, 21] code at t = 6 would need 9.5M.
+# It also bounds the 2^n received words a code may tabulate (n <= 16).
 SYNDROME_TABLE_MAX_PATTERNS = 1 << 16
 WEIGHT_ENUM_MAX_M = 20
 
@@ -105,10 +107,6 @@ class LinearCode:
 
     # -- encoding / verification -------------------------------------------
 
-    def _check_word(self, word: int) -> None:
-        if word < 0 or word >> self.n:
-            raise DimensionError(f"word {word:#x} does not fit in n={self.n} bits")
-
     def encode(self, message: BitWord) -> int:
         """The codeword of ``message``: the XOR of G's rows it selects."""
         if message.length != self.m:
@@ -121,7 +119,8 @@ class LinearCode:
 
     def is_codeword(self, word: int) -> bool:
         """Zero syndrome, decided at the first parity check that fails."""
-        self._check_word(word)
+        if word < 0 or word >> self.n:
+            raise DimensionError(f"word {word:#x} does not fit in n={self.n} bits")
         for row in self.parity_check.rows:
             if (row & word).bit_count() & 1:
                 return False
@@ -140,7 +139,8 @@ class LinearCode:
         one whenever the true error weight was <= t, and may be a
         miscorrection otherwise.  A failed decode flips nothing.
         """
-        self._check_word(received)
+        if received < 0 or received >> self.n:
+            raise DimensionError(f"word {received:#x} does not fit in n={self.n} bits")
         return self.decoder(received)
 
     # -- enumeration ----------------------------------------------------------
@@ -194,7 +194,10 @@ def syndrome_table_decoder(parity_check: BitMatrix, t: int) -> Decoder:
 
     The table holds every pattern of weight <= t; patterns of larger
     weight decode to whatever <= t pattern shares their syndrome
-    (miscorrection) or to failure.
+    (miscorrection) or to failure.  When the 2^n received words fit the
+    pattern bound (n <= 16), the byte-table decode runs once on each of
+    them and the decoder is a lookup in that list, the whole decode map
+    (the standard array); longer codes decode through the byte tables.
     """
     n = parity_check.ncols
     patterns = sum(comb(n, h) for h in range(t + 1))
@@ -224,6 +227,8 @@ def syndrome_table_decoder(parity_check: BitMatrix, t: int) -> Decoder:
             syn ^= row[v]
         return table.get(syn, (False, 0))  # a constant: no tuple is built
 
+    if 1 << n <= SYNDROME_TABLE_MAX_PATTERNS:
+        return list(map(decode, range(1 << n))).__getitem__
     return decode
 
 
@@ -277,8 +282,9 @@ def _hex_rows(d: dict, key: str, n: int, where: str) -> list[int]:
 def load_code_spec(path) -> LinearCode:
     """Rebuild a code from the JSON spec written by ``save_spec``.
 
-    ``name`` must be a string, n, m, t, and the ``field``'s w and
-    primitive_poly integers, and ``generator_rows`` a list of strings of
+    ``name`` must be a string, n, m and t integers, a ``field`` other
+    than absent or null an object whose w and primitive_poly are
+    integers, and ``generator_rows`` a list of strings of
     hex digits, each at most n bits wide.  The rest is the
     ``LinearCode`` constructor's, built once: a spec with a ``field``
     must hold rows that span BCH(w, t), and one without a field must
@@ -308,7 +314,7 @@ def load_code_spec(path) -> LinearCode:
     m, t = _count(d, "m", where, low=1), _count(d, "t", where)
     rows = _hex_rows(d, "generator_rows", n, where)
     info = d.get("field")
-    if info:
+    if info is not None:
         where_field = f"field of {where}"
         if not isinstance(info, dict):
             raise SpecError(f"{where_field} is not a JSON object")

@@ -256,6 +256,22 @@ class TestUserInputErrors:
                 _edited_spec(tmp, "bch-15-7-2", field={"w": 4, "primitive_poly": "0x13"}),
             ],
             lambda tmp: [
+                "simulate", "honest", "--code",
+                _edited_spec(tmp, "bch-15-7-2", field={}),
+            ],
+            lambda tmp: [
+                "simulate", "honest", "--code",
+                _edited_spec(tmp, "bch-15-7-2", field=0),
+            ],
+            lambda tmp: [
+                "simulate", "honest", "--code",
+                _edited_spec(tmp, "bch-15-7-2", field=[]),
+            ],
+            lambda tmp: [
+                "simulate", "honest", "--code",
+                _edited_spec(tmp, "bch-15-7-2", field=""),
+            ],
+            lambda tmp: [
                 "analytics", "table", "--code", _edited_spec(tmp, "hamming74", t=2),
             ],
             lambda tmp: [
@@ -302,6 +318,8 @@ class TestUserInputErrors:
             "spec-rows-not-hex", "spec-row-negative", "spec-row-0x-prefix",
             "spec-row-padded", "spec-row-wider-than-n", "spec-parity-rows-not-hex",
             "spec-parity-rows-edited", "spec-field-w-string", "spec-field-poly-string",
+            "spec-field-empty-object", "spec-field-zero", "spec-field-empty-list",
+            "spec-field-empty-string",
             "spec-t-beyond-distance", "spec-name-not-string", "spec-spans-no-word",
             "spec-is-directory",
             "spec-not-utf8", "simulate-out-unwritable", "code-build-out-unwritable",

@@ -265,9 +265,12 @@ class TestDecoding:
         with pytest.raises(DimensionError):
             ham.decode(1 << 7)
 
-    @pytest.mark.parametrize("code", ["ham", "bch15_7_2"], indirect=True)
+    @pytest.mark.parametrize(
+        "code", ["ham", "short_hamming63", "random60_30", "bch15_7_2"], indirect=True
+    )
     def test_words_outside_n_bits_are_rejected(self, code):
-        for word in (-1, 1 << code.n, (1 << 200) | 1):
+        # -2^n would index a word table from its end
+        for word in (-1, -(1 << code.n), 1 << code.n, (1 << 200) | 1):
             with pytest.raises(DimensionError):
                 code.decode(word)
             with pytest.raises(DimensionError):
@@ -284,6 +287,54 @@ class TestDecoding:
         for received, bit in (("110", 1), ("100", 0)):
             ok, codeword = _decoded(rep3, BitWord.from_str(received).value)
             assert ok and rep3.message_of(codeword) == BitWord(bit, 1)
+
+
+def _word_table_code(name):
+    """A syndrome-table code: a code selector, or one of the codes below."""
+    if name == "short-hamming63":
+        return LinearCode(name, [0b110001, 0b101010, 0b011100], 6, 1)
+    if name == "random-10-6":
+        # the [10, 6] code tests/test_verify.py pins: seed 43, d = 3
+        randomness = random.Random(43)
+        return LinearCode(name, [randomness.getrandbits(10) for _ in range(6)], 10, 1)
+    if name == "short-hamming17-12":
+        # H = [A | I_5], A's columns the first 12 five-bit values of weight
+        # >= 2: 17 distinct nonzero columns, so d = 3, and 14 of the 32
+        # syndromes are no pattern of weight <= 1, so some decodes fail
+        columns = [v for v in range(32) if v.bit_count() >= 2][:12]
+        rows = [(1 << i) | (v << 12) for i, v in enumerate(columns)]
+        return LinearCode(name, rows, 17, 1)
+    return cli.resolve_code(name)
+
+
+def _reference_decode(codewords, t, received):
+    """(True, received ^ c) for the codeword c within distance t, else (False, 0)."""
+    near = [c for c in codewords if (received ^ c).bit_count() <= t]
+    assert len(near) <= 1  # 2t < d: at most one codeword is that close
+    return (True, received ^ near[0]) if near else (False, 0)
+
+
+# every syndrome-table code with n <= 16 that the suite builds, and one
+# with n = 17, whose 2^17 words exceed the bound: it keeps the byte tables
+WORD_TABLE_CODES = [f"rep{n}" for n in range(3, 17, 2)] + [
+    "hamming74", "short-hamming63", "random-10-6", "short-hamming17-12",
+]
+
+
+@pytest.mark.parametrize("name", WORD_TABLE_CODES)
+def test_decode_matches_the_reference(name):
+    code = _word_table_code(name)
+    codewords = list(code.codewords())
+    rng = random.Random(17)
+    words = (
+        range(1 << code.n)
+        if 1 << code.n <= SYNDROME_TABLE_MAX_PATTERNS
+        else [rng.getrandbits(code.n) for _ in range(500)]
+    )
+    for received in words:
+        assert code.decode(received) == _reference_decode(
+            codewords, code.t, received
+        ), received
 
 
 class TestSerialization:

@@ -18,6 +18,7 @@ from qauth.qsim import (
     prepare,
     statevector_of,
 )
+from qauth.rng import substream
 
 ALL_STATES = [(bit, basis) for basis in Basis for bit in (0, 1)]
 
@@ -137,7 +138,7 @@ class TestStateVector:
     @pytest.mark.parametrize("meas", list(Basis))
     def test_measure_distribution_chi2(self, bit, basis, meas):
         p0, p1 = born_probabilities(statevector_of(bit, basis), meas)
-        rng = random.Random(hash((bit, basis.value, meas.value)) & 0xFFFF)
+        rng = substream(138, "chi2", bit, basis.value, meas.value)
         n = 20000
         ones = sum(measure(prepare(bit, basis), meas, rng) for _ in range(n))
         if meas is basis:
