@@ -16,7 +16,7 @@ Subpackages by layer:
 
 from .gf2 import BitMatrix, BitWord
 from .codes import LinearCode, make_hamming_7_4, make_repetition
-from .bch import BchSpec, build_bch
+from .bch import build_bch
 from .qsim import Basis, QubitHandle, measure, prepare
 from .protocol import SecretKey, keygen, run_session
 from .adversary import InterceptResendStrategy, NoMessageStrategy
@@ -31,7 +31,6 @@ __all__ = [
     "LinearCode",
     "make_hamming_7_4",
     "make_repetition",
-    "BchSpec",
     "build_bch",
     "Basis",
     "QubitHandle",

@@ -4,7 +4,12 @@ The generator polynomial is g(x) = prod (x + alpha^k) over K, the union
 of the cyclotomic cosets {k·2^i mod n} of k = 1..2t: the product of the
 minimal polynomials of alpha..alpha^(2t), each taken once.  It is
 multiplied out with the field's tables and packed into an int like the
-generator rows (bit i = coefficient of x^i).  Every BCH code decodes
+generator rows (bit i = coefficient of x^i).  ``build_bch`` is the one
+builder: it hands the m = n - deg g shifts x^i·g(x) to ``LinearCode``,
+whose constructor is the only check (zero S_1..S_2t on every row, and
+m = n - |K|).  The shifts have distinct degrees, so they span m
+dimensions; g then lies in BCH(w, t) with its generator's degree, so g
+is that generator and divides x^n + 1.  Every BCH code decodes
 with ``BchAlgebraicDecoder``: odd syndromes from a per-byte table,
 squared into the even ones; binary (odd-step) Berlekamp-Massey on one
 int register of field elements in byte lanes; a Chien search with one
@@ -16,34 +21,11 @@ tests use as its oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .codes import LinearCode
 from .errors import ParameterError, UnsupportedSizeError
-from .gf2 import DEFAULT_PRIMITIVE_POLY, GF2m, linear_byte_tables, poly_mod
-
-
-@dataclass(frozen=True)
-class BchSpec:
-    """Construction parameters of one BCH code; g(x) packed, bit i = x^i."""
-
-    w: int
-    designed_t: int
-    primitive_poly: int
-    generator_poly: int
-
-    @property
-    def n(self) -> int:
-        return (1 << self.w) - 1
-
-    @property
-    def m(self) -> int:
-        return self.n - (self.generator_poly.bit_length() - 1)
-
-    def generator_rows(self) -> list[int]:
-        """The m shifts x^i·g(x), a basis of the code."""
-        return [self.generator_poly << i for i in range(self.m)]
+from .gf2 import DEFAULT_PRIMITIVE_POLY, GF2m, linear_byte_tables
 
 
 def cyclotomic_exponents(order: int, designed_t: int) -> set[int]:
@@ -76,21 +58,6 @@ def check_bch_parameters(w: int, designed_t: int) -> None:
         )
     if not 1 <= designed_t < (1 << (w - 1)):
         raise ParameterError(f"designed t={designed_t} outside [1, {2 ** (w - 1) - 1}]")
-
-
-def make_bch_spec(
-    w: int, designed_t: int, primitive_poly: int | None = None
-) -> BchSpec:
-    check_bch_parameters(w, designed_t)
-    n = (1 << w) - 1
-    poly = primitive_poly if primitive_poly is not None else DEFAULT_PRIMITIVE_POLY[w]
-    field = bch_field(w, poly)
-    g = bch_generator_poly(field, designed_t)
-    # sanity: g must divide x^n + 1
-    if poly_mod((1 << n) | 1, g):
-        raise AssertionError("generator polynomial does not divide x^n + 1")
-    # 2t <= n - 1, so K lies in 1..n-1 and deg g <= n - 1: m >= 1
-    return BchSpec(w=w, designed_t=designed_t, primitive_poly=poly, generator_poly=g)
 
 
 @lru_cache(maxsize=None)
@@ -219,12 +186,16 @@ class BchAlgebraicDecoder:
 
 
 def build_bch(w: int, designed_t: int) -> LinearCode:
-    """Construct C[2^w - 1, m, t] as a LinearCode with the algebraic decoder."""
-    spec = make_bch_spec(w, designed_t)
+    """C[2^w - 1, m, t] over the default field, with the algebraic decoder."""
+    check_bch_parameters(w, designed_t)
+    poly = DEFAULT_PRIMITIVE_POLY[w]
+    g = bch_generator_poly(bch_field(w, poly), designed_t)
+    n = (1 << w) - 1
+    m = n - (g.bit_length() - 1)
     return LinearCode(
-        f"bch-{spec.n}-{spec.m}-{designed_t}",
-        spec.generator_rows(),
-        spec.n,
+        f"bch-{n}-{m}-{designed_t}",
+        [g << i for i in range(m)],
+        n,
         designed_t,
-        field_info={"w": w, "primitive_poly": spec.primitive_poly},
+        field_info={"w": w, "primitive_poly": poly},
     )

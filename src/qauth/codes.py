@@ -45,13 +45,13 @@ class LinearCode:
     Built from any rows that span it, in one pass: G is their reduced
     row echelon form, whose pivots are the message columns, and H has
     one row per free column j, with bit j set and bit p set for each
-    pivot p whose row of G holds j.  A code over a field (``field_info``
-    {w, primitive_poly}) must be BCH(w, t): n = 2^w - 1, every row has
-    zero syndromes S_1..S_2t, and m = n - |K| (the cyclotomic cosets of
-    1..2t), so the rows span that whole code.  It decodes by
-    Berlekamp-Massey + Chien.  Any other code must have a minimum
-    distance that corrects t (checked for m <= WEIGHT_ENUM_MAX_M) and
-    decodes by syndrome table.
+    pivot p whose row of G holds j.  A code over a field (any
+    ``field_info`` but None, which must hold w and primitive_poly) must
+    be BCH(w, t): n = 2^w - 1, every row has zero syndromes S_1..S_2t,
+    and m = n - |K| (the cyclotomic cosets of 1..2t), so the rows span
+    that whole code.  It decodes by Berlekamp-Massey + Chien.  Any other
+    code must have a minimum distance that corrects t (checked for
+    m <= WEIGHT_ENUM_MAX_M) and decodes by syndrome table.
     """
 
     def __init__(
@@ -78,12 +78,17 @@ class LinearCode:
         self.generator = generator  # m x n, reduced row echelon form
         self.parity_check = BitMatrix(tuple(h_rows or [0]), n)  # (n-m) x n
         self.message_columns = pivots
-        if field_info:
+        if field_info is not None:
             # imported here: the bch module imports this one
             from .bch import BchAlgebraicDecoder, bch_field, cyclotomic_exponents
 
-            w = field_info["w"]
-            field = bch_field(w, field_info["primitive_poly"])
+            try:
+                w, poly = field_info["w"], field_info["primitive_poly"]
+            except (KeyError, TypeError):
+                raise ParameterError(
+                    f"field_info {field_info!r} lacks w or primitive_poly"
+                ) from None
+            field = bch_field(w, poly)
             decoder = BchAlgebraicDecoder(field, t)
             bch_m = field.order - len(cyclotomic_exponents(field.order, t))
             if (n, self.m) != (field.order, bch_m) or any(

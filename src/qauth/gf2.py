@@ -133,14 +133,6 @@ def mat_vec_mul(m: BitMatrix, v: int) -> int:
     return out
 
 
-def poly_mod(a: int, b: int) -> int:
-    """Remainder of a(x) / b(x) over GF(2); bit i = coefficient of x^i."""
-    deg = b.bit_length() - 1
-    while a.bit_length() - 1 >= deg:
-        a ^= b << (a.bit_length() - 1 - deg)
-    return a
-
-
 def linear_byte_tables(columns: list[int]) -> list[list[int]]:
     """Per-byte lookup tables of the GF(2)-linear map bit j -> ``columns[j]``.
 

@@ -20,7 +20,6 @@ from qauth.bch import (
     BchAlgebraicDecoder,
     bch_generator_poly,
     build_bch,
-    make_bch_spec,
 )
 from qauth.codes import syndrome_table_decoder
 from qauth.errors import UnsupportedSizeError
@@ -63,7 +62,7 @@ class TestConstruction:
 
     def test_generator_poly_divides_xn_plus_1(self):
         # long division over GF(2) on packed ints: bit i = coefficient of x^i
-        g = make_bch_spec(6, 10).generator_poly
+        g = bch_generator_poly(GF2m(6, DEFAULT_PRIMITIVE_POLY[6]), 10)
         rem, deg = (1 << 63) | 1, g.bit_length() - 1
         while rem.bit_length() - 1 >= deg:
             rem ^= g << (rem.bit_length() - 1 - deg)
@@ -88,15 +87,19 @@ class TestConstruction:
         }
         for (w, t), g in table.items():
             assert bch_generator_poly(GF2m(w, DEFAULT_PRIMITIVE_POLY[w]), t) == g, (w, t)
-            assert make_bch_spec(w, t).generator_poly == g, (w, t)
+            # build_bch spans the code with the shifts of this g
+            code = build_bch(w, t)
+            assert code.m == code.n - (g.bit_length() - 1), (w, t)
+            assert all(code.is_codeword(g << i) for i in range(code.m)), (w, t)
+            assert code.field_info["primitive_poly"] == DEFAULT_PRIMITIVE_POLY[w]
 
     def test_rejects_bad_w(self):
         with pytest.raises(UnsupportedSizeError):
-            make_bch_spec(9, 1)
+            build_bch(9, 1)
 
     def test_rejects_degenerate_t(self):
         with pytest.raises(ValueError):
-            make_bch_spec(6, 0)
+            build_bch(6, 0)
 
     def test_every_bch_code_decodes_algebraically(self, grid_codes):
         small = [build_bch(w, t) for w, t in [(3, 1), (4, 2), (5, 3)]]

@@ -18,14 +18,14 @@ from qauth.codes import (
     make_hamming_7_4,
     make_repetition,
 )
-from qauth.bch import build_bch, make_bch_spec
+from qauth.bch import bch_field, bch_generator_poly, build_bch
 from qauth.errors import (
     DimensionError,
     ParameterError,
     SpecError,
     UnsupportedSizeError,
 )
-from qauth.gf2 import BitMatrix, BitWord
+from qauth.gf2 import DEFAULT_PRIMITIVE_POLY, BitMatrix, BitWord
 
 
 @pytest.fixture(scope="module")
@@ -118,10 +118,9 @@ class TestFieldCodesAreBch:
             LinearCode("x", [0b1011 << i for i in range(4)], 7, 2, self.FIELD3)
 
     def test_rows_spanning_a_subcode_are_rejected(self):
-        spec = make_bch_spec(4, 2)
-        field_info = {"w": 4, "primitive_poly": spec.primitive_poly}
+        code = build_bch(4, 2)
         with pytest.raises(ParameterError, match=r"\[15, 6\] rows"):
-            LinearCode("x", spec.generator_rows()[1:], 15, 2, field_info)
+            LinearCode("x", code.generator.rows[1:], 15, 2, code.field_info)
 
     def test_n_other_than_2_to_the_w_minus_1_is_rejected(self):
         with pytest.raises(ParameterError, match=r"\[8, 4\] rows"):
@@ -137,6 +136,14 @@ class TestFieldCodesAreBch:
         field_info = {"w": 9, "primitive_poly": (1 << 9) | (1 << 4) | 1}
         with pytest.raises(UnsupportedSizeError, match=r"outside \[2, 8\]"):
             LinearCode("x", [(1 << 511) - 1], 511, 1, field_info)
+
+    @pytest.mark.parametrize(
+        "field_info", [{}, {"w": 3}, {"primitive_poly": 0b1011}, 0]
+    )
+    def test_a_field_lacking_w_or_primitive_poly_is_rejected(self, field_info):
+        # any field_info but None makes a field code, never a table-decoded one
+        with pytest.raises(ParameterError, match="lacks w or primitive_poly"):
+            LinearCode("x", [0b1011 << i for i in range(4)], 7, 1, field_info)
 
     def test_the_cyclic_hamming_code_is_bch_3_1(self):
         code = LinearCode("x", [0b1011 << i for i in range(4)], 7, 1, self.FIELD3)
@@ -161,9 +168,9 @@ class TestOneReduction:
     def test_constructor_reduces_once(self, reductions):
         LinearCode("hamming74", [0b0110001, 0b1010010, 0b1100100, 0b1111000], 7, 1)
         assert len(reductions) == 1
-        spec = make_bch_spec(4, 2)
-        field_info = {"w": 4, "primitive_poly": spec.primitive_poly}
-        LinearCode("bch-15-7-2", spec.generator_rows(), 15, 2, field_info)
+        field_info = {"w": 4, "primitive_poly": DEFAULT_PRIMITIVE_POLY[4]}
+        g = bch_generator_poly(bch_field(4, DEFAULT_PRIMITIVE_POLY[4]), 2)
+        LinearCode("bch-15-7-2", [g << i for i in range(7)], 15, 2, field_info)
         assert len(reductions) == 2
 
     def test_loading_a_spec_reduces_once(self, ham, tmp_path, reductions):

@@ -2,7 +2,8 @@
 
 Every function, class and method defined at module or class level in
 ``src/qauth`` must be referenced, as a name, an attribute or an import,
-somewhere in ``src/qauth`` or ``bench/`` outside its own definition.
+somewhere in ``src/qauth`` or ``bench/`` outside its own definition,
+and every parameter with a default must be passed by some call there.
 Tests do not count as callers.
 """
 
@@ -29,6 +30,17 @@ EXEMPT = {
     "analytics.p_forge_given_i": (
         "the model's residual-forgery term, named in the module docstring; "
         "tests/test_acceptance.py builds the printed p_f' column from it"
+    ),
+}
+
+
+# "module.function(parameter)" -> why no call in src/qauth or bench/ passes it
+EXEMPT_DEFAULTS = {
+    "cli.main(argv)": (
+        "the console-script entry point, which reads sys.argv when called bare"
+    ),
+    "protocol.run_session(adversary)": (
+        "the reference session; only tests drive it with an adversary"
     ),
 }
 
@@ -146,3 +158,86 @@ def test_no_function_takes_an_underscore_parameter():
         for function, param in _underscore_parameters(ast.parse(path.read_text()))
     ]
     assert found == [], f"underscore parameters in src/qauth: {found}"
+
+
+def _call_name(call):
+    func = call.func
+    return getattr(func, "id", None) or getattr(func, "attr", None)
+
+
+def _defaulted_parameters(module, tree):
+    """(label, call name, position, parameter) per parameter with a default.
+
+    A call reaches ``__init__`` by its class's name, and passes a method
+    its arguments after ``self`` or ``cls``; ``position`` counts from
+    there, and is None for a keyword-only parameter.
+    """
+
+    def visit(node, owner):
+        for sub in ast.iter_child_nodes(node):
+            if isinstance(sub, ast.ClassDef):
+                yield from visit(sub, sub.name)
+            elif isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from function(sub, owner)
+                yield from visit(sub, None)
+            else:
+                yield from visit(sub, owner)
+
+    def function(node, owner):
+        a = node.args
+        positional = a.posonlyargs + a.args
+        decorators = {getattr(d, "id", None) for d in node.decorator_list}
+        if owner is not None and "staticmethod" not in decorators:
+            positional = positional[1:]
+        name = owner if node.name == "__init__" else node.name
+        label = f"{module}.{owner + '.' if owner else ''}{node.name}"
+        first = len(positional) - len(a.defaults)
+        for index, param in enumerate(positional[first:], first):
+            yield f"{label}({param.arg})", name, index, param.arg
+        for param, default in zip(a.kwonlyargs, a.kw_defaults):
+            if default is not None:
+                yield f"{label}({param.arg})", name, None, param.arg
+
+    yield from visit(tree, None)
+
+
+def _passes(call, position, param):
+    """``call`` passes ``param`` by keyword, by position, or through * or **."""
+    return (
+        any(isinstance(arg, ast.Starred) for arg in call.args)
+        or any(k.arg in (None, param) for k in call.keywords)
+        or (position is not None and len(call.args) > position)
+    )
+
+
+def _unpassed_defaults():
+    paths = sorted((ROOT / "src" / "qauth").glob("*.py"))
+    calls = [
+        node
+        for path in paths + sorted((ROOT / "bench").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+    ]
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        for label, name, position, param in _defaulted_parameters(path.stem, tree):
+            if not any(
+                _call_name(call) == name and _passes(call, position, param)
+                for call in calls
+            ):
+                yield label
+
+
+def test_every_defaulted_parameter_is_passed():
+    # a default that no caller overrides is a knob that does nothing
+    unpassed = sorted(set(_unpassed_defaults()) - set(EXEMPT_DEFAULTS))
+    assert unpassed == [], f"defaulted parameters no caller passes: {unpassed}"
+
+
+def test_default_exemptions_name_defaulted_parameters():
+    defaulted = {
+        label
+        for path in sorted((ROOT / "src" / "qauth").glob("*.py"))
+        for label, *_ in _defaulted_parameters(path.stem, ast.parse(path.read_text()))
+    }
+    assert set(EXEMPT_DEFAULTS) <= defaulted
