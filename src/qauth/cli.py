@@ -26,7 +26,7 @@ from .codes import LinearCode, load_code_spec, make_hamming_7_4, make_repetition
 from .errors import QauthError, UnsupportedSizeError
 from .gf2 import BitWord
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 DEFAULT_SEED = 1729
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -216,14 +216,12 @@ def cmd_simulate(args) -> int:
     stats = verify.monte_carlo(
         code, args.trials, args.seed, adversary=adversary
     )
-    config = {
-        "attack": args.attack,
-        "code": args.code,
-        "trials": args.trials,
-        "seed": args.seed,
-        "forged_message": args.forged_message,
-        "on_decode_failure": policy,
-    }
+    config = {"attack": args.attack, "code": args.code, "trials": args.trials,
+              "seed": args.seed}
+    if args.attack != "honest":
+        config["forged_message"] = args.forged_message
+    if args.attack == "intercept-resend":
+        config["on_decode_failure"] = policy
     _emit(_report(f"simulate {args.attack}", config, stats.to_json_dict()), args)
     return EXIT_OK
 
@@ -233,13 +231,11 @@ def cmd_oracle(args) -> int:
     code = resolve_code(args.code)
     config = {"oracle": args.which, "code": args.code}
     if args.which == "nomsg":
-        exact = verify.oracle_no_message_exact_codeword(code)
-        report = verify.OracleReport(
-            f"p_f[{code.name}]", exact, analytics.p_f_no_message(code.n)
-        )
+        report = verify.oracle_no_message(code)
+        any_codeword = verify.oracle_no_message_any_codeword(code)
         results = report.to_json_dict()
-        results["any_codeword"] = str(verify.oracle_no_message_any_codeword(code))
-        failed = not report.equal
+        results["any_codeword"] = str(any_codeword)
+        failed = report.exact_value != any_codeword
     elif args.which == "pdec":
         report = verify.oracle_p_dec(code)
         results = report.to_json_dict()

@@ -205,7 +205,8 @@ def syndrome_table_decoder(parity_check: BitMatrix, t: int) -> Decoder:
     (the standard array); longer codes decode through the byte tables.
     """
     n = parity_check.ncols
-    patterns = sum(comb(n, h) for h in range(t + 1))
+    radius = min(t, n)  # no pattern weighs more than n, whatever t a spec holds
+    patterns = sum(comb(n, h) for h in range(radius + 1))
     if patterns > SYNDROME_TABLE_MAX_PATTERNS:
         raise UnsupportedSizeError(
             f"{patterns} error patterns of weight <= {t} exceed the "
@@ -215,7 +216,7 @@ def syndrome_table_decoder(parity_check: BitMatrix, t: int) -> Decoder:
     columns = [mat_vec_mul(parity_check, 1 << j) for j in range(n)]
     # syndrome -> the decode result, built once: (True, error pattern)
     table = {0: (True, 0)}
-    for w in range(1, t + 1):
+    for w in range(1, radius + 1):
         for positions in combinations(range(n), w):
             pattern = syn = 0
             for p in positions:

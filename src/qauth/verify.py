@@ -1,17 +1,15 @@
 """Ground-truth engines: exhaustive oracles and Monte Carlo estimation.
 
 The oracles recompute attack probabilities for small codes by complete
-enumeration against the real decoder; they are the yardstick for both
-the closed-form analytics and the simulator.  The decoder-in-the-loop
-oracles decode once per (basis difference, readout) pair, 3^n decodes,
-and sum an integer numerator over 2^(2n) (p_dec) or 2^(3n)
-(intercept-resend), so each result is one exact ``Fraction``.  The
-intercept-resend oracle reads acceptance from a containment table, the
-count of codewords inside every n-bit mask, built by n·2^(n-1)
-additions.  Monte Carlo runs sessions on packed words, each the same
-session as ``protocol.run_session`` on the same stream, and reports
-exact (Clopper-Pearson) confidence intervals, since true probabilities
-near 0 or 1 are common here.
+enumeration, the yardstick for both the closed-form analytics and the
+simulator.  Both attack oracles read Bob's acceptance from one
+containment table, the count of codewords inside every n-bit mask.  The
+decoder-in-the-loop oracles decode once per (basis difference, readout)
+pair, 3^n decodes.  Each sums an integer numerator over a power of 2,
+so each result is one exact ``Fraction``.  Monte Carlo runs sessions on
+packed words, each the same session as ``protocol.run_session`` on the
+same stream, and reports exact (Clopper-Pearson) confidence intervals,
+since true probabilities near 0 or 1 are common here.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from typing import Optional
 
 from . import analytics
 from .adversary import ABORT, RESEND_UNCORRECTED, decode_failure_policy
-from .codes import LinearCode
+from .codes import SYNDROME_TABLE_MAX_PATTERNS, LinearCode
 from .errors import ParameterError, UnsupportedSizeError
 # monte_carlo does not call run_session, the qubit-handle session its
 # kernel is tested against; bench/spans.py traces it as verify.run_session.
@@ -31,7 +29,6 @@ from .protocol import run_session  # noqa: F401
 from .qsim import measure_word
 from .rng import substream
 
-EXACT_CODEWORD_MAX_N = 16
 P_DEC_MAX_N = 12
 INTERCEPT_RESEND_MAX_N = 10
 CONFIDENCE = 0.99  # of every Monte Carlo interval
@@ -64,25 +61,47 @@ class OracleReport:
 
 
 # ---------------------------------------------------------------------------
-# No-message attack oracles.
+# The containment table and the no-message oracles.
 # ---------------------------------------------------------------------------
 
-def oracle_no_message_exact_codeword(code: LinearCode) -> Fraction:
-    """P(receiver's measured word equals the forged codeword exactly).
+def _containment_table(code: LinearCode) -> list[int]:
+    """``inside[r]``, the number of codewords c ⊆ r, for every n-bit mask r.
 
-    Enumerates every basis-difference pattern between the forger's guess
-    and the true key; matched positions read out exactly, each
-    mismatched position is a fair coin.  Must equal (3/4)^n.
+    The subset-sum (zeta) transform, n·2^(n-1) additions: a 1 at every
+    codeword, then for each bit j every r holding j adds the entry r ^ 2^j.
+    Like every 2^n-entry table, it is bounded by SYNDROME_TABLE_MAX_PATTERNS.
     """
     n = code.n
-    if n > EXACT_CODEWORD_MAX_N:
+    if 1 << n > SYNDROME_TABLE_MAX_PATTERNS:
         raise UnsupportedSizeError(
-            f"n={n} exceeds the exact-codeword enumeration bound "
-            f"({EXACT_CODEWORD_MAX_N})"
+            f"n={n}: 2^{n} containment-table masks exceed {SYNDROME_TABLE_MAX_PATTERNS}"
         )
-    # sum over difference patterns d of 2^-n * 2^-w(d)
-    numerator = sum(1 << (n - d.bit_count()) for d in range(1 << n))
-    return Fraction(numerator, 1 << (2 * n))
+    inside = [0] * (1 << n)
+    for c in code.codewords():
+        inside[c] = 1
+    for j in range(n):
+        bit = 1 << j
+        for r in range(1 << n):
+            if r & bit:
+                inside[r] += inside[r ^ bit]
+    return inside
+
+
+def oracle_no_message(code: LinearCode) -> OracleReport:
+    """Enumerated no-message acceptance next to the closed form (3/4)^n.
+
+    The forger's bases miss the key on a uniform mask D, where the
+    receiver's fair coins pass the syndrome test iff they flip a
+    codeword: probability ``inside[D]`` / 2^|D|.  The sum over D, an
+    integer over 4^n, must equal ``oracle_no_message_any_codeword``;
+    (3/4)^n is the exact-codeword event alone, so the gap is positive.
+    """
+    n = code.n
+    inside = _containment_table(code)
+    total = sum(count << (n - d.bit_count()) for d, count in enumerate(inside))
+    return OracleReport(
+        f"p_f[{code.name}]", Fraction(total, 4**n), analytics.p_f_no_message(n)
+    )
 
 
 def oracle_no_message_any_codeword(code: LinearCode) -> Fraction:
@@ -94,9 +113,7 @@ def oracle_no_message_any_codeword(code: LinearCode) -> Fraction:
     """
     n = code.n
     weights = code.weight_distribution()
-    total = sum(
-        a_w * 3 ** (n - w) for w, a_w in enumerate(weights) if a_w
-    )
+    total = sum(a_w * 3 ** (n - w) for w, a_w in enumerate(weights))
     return Fraction(total, 4**n)
 
 
@@ -155,19 +172,11 @@ def oracle_intercept_resend(
     exactly on e, uniform over the submasks of D.  After decoding she
     flips her basis guess at the corrected positions (a failed decode
     flips nothing, and under abort sends nothing), leaving residual
-    mismatch R = D xor flips.  The receiver reads the forged codeword
-    exactly off R and fair coins on R, accepting iff the perturbation is
-    itself a codeword: |{codewords with support in R}| / 2^|R|.  With
+    mismatch R = D xor flips, on which the receiver accepts with
+    probability ``inside[R]`` / 2^|R| (see ``oracle_no_message``).  With
     (D, e) at probability 2^-n * 2^-|D|, the sum is an integer over
     2^(3n).  Equality with p_f_prime is NOT expected; the signed gap is
-    the result.
-
-    The counts come from one containment table, ``inside[r]`` = the
-    codewords c with c ⊆ r, built by the subset-sum (zeta) transform:
-    a 1 at every codeword, then for each bit j every r holding j adds
-    ``inside[r ^ (1 << j)]``.  The cost is 3^n decodes plus n·2^(n-1)
-    table additions (a walk of n·2^n entries), with O(1) work per
-    (D, e) pair.
+    the result.  The cost is 3^n decodes plus the table.
     """
     resend = decode_failure_policy(on_decode_failure) == RESEND_UNCORRECTED
     n = code.n
@@ -176,14 +185,7 @@ def oracle_intercept_resend(
             f"n={n} exceeds the intercept-resend enumeration bound "
             f"({INTERCEPT_RESEND_MAX_N})"
         )
-    inside = [0] * (1 << n)
-    for c in code.codewords():
-        inside[c] = 1
-    for j in range(n):
-        bit = 1 << j
-        for r in range(1 << n):
-            if r & bit:
-                inside[r] += inside[r ^ bit]
+    inside = _containment_table(code)
     total = 0
     for d in range(1 << n):
         shift = 2 * n - d.bit_count()

@@ -39,6 +39,13 @@ class TestNoMessage:
         values = [p_f_no_message(n) for n in range(1, 40)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_equals_the_sum_over_basis_differences(self, n):
+        # each of the 2^n difference patterns d reads the forged word
+        # exactly with probability 2^-|d|: sum_d 2^(n - |d|) / 4^n
+        total = sum(1 << (n - d.bit_count()) for d in range(1 << n))
+        assert p_f_no_message(n) == Fraction(total, 4**n)
+
     def test_rejects_zero(self):
         with pytest.raises(DimensionError):
             p_f_no_message(0)

@@ -2,11 +2,13 @@
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from qauth import verify
 from qauth.cli import (
     DEFAULT_SEED,
     EXIT_CONFIG,
@@ -39,6 +41,15 @@ def _raw_file(tmp_path, data):
     path = tmp_path / "spec.json"
     path.write_bytes(data)
     return str(path)
+
+
+def _systematic_spec(tmp_path, n, m, t):
+    """A spec of m systematic rows with random checks, no field, and ``t``."""
+    rng = random.Random(n)
+    rows = [(1 << i) | (rng.getrandbits(n - m) << m) for i in range(m)]
+    spec = {"name": f"c{n}", "n": n, "m": m, "t": t,
+            "generator_rows": [format(r, "x") for r in rows]}
+    return _raw_file(tmp_path, json.dumps(spec).encode())
 
 
 class TestResolveCode:
@@ -108,7 +119,7 @@ class TestAnalyticsTable:
         )
         assert rc == EXIT_OK
         report = json.loads(capsys.readouterr().out)
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
         row = report["results"][0]
         assert row["p_f_exact"] == {"numerator": "27", "denominator": "64"}
 
@@ -138,6 +149,17 @@ class TestSimulate:
             assert rc == EXIT_OK
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    @pytest.mark.parametrize("attack", ["honest", "no-message", "intercept-resend"])
+    def test_config_lists_only_the_options_the_attack_reads(self, attack, capsys):
+        assert run_cli("simulate", attack, "--code", "rep3", "--trials", "5") == EXIT_OK
+        config = json.loads(capsys.readouterr().out)["config"]
+        keys = {"attack", "code", "trials", "seed"}
+        if attack != "honest":
+            keys.add("forged_message")
+        if attack == "intercept-resend":
+            keys.add("on_decode_failure")
+        assert set(config) == keys
+
     def test_forged_message_length_checked(self, capsys):
         rc = run_cli(
             "simulate", "no-message", "--code", "hamming74",
@@ -158,8 +180,24 @@ class TestOracle:
         rc = run_cli("oracle", "nomsg", "--code", "rep3")
         assert rc == EXIT_OK
         results = json.loads(capsys.readouterr().out)["results"]
-        assert results["exact_value"] == "27/64"
+        assert results["exact_value"] == "7/16"
+        assert results["formula_value"] == "27/64"
+        assert results["gap"] == "1/64"
         assert results["any_codeword"] == "7/16"
+
+    def test_nomsg_exits_3_when_the_two_values_differ(self, monkeypatch, capsys):
+        monkeypatch.setattr(
+            verify, "oracle_no_message_any_codeword", lambda code: Fraction(1, 2)
+        )
+        rc = run_cli("oracle", "nomsg", "--code", "rep3")
+        assert rc == EXIT_VERIFY
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert (results["exact_value"], results["any_codeword"]) == ("7/16", "1/2")
+
+    def test_nomsg_size_bound_is_config_error(self, capsys):
+        rc = run_cli("oracle", "nomsg", "--code", "rep17")
+        assert rc == EXIT_CONFIG
+        assert "smaller code" in capsys.readouterr().err
 
     def test_ir_reports_gap_without_failing(self, capsys):
         rc = run_cli("oracle", "ir", "--code", "rep3")
@@ -309,6 +347,13 @@ class TestUserInputErrors:
                          "--on-decode-failure", "resend_uncorrected"],
             lambda tmp: ["oracle", "nomsg", "--code", "rep3",
                          "--on-decode-failure", "abort"],
+            # m = 21 skips the distance check, so t reaches the table bound
+            lambda tmp: ["analytics", "table", "--code",
+                         _systematic_spec(tmp, 30, 21, 10**9)],
+            # rows that span no word leave no distance to check t against
+            lambda tmp: ["analytics", "table", "--code", _raw_file(tmp, json.dumps(
+                {"name": "c5", "n": 5, "m": 1, "t": 10**9, "generator_rows": []}
+            ).encode())],
         ],
         ids=[
             "trials-0", "rep4", "bch-6-40", "spec-missing-t", "bch-spec-edited-t",
@@ -328,6 +373,7 @@ class TestUserInputErrors:
             "table-exact-without-json", "honest-forged-message",
             "honest-on-decode-failure", "no-message-on-decode-failure",
             "pdec-on-decode-failure", "nomsg-on-decode-failure",
+            "spec-huge-t-past-distance-check", "spec-spans-no-word-huge-t",
         ],
     )
     def test_exits_2_with_one_line(self, argv, tmp_path, capsys):
@@ -347,13 +393,8 @@ class TestUserInputErrors:
 
     def test_oversized_syndrome_table_exits_2(self, tmp_path, capsys):
         # a [45, 21] code at t = 6: 24 checks, but ~9.5M patterns of weight <= 6
-        rng = random.Random(45)
-        rows = [(1 << i) | (rng.getrandbits(24) << 21) for i in range(21)]
-        spec = {"name": "c45", "n": 45, "m": 21, "t": 6,
-                "generator_rows": [format(r, "x") for r in rows]}
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps(spec))
-        rc = run_cli("simulate", "honest", "--code", str(path), "--trials", "1")
+        path = _systematic_spec(tmp_path, 45, 21, 6)
+        rc = run_cli("simulate", "honest", "--code", path, "--trials", "1")
         captured = capsys.readouterr()
         assert rc == EXIT_CONFIG
         assert captured.out == ""

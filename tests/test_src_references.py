@@ -1,10 +1,11 @@
 """No helper is kept in ``src/qauth`` only for its tests.
 
 Every function, class and method defined at module or class level in
-``src/qauth`` must be referenced, as a name, an attribute or an import,
-somewhere in ``src/qauth`` or ``bench/`` outside its own definition,
-and every parameter with a default must be passed by some call there.
-Tests do not count as callers.
+``src/qauth``, and every UPPER_CASE constant assigned at module level,
+must be referenced, as a name, an attribute or an import, somewhere in
+``src/qauth`` or ``bench/`` outside its own definition, and every
+parameter with a default must be passed by some call there.  Tests do
+not count as callers.
 """
 
 import ast
@@ -87,6 +88,31 @@ def _unreferenced():
         if everywhere[name] == _referenced_names(node)[name]:
             unused.append(qualname)
     return unused
+
+
+def _constants(tree):
+    """(name, statement) per UPPER_CASE name a module-level statement assigns."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name) and sub.id.isupper():
+                        yield sub.id, node
+
+
+def test_every_constant_is_read_outside_tests():
+    paths = sorted((ROOT / "src" / "qauth").glob("*.py"))
+    everywhere = Counter()
+    for path in paths + sorted((ROOT / "bench").glob("*.py")):
+        everywhere += _referenced_names(ast.parse(path.read_text()))
+    unread = [
+        f"{path.stem}.{name}"
+        for path in paths
+        for name, node in _constants(ast.parse(path.read_text()))
+        if everywhere[name] == _referenced_names(node)[name]
+    ]
+    assert unread == [], f"constants in src/qauth that nothing reads: {unread}"
 
 
 def test_every_src_definition_has_a_caller_outside_tests():

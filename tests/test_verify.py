@@ -9,7 +9,7 @@ from random import Random
 
 import pytest
 
-from qauth import analytics, qsim
+from qauth import qsim
 from qauth.adversary import (
     ABORT,
     RESEND_UNCORRECTED,
@@ -29,8 +29,8 @@ from qauth.verify import (
     clopper_pearson,
     monte_carlo,
     oracle_intercept_resend,
+    oracle_no_message,
     oracle_no_message_any_codeword,
-    oracle_no_message_exact_codeword,
     oracle_p_dec,
     word_session,
 )
@@ -53,15 +53,37 @@ def ham():
 
 class TestNoMessageOracles:
     def test_rep3_exact_codeword(self, rep3):
-        assert oracle_no_message_exact_codeword(rep3) == Fraction(27, 64)
+        # (3/4)^3 is the exact-codeword event; the other codeword adds 1/64
+        report = oracle_no_message(rep3)
+        assert report.formula_value == Fraction(27, 64)
+        assert report.exact_value == Fraction(7, 16)
+        assert report.gap == Fraction(1, 64)
 
     def test_hamming_exact_codeword(self, ham):
-        assert oracle_no_message_exact_codeword(ham) == Fraction(3**7, 4**7)
+        report = oracle_no_message(ham)
+        assert report.formula_value == Fraction(3**7, 4**7)
+        assert report.exact_value == oracle_no_message_any_codeword(ham)
 
-    def test_matches_formula(self, rep3, rep5, ham):
-        for code in (rep3, rep5, ham):
-            assert oracle_no_message_exact_codeword(code) == (
-                analytics.p_f_no_message(code.n)
+    # every pinned code the containment table reaches (n <= 16)
+    TABLE_CODES = [
+        "rep3", "rep5", "rep7", "rep9", "rep11", "rep13", "rep15", "hamming74",
+        "bch-7-4-1", "bch-15-7-2", "bch-15-11-1", "bch-15-5-3", "random-10-6",
+    ]
+
+    @pytest.mark.parametrize("selector", TABLE_CODES)
+    def test_enumeration_equals_weight_distribution(self, selector):
+        # the table sum against the weight-distribution sum, two independent
+        # routes to the same acceptance probability
+        code = _pinned_code(selector)
+        assert oracle_no_message(code).exact_value == (
+            oracle_no_message_any_codeword(code)
+        )
+
+    def test_matches_formula(self):
+        # repN has weights 0 and n only: acceptance is (3^n + 1) / 4^n
+        for n in range(3, 17, 2):
+            assert oracle_no_message(make_repetition(n)).exact_value == (
+                Fraction(3**n + 1, 4**n)
             )
 
     def test_rep3_any_codeword(self, rep3):
@@ -73,16 +95,16 @@ class TestNoMessageOracles:
         )
         assert oracle_no_message_any_codeword(ham) == expected
 
-    def test_any_at_least_exact(self, rep3, rep5, ham):
-        for code in (rep3, rep5, ham):
-            assert oracle_no_message_any_codeword(code) >= (
-                oracle_no_message_exact_codeword(code)
-            )
+    def test_any_at_least_exact(self):
+        # every nonzero codeword adds acceptance beyond the exact-codeword event
+        for selector in self.TABLE_CODES:
+            code = _pinned_code(selector)
+            assert code.m >= 1
+            assert oracle_no_message(code).gap > 0, selector
 
     def test_size_bound(self):
-        big = build_bch(6, 10)
         with pytest.raises(UnsupportedSizeError):
-            oracle_no_message_exact_codeword(big)
+            oracle_no_message(make_repetition(17))
 
 
 class TestDecodeOracle:
