@@ -9,18 +9,19 @@ where x_E' is the basis word the forgery is sent under, or None when
 nothing is sent.  ``act`` runs ``forge`` on a channel of qubit handles
 (the reference session), reading each handle through ``measure``;
 ``verify.word_session`` runs the same ``forge`` on packed words.  In
-both, Eve reaches Alice's qubits only through ``read``.
+both, Eve reaches Alice's qubits only through ``read``, and each
+``read`` draws one n-bit coin word from ``randomness``, after x_E.
 """
 
 from __future__ import annotations
 
-from random import Random
 from typing import Callable, Optional
 
 from .codes import LinearCode
 from .errors import DimensionError, ParameterError
 from .gf2 import BitWord
 from .qsim import ChannelTap, _basis_of, measure, prepare
+from .rng import Stream
 
 ABORT = "abort"
 RESEND_UNCORRECTED = "resend_uncorrected"
@@ -45,13 +46,14 @@ def _hex(word: Optional[int]) -> Optional[str]:
 
 
 def act_on_channel(strategy, tap: ChannelTap, code: LinearCode,
-                   randomness: Random) -> dict:
+                   randomness: Stream) -> dict:
     """Run ``strategy.forge`` on the qubit handles in flight on ``tap``.
 
     Eve takes Alice's handles, reads them only through ``read``, and
     puts her forged codeword back under x_E' (nothing when x_E' is
-    None).  Returns the transcript as a JSON dict of hex words; it never
-    includes Bob's key.
+    None).  Each ``read`` draws one n-bit coin word, and a handle j
+    measured in the other basis reads bit j of it.  Returns the
+    transcript as a JSON dict of hex words; it never includes Bob's key.
     """
     intercepted = tap.intercept()
     if strategy.forged_message.length != code.m:
@@ -64,9 +66,11 @@ def act_on_channel(strategy, tap: ChannelTap, code: LinearCode,
             raise DimensionError(
                 f"expected {code.n} intercepted qubits, got {len(intercepted)}"
             )
+        coins = randomness.getrandbits(code.n)
         word = 0
         for j, handle in enumerate(intercepted):
-            word |= measure(handle, _basis_of(bases >> j & 1), randomness) << j
+            basis = _basis_of(bases >> j & 1)
+            word |= measure(handle, basis, coins >> j & 1) << j
         return word
 
     x_e, m_e, ok, flips, x_e_prime = strategy.forge(code, read, randomness)
@@ -97,7 +101,7 @@ class NoMessageStrategy:
         self.forged_message = forged_message
 
     def forge(self, code: LinearCode, read: Callable[[int], int],
-              randomness: Random) -> Forgery:
+              randomness: Stream) -> Forgery:
         x_e = randomness.getrandbits(code.n)
         return x_e, None, False, 0, x_e
 
@@ -122,7 +126,7 @@ class InterceptResendStrategy:
         self.on_decode_failure = decode_failure_policy(on_decode_failure)
 
     def forge(self, code: LinearCode, read: Callable[[int], int],
-              randomness: Random) -> Forgery:
+              randomness: Stream) -> Forgery:
         x_e = randomness.getrandbits(code.n)
         m_e = read(x_e)
         ok, flips = code.decode(m_e)

@@ -26,7 +26,7 @@ from .codes import LinearCode, load_code_spec, make_hamming_7_4, make_repetition
 from .errors import QauthError, UnsupportedSizeError
 from .gf2 import BitWord
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 DEFAULT_SEED = 1729
 EXIT_OK = 0
 EXIT_CONFIG = 2

@@ -13,13 +13,13 @@ single-use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from random import Random
 from typing import Optional, Sequence
 
 from .codes import LinearCode
 from .errors import DimensionError, KeyReuseError
 from .gf2 import BitWord
 from .qsim import QubitHandle, _basis_of, channel_send, measure, prepare
+from .rng import Stream
 
 
 class SecretKey:
@@ -52,7 +52,7 @@ class SecretKey:
         return f"<SecretKey n={self.n} {state}>"
 
 
-def keygen(n: int, randomness: Random) -> SecretKey:
+def keygen(n: int, randomness: Stream) -> SecretKey:
     if n < 1:
         raise DimensionError(f"key length must be >= 1, got {n}")
     return SecretKey(BitWord(randomness.getrandbits(n), n))
@@ -79,21 +79,25 @@ def bob_receive(
     qubits: Sequence[QubitHandle],
     key_bits: BitWord,
     code: LinearCode,
-    randomness: Random,
+    randomness: Stream,
 ) -> Optional[BitWord]:
     """Measure with the shared key; the accepted message, or None.
 
-    Bob accepts iff the measured word has zero syndrome, and then
-    returns the message it encodes; a rejection is None.  A wrong qubit
-    count is treated as tampering and rejected outright.
+    The readout draws one n-bit coin word, and a qubit j prepared in
+    the other basis reads bit j of it.  Bob accepts iff the measured
+    word has zero syndrome, and then returns the message it encodes; a
+    rejection is None.  A wrong qubit count is treated as tampering and
+    rejected outright, before any draw.
     """
     if key_bits.length != code.n:
         raise DimensionError(f"key length {key_bits.length} != n={code.n}")
     if len(qubits) != code.n:
         return None
+    coins = randomness.getrandbits(code.n)
     m_b = 0
     for j in range(code.n):
-        m_b |= measure(qubits[j], _basis_of(key_bits[j]), randomness) << j
+        basis = _basis_of(key_bits[j])
+        m_b |= measure(qubits[j], basis, coins >> j & 1) << j
     if not code.is_codeword(m_b):
         return None
     return code.message_of(m_b)
@@ -121,14 +125,16 @@ def run_session(
     code: LinearCode,
     adversary=None,
     *,
-    randomness: Random,
+    randomness: Stream,
 ) -> SessionRecord:
     """One end-to-end session: keygen, Alice, channel (+ Eve), Bob.
 
     ``adversary`` is any object with ``name`` and
     ``act(tap, code, randomness) -> transcript-dict-or-None``; it works
     on the channel tap between Alice and Bob.  ``randomness`` is the
-    session's one stream: the key, then Eve's draws, then Bob's coins.
+    session's one stream, drawn a word at a time: the key, then Eve's
+    bases x_E and her coin word (one per readout), then Bob's coin word
+    unless nothing arrives.
     """
     if message.length != code.m:
         raise DimensionError(f"message length {message.length} != m={code.m}")

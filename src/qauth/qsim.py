@@ -8,9 +8,11 @@ statistics.
 
 No-cloning is modeled by opaque measure-once handles: the preparation
 record is readable only by the measurement engine, and a handle is
-consumed by its first measurement.  ``measure_word`` reads out a whole
-word of qubits packed into one int; Monte Carlo uses it instead of one
-handle per qubit.
+consumed by its first measurement.  A readout of n qubits draws one
+n-bit coin word, and a qubit j measured in the conjugate basis reads
+bit j of it: ``measure`` takes that coin bit, and ``measure_word`` reads
+out a whole word of qubits packed into one int, which Monte Carlo uses
+instead of one handle per qubit.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from random import Random
 from typing import Iterable, Sequence
 
 from .errors import ProtocolViolationError
@@ -61,48 +62,45 @@ class QubitHandle:
     def consumed(self) -> bool:
         return self.__consumed
 
-    def _measure(self, basis: Basis, randomness: Random) -> int:
+    def _measure(self, basis: Basis, coin: int) -> int:
         if self.__consumed:
             raise ProtocolViolationError("qubit already measured (no-cloning)")
         self.__consumed = True
         if basis is self.__basis:
             return self.__bit
-        return randomness.getrandbits(1)
+        return coin
 
     def __repr__(self) -> str:  # never leaks the preparation record
         state = "consumed" if self.__consumed else "fresh"
         return f"<QubitHandle {state} at {id(self):#x}>"
 
 
-def measure_word(word: int, mismatch: int, randomness: Random) -> int:
+def measure_word(word: int, mismatch: int, coins: int) -> int:
     """Read out n qubits prepared as ``word``, packed into one int.
 
     Bit j of ``mismatch`` says qubit j is measured in the conjugate of
-    its preparation basis.  Each such qubit draws one
-    ``getrandbits(1)``, in ascending position order, and that coin is
-    its readout bit; every other qubit reads its bit of ``word``.  This
-    consumes ``randomness`` exactly as measuring the qubits one by one
-    with ``QubitHandle._measure`` does.
+    its preparation basis; it reads bit j of the readout's coin word
+    ``coins`` (the coin itself, not the bit XOR the coin).  Every other
+    qubit reads its bit of ``word``.  This is measuring the qubits one
+    by one with ``measure``, each given its bit of ``coins``.
     """
-    out = word & ~mismatch
-    getrandbits = randomness.getrandbits
-    while mismatch:
-        low = mismatch & -mismatch
-        if getrandbits(1):
-            out |= low
-        mismatch ^= low
-    return out
+    return (word & ~mismatch) | (coins & mismatch)
 
 
 def prepare(bit: int, basis: Basis) -> QubitHandle:
     return QubitHandle(bit, basis)
 
 
-def measure(handle: QubitHandle, basis: Basis, randomness: Random) -> int:
-    """Measure once; deterministic on a matched basis, fair coin otherwise."""
+def measure(handle: QubitHandle, basis: Basis, coin: int) -> int:
+    """Measure once: the prepared bit on a matched basis, else ``coin``.
+
+    ``coin`` is the qubit's bit of its readout's coin word, a fair coin.
+    """
     if not isinstance(basis, Basis):
         raise ValueError(f"basis must be a Basis, got {basis!r}")
-    return handle._measure(basis, randomness)
+    if coin not in (0, 1):
+        raise ValueError(f"coin must be 0 or 1, got {coin!r}")
+    return handle._measure(basis, coin)
 
 
 # ---------------------------------------------------------------------------

@@ -3,19 +3,58 @@
 One root seed per run; every trial/qubit/party derives an independent
 stream keyed by a path of labels, so results are bit-reproducible no
 matter how the work is scheduled.
+
+A stream is BLAKE2b (RFC 7693) in counter mode: block b is the 512-bit
+digest of the path's bytes followed by b as 8 little-endian bytes, and
+the stream hands out the blocks' bits low bit first, across block
+boundaries.  Readouts draw one coin word each, so a session makes a few
+wide draws and one hash usually serves the whole trial.
 """
 
 from __future__ import annotations
 
-import hashlib
-import random
+from hashlib import blake2b
+
+_BLOCK_BITS = 512
 
 
-def substream(seed: int, *path) -> random.Random:
-    """An independent ``random.Random`` keyed by (seed, *path)."""
-    h = hashlib.blake2b(digest_size=16)
-    h.update(str(int(seed)).encode())
+class Stream:
+    """The bits of blake2b(path ‖ b) for b = 0, 1, ..., low bit first."""
+
+    __slots__ = ("_path", "_block", "_bits", "_count")
+
+    def __init__(self, path: bytes):
+        self._path = path
+        self._block = 1
+        self._bits = int.from_bytes(blake2b(path + bytes(8)).digest(), "little")
+        self._count = _BLOCK_BITS  # unread bits left in self._bits
+
+    def getrandbits(self, k: int) -> int:
+        """The next k bits as an int, the first bit drawn lowest."""
+        count = self._count
+        bits = self._bits
+        if not 0 <= k <= count:
+            if k < 0:
+                raise ValueError("number of bits must be non-negative")
+            path, block = self._path, self._block
+            while count < k:
+                digest = blake2b(path + block.to_bytes(8, "little")).digest()
+                bits |= int.from_bytes(digest, "little") << count
+                count += _BLOCK_BITS
+                block += 1
+            self._block = block
+        self._bits = bits >> k
+        self._count = count - k
+        return bits & ((1 << k) - 1)
+
+
+def substream(seed: int, *path) -> Stream:
+    """An independent ``Stream`` keyed by (seed, *path).
+
+    The key is ``str(int(seed))``, then ``/`` and ``str(part)`` for each
+    part, as UTF-8 bytes; the first block is hashed here.
+    """
+    key = str(int(seed))
     for part in path:
-        h.update(b"/")
-        h.update(str(part).encode())
-    return random.Random(int.from_bytes(h.digest(), "big"))
+        key += "/" + str(part)
+    return Stream(key.encode())

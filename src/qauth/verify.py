@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from random import Random
 from typing import Optional
 
 from . import analytics
@@ -27,7 +26,7 @@ from .errors import ParameterError, UnsupportedSizeError
 # kernel is tested against; bench/spans.py traces it as verify.run_session.
 from .protocol import run_session  # noqa: F401
 from .qsim import measure_word
-from .rng import substream
+from .rng import Stream, substream
 
 P_DEC_MAX_N = 12
 INTERCEPT_RESEND_MAX_N = 10
@@ -261,30 +260,33 @@ def word_session(
     sent: int,
     adversary,
     forged: Optional[int],
-    randomness: Random,
+    randomness: Stream,
 ) -> bool:
     """One session on packed words; True iff Bob accepts.
 
     ``sent`` is Alice's codeword and ``forged`` Eve's, as ints.  The
-    session draws the key, then Eve's bases and readout coins (through
+    session draws n-bit words in this order: the key, then Eve's bases
+    x_E and, if she reads Alice's qubits, her coin word (through
     ``adversary.forge``, whose ``read`` measures Alice's word), then
-    Bob's coins, each word's coins in ascending position order: the
-    draws ``protocol.run_session`` makes on the same stream, so both
-    accept alike and leave it in one state.
+    Bob's coin word, unless nothing arrives.  Each readout draws one
+    coin word, honest ones too.  These are the draws
+    ``protocol.run_session`` makes on the same stream, so both accept
+    alike and leave it in one state.
     """
-    key = randomness.getrandbits(code.n)
-    if adversary is None:
-        received = sent  # every basis matches, so no coins
-    else:
+    n = code.n
+    getrandbits = randomness.getrandbits
+    key = getrandbits(n)
+    word, bases = sent, key  # honest: Alice's qubits, every basis matched
+    if adversary is not None:
         bases = adversary.forge(
             code,
-            lambda guess: measure_word(sent, key ^ guess, randomness),
+            lambda guess: measure_word(sent, key ^ guess, getrandbits(n)),
             randomness,
         )[4]
         if bases is None:  # nothing arrives: Bob rejects
             return False
-        received = measure_word(forged, key ^ bases, randomness)
-    return code.is_codeword(received)
+        word = forged
+    return code.is_codeword(measure_word(word, key ^ bases, getrandbits(n)))
 
 
 def monte_carlo(
@@ -293,11 +295,12 @@ def monte_carlo(
     """Acceptance frequency over independent simulated sessions.
 
     Alice sends the zero message.  Trial i is one ``word_session`` on
-    ``substream(seed, "trial", i)``, so results are bit-reproducible for
-    a fixed seed regardless of scheduling, and equal to running
-    ``protocol.run_session`` on the same streams.  An adversary is an
-    object with ``forged_message`` and ``forge``, as in the adversary
-    module; ``run_session`` runs the same ``forge`` through its ``act``.
+    ``substream(seed, "trial", i)``, with one coin word per readout, so
+    results are bit-reproducible for a fixed seed regardless of
+    scheduling, and equal to running ``protocol.run_session`` on the
+    same streams.  An adversary is an object with ``forged_message`` and
+    ``forge``, as in the adversary module; ``run_session`` runs the same
+    ``forge`` through its ``act``.
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")

@@ -19,6 +19,7 @@ from qauth.errors import DimensionError
 from qauth.gf2 import BitWord
 from qauth.protocol import SecretKey, alice_send, bob_receive
 from qauth.qsim import channel_send
+from qauth.rng import substream
 
 
 class _FixedBits(random.Random):
@@ -173,6 +174,19 @@ class TestInterceptResend:
                 assert transcript["x_E_prime"] is None
         assert saw_abort
 
+    def test_readout_draws_one_coin_word(self, ham):
+        # act draws x_E, then one 7-bit coin word for Eve's readout; the
+        # no-message forger draws x_E alone
+        for strategy, words in ((InterceptResendStrategy(BitWord(1, 4)), 2),
+                                (NoMessageStrategy(BitWord(1, 4)), 1)):
+            for trial in range(20):
+                tap = _tap(ham, BitWord(trial % 16, 4), BitWord(trial, 7))
+                rng, shadow = substream(21, trial), substream(21, trial)
+                transcript = strategy.act(tap, ham, rng)
+                assert int(transcript["x_E"], 16) == shadow.getrandbits(7)
+                shadow.getrandbits(7 * (words - 1))
+                assert rng.getrandbits(64) == shadow.getrandbits(64)
+
     def test_invalid_policy_rejected(self):
         with pytest.raises(ValueError):
             InterceptResendStrategy(BitWord(0, 4), on_decode_failure="retry")
@@ -211,10 +225,10 @@ class TestInterceptResend:
 class TestTranscript:
     def test_json_shape(self, rep3):
         # the scripted miscorrection, run on qubit handles: Alice's 000 in
-        # Z bases, Eve's guess 111, her three readout coins 1, 1, 0
+        # Z bases, Eve's guess 111, her coin word 011 (coins 1, 1, 0)
         strategy = InterceptResendStrategy(BitWord(0, 1))
         tap = _tap(rep3, BitWord(0, 1), BitWord.from_str("000"))
-        d = strategy.act(tap, rep3, _FixedBits(0b111, 1, 1, 0))
+        d = strategy.act(tap, rep3, _FixedBits(0b111, 0b011))
         assert d == {
             "x_E": _hex("111"),
             "m_E": _hex("110"),

@@ -119,7 +119,7 @@ class TestAnalyticsTable:
         )
         assert rc == EXIT_OK
         report = json.loads(capsys.readouterr().out)
-        assert report["schema_version"] == 2
+        assert report["schema_version"] == 3
         row = report["results"][0]
         assert row["p_f_exact"] == {"numerator": "27", "denominator": "64"}
 

@@ -71,23 +71,20 @@ class TestAliceSend:
     def test_all_z_key(self, rep3):
         key = SecretKey(BitWord.from_str("000"))
         qubits = alice_send(BitWord(1, 1), key, rep3)
-        rng = random.Random(0)
-        assert [measure(q, Basis.Z, rng) for q in qubits] == [1, 1, 1]
+        assert [measure(q, Basis.Z, 0) for q in qubits] == [1, 1, 1]
 
     def test_all_x_key(self, rep3):
         key = SecretKey(BitWord.from_str("111"))
         qubits = alice_send(BitWord(0, 1), key, rep3)
-        rng = random.Random(0)
-        assert [measure(q, Basis.X, rng) for q in qubits] == [0, 0, 0]
+        assert [measure(q, Basis.X, 1) for q in qubits] == [0, 0, 0]
 
     def test_codeword_under_mixed_key(self, ham):
         msg = BitWord.from_str("1011")
         key = SecretKey(BitWord.from_str("0101101"))
         qubits = alice_send(msg, key, ham)
         cw = ham.encode(msg)
-        rng = random.Random(0)
         bases = [Basis.Z if b == 0 else Basis.X for b in BitWord.from_str("0101101")]
-        measured = [measure(q, b, rng) for q, b in zip(qubits, bases)]
+        measured = [measure(q, b, j % 2) for j, (q, b) in enumerate(zip(qubits, bases))]
         assert measured == [(cw >> j) & 1 for j in range(7)]
 
     def test_dimension_checks(self, ham):
@@ -112,6 +109,20 @@ class TestBobReceive:
             [prepare(0, Basis.Z)] * 6, key.peek(), ham, random.Random(2)
         )
         assert received is None
+
+    def test_readout_draws_one_coin_word(self, ham):
+        # every basis matches, so Bob reads the prepared bits, and still
+        # draws exactly one n-bit coin word; nothing when nothing arrives
+        for trial in range(20):
+            key = keygen(7, substream(12, "key", trial))
+            msg = BitWord(trial % 16, 4)
+            bits = key.peek()
+            rng, shadow = substream(12, trial), substream(12, trial)
+            assert bob_receive(alice_send(msg, key, ham), bits, ham, rng) == msg
+            shadow.getrandbits(7)
+            assert rng.getrandbits(64) == shadow.getrandbits(64)
+            assert bob_receive([], bits, ham, rng) is None
+            assert rng.getrandbits(64) == shadow.getrandbits(64)
 
     def test_single_flip_rejected(self, rep3):
         key = SecretKey(BitWord.from_str("000"))

@@ -15,30 +15,30 @@ from qauth.cli import EXIT_OK, main
 
 REPORTS = [
     ("simulate honest --code bch-63-18 --trials 500",
-     "7a5699f1974dd50ea90279bf8c65b075c5c7c393acdbc42e14d79d2b356f2853"),
+     "8fca5d5b4ed7af2c51312e91976ef300f139c0ccace338e7b8d2c2b61a25c28a"),
     ("simulate no-message --code rep3 --trials 20000 --seed 42",
-     "0b41c19c8d41226b7e6093bec6f6167de2283128214238ff5d3c13905e139ae8"),
+     "e7af1f78759e15b352ce78e75a0440ee9a4e3a93c08a8b84f61d8e51d6819896"),
     ("simulate no-message --code bch-63-57 --trials 2000",
-     "8857ff7dfeb831288297ae7ca222f5973f8732c19c4ed212cc4e15012dd5b8f8"),
+     "41cc83825dc7d0004f9938a21d65cfef9f3832293f8ee9bcd85198cdd736db66"),
     ("simulate intercept-resend --code hamming74 --trials 5000 --forged-message 0011",
-     "9f1cfc0a9fbe6a57761a78e0abce70126103e774cc9fe4eba23d416c043685f6"),
+     "c81555b31cfd95d77303df0810501063a2b2fbd86d1d279ac66076e89ddd9e96"),
     ("simulate intercept-resend --code bch-15-7-2 --trials 3000",
-     "7261de49540d80ce52efff3e7fa243c25ec00bf047b31a077fc4b6528001c809"),
+     "a2954786c5cc4f3af786db090cc90bf383c1f9398076312db302b9cc8fba2748"),
     ("simulate intercept-resend --code bch-31-6-7 --trials 2000 "
      "--on-decode-failure resend_uncorrected",
-     "77fde38d168868237cbeb19bb442ee81ac55b50aebfa6076ecf9745567a460df"),
+     "2d7961d950fb12df1ff8fdfbfbadf68b7c2aacb2b946ef49a33a0631f02d4552"),
     ("simulate intercept-resend --code bch-127-22 --trials 500",
-     "719c5d4e8ae712129921444aa6745c806d0a4e4b38bdc3f59f67b25d7d08e90d"),
+     "66af71708847c05579a1916f5d379f5f52e177649646bd47c1f0fac2febf8b3d"),
     ("oracle ir --code hamming74",
-     "8e6cad0115012a62ec9f76c743934788dd4b47876745b4288d8237de28f7bddb"),
+     "9f3b89a060ccd60243e5fe57e5fbcd9bffc47826e205f4a68680f643909f3c2a"),
     ("oracle ir --code rep9 --on-decode-failure resend_uncorrected",
-     "29239c3e6f0217c1c36e6fd0843f1abe1dca1b3fce41685fd73d6fc915ce8ca7"),
+     "75dc90c04f1667126a0df6faad12b551d5ba49d89f0eb85285210da330c20728"),
     ("oracle pdec --code rep9",
-     "9c832c0355f15b7f24e1e977792580d0ccca42b4c6b21401732d759c51a19891"),
+     "34d9ced7616887eaf6be5e33e0a28db2a97130a90bf3381ece97a9fe9477769c"),
     ("oracle nomsg --code bch-15-7-2",
-     "11d480c8b033668011df2115b5db95f572dacb369d33f4ce2636eebdb503e805"),
+     "1ac4e2aa0865a039345fc33f10737a4542004dd983cafbbededaa99c898c58e0"),
     ("analytics table --format json --exact",
-     "dca03e7eb890bed7de5f530af9e7984666df67bd95a175dd342c61e741e29dac"),
+     "c43340e4fc8b740a3abcfb22f4f2eb9c0aac23298db12f59cee4d809f59b19ab"),
     ("analytics table",
      "ac6cc0abf6d9ac6e888d3ea8b796a87fbd593c4eea76c4b9f99d8dabb06b09c9"),
 ]

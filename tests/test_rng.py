@@ -1,5 +1,11 @@
 """Tests for deterministic substream derivation."""
 
+import hashlib
+
+import numpy as np
+import pytest
+from scipy.stats import chi2, chisquare
+
 from qauth.rng import substream
 
 
@@ -29,3 +35,68 @@ def test_order_insensitive_to_interleaving():
     a_alone = [substream(1, "a").getrandbits(16) for _ in range(1)][0]
     b.getrandbits(16)
     assert a.getrandbits(16) == a_alone
+
+
+@pytest.mark.parametrize("total", [511, 512, 513, 1500])
+def test_chunking_invariance(total):
+    # a then b bits are the low and high parts of one (a + b)-bit draw
+    whole = substream(5, "chunk", total).getrandbits(total)
+    for a in (0, 1, 63, total // 2, 511, 512, total - 1, total):
+        if not 0 <= a <= total:
+            continue
+        s = substream(5, "chunk", total)
+        low, high = s.getrandbits(a), s.getrandbits(total - a)
+        assert low | high << a == whole
+
+
+def test_zero_bits_consume_nothing():
+    a, b = substream(8, "zero"), substream(8, "zero")
+    assert a.getrandbits(0) == 0
+    assert a.getrandbits(600) == b.getrandbits(600)
+    assert a.getrandbits(0) == 0
+    assert a.getrandbits(64) == b.getrandbits(64)
+
+
+def test_negative_bits_rejected():
+    s = substream(8, "negative")
+    for k in (-1, -600):
+        with pytest.raises(ValueError):
+            s.getrandbits(k)
+
+
+def test_blocks_are_blake2b_in_counter_mode():
+    s = substream(3, "trial", 9)
+    blocks = [
+        hashlib.blake2b(b"3/trial/9" + b.to_bytes(8, "little")).digest()
+        for b in range(3)
+    ]
+    assert s.getrandbits(1536) == int.from_bytes(b"".join(blocks), "little")
+
+
+WORDS, WIDTH = 20_000, 127
+
+
+def _bit_matrix(seed):
+    """WORDS draws of WIDTH bits as rows of 0/1, bit j in column j."""
+    s = substream(seed, "bits")
+    raw = b"".join(s.getrandbits(WIDTH).to_bytes(16, "little") for _ in range(WORDS))
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(WORDS, 16)
+    return np.unpackbits(rows, axis=1, bitorder="little")[:, :WIDTH]
+
+
+def test_bit_frequency_per_position_chi2():
+    ones = _bit_matrix(2024).sum(axis=0, dtype=np.int64)
+    # a fair bit at each position: each position's 1-dof statistic, and
+    # their sum, chi-squared with WIDTH degrees of freedom
+    stats = (2 * ones - WORDS) ** 2 / WORDS
+    assert chi2.sf(stats.sum(), WIDTH) > 0.001
+    assert chi2.sf(stats.max(), 1) > 1e-6
+
+
+def test_adjacent_bits_independent():
+    # consecutive bits of the stream, inside a word and across two,
+    # fall in the four cells (earlier, later) uniformly
+    bits = _bit_matrix(2025).ravel()
+    pairs = bits[:-1] + 2 * bits[1:]
+    cells = np.bincount(pairs, minlength=4)
+    assert chisquare(cells).pvalue > 0.001

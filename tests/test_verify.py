@@ -375,7 +375,7 @@ class TestWordKernel:
             by_handles = substream(self.SEED, "trial", trial)
             record = run_session(message, code, adversary=adversary, randomness=by_handles)
             assert word_session(code, sent, adversary, forged, by_words) == record.accepted
-            assert by_words.getstate() == by_handles.getstate()
+            assert by_words.getrandbits(64) == by_handles.getrandbits(64)
         assert monte_carlo(code, self.TRIALS, self.SEED, adversary=adversary) == (
             _reference_stats(code, self.TRIALS, self.SEED, adversary, message)
         )
@@ -399,7 +399,7 @@ class TestWordKernel:
                 )
                 accepted = word_session(code, sent, adversary, forged, by_words)
                 assert accepted == record.accepted
-                assert by_words.getstate() == by_handles.getstate()
+                assert by_words.getrandbits(64) == by_handles.getrandbits(64)
                 successes += accepted
             assert 0 < successes < 500
 
