@@ -7,12 +7,14 @@ fixed number of significant digits happens only at the output boundary
 and rounds half-to-even.
 
 Quantities (n qubits, t-error-correcting code):
-  p_f_no_message(n)            -- forge-from-scratch success, (3/4)^n
-  p_x(n, i)                    -- i basis guesses correct, C(n,i)/2^n
-  p_weight_le_t_given_i(n,t,i) -- decodable error weight given i matches
-  p_dec(n, t)                  -- Eve decodes the intercepted word
-  p_forge_given_i(n, t, i)     -- residual forgery success given i matches
-  p_f_prime(n, t)              -- intercept-resend forgery success
+  p_f_no_message(n) -- forge-from-scratch success, (3/4)^n
+  p_dec(n, t)       -- Eve decodes the intercepted word, sum_i a_i / 4^n
+  p_f_prime(n, t)   -- intercept-resend forgery success,
+                       sum_i a_i * 2^-max(0, n-t-i) / 4^n
+
+Both sums run over the number i of correct basis guesses, with one
+integer term list a_i = C(n,i) * sum_{h<=t} C(n-i,h) * 2^i, so that
+a_i / 4^n is P(i bases right and Eve's decode succeeds).
 """
 
 from __future__ import annotations
@@ -46,82 +48,47 @@ def p_f_no_message(n: int) -> Fraction:
     return _check_prob(Fraction(3**n, 4**n))
 
 
-def p_x(n: int, i: int) -> Fraction:
-    """P(exactly i of n independent fair basis guesses are correct)."""
-    if not 0 <= i <= n:
-        raise DimensionError(f"i={i} outside [0, {n}]")
-    return _check_prob(Fraction(comb(n, i), 2**n))
+def _decode_terms(n: int, t: int) -> list[int]:
+    """a_i for i = 0..n, where a_i / 4^n = P(i bases right and Eve decodes).
 
-
-def p_weight_le_t_given_i(n: int, t: int, i: int) -> Fraction:
-    """P(measurement-error weight <= t | exactly i bases matched).
-
-    The n - i mismatched positions each flip independently with
-    probability 1/2; with i >= n - t the weight cannot exceed t.
-    Note C(n-i, n-i-h) = C(n-i, h).
+    i of the n basis guesses are right with probability C(n, i) / 2^n;
+    the n - i wrong ones each flip Eve's readout with probability 1/2,
+    and the decode succeeds when at most t flip, which has probability
+    sum_{h<=t} C(n-i, h) / 2^(n-i).  For i >= n - t that sum is 1.
     """
-    if not 0 <= i <= n:
-        raise DimensionError(f"i={i} outside [0, {n}]")
-    if i >= n - t:
-        return Fraction(1)
-    miss = n - i
-    total = sum(comb(miss, h) for h in range(t + 1))
-    return _check_prob(Fraction(total, 2**miss))
+    if not 0 <= t < n:
+        raise DimensionError(f"t={t} outside [0, {n})")
+    return [
+        comb(n, i) * sum(comb(n - i, h) for h in range(t + 1)) << i
+        for i in range(n + 1)
+    ]
 
 
 def p_dec(n: int, t: int) -> Fraction:
-    """P(the eavesdropper's bounded-distance decode succeeds).
+    """P(the eavesdropper's bounded-distance decode succeeds): sum a_i / 4^n.
 
-    Sum over the number i of correct basis guesses of
-    p_x(n, i) * p_weight_le_t_given_i(n, t, i).  The paper's printed
-    table uses a smaller expression, P(more than n - t bases guessed
-    right), named ``table_p_dec`` in tests/test_acceptance.py; this
-    function is pinned to the exhaustive decoder oracle instead.
+    The paper's printed table uses a smaller expression, P(more than
+    n - t bases guessed right), named ``table_p_dec`` in
+    tests/test_acceptance.py; this function is pinned to the exhaustive
+    decoder oracle instead.
     """
-    if not 0 <= t < n:
-        raise DimensionError(f"t={t} outside [0, {n})")
-    return _check_prob(
-        sum(
-            p_x(n, i) * p_weight_le_t_given_i(n, t, i)
-            for i in range(n + 1)
-        )
-    )
-
-
-def p_forge_given_i(n: int, t: int, i: int) -> Fraction:
-    """P(receiver accepts | i matches and a successful t-position correction).
-
-    Under the model's assumption that a successful decode corrects
-    exactly t of the n - i wrong bases, n - t - i wrong bases remain and
-    each must come out right as a fair coin: 2^-(n-t-i).
-    """
-    if not 0 <= i <= n - t - 1:
-        raise DimensionError(
-            f"i={i} outside [0, {n - t - 1}] (i >= n-t has probability 1)"
-        )
-    return _check_prob(Fraction(1, 2 ** (n - t - i)))
+    return _check_prob(Fraction(sum(_decode_terms(n, t)), 4**n))
 
 
 def p_f_prime(n: int, t: int) -> Fraction:
-    """Intercept-resend forgery success probability.
+    """Intercept-resend forgery success: sum a_i * 2^-max(0, n-t-i) / 4^n.
 
-    For i <= n-t-1: decode must succeed and the residual n-t-i wrong
-    bases must all read out favorably; for i >= n-t acceptance is
-    certain given the model's full key correction.  The paper's printed
-    table uses a smaller expression, with the decode weight reduced to
-    its h = 0 term and i = n-t left out, named ``table_p_f_prime`` in
-    tests/test_acceptance.py.
+    The model assumes that a successful decode corrects exactly t of
+    the n - i wrong bases, so for i <= n-t-1 the residual n-t-i wrong
+    bases must all read out favorably, each a fair coin: the factor
+    2^-(n-t-i).  For i >= n-t acceptance is certain.  The paper's
+    printed table uses a smaller expression, with the decode weight
+    reduced to its h = 0 term and i = n-t left out, named
+    ``table_p_f_prime`` in tests/test_acceptance.py.
     """
-    if not 0 <= t < n:
-        raise DimensionError(f"t={t} outside [0, {n})")
-    # one integer numerator over 8^n: term i is C(n, i) * inner / 2^(3n-2i-t)
-    # below n - t, and C(n, i) / 2^n from there on
-    total = 0
-    for i in range(n - t):
-        inner = sum(comb(n - i, h) for h in range(t + 1))
-        total += comb(n, i) * inner << (2 * i + t)
-    for i in range(n - t, n + 1):
-        total += comb(n, i) << 2 * n
+    total = sum(
+        a << (n - max(0, n - t - i)) for i, a in enumerate(_decode_terms(n, t))
+    )
     return _check_prob(Fraction(total, 8**n))
 
 

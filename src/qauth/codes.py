@@ -80,7 +80,7 @@ class LinearCode:
         self.message_columns = pivots
         if field_info is not None:
             # imported here: the bch module imports this one
-            from .bch import BchAlgebraicDecoder, bch_field, cyclotomic_exponents
+            from . import bch
 
             try:
                 w, poly = field_info["w"], field_info["primitive_poly"]
@@ -88,9 +88,10 @@ class LinearCode:
                 raise ParameterError(
                     f"field_info {field_info!r} lacks w or primitive_poly"
                 ) from None
-            field = bch_field(w, poly)
-            decoder = BchAlgebraicDecoder(field, t)
-            bch_m = field.order - len(cyclotomic_exponents(field.order, t))
+            bch.check_bch_parameters(w, t)  # before a field table is built for w
+            field = bch.bch_field(w, poly)
+            decoder = bch.BchAlgebraicDecoder(field, t)
+            bch_m = field.order - len(bch.cyclotomic_exponents(field.order, t))
             if (n, self.m) != (field.order, bch_m) or any(
                 any(decoder.syndromes(row)) for row in generator.rows
             ):
@@ -208,9 +209,10 @@ def syndrome_table_decoder(parity_check: BitMatrix, t: int) -> Decoder:
     radius = min(t, n)  # no pattern weighs more than n, whatever t a spec holds
     patterns = sum(comb(n, h) for h in range(radius + 1))
     if patterns > SYNDROME_TABLE_MAX_PATTERNS:
+        # a bound, not the count, which can run to hundreds of digits
         raise UnsupportedSizeError(
-            f"{patterns} error patterns of weight <= {t} exceed the "
-            f"syndrome-table bound ({SYNDROME_TABLE_MAX_PATTERNS})"
+            f"at least 2^{patterns.bit_length() - 1} error patterns of weight "
+            f"<= {t} exceed the syndrome-table bound ({SYNDROME_TABLE_MAX_PATTERNS})"
         )
     # columns[j] is the syndrome of a flip at position j
     columns = [mat_vec_mul(parity_check, 1 << j) for j in range(n)]

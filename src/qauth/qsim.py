@@ -3,8 +3,6 @@
 Only the four BB84 states ever occur and there is no entanglement, so a
 qubit is stored as its hidden (basis, bit) record: measuring in the
 preparation basis is deterministic, in the conjugate basis a fair coin.
-The StateVector path exists solely as a cross-check oracle for those
-statistics.
 
 No-cloning is modeled by opaque measure-once handles: the preparation
 record is readable only by the measurement engine, and a handle is
@@ -17,15 +15,10 @@ instead of one handle per qubit.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
 from .errors import ProtocolViolationError
-
-_NORM_TOL = 1e-12
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 class Basis(Enum):
@@ -101,43 +94,6 @@ def measure(handle: QubitHandle, basis: Basis, coin: int) -> int:
     if coin not in (0, 1):
         raise ValueError(f"coin must be 0 or 1, got {coin!r}")
     return handle._measure(basis, coin)
-
-
-# ---------------------------------------------------------------------------
-# StateVector cross-check oracle.
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class StateVector:
-    """Normalized single-qubit amplitudes (a0, a1)."""
-
-    a0: complex
-    a1: complex
-
-    def __post_init__(self) -> None:
-        norm = abs(self.a0) ** 2 + abs(self.a1) ** 2
-        if abs(norm - 1.0) > _NORM_TOL:
-            raise ValueError(f"state not normalized: |a|^2 = {norm!r}")
-
-
-def statevector_of(bit: int, basis: Basis) -> StateVector:
-    if bit not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-    if basis is Basis.Z:
-        return StateVector(1.0 + 0j, 0j) if bit == 0 else StateVector(0j, 1.0 + 0j)
-    sign = 1.0 if bit == 0 else -1.0
-    return StateVector(complex(_INV_SQRT2), complex(sign * _INV_SQRT2))
-
-
-def born_probabilities(s: StateVector, basis: Basis) -> tuple[float, float]:
-    """(p0, p1) of measuring ``s`` in ``basis``."""
-    if basis is Basis.Z:
-        p0 = abs(s.a0) ** 2
-        p1 = abs(s.a1) ** 2
-    else:
-        p0 = abs(s.a0 + s.a1) ** 2 / 2.0
-        p1 = abs(s.a0 - s.a1) ** 2 / 2.0
-    return p0, p1
 
 
 # ---------------------------------------------------------------------------

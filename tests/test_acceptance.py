@@ -22,7 +22,7 @@ from qauth.codes import make_hamming_7_4, make_repetition
 from qauth.errors import ProtocolViolationError
 from qauth.gf2 import BitWord
 from qauth.protocol import run_session
-from qauth.qsim import Basis, born_probabilities, measure, prepare, statevector_of
+from qauth.qsim import Basis, measure, prepare
 from qauth.rng import substream
 from qauth.verify import (
     monte_carlo,
@@ -31,6 +31,7 @@ from qauth.verify import (
     oracle_no_message_any_codeword,
     oracle_p_dec,
 )
+from reference_model import born_probabilities, p_forge_given_i, p_x, statevector_of
 
 # (w, t) -> (n, m) and the published security-table entries
 GRID = {
@@ -75,7 +76,7 @@ def table_p_dec(n, t):
     ``analytics.p_dec`` sums p_x(n, i) times a weight factor <= 1 over
     every i, with factor 1 for i > n - t, so it is never smaller.
     """
-    return sum(analytics.p_x(n, i) for i in range(n - t + 1, n + 1))
+    return sum(p_x(n, i) for i in range(n - t + 1, n + 1))
 
 
 def table_p_f_prime(n, t):
@@ -87,9 +88,9 @@ def table_p_f_prime(n, t):
     """
     return (
         sum(
-            analytics.p_x(n, i)
+            p_x(n, i)
             * Fraction(1, 2 ** (n - i))
-            * analytics.p_forge_given_i(n, t, i)
+            * p_forge_given_i(n, t, i)
             for i in range(n - t)
         )
         + table_p_dec(n, t)

@@ -11,9 +11,6 @@ from qauth.analytics import (
     p_dec,
     p_f_no_message,
     p_f_prime,
-    p_forge_given_i,
-    p_weight_le_t_given_i,
-    p_x,
     render_fixed,
     render_scientific,
     security_row,
@@ -22,6 +19,16 @@ from qauth.analytics import (
 )
 from qauth.codes import make_hamming_7_4, make_repetition
 from qauth.errors import DimensionError
+from reference_model import (
+    factored_p_dec,
+    factored_p_f_prime,
+    p_forge_given_i,
+    p_weight_le_t_given_i,
+    p_x,
+)
+
+# (n, t) of the 8 BCH codes of the security table
+GRID_NT = [(63, 1), (63, 2), (63, 10), (63, 13), (127, 1), (127, 2), (127, 15), (127, 23)]
 
 
 class TestNoMessage:
@@ -92,12 +99,11 @@ class TestDecodeProbability:
         assert p_dec(3, 1) == Fraction(27, 32)
 
     def test_factored_form_consistency(self):
-        for n, t in [(5, 1), (7, 1), (9, 3), (15, 2)]:
-            factored = sum(
-                p_x(n, i) * p_weight_le_t_given_i(n, t, i)
-                for i in range(n + 1)
-            )
-            assert p_dec(n, t) == factored
+        # the one integer term list against the product of Fraction factors
+        pairs = [(n, t) for n in range(1, 41) for t in range(n)] + GRID_NT
+        for n, t in pairs:
+            assert p_dec(n, t) == factored_p_dec(n, t), (n, t)
+            assert p_f_prime(n, t) == factored_p_f_prime(n, t), (n, t)
 
     @pytest.mark.parametrize("n", [63, 127])
     def test_strictly_increasing_in_t(self, n):

@@ -401,6 +401,27 @@ class TestUserInputErrors:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and "error patterns" in lines[0]
 
+    def test_huge_pattern_count_is_printed_as_a_power_of_2(self, capsys):
+        # rep999 has 2^998 patterns of weight <= 499, 301 digits in full
+        rc = run_cli("analytics", "table", "--code", "rep999")
+        lines = capsys.readouterr().err.splitlines()
+        assert rc == EXIT_CONFIG
+        assert len(lines) == 1 and len(lines[0]) < 200
+        assert "2^998 error patterns" in lines[0]
+
+    @pytest.mark.parametrize("w", [0, 1, 9])
+    def test_field_exponent_outside_a_byte_lane_names_its_bound(
+        self, w, tmp_path, capsys
+    ):
+        # the bound the decoder needs is checked before any field is built
+        field = {"w": w, "primitive_poly": 0x211}
+        path = _edited_spec(tmp_path, "bch-15-7-2", field=field)
+        rc = run_cli("simulate", "honest", "--code", path, "--trials", "1")
+        lines = capsys.readouterr().err.splitlines()
+        assert rc == EXIT_CONFIG
+        assert len(lines) == 1 and "field exponent" in lines[0]
+        assert "outside [2, 8]" in lines[0]
+
 
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-(2**70), 2**70)

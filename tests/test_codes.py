@@ -132,10 +132,22 @@ class TestFieldCodesAreBch:
             LinearCode("x", [0b1111111], 7, t, self.FIELD3)
 
     def test_fields_wider_than_a_byte_lane_are_unsupported(self):
-        # x^9 + x^4 + 1 is primitive: the field builds, the decoder does not
+        # x^9 + x^4 + 1 is primitive, but w is checked before a field is built
         field_info = {"w": 9, "primitive_poly": (1 << 9) | (1 << 4) | 1}
         with pytest.raises(UnsupportedSizeError, match=r"outside \[2, 8\]"):
             LinearCode("x", [(1 << 511) - 1], 511, 1, field_info)
+
+    @pytest.mark.parametrize("w", [0, 1, 9])
+    def test_no_field_is_built_for_an_unsupported_exponent(self, w, monkeypatch):
+        from qauth import bch
+
+        def no_field(*args):
+            raise AssertionError(f"bch_field{args} built for w={w}")
+
+        monkeypatch.setattr(bch, "bch_field", no_field)
+        field_info = {"w": w, "primitive_poly": (1 << w) | 1}
+        with pytest.raises(UnsupportedSizeError, match=r"outside \[2, 8\]"):
+            LinearCode("x", [1], 1, 1, field_info)
 
     @pytest.mark.parametrize(
         "field_info", [{}, {"w": 3}, {"primitive_poly": 0b1011}, 0]

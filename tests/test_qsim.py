@@ -8,16 +8,14 @@ import pytest
 from qauth.errors import ProtocolViolationError
 from qauth.qsim import (
     Basis,
-    StateVector,
     _basis_of,
-    born_probabilities,
     channel_send,
     measure,
     measure_word,
     prepare,
-    statevector_of,
 )
 from qauth.rng import substream
+from reference_model import StateVector, born_probabilities, statevector_of
 
 ALL_STATES = [(bit, basis) for basis in Basis for bit in (0, 1)]
 

@@ -17,9 +17,6 @@ DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 # qualified name -> why it stays without a caller in src/qauth or bench/
 EXEMPT = {
-    "qsim.StateVector": "Born-rule reference oracle for the qubit simulator",
-    "qsim.statevector_of": "Born-rule reference oracle for the qubit simulator",
-    "qsim.born_probabilities": "Born-rule reference oracle for the qubit simulator",
     "qsim.QubitHandle.consumed": (
         "the handle's one public attribute, which Criterion 7 pins"
     ),
@@ -27,10 +24,6 @@ EXEMPT = {
     "protocol.SessionRecord.accepted": (
         "the session's verdict, derived from the accepted message; the "
         "word-level kernel is checked against it trial by trial"
-    ),
-    "analytics.p_forge_given_i": (
-        "the model's residual-forgery term, named in the module docstring; "
-        "tests/test_acceptance.py builds the printed p_f' column from it"
     ),
 }
 
@@ -123,6 +116,14 @@ def test_every_src_definition_has_a_caller_outside_tests():
 def test_exemptions_name_existing_definitions():
     defined = {qualname for qualname, _ in _src_definitions()}
     assert set(EXEMPT) <= defined
+
+
+def test_no_exemption_is_stale():
+    # an exemption for a name that gained a caller, or a default that a
+    # call now passes, hides nothing and would hide the next one
+    stale = sorted(set(EXEMPT) - set(_unreferenced()))
+    stale += sorted(set(EXEMPT_DEFAULTS) - set(_unpassed_defaults()))
+    assert stale == [], f"exempted, but called or passed in src/qauth or bench/: {stale}"
 
 
 def test_every_export_is_defined():

@@ -8,8 +8,10 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qauth import qsim
+from qauth import analytics, qsim
 from qauth.adversary import (
     ABORT,
     RESEND_UNCORRECTED,
@@ -167,6 +169,46 @@ class TestInterceptResendOracle:
     def test_invalid_policy_rejected(self, rep3):
         with pytest.raises(ParameterError):
             oracle_intercept_resend(rep3, "bogus")
+
+
+@st.composite
+def _generator_columns(draw):
+    """(k, columns): n <= 9 columns of k bits, zero and repeated ones included."""
+    n = draw(st.integers(1, 9))
+    k = draw(st.integers(1, n))
+    columns = st.lists(st.integers(0, (1 << k) - 1), min_size=n, max_size=n)
+    return k, draw(columns.filter(any))
+
+
+def _code_of_columns(k, columns):
+    """The code the k rows of these columns span, at t = (d - 1) // 2."""
+    n = len(columns)
+    rows = [
+        sum(((c >> r) & 1) << j for j, c in enumerate(columns)) for r in range(k)
+    ]
+    weights = LinearCode("probe", rows, n, 0).weight_distribution()
+    d = next(w for w in range(1, n + 1) if weights[w])
+    return LinearCode(f"random-{n}", rows, n, (d - 1) // 2)
+
+
+class TestIdentitiesOnRandomCodes:
+    """Every oracle identity on random [n <= 9, m] codes, not a pinned list."""
+
+    @given(_generator_columns())
+    @example((3, [1, 2, 4]))  # m = n, t = 0
+    @example((2, [0, 1, 2, 3]))  # a zero column
+    @example((2, [1, 1, 2, 2, 3]))  # repeated columns
+    @example((1, [1] * 9))  # rep9, t = 4
+    @settings(max_examples=300, deadline=None)
+    def test_oracle_identities(self, generator):
+        code = _code_of_columns(*generator)
+        assert oracle_p_dec(code).exact_value == analytics.p_dec(code.n, code.t)
+        assert oracle_no_message(code).exact_value == (
+            oracle_no_message_any_codeword(code)
+        )
+        abort = oracle_intercept_resend(code, ABORT).exact_value
+        resend = oracle_intercept_resend(code, RESEND_UNCORRECTED).exact_value
+        assert abort <= resend
 
 
 def _pinned_code(selector):
