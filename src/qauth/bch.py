@@ -10,10 +10,11 @@ whose constructor is the only check (zero S_1..S_2t on every row, and
 m = n - |K|).  The shifts have distinct degrees, so they span m
 dimensions; g then lies in BCH(w, t) with its generator's degree, so g
 is that generator and divides x^n + 1.  Every BCH code decodes
-with ``BchAlgebraicDecoder``: odd syndromes from a per-byte table,
-squared into the even ones; binary (odd-step) Berlekamp-Massey on one
-int register of field elements in byte lanes; a Chien search with one
-byte lane per position.  It returns ``(ok, flips)`` like every decoder,
+with ``BchAlgebraicDecoder``: all 2t syndromes from one pass of
+per-byte tables, already the int register that binary (odd-step)
+Berlekamp-Massey runs on, one field element per byte lane; a Chien
+search with one byte lane per position, one table lookup per locator
+term.  It returns ``(ok, flips)`` like every decoder,
 the roots packed into the int ``flips``.  For designed distance 2t+1
 this is the same bounded-distance map as a syndrome table, which the
 tests use as its oracle.
@@ -21,7 +22,7 @@ tests use as its oracle.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .codes import LinearCode
 from .errors import ParameterError, UnsupportedSizeError
@@ -71,7 +72,11 @@ class BchAlgebraicDecoder:
     Elements are below 2^8, so each fits one byte lane, and field
     arithmetic is ``bytes.translate`` by ``_mul[a]``, the table of
     b -> a·b, which multiplies every lane of a register by a at once.
-    Chien search keeps position j in byte lane j of one n-byte word.
+    Syndromes and Chien search are GF(2)-linear, so both are table
+    lookups: the syndromes one per byte of the word, and Chien search
+    one per locator term.  Chien search keeps position j in byte lane j
+    of one n-byte word; its tables are built on the first decode that
+    reaches it.
     """
 
     def __init__(self, field: GF2m, t: int):
@@ -80,37 +85,46 @@ class BchAlgebraicDecoder:
         self.t = t
         self.n = n = field.order
         exp, log = field._exp, field._log
-        # column j holds S_1, S_3, .., S_(2t-1) of a flip at position j,
-        # S_(2k+1) = alpha^((2k+1)j) in byte k
+        # column j holds S_1..S_2t of a flip at position j,
+        # S_k = alpha^(kj) in byte k-1
         columns = [
-            int.from_bytes(bytes(exp[(2 * k + 1) * j % n] for k in range(t)), "little")
+            int.from_bytes(bytes(exp[k * j % n] for k in range(1, 2 * t + 1)), "little")
             for j in range(n)
         ]
         self._byte_rows = linear_byte_tables(columns)
-        # _lanes[k-1] holds alpha^(-jk) in lane j: locator term k at
-        # alpha^-j, before its coefficient is multiplied in
-        self._lanes = [
-            bytes(exp[-j * k % n] for j in range(n)) for k in range(1, t + 1)
-        ]
+        self._n_bytes = len(self._byte_rows)
         # _mul[a] is the bytes.translate table of b -> a·b
         self._mul = [bytes(exp[i + j] for j in log).ljust(256, b"\0") for i in log]
         # the locator's constant term, 1, in every lane
         self._ones = int.from_bytes(b"\1" * n, "little")
 
-    def syndromes(self, received: int) -> list[int]:
-        """S_1..S_2t: the odd ones by byte table, then S_2k = S_k^2."""
+    def syndromes(self, received: int) -> int:
+        """S_1..S_2t, S_k in byte lane k-1 of one int: one lookup per byte."""
         acc = 0
-        rows = self._byte_rows
-        for row, v in zip(rows, received.to_bytes(len(rows), "little")):
+        for row, v in zip(self._byte_rows, received.to_bytes(self._n_bytes, "little")):
             acc ^= row[v]
-        syn = [0] * (2 * self.t)
-        syn[::2] = acc.to_bytes(self.t, "little")
-        mul = self._mul
-        for k in range(1, self.t + 1):
-            syn[2 * k - 1] = mul[syn[k - 1]][syn[k - 1]]
-        return syn
+        return acc
 
-    def _berlekamp_massey(self, syn: list[int]) -> bytes | None:
+    @cached_property
+    def _chien_terms(self) -> list[list[int]]:
+        """``[k-1][c]``: locator term k at every alpha^-j, times coefficient c.
+
+        Lane j of ``[k-1][c]`` is c·alpha^(-jk).  Multiplying by c is
+        GF(2)-linear in c's bits, so each of the t tables is the byte
+        table of the w single-bit multiples, cut to its 2^w entries.
+        """
+        exp, n, size = self.field._exp, self.n, 1 << self.field.w
+        terms = []
+        for k in range(1, self.t + 1):
+            lanes = bytes(exp[-j * k % n] for j in range(n))
+            bit_multiples = [
+                int.from_bytes(lanes.translate(self._mul[1 << i]), "little")
+                for i in range(self.field.w)
+            ]
+            terms.append(linear_byte_tables(bit_multiples)[0][:size])
+        return terms
+
+    def _berlekamp_massey(self, syn: int) -> bytes | None:
         """The error locator's coefficients, one byte each, or None once L > t.
 
         Binary form (Berlekamp 1968): S_2k = S_k^2 makes every
@@ -127,7 +141,7 @@ class BchAlgebraicDecoder:
         """
         exp, log, mul = self.field._exp, self.field._log, self._mul
         n, t, width = self.n, self.t, 5 * self.t + 2
-        x = int.from_bytes(bytes(syn), "little") | 1 << 32 * t
+        x = syn | 1 << 32 * t
         y = (x << 8 | 1).to_bytes(width, "little")
         big_l = 0
         for step in range(0, 2 * t, 2):
@@ -145,11 +159,10 @@ class BchAlgebraicDecoder:
         return (x >> 16 * t).to_bytes(big_l + 1, "little")
 
     def _chien_values(self, locator: bytes) -> bytes:
-        """locator(alpha^-j) in byte j: a translate per nonzero term; roots are 0."""
-        acc, mul = self._ones, self._mul
-        for lanes, coef in zip(self._lanes, locator[1:]):
-            if coef:
-                acc ^= int.from_bytes(lanes.translate(mul[coef]), "little")
+        """locator(alpha^-j) in byte j: a lookup and XOR per term; roots are 0."""
+        acc = self._ones
+        for terms, coef in zip(self._chien_terms, locator[1:]):
+            acc ^= terms[coef]
         return acc.to_bytes(self.n, "little")
 
     def __call__(self, received: int) -> tuple[bool, int]:
@@ -170,7 +183,7 @@ class BchAlgebraicDecoder:
         cancels all 2t syndromes.
         """
         syn = self.syndromes(received)
-        if not any(syn):
+        if not syn:
             return True, 0
         locator = self._berlekamp_massey(syn)
         if locator is None:

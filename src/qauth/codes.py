@@ -78,6 +78,7 @@ class LinearCode:
         self.generator = generator  # m x n, reduced row echelon form
         self.parity_check = BitMatrix(tuple(h_rows or [0]), n)  # (n-m) x n
         self.message_columns = pivots
+        self._reencode_tables = None  # built on the first is_codeword
         if field_info is not None:
             # imported here: the bch module imports this one
             from . import bch
@@ -93,7 +94,7 @@ class LinearCode:
             decoder = bch.BchAlgebraicDecoder(field, t)
             bch_m = field.order - len(bch.cyclotomic_exponents(field.order, t))
             if (n, self.m) != (field.order, bch_m) or any(
-                any(decoder.syndromes(row)) for row in generator.rows
+                decoder.syndromes(row) for row in generator.rows
             ):
                 raise ParameterError(
                     f"[{n}, {self.m}] rows are not BCH(w={w}, t={t}), "
@@ -124,13 +125,34 @@ class LinearCode:
         return acc
 
     def is_codeword(self, word: int) -> bool:
-        """Zero syndrome, decided at the first parity check that fails."""
+        """Whether ``word`` is the codeword its message columns select.
+
+        A codeword is the XOR of the rows of G whose pivots it holds, so
+        ``word`` is re-encoded from its pivot bits, one table lookup per
+        byte that holds a pivot, and compared with itself.  A match lies
+        within n bits, so only a mismatch needs the range check.
+        """
+        tables = self._reencode_tables
+        if tables is None:  # a plain attribute reads faster than a cached_property
+            tables = self._reencode_tables = self._build_reencode_tables()
+        acc = 0
+        for shift, table in tables:
+            acc ^= table[word >> shift & 255]
+        if acc == word:
+            return True
         if word < 0 or word >> self.n:
             raise DimensionError(f"word {word:#x} does not fit in n={self.n} bits")
-        for row in self.parity_check.rows:
-            if (row & word).bit_count() & 1:
-                return False
-        return True
+        return False
+
+    def _build_reencode_tables(self) -> list[tuple[int, list[int]]]:
+        """(shift, table) per byte that holds a pivot: its pivot bits' rows of G."""
+        columns = [0] * self.n
+        for p, row in zip(self.message_columns, self.generator.rows):
+            columns[p] = row
+        return [
+            (8 * b, linear_byte_tables(columns[8 * b : 8 * b + 8])[0])
+            for b in sorted({p // 8 for p in self.message_columns})
+        ]
 
     def message_of(self, codeword: int) -> BitWord:
         """Project a codeword back to its message (pivot-column readout)."""

@@ -243,14 +243,21 @@ class TrialStats:
 
 
 def clopper_pearson(successes: int, trials: int) -> tuple[float, float]:
-    from scipy.stats import beta  # seconds to import; only intervals need it
+    """Exact two-sided interval: quantiles of beta distributions.
+
+    ``betaincinv(a, b, q)`` is the q-quantile of Beta(a, b), the same
+    float as ``scipy.stats.beta.ppf(q, a, b)`` at a fraction of the cost
+    and of the import.
+    """
+    # half a second to import; only intervals need it
+    from scipy.special import betaincinv
 
     alpha = 1.0 - CONFIDENCE
     low = 0.0 if successes == 0 else float(
-        beta.ppf(alpha / 2, successes, trials - successes + 1)
+        betaincinv(successes, trials - successes + 1, alpha / 2)
     )
     high = 1.0 if successes == trials else float(
-        beta.ppf(1 - alpha / 2, successes + 1, trials - successes)
+        betaincinv(successes + 1, trials - successes, 1 - alpha / 2)
     )
     return low, high
 

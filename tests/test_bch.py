@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qauth import analytics, cli
 from qauth.bch import (
     BchAlgebraicDecoder,
     bch_generator_poly,
@@ -40,6 +41,11 @@ GRID = {
 
 def _mask(positions):
     return sum(1 << j for j in positions)
+
+
+def _syndrome_lanes(decoder, word):
+    """[S_1, .., S_2t]: the byte lanes of ``decoder.syndromes(word)``."""
+    return list(decoder.syndromes(word).to_bytes(2 * decoder.t, "little"))
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +79,7 @@ class TestConstruction:
         small = [build_bch(w, t) for w, t in [(3, 1), (4, 2), (5, 3), (5, 7)]]
         for code in small + list(grid_codes.values()):
             for row in code.generator.rows:
-                assert not any(code.decoder.syndromes(row)), code.name
+                assert not any(_syndrome_lanes(code.decoder, row)), code.name
 
     def test_generator_polys_match_lin_costello(self):
         # Lin & Costello, Error Control Coding, App. C, by (w, t); octal,
@@ -179,7 +185,7 @@ class TestDecoding:
         rng = random.Random(11)
         for _ in range(20):
             cw = code.encode(BitWord(rng.getrandbits(code.m), code.m))
-            assert not any(decoder.syndromes(cw))
+            assert not any(_syndrome_lanes(decoder, cw))
 
 
 def _assert_decoders_agree(code, values):
@@ -315,6 +321,19 @@ class TestAlgebraicMatchesReference:
                 received = cw ^ _mask(rng.sample(range(code.n), code.t + 1 + k % 3))
             assert decoder(received) == reference(received), received
 
+    @pytest.mark.parametrize("wt", sorted(GRID) + [(5, 7), (8, 1), (8, 12)])
+    def test_syndrome_lanes(self, wt):
+        # lane k-1 is S_k, and the even lanes are the squares S_2k = S_k^2
+        code, reference = _code_and_reference(*wt)
+        decoder = code.decoder
+        rng = random.Random(5000 + 10 * wt[0] + wt[1])
+        for _ in range(300):
+            word = rng.getrandbits(code.n)
+            lanes = _syndrome_lanes(decoder, word)
+            assert lanes == reference.syndromes(word), word
+            for k in range(1, code.t + 1):
+                assert lanes[2 * k - 1] == reference.mul(lanes[k - 1], lanes[k - 1])
+
     # A codeword of the supercode BCH(w, t'), t' < t, has S_1..S_(k-1) = 0
     # and S_k != 0 for some k > 2t'.  With t < k < 2t - 1, Berlekamp-Massey
     # sets L = k > t at step k - 1, before its last step, so it exits early.
@@ -324,10 +343,10 @@ class TestAlgebraicMatchesReference:
         decoder = code.decoder
         rng = random.Random(17)
         word = sup.encode(BitWord(rng.randrange(1, 1 << sup.m), sup.m))
-        syn = decoder.syndromes(word)
-        k = next(i for i, s in enumerate(syn, start=1) if s)
+        lanes = _syndrome_lanes(decoder, word)
+        k = next(i for i, s in enumerate(lanes, start=1) if s)
         assert code.t < k < 2 * code.t - 1
-        assert decoder._berlekamp_massey(syn) is None
+        assert decoder._berlekamp_massey(decoder.syndromes(word)) is None
         reference = ReferenceBchDecoder(decoder.field, code.t)
         assert decoder(word) == reference(word) == (False, 0)
 
@@ -375,3 +394,27 @@ def test_codeword_plus_error_decodes_as_the_reference(data, w):
     )
     received = cw ^ _mask(positions)
     assert code.decoder(received) == reference(received)
+
+
+class TestLazyTables:
+    """Chien-search and re-encode tables wait for their first use.
+
+    Resolving the grid and computing its table decodes nothing and
+    tests no word, so it builds neither: their memory and build time
+    stay out of the start-up of runs that never need them.
+    """
+
+    def test_table1_on_the_grid_builds_neither(self):
+        codes = [cli.resolve_code(s) for s in cli.DEFAULT_TABLE_CODES]
+        assert len(codes) == 8
+        analytics.table1(codes)
+        for code in codes:
+            assert "_chien_terms" not in vars(code.decoder), code.name
+            assert code._reencode_tables is None, code.name
+
+    def test_first_use_builds_them(self):
+        code = build_bch(6, 10)
+        code.decode(0b111)  # three errors: Chien search finds them
+        assert code.is_codeword(0)
+        assert len(vars(code.decoder)["_chien_terms"]) == code.t
+        assert code._reencode_tables is not None

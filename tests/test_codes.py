@@ -25,7 +25,7 @@ from qauth.errors import (
     SpecError,
     UnsupportedSizeError,
 )
-from qauth.gf2 import DEFAULT_PRIMITIVE_POLY, BitMatrix, BitWord
+from qauth.gf2 import DEFAULT_PRIMITIVE_POLY, BitMatrix, BitWord, mat_vec_mul
 
 
 @pytest.fixture(scope="module")
@@ -456,3 +456,69 @@ def test_syndrome_zero_iff_codeword_hamming(data):
     word = data.draw(st.integers(0, (1 << 7) - 1))
     in_code = any(word == c for c in code.codewords())
     assert code.is_codeword(word) == in_code
+
+
+def _agrees_with_zero_syndrome(code, word):
+    assert code.is_codeword(word) == (mat_vec_mul(code.parity_check, word) == 0), (
+        code.name, word,
+    )
+
+
+@st.composite
+def _any_code(draw):
+    """A code with no structure: pivots anywhere, zero and repeated columns.
+
+    Some draws are the whole space (m = n), a single row, or no row at
+    all (m = 0).  t = 0, so the constructor checks no minimum distance.
+    """
+    n = draw(st.integers(1, 40), label="n")
+    shapes = ["random", "whole space", "single row"]
+    shape = draw(st.sampled_from(shapes), label="shape")
+    if shape == "whole space":
+        return LinearCode("any", [(1 << j) ^ draw(st.integers(0, (1 << j) - 1))
+                                  for j in range(n)], n, 0)
+    count = 1 if shape == "single row" else draw(st.integers(1, n + 2), label="rows")
+    kept = draw(st.integers(0, (1 << n) - 1), label="kept columns")  # the rest are 0
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=count, max_size=count))
+    rows = [r & kept for r in rows]
+    for _ in range(draw(st.integers(0, 3), label="copies")):
+        a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows = [r & ~(1 << b) | (r >> a & 1) << b for r in rows]  # column b := a
+    return LinearCode("any", rows, n, 0)
+
+
+@given(code=_any_code(), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_is_codeword_is_zero_syndrome_on_any_code(code, data):
+    words = data.draw(st.lists(st.integers(0, (1 << code.n) - 1), max_size=8))
+    messages = data.draw(st.lists(st.integers(0, (1 << code.m) - 1), max_size=8))
+    flip = 1 << data.draw(st.integers(0, code.n - 1), label="flipped position")
+    codewords = [code.encode(BitWord(k, code.m)) for k in messages]
+    for codeword in codewords:
+        assert code.is_codeword(codeword)
+    for word in words + codewords + [c ^ flip for c in codewords]:
+        _agrees_with_zero_syndrome(code, word)
+
+
+def _check_codewords_and_neighbours(code, seed):
+    rng = random.Random(seed)
+    for _ in range(200):
+        codeword = code.encode(BitWord(rng.getrandbits(code.m), code.m))
+        assert code.is_codeword(codeword)
+        flipped = codeword ^ 1 << rng.randrange(code.n)
+        for word in (codeword, flipped, rng.getrandbits(code.n)):
+            _agrees_with_zero_syndrome(code, word)
+
+
+@pytest.mark.parametrize(
+    "name", WORD_TABLE_CODES + [f"bch-{n}-{m}" for n, m in cli.BCH_PARAMS]
+)
+def test_is_codeword_is_zero_syndrome_on_pinned_codes(name):
+    _check_codewords_and_neighbours(_word_table_code(name), 23)
+
+
+@pytest.mark.parametrize(
+    "code", ["random60_30", "bch15_7_2", "bch31_6_7"], indirect=True
+)
+def test_is_codeword_is_zero_syndrome_on_fixture_codes(code):
+    _check_codewords_and_neighbours(code, 29)
