@@ -14,7 +14,8 @@ Quantities (n qubits, t-error-correcting code):
 
 Both sums run over the number i of correct basis guesses, with one
 integer term list a_i = C(n,i) * sum_{h<=t} C(n-i,h) * 2^i, so that
-a_i / 4^n is P(i bases right and Eve's decode succeeds).
+a_i / 4^n is P(i bases right and Eve's decode succeeds).  The list is
+built by a recurrence in O(n) integer steps, not O(n·t) binomials.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Iterable
 
 from .codes import LinearCode
@@ -54,14 +54,28 @@ def _decode_terms(n: int, t: int) -> list[int]:
     i of the n basis guesses are right with probability C(n, i) / 2^n;
     the n - i wrong ones each flip Eve's readout with probability 1/2,
     and the decode succeeds when at most t flip, which has probability
-    sum_{h<=t} C(n-i, h) / 2^(n-i).  For i >= n - t that sum is 1.
+    B(n-i) / 2^(n-i), B(m) = sum_{h<=t} C(m, h).  For i >= n - t that
+    is 1.
+
+    The terms come out in O(n) integer steps over m = n - i = 0..n:
+    B(0) = 1 and B(m+1) = 2·B(m) - C(m, t) (Pascal's rule summed over
+    h <= t), with C(m, t) = C(m-1, t)·m / (m-t) from C(t, t) = 1, and
+    C(n, i-1) = C(n, i)·i / (n-i+1) from C(n, n) = 1.
     """
     if not 0 <= t < n:
         raise DimensionError(f"t={t} outside [0, {n})")
-    return [
-        comb(n, i) * sum(comb(n - i, h) for h in range(t + 1)) << i
-        for i in range(n + 1)
-    ]
+    terms = []
+    choose_n, partial, choose_t = 1, 1, 0  # C(n, n-m), B(m), C(m, t) at m = 0
+    for m in range(n + 1):
+        if m == t:
+            choose_t = 1
+        elif m > t:
+            choose_t = choose_t * m // (m - t)
+        terms.append(choose_n * partial << (n - m))
+        partial = 2 * partial - choose_t
+        choose_n = choose_n * (n - m) // (m + 1)
+    terms.reverse()  # i = 0..n
+    return terms
 
 
 def p_dec(n: int, t: int) -> Fraction:

@@ -75,8 +75,9 @@ class BchAlgebraicDecoder:
     Syndromes and Chien search are GF(2)-linear, so both are table
     lookups: the syndromes one per byte of the word, and Chien search
     one per locator term.  Chien search keeps position j in byte lane j
-    of one n-byte word; its tables are built on the first decode that
-    reaches it.
+    of one n-byte word.  ``_mul`` is built on the first Berlekamp-Massey
+    run and the Chien tables on the first decode that reaches them, so a
+    code that never decodes a word with nonzero syndromes builds neither.
     """
 
     def __init__(self, field: GF2m, t: int):
@@ -84,7 +85,7 @@ class BchAlgebraicDecoder:
         self.field = field
         self.t = t
         self.n = n = field.order
-        exp, log = field._exp, field._log
+        exp = field._exp
         # column j holds S_1..S_2t of a flip at position j,
         # S_k = alpha^(kj) in byte k-1
         columns = [
@@ -93,8 +94,7 @@ class BchAlgebraicDecoder:
         ]
         self._byte_rows = linear_byte_tables(columns)
         self._n_bytes = len(self._byte_rows)
-        # _mul[a] is the bytes.translate table of b -> a·b
-        self._mul = [bytes(exp[i + j] for j in log).ljust(256, b"\0") for i in log]
+        self._mul = None  # built by the first Berlekamp-Massey run
         # the locator's constant term, 1, in every lane
         self._ones = int.from_bytes(b"\1" * n, "little")
 
@@ -105,6 +105,12 @@ class BchAlgebraicDecoder:
             acc ^= row[v]
         return acc
 
+    def _build_mul(self) -> list[bytes]:
+        """``_mul[a]``, the bytes.translate table of b -> a·b, for every a."""
+        exp, log = self.field._exp, self.field._log
+        self._mul = [bytes(exp[i + j] for j in log).ljust(256, b"\0") for i in log]
+        return self._mul
+
     @cached_property
     def _chien_terms(self) -> list[list[int]]:
         """``[k-1][c]``: locator term k at every alpha^-j, times coefficient c.
@@ -114,11 +120,12 @@ class BchAlgebraicDecoder:
         table of the w single-bit multiples, cut to its 2^w entries.
         """
         exp, n, size = self.field._exp, self.n, 1 << self.field.w
+        mul = self._mul or self._build_mul()
         terms = []
         for k in range(1, self.t + 1):
             lanes = bytes(exp[-j * k % n] for j in range(n))
             bit_multiples = [
-                int.from_bytes(lanes.translate(self._mul[1 << i]), "little")
+                int.from_bytes(lanes.translate(mul[1 << i]), "little")
                 for i in range(self.field.w)
             ]
             terms.append(linear_byte_tables(bit_multiples)[0][:size])
@@ -139,7 +146,8 @@ class BchAlgebraicDecoder:
         x^shift of C -= (d / d_last)·x^shift·B, so one translate of Y
         updates C and C·S at once.
         """
-        exp, log, mul = self.field._exp, self.field._log, self._mul
+        exp, log = self.field._exp, self.field._log
+        mul = self._mul or self._build_mul()
         n, t, width = self.n, self.t, 5 * self.t + 2
         x = syn | 1 << 32 * t
         y = (x << 8 | 1).to_bytes(width, "little")

@@ -5,10 +5,11 @@ row echelon form, so the message is read back off the pivot columns.
 Decoding is bounded-distance, with one decoder per code family, chosen
 by the ``LinearCode`` constructor: BCH codes (those built over a field)
 decode algebraically (see the bch module), every other code by
-syndrome lookup table; for n <= 16 that table is the whole decode map,
-one entry per received word.  Every decoder returns ``(ok, flips)``:
-``flips`` is an int with bit j set for each position j to flip, and 0
-when ``ok`` is False.
+syndrome lookup table, built on its first decode, so a code that never
+decodes never builds one.  For n <= 16 that table is the whole decode
+map, one entry per received word, and ``LinearCode.decode`` indexes it
+itself.  Every decoder returns ``(ok, flips)``: ``flips`` is an int
+with bit j set for each position j to flip, and 0 when ``ok`` is False.
 
 Inside this layer an n-bit word (codeword, received word, flip mask) is
 an int, bit j the symbol at position j; ``BitWord`` carries only the
@@ -51,7 +52,8 @@ class LinearCode:
     and m = n - |K| (the cyclotomic cosets of 1..2t), so the rows span
     that whole code.  It decodes by Berlekamp-Massey + Chien.  Any other
     code must have a minimum distance that corrects t (checked for
-    m <= WEIGHT_ENUM_MAX_M) and decodes by syndrome table.
+    m <= WEIGHT_ENUM_MAX_M) and decodes by syndrome table, which is
+    built on the first decode.
     """
 
     def __init__(
@@ -79,6 +81,10 @@ class LinearCode:
         self.parity_check = BitMatrix(tuple(h_rows or [0]), n)  # (n-m) x n
         self.message_columns = pivots
         self._reencode_tables = None  # built on the first is_codeword
+        # a BCH decoder is set below; a syndrome table, and for n <= 16
+        # its decode map, wait for the first decode
+        self._decoder: Optional[Decoder] = None
+        self._decode_map: Optional[list[tuple[bool, int]]] = None
         if field_info is not None:
             # imported here: the bch module imports this one
             from . import bch
@@ -100,7 +106,7 @@ class LinearCode:
                     f"[{n}, {self.m}] rows are not BCH(w={w}, t={t}), "
                     f"a [{field.order}, {bch_m}] code"
                 )
-            self.decoder: Decoder = decoder
+            self._decoder = decoder
             return
         if self.m <= WEIGHT_ENUM_MAX_M:
             weights = self.weight_distribution()
@@ -110,7 +116,6 @@ class LinearCode:
                     f"t={t}, but its minimum distance {d} corrects at most "
                     f"{(d - 1) // 2} errors"
                 )
-        self.decoder = syndrome_table_decoder(self.parity_check, t)
 
     # -- encoding / verification -------------------------------------------
 
@@ -160,13 +165,32 @@ class LinearCode:
 
     # -- decoding ------------------------------------------------------------
 
+    @property
+    def decoder(self) -> Decoder:
+        """The algebraic BCH decoder, or the syndrome table, built on first use."""
+        decoder = self._decoder
+        if decoder is None:
+            decoder = self._decoder = syndrome_table_decoder(self.parity_check, self.t)
+            # for n <= 16 that is the decode map's list.__getitem__, whose
+            # list decode indexes itself
+            self._decode_map = getattr(decoder, "__self__", None)
+        return decoder
+
     def decode(self, received: int) -> tuple[bool, int]:
         """(ok, flips): ``ok`` if a codeword lies within distance t.
 
         That codeword is ``received ^ flips``.  It is the transmitted
         one whenever the true error weight was <= t, and may be a
-        miscorrection otherwise.  A failed decode flips nothing.
+        miscorrection otherwise.  A failed decode flips nothing.  Once
+        built, the decode map answers a word of at most n bits by one
+        list index; any other word ends in the range check.
         """
+        table = self._decode_map
+        if table is not None and received >= 0:
+            try:
+                return table[received]
+            except IndexError:
+                pass
         if received < 0 or received >> self.n:
             raise DimensionError(f"word {received:#x} does not fit in n={self.n} bits")
         return self.decoder(received)

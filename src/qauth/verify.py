@@ -5,11 +5,14 @@ enumeration, the yardstick for both the closed-form analytics and the
 simulator.  Both attack oracles read Bob's acceptance from one
 containment table, the count of codewords inside every n-bit mask.  The
 decoder-in-the-loop oracles decode once per (basis difference, readout)
-pair, 3^n decodes.  Each sums an integer numerator over a power of 2,
-so each result is one exact ``Fraction``.  Monte Carlo runs sessions on
-packed words, each the same session as ``protocol.run_session`` on the
-same stream, and reports exact (Clopper-Pearson) confidence intervals,
-since true probabilities near 0 or 1 are common here.
+pair, 3^n calls of ``LinearCode.decode``, walking the readouts (the
+submasks of each difference) inline; for n <= 16 each call is one
+index into the code's decode map.  Each sums an integer numerator over
+a power of 2, so each result is one exact ``Fraction``.  Monte Carlo
+runs sessions on packed words, each the same session as
+``protocol.run_session`` on the same stream, and reports exact
+(Clopper-Pearson) confidence intervals, since true probabilities near
+0 or 1 are common here.
 """
 
 from __future__ import annotations
@@ -120,16 +123,6 @@ def oracle_no_message_any_codeword(code: LinearCode) -> Fraction:
 # Intercept-resend oracles (decoder in the loop).
 # ---------------------------------------------------------------------------
 
-def _submasks(mask: int):
-    """All submasks of ``mask``, including 0 and ``mask`` itself."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
 def oracle_p_dec(code: LinearCode) -> OracleReport:
     """P(the eavesdropper's decode recovers the transmitted codeword).
 
@@ -147,13 +140,18 @@ def oracle_p_dec(code: LinearCode) -> OracleReport:
         raise UnsupportedSizeError(
             f"n={n} exceeds the decode-oracle enumeration bound ({P_DEC_MAX_N})"
         )
+    decode = code.decode
     hits = 0
     for d in range(1 << n):
         weight = 1 << (n - d.bit_count())
-        for e in _submasks(d):
-            ok, flips = code.decode(e)
+        e = d
+        while True:  # every submask e of d, from d itself down to 0
+            ok, flips = decode(e)
             if ok and flips == e:
                 hits += weight
+            if not e:
+                break
+            e = (e - 1) & d
     return OracleReport(
         f"p_dec[{code.name}]", Fraction(hits, 4**n), analytics.p_dec(n, code.t)
     )
@@ -185,14 +183,19 @@ def oracle_intercept_resend(
             f"({INTERCEPT_RESEND_MAX_N})"
         )
     inside = _containment_table(code)
+    decode = code.decode
     total = 0
     for d in range(1 << n):
         shift = 2 * n - d.bit_count()
-        for e in _submasks(d):
-            ok, flips = code.decode(e)
+        e = d
+        while True:  # every submask e of d, as in oracle_p_dec
+            ok, flips = decode(e)
             if ok or resend:
                 r = d ^ flips
                 total += inside[r] << (shift - r.bit_count())
+            if not e:
+                break
+            e = (e - 1) & d
     return OracleReport(
         f"p_f_prime[{code.name}:{on_decode_failure}]",
         Fraction(total, 8**n),

@@ -1,12 +1,14 @@
 """Tests for the exact closed-form probability layer and rendering."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qauth.analytics import (
+    _decode_terms,
     key_overhead,
     p_dec,
     p_f_no_message,
@@ -104,6 +106,17 @@ class TestDecodeProbability:
         for n, t in pairs:
             assert p_dec(n, t) == factored_p_dec(n, t), (n, t)
             assert p_f_prime(n, t) == factored_p_f_prime(n, t), (n, t)
+
+    def test_term_list_term_by_term(self):
+        # the O(n) recurrence against a_i = C(n,i)·sum_{h<=t} C(n-i,h)·2^i
+        pairs = [(n, t) for n in range(1, 41) for t in range(n)]
+        pairs += [(n, t) for n in (63, 127) for t in (0, n - 1)] + GRID_NT
+        for n, t in pairs:
+            expected = [
+                comb(n, i) * sum(comb(n - i, h) for h in range(t + 1)) << i
+                for i in range(n + 1)
+            ]
+            assert _decode_terms(n, t) == expected, (n, t)
 
     @pytest.mark.parametrize("n", [63, 127])
     def test_strictly_increasing_in_t(self, n):

@@ -397,10 +397,10 @@ def test_codeword_plus_error_decodes_as_the_reference(data, w):
 
 
 class TestLazyTables:
-    """Chien-search and re-encode tables wait for their first use.
+    """Multiplication, Chien-search and re-encode tables wait for their first use.
 
     Resolving the grid and computing its table decodes nothing and
-    tests no word, so it builds neither: their memory and build time
+    tests no word, so it builds none of them: their memory and build time
     stay out of the start-up of runs that never need them.
     """
 
@@ -411,6 +411,17 @@ class TestLazyTables:
         for code in codes:
             assert "_chien_terms" not in vars(code.decoder), code.name
             assert code._reencode_tables is None, code.name
+
+    def test_table1_on_the_grid_builds_no_multiplication_tables(self):
+        # _mul, one translate table per element, waits for the first
+        # Berlekamp-Massey run
+        codes = [cli.resolve_code(s) for s in cli.DEFAULT_TABLE_CODES]
+        analytics.table1(codes)
+        for code in codes:
+            assert code.decoder._mul is None, code.name
+        code = codes[0]
+        code.decode(0b11)
+        assert len(code.decoder._mul) == code.n + 1
 
     def test_first_use_builds_them(self):
         code = build_bch(6, 10)

@@ -392,18 +392,38 @@ class TestUserInputErrors:
         assert "unrecognized arguments: --format json" in capsys.readouterr().err
 
     def test_oversized_syndrome_table_exits_2(self, tmp_path, capsys):
-        # a [45, 21] code at t = 6: 24 checks, but ~9.5M patterns of weight <= 6
+        # a [45, 21] code at t = 6: 24 checks, but ~9.5M patterns of weight <= 6;
+        # the table is built by the first decode, which intercept-resend makes
         path = _systematic_spec(tmp_path, 45, 21, 6)
-        rc = run_cli("simulate", "honest", "--code", path, "--trials", "1")
+        rc = run_cli("simulate", "intercept-resend", "--code", path, "--trials", "1")
         captured = capsys.readouterr()
         assert rc == EXIT_CONFIG
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and "error patterns" in lines[0]
 
+    @pytest.mark.parametrize("argv", [
+        ["analytics", "table"],
+        ["simulate", "honest", "--trials", "20"],
+        ["simulate", "no-message", "--trials", "20"],
+    ])
+    def test_commands_that_never_decode_take_an_untabulable_code(self, argv, capsys):
+        # rep19's 2^18 patterns exceed the syndrome-table bound, but the
+        # table is built by the first decode, and these commands make none
+        assert run_cli(*argv, "--code", "rep19") == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    def test_decoding_an_untabulable_code_exits_2(self, capsys):
+        rc = run_cli("simulate", "intercept-resend", "--code", "rep19", "--trials", "1")
+        captured = capsys.readouterr()
+        assert rc == EXIT_CONFIG
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "2^18 error patterns" in lines[0]
+
     def test_huge_pattern_count_is_printed_as_a_power_of_2(self, capsys):
         # rep999 has 2^998 patterns of weight <= 499, 301 digits in full
-        rc = run_cli("analytics", "table", "--code", "rep999")
+        rc = run_cli("simulate", "intercept-resend", "--code", "rep999", "--trials", "1")
         lines = capsys.readouterr().err.splitlines()
         assert rc == EXIT_CONFIG
         assert len(lines) == 1 and len(lines[0]) < 200

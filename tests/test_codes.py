@@ -17,6 +17,7 @@ from qauth.codes import (
     load_code_spec,
     make_hamming_7_4,
     make_repetition,
+    syndrome_table_decoder,
 )
 from qauth.bch import bch_field, bch_generator_poly, build_bch
 from qauth.errors import (
@@ -36,6 +37,11 @@ def rep3():
 @pytest.fixture(scope="module")
 def rep5():
     return make_repetition(5)
+
+
+@pytest.fixture(scope="module")
+def rep11():
+    return make_repetition(11)
 
 
 @pytest.fixture(scope="module")
@@ -285,7 +291,9 @@ class TestDecoding:
             ham.decode(1 << 7)
 
     @pytest.mark.parametrize(
-        "code", ["ham", "short_hamming63", "random60_30", "bch15_7_2"], indirect=True
+        "code",
+        ["ham", "short_hamming63", "random60_30", "bch15_7_2", "rep3", "rep11"],
+        indirect=True,
     )
     def test_words_outside_n_bits_are_rejected(self, code):
         # -2^n would index a word table from its end
@@ -295,12 +303,24 @@ class TestDecoding:
             with pytest.raises(DimensionError):
                 code.is_codeword(word)
 
+    def test_out_of_range_first_decode_leaves_the_map_intact(self):
+        code = make_repetition(5)  # its decode map is not built yet
+        for word in (1 << 5, -1, -(1 << 5)):
+            with pytest.raises(DimensionError):
+                code.decode(word)
+        assert code.decode(0b00011) == (True, 0b00011)
+        assert code.decode(0b11100) == (True, 0b00011)
+        with pytest.raises(DimensionError):
+            code.decode(1 << 5)  # now past the end of the built map
+
     def test_syndrome_table_is_bounded_by_its_pattern_count(self):
         # rep19 has 18 checks, within that bound, but 2^18 patterns of
-        # weight <= 9, beyond SYNDROME_TABLE_MAX_PATTERNS = 2^16
+        # weight <= 9, beyond SYNDROME_TABLE_MAX_PATTERNS = 2^16; the
+        # table is built by the first decode, so that is where it fails
         assert SYNDROME_TABLE_MAX_PATTERNS < 1 << 18
+        code = make_repetition(19)
         with pytest.raises(UnsupportedSizeError, match="error patterns"):
-            make_repetition(19)
+            code.decode(0)
 
     def test_majority_vote(self, rep3):
         for received, bit in (("110", 1), ("100", 0)):
@@ -354,6 +374,39 @@ def test_decode_matches_the_reference(name):
         assert code.decode(received) == _reference_decode(
             codewords, code.t, received
         ), received
+
+
+# codes small enough to decode every word, each family's fast path:
+# the decode map (n <= 16) and the algebraic BCH decoder
+FAST_PATH_CODES = [f"rep{n}" for n in range(3, 13, 2)] + [
+    "hamming74", "bch-7-4-1", "bch-15-11-1", "bch-15-7-2", "bch-15-5-3",
+]
+
+
+@pytest.mark.parametrize("name", FAST_PATH_CODES)
+def test_decode_is_the_syndrome_table_on_every_word(name):
+    code = cli.resolve_code(name)
+    table = syndrome_table_decoder(code.parity_check, code.t)
+    for word in range(1 << code.n):
+        assert code.decode(word) == table(word), word
+
+
+@st.composite
+def _decodable_code(draw):
+    """Random rows of n <= 12 bits, at the t their minimum distance corrects."""
+    n = draw(st.integers(1, 12), label="n")
+    rows = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=n))
+    weights = LinearCode("random", rows, n, 0).weight_distribution()
+    d = next(w for w in range(1, n + 1) if weights[w])
+    return LinearCode("random", rows, n, (d - 1) // 2)
+
+
+@given(code=_decodable_code())
+@settings(max_examples=60, deadline=None)
+def test_decode_is_the_syndrome_table_on_random_codes(code):
+    table = syndrome_table_decoder(code.parity_check, code.t)
+    for word in range(1 << code.n):
+        assert code.decode(word) == table(word), (code.generator.rows, word)
 
 
 class TestSerialization:

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -170,6 +171,41 @@ class TestInterceptResendOracle:
     def test_invalid_policy_rejected(self, rep3):
         with pytest.raises(ParameterError):
             oracle_intercept_resend(rep3, "bogus")
+
+
+class TestOracleEnumeration:
+    """Each decoder-in-the-loop oracle decodes every (D, e ⊆ D) pair once.
+
+    Readout e lies under the 2^(n-|e|) differences D that contain it, so
+    it is decoded that many times, 3^n decodes in all.
+    """
+
+    @pytest.fixture
+    def decoded(self, monkeypatch):
+        words = Counter()
+        decode = LinearCode.decode
+
+        def recorded(code, received):
+            words[received] += 1
+            return decode(code, received)
+
+        monkeypatch.setattr(LinearCode, "decode", recorded)
+        return words
+
+    @pytest.mark.parametrize("oracle", [
+        oracle_p_dec,
+        lambda code: oracle_intercept_resend(code, ABORT),
+        lambda code: oracle_intercept_resend(code, RESEND_UNCORRECTED),
+    ], ids=["p_dec", "ir_abort", "ir_resend_uncorrected"])
+    @pytest.mark.parametrize("maker", [
+        make_hamming_7_4, lambda: make_repetition(5),
+    ], ids=["hamming74", "rep5"])
+    def test_every_pair_is_decoded_once(self, oracle, maker, decoded):
+        code = maker()
+        oracle(code)
+        n = code.n
+        assert decoded == {e: 1 << (n - e.bit_count()) for e in range(1 << n)}
+        assert sum(decoded.values()) == 3**n
 
 
 @st.composite
