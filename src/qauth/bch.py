@@ -12,12 +12,13 @@ dimensions; g then lies in BCH(w, t) with its generator's degree, so g
 is that generator and divides x^n + 1.  Every BCH code decodes
 with ``BchAlgebraicDecoder``: all 2t syndromes from one pass of
 per-byte tables, already the int register that binary (odd-step)
-Berlekamp-Massey runs on, one field element per byte lane; a Chien
-search with one byte lane per position, one table lookup per locator
-term.  It returns ``(ok, flips)`` like every decoder,
-the roots packed into the int ``flips``.  For designed distance 2t+1
-this is the same bounded-distance map as a syndrome table, which the
-tests use as its oracle.
+Berlekamp-Massey runs on, one field element per byte lane, 3t + 2
+lanes wide with the locator at lane 3t - step (C·S stays below lane 3t
+while L <= t); a Chien search with one byte lane per position, one
+table lookup per locator term.  It returns ``(ok, flips)`` like every
+decoder, the roots packed into the int ``flips``.  For designed
+distance 2t+1 this is the same bounded-distance map as a syndrome
+table, which the tests use as its oracle.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ class BchAlgebraicDecoder:
     """Bounded-distance decoder: syndromes, binary Berlekamp-Massey, Chien search.
 
     Elements are below 2^8, so each fits one byte lane, and field
-    arithmetic is ``bytes.translate`` by ``_mul[a]``, the table of
+    arithmetic is ``bytes.translate`` by ``_mul[log a]``, the table of
     b -> a·b, which multiplies every lane of a register by a at once.
     Syndromes and Chien search are GF(2)-linear, so both are table
     lookups: the syndromes one per byte of the word, and Chien search
@@ -106,9 +107,14 @@ class BchAlgebraicDecoder:
         return acc
 
     def _build_mul(self) -> list[bytes]:
-        """``_mul[a]``, the bytes.translate table of b -> a·b, for every a."""
+        """``_mul[k]``, the bytes.translate table of b -> alpha^k·b, k < 2n.
+
+        Indexed by exponent, twice round, so a Berlekamp-Massey step
+        finds the table of d / d_last by one index, log d + n - log d_last.
+        """
         exp, log = self.field._exp, self.field._log
-        self._mul = [bytes(exp[i + j] for j in log).ljust(256, b"\0") for i in log]
+        tables = [bytes(exp[k + j] for j in log).ljust(256, b"\0") for k in range(self.n)]
+        self._mul = tables + tables
         return self._mul
 
     @cached_property
@@ -119,13 +125,13 @@ class BchAlgebraicDecoder:
         GF(2)-linear in c's bits, so each of the t tables is the byte
         table of the w single-bit multiples, cut to its 2^w entries.
         """
-        exp, n, size = self.field._exp, self.n, 1 << self.field.w
+        exp, log, n, size = self.field._exp, self.field._log, self.n, 1 << self.field.w
         mul = self._mul or self._build_mul()
         terms = []
         for k in range(1, self.t + 1):
             lanes = bytes(exp[-j * k % n] for j in range(n))
             bit_multiples = [
-                int.from_bytes(lanes.translate(mul[1 << i]), "little")
+                int.from_bytes(lanes.translate(mul[log[1 << i]]), "little")
                 for i in range(self.field.w)
             ]
             terms.append(linear_byte_tables(bit_multiples)[0][:size])
@@ -140,31 +146,41 @@ class BchAlgebraicDecoder:
         locator the decoder rejects.  As in the reformulated algorithm
         of Sarwate & Shanbhag (2001), register X holds C·S from lane
         ``step`` up, so lane 0 is the discrepancy, and the locator C at
-        lane 4t - step, above C·S's at most 3t lanes.  Y is X as it was
-        at the last length change (lane 0 its discrepancy), first
-        1 + x·X.  X drops two lanes a step and Y none, which is the
-        x^shift of C -= (d / d_last)·x^shift·B, so one translate of Y
-        updates C and C·S at once.
+        lane 3t - step.  Y is X as it was at the last length change
+        (lane 0 its discrepancy), first 1 + x·X.  X drops two lanes a
+        step and Y none, which is the x^shift of
+        C -= (d / d_last)·x^shift·B, so one translate of Y updates C and
+        C·S at once.  ``inv_last`` is n - log d_last, which changes only
+        at a length change, where d_last becomes that step's d.
+
+        Lane 3t keeps the two apart, so C reads off clean: C·S's top
+        coefficient is 2t - 1 + deg C <= 3t - 1 while L <= t, below C's
+        constant term, and the early exit returns before any XOR with
+        L > t.  C's top lane is 3t - step + L <= 3t + 1, as
+        L <= step + 1, so 3t + 2 lanes hold X and Y.
         """
-        exp, log = self.field._exp, self.field._log
-        mul = self._mul or self._build_mul()
-        n, t, width = self.n, self.t, 5 * self.t + 2
-        x = syn | 1 << 32 * t
-        y = (x << 8 | 1).to_bytes(width, "little")
+        mul, log = self._mul or self._build_mul(), self.field._log
+        from_bytes, to_bytes = int.from_bytes, int.to_bytes
+        n, t = self.n, self.t
+        width = 3 * t + 2
+        x = syn | 1 << 24 * t
+        y = to_bytes(x << 8 | 1, width, "little")
+        inv_last = n  # d_last is y[0], 1
         big_l = 0
         for step in range(0, 2 * t, 2):
             d = x & 255
             if d:
-                quotient = exp[log[d] + n - log[y[0]]]
-                fix = int.from_bytes(y.translate(mul[quotient]), "little")
+                log_d = log[d]
+                fix = from_bytes(y.translate(mul[log_d + inv_last]), "little")
                 if 2 * big_l <= step:
                     big_l = step + 1 - big_l
                     if big_l > t:
                         return None
-                    y = x.to_bytes(width, "little")
+                    y = to_bytes(x, width, "little")
+                    inv_last = n - log_d
                 x ^= fix
             x >>= 16
-        return (x >> 16 * t).to_bytes(big_l + 1, "little")
+        return to_bytes(x >> 8 * t, big_l + 1, "little")
 
     def _chien_values(self, locator: bytes) -> bytes:
         """locator(alpha^-j) in byte j: a lookup and XOR per term; roots are 0."""

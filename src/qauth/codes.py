@@ -193,7 +193,7 @@ class LinearCode:
                 pass
         if received < 0 or received >> self.n:
             raise DimensionError(f"word {received:#x} does not fit in n={self.n} bits")
-        return self.decoder(received)
+        return (self._decoder or self.decoder)(received)
 
     # -- enumeration ----------------------------------------------------------
 

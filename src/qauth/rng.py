@@ -7,8 +7,9 @@ matter how the work is scheduled.
 A stream is BLAKE2b (RFC 7693) in counter mode: block b is the 512-bit
 digest of the path's bytes followed by b as 8 little-endian bytes, and
 the stream hands out the blocks' bits low bit first, across block
-boundaries.  Readouts draw one coin word each, so a session makes a few
-wide draws and one hash usually serves the whole trial.
+boundaries.  Readouts draw one coin word each, so a session draws at
+most four n-bit words (the key, Eve's bases and two coin words), and for
+n <= 128 the block 0 hash that ``substream`` makes serves the whole trial.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from __future__ import annotations
 from hashlib import blake2b
 
 _BLOCK_BITS = 512
+_BLOCK_0 = bytes(8)  # block index 0, 8 bytes little-endian
+_from_bytes = int.from_bytes
 
 
 class Stream:
@@ -26,25 +29,25 @@ class Stream:
     def __init__(self, path: bytes):
         self._path = path
         self._block = 1
-        self._bits = int.from_bytes(blake2b(path + bytes(8)).digest(), "little")
+        self._bits = _from_bytes(blake2b(path + _BLOCK_0).digest(), "little")
         self._count = _BLOCK_BITS  # unread bits left in self._bits
 
     def getrandbits(self, k: int) -> int:
         """The next k bits as an int, the first bit drawn lowest."""
-        count = self._count
+        count = self._count - k  # unread bits left after this draw
         bits = self._bits
-        if not 0 <= k <= count:
+        if count < 0 or k < 0:
             if k < 0:
                 raise ValueError("number of bits must be non-negative")
             path, block = self._path, self._block
-            while count < k:
+            while count < 0:
                 digest = blake2b(path + block.to_bytes(8, "little")).digest()
-                bits |= int.from_bytes(digest, "little") << count
+                bits |= _from_bytes(digest, "little") << (count + k)
                 count += _BLOCK_BITS
                 block += 1
             self._block = block
         self._bits = bits >> k
-        self._count = count - k
+        self._count = count
         return bits & ((1 << k) - 1)
 
 

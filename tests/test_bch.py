@@ -413,15 +413,15 @@ class TestLazyTables:
             assert code._reencode_tables is None, code.name
 
     def test_table1_on_the_grid_builds_no_multiplication_tables(self):
-        # _mul, one translate table per element, waits for the first
-        # Berlekamp-Massey run
+        # _mul, one translate table per exponent (twice round), waits for
+        # the first Berlekamp-Massey run
         codes = [cli.resolve_code(s) for s in cli.DEFAULT_TABLE_CODES]
         analytics.table1(codes)
         for code in codes:
             assert code.decoder._mul is None, code.name
         code = codes[0]
         code.decode(0b11)
-        assert len(code.decoder._mul) == code.n + 1
+        assert len(code.decoder._mul) == 2 * code.n
 
     def test_first_use_builds_them(self):
         code = build_bch(6, 10)

@@ -19,8 +19,8 @@ from qauth.adversary import (
     InterceptResendStrategy,
     NoMessageStrategy,
 )
-from qauth.bch import build_bch
-from qauth.cli import resolve_code
+from qauth.bch import BchAlgebraicDecoder, build_bch
+from qauth.cli import DEFAULT_TABLE_CODES, resolve_code
 from qauth.codes import LinearCode, make_hamming_7_4, make_repetition
 from qauth.errors import ParameterError, UnsupportedSizeError
 from qauth.gf2 import BitWord
@@ -518,6 +518,138 @@ class TestWordKernel:
         monkeypatch.setattr(qsim.QubitHandle, "__init__", refuse)
         adversary = InterceptResendStrategy(BitWord(1, ham.m))
         assert monte_carlo(ham, 100, 1, adversary=adversary).trials == 100
+
+
+class ScriptedStream:
+    """A stream whose draws are the queued words, in order."""
+
+    def __init__(self, *words):
+        self.words = list(words)
+
+    def getrandbits(self, k):
+        word = self.words.pop(0)
+        assert 0 <= word < 1 << k, (word, k)
+        return word
+
+
+class _ResendRecorder:
+    """A strategy that runs another's ``forge`` and keeps its x_E'."""
+
+    def __init__(self, strategy):
+        self.strategy = strategy
+        self.forged_message = strategy.forged_message
+        self.resend_bases = None
+
+    def forge(self, code, read, randomness):
+        forgery = self.strategy.forge(code, read, randomness)
+        self.resend_bases = forgery[4]
+        return forgery
+
+
+def _submasks(mask):
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
+def _kernel_law(code, strategy, key=0):
+    """P(word_session accepts) under ``key``, by enumerating its draws.
+
+    Alice sends the zero codeword and Eve the codeword of her message.
+    The draws are the key, every x_E, Eve's coin word (if she reads)
+    over the readouts e ⊆ D = key ^ x_E, and Bob's coin word over the
+    subsets of R = key ^ x_E'.  Every other coin bit is the complement
+    of the bit its qubit was prepared in, so a coin read at a matched
+    position flips that bit.  A kernel that reads only the coins of
+    mismatched positions sees 2^(n - |D|) Eve words and 2^(n - |R|) Bob
+    words alike in each case, which is its weight.  R is the kernel's
+    own: a first run records x_E'.
+    """
+    n = code.n
+    forged = code.encode(strategy.forged_message)
+    eve_fill, bob_fill = (1 << n) - 1, ((1 << n) - 1) ^ forged
+    recorder = _ResendRecorder(strategy)
+    reads = isinstance(strategy, InterceptResendStrategy)
+    total = 0
+    for x_e in range(1 << n):
+        d = key ^ x_e
+        for e in _submasks(d) if reads else [None]:
+            draws = [key, x_e] + ([e | eve_fill & ~d] if reads else [])
+            probe = ScriptedStream(*draws, bob_fill)
+            word_session(code, 0, recorder, forged, probe)
+            if recorder.resend_bases is None:  # nothing arrives
+                assert probe.words == [bob_fill]  # and Bob drew nothing
+                continue
+            r = key ^ recorder.resend_bases
+            weight = (n - d.bit_count() if reads else 0) + n - r.bit_count()
+            for b in _submasks(r):
+                stream = ScriptedStream(*draws, b | bob_fill & ~r)
+                if word_session(code, 0, recorder, forged, stream):
+                    total += 1 << weight
+                assert not stream.words
+    return Fraction(total, 1 << ((3 if reads else 2) * n))
+
+
+class TestKernelLaw:
+    """word_session's exact law, enumerated over its draws, is the oracles'.
+
+    The Monte Carlo intervals check the same law only statistically and
+    re-roll with every stream change; this checks it exactly, with the
+    BCH decoder in the loop on bch-7-4-1.
+    """
+
+    CODES = ["rep3", "rep5", "hamming74", "bch-7-4-1"]
+
+    @pytest.mark.parametrize("selector", CODES)
+    def test_no_message(self, selector):
+        code = resolve_code(selector)
+        strategy = NoMessageStrategy(BitWord(1, code.m))
+        assert _kernel_law(code, strategy) == oracle_no_message(code).exact_value
+
+    @pytest.mark.parametrize("policy", [ABORT, RESEND_UNCORRECTED])
+    @pytest.mark.parametrize("selector", CODES)
+    def test_intercept_resend(self, selector, policy):
+        code = resolve_code(selector)
+        strategy = InterceptResendStrategy(BitWord(1, code.m), policy)
+        assert _kernel_law(code, strategy) == (
+            oracle_intercept_resend(code, policy).exact_value
+        )
+
+    def test_algebraic_decoder_in_the_loop(self):
+        assert isinstance(resolve_code("bch-7-4-1").decoder, BchAlgebraicDecoder)
+
+    @pytest.mark.parametrize("key", range(8))
+    def test_every_key_at_n_3(self, rep3, key):
+        # the law does not depend on the key, under any attack
+        assert _kernel_law(rep3, NoMessageStrategy(BitWord(1, 1)), key) == (
+            oracle_no_message(rep3).exact_value
+        )
+        for policy in (ABORT, RESEND_UNCORRECTED):
+            strategy = InterceptResendStrategy(BitWord(1, 1), policy)
+            assert _kernel_law(rep3, strategy, key) == (
+                oracle_intercept_resend(rep3, policy).exact_value
+            )
+
+
+class TestOneHashPerTrial:
+    """A session reads only the block 0 digest that ``substream`` hashes.
+
+    It draws at most four n-bit words, and 4n <= 512 for n <= 128.
+    """
+
+    @pytest.mark.parametrize("mode", list(KERNEL_MODES))
+    @pytest.mark.parametrize("selector", DEFAULT_TABLE_CODES)
+    def test_word_session_stays_in_block_0(self, selector, mode):
+        code = resolve_code(selector)
+        adversary = KERNEL_MODES[mode](code.m)
+        forged = None if adversary is None else code.encode(adversary.forged_message)
+        for trial in range(20):
+            stream = substream(5, "trial", trial)
+            word_session(code, 0, adversary, forged, stream)
+            assert stream._block == 1, trial
 
 
 class TestChecksUnderOptimize:
