@@ -6,10 +6,11 @@ Decoding is bounded-distance, with one decoder per code family, chosen
 by the ``LinearCode`` constructor: BCH codes (those built over a field)
 decode algebraically (see the bch module), every other code by
 syndrome lookup table, built on its first decode, so a code that never
-decodes never builds one.  For n <= 16 that table is the whole decode
-map, one entry per received word, and ``LinearCode.decode`` indexes it
-itself.  Every decoder returns ``(ok, flips)``: ``flips`` is an int
-with bit j set for each position j to flip, and 0 when ``ok`` is False.
+decodes never builds one.  For n <= 16 ``LinearCode`` then runs that
+table once on every received word, the whole decode map, which
+``decode`` indexes.  Every decoder returns ``(ok, flips)``: ``flips`` is
+an int with bit j set for each position j to flip, and 0 when ``ok`` is
+False.
 
 Inside this layer an n-bit word (codeword, received word, flip mask) is
 an int, bit j the symbol at position j; ``BitWord`` carries only the
@@ -167,13 +168,12 @@ class LinearCode:
 
     @property
     def decoder(self) -> Decoder:
-        """The algebraic BCH decoder, or the syndrome table, built on first use."""
+        """The BCH decoder, or the syndrome table and (n <= 16) its decode map."""
         decoder = self._decoder
         if decoder is None:
             decoder = self._decoder = syndrome_table_decoder(self.parity_check, self.t)
-            # for n <= 16 that is the decode map's list.__getitem__, whose
-            # list decode indexes itself
-            self._decode_map = getattr(decoder, "__self__", None)
+            if 1 << self.n <= SYNDROME_TABLE_MAX_PATTERNS:
+                self._decode_map = list(map(decoder, range(1 << self.n)))
         return decoder
 
     def decode(self, received: int) -> tuple[bool, int]:
@@ -246,10 +246,10 @@ def syndrome_table_decoder(parity_check: BitMatrix, t: int) -> Decoder:
 
     The table holds every pattern of weight <= t; patterns of larger
     weight decode to whatever <= t pattern shares their syndrome
-    (miscorrection) or to failure.  When the 2^n received words fit the
-    pattern bound (n <= 16), the byte-table decode runs once on each of
-    them and the decoder is a lookup in that list, the whole decode map
-    (the standard array); longer codes decode through the byte tables.
+    (miscorrection) or to failure.  The decoder sums one byte table per
+    received byte into the syndrome and looks it up; ``LinearCode``
+    runs it once on every word of a code with n <= 16, the whole decode
+    map (the standard array).
     """
     n = parity_check.ncols
     radius = min(t, n)  # no pattern weighs more than n, whatever t a spec holds
@@ -281,8 +281,6 @@ def syndrome_table_decoder(parity_check: BitMatrix, t: int) -> Decoder:
             syn ^= row[v]
         return table.get(syn, (False, 0))  # a constant: no tuple is built
 
-    if 1 << n <= SYNDROME_TABLE_MAX_PATTERNS:
-        return list(map(decode, range(1 << n))).__getitem__
     return decode
 
 

@@ -2,17 +2,17 @@
 
 The oracles recompute attack probabilities for small codes by complete
 enumeration, the yardstick for both the closed-form analytics and the
-simulator.  Both attack oracles read Bob's acceptance from one
-containment table, the count of codewords inside every n-bit mask.  The
+simulator.  Both attack oracles read Bob's acceptance from one table
+indexed by the mask on which his bases miss the key.  The
 decoder-in-the-loop oracles decode once per (basis difference, readout)
-pair, 3^n calls of ``LinearCode.decode``, walking the readouts (the
-submasks of each difference) inline; for n <= 16 each call is one
-index into the code's decode map.  Each sums an integer numerator over
-a power of 2, so each result is one exact ``Fraction``.  Monte Carlo
-runs sessions on packed words, each the same session as
-``protocol.run_session`` on the same stream, and reports exact
-(Clopper-Pearson) confidence intervals, since true probabilities near
-0 or 1 are common here.
+pair, 3^n calls of ``LinearCode.decode`` under one bound, n <= 12,
+walking the readouts (the submasks of each difference) inline; each
+call is one index into the code's decode map.  Each sums an integer
+numerator over a power of 2, so each result is one exact
+``Fraction``.  Monte Carlo runs sessions on packed words, each the same
+session as ``protocol.run_session`` on the same stream, and reports
+exact (Clopper-Pearson) confidence intervals, since true probabilities
+near 0 or 1 are common here.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ from .protocol import run_session  # noqa: F401
 from .qsim import measure_word
 from .rng import Stream, substream
 
-P_DEC_MAX_N = 12
-INTERCEPT_RESEND_MAX_N = 10
+DECODE_ORACLE_MAX_N = 12  # each decoder-in-the-loop oracle decodes 3^n pairs
 CONFIDENCE = 0.99  # of every Monte Carlo interval
 
 
@@ -63,20 +62,20 @@ class OracleReport:
 
 
 # ---------------------------------------------------------------------------
-# The containment table and the no-message oracles.
+# Bob's acceptance table and the no-message oracles.
 # ---------------------------------------------------------------------------
 
-def _containment_table(code: LinearCode) -> list[int]:
-    """``inside[r]``, the number of codewords c ⊆ r, for every n-bit mask r.
+def _acceptance(code: LinearCode) -> list[int]:
+    """``accept[r]`` = 2^n · P(Bob accepts | his bases miss exactly on r).
 
-    The subset-sum (zeta) transform, n·2^(n-1) additions: a 1 at every
-    codeword, then for each bit j every r holding j adds the entry r ^ 2^j.
+    His coins pass iff they flip one of the inside[r] codewords c ⊆ r,
+    counted by the subset-sum (zeta) transform in n·2^(n-1) additions.
     Like every 2^n-entry table, it is bounded by SYNDROME_TABLE_MAX_PATTERNS.
     """
     n = code.n
     if 1 << n > SYNDROME_TABLE_MAX_PATTERNS:
         raise UnsupportedSizeError(
-            f"n={n}: 2^{n} containment-table masks exceed {SYNDROME_TABLE_MAX_PATTERNS}"
+            f"n={n}: 2^{n} acceptance-table masks exceed {SYNDROME_TABLE_MAX_PATTERNS}"
         )
     inside = [0] * (1 << n)
     for c in code.codewords():
@@ -86,23 +85,22 @@ def _containment_table(code: LinearCode) -> list[int]:
         for r in range(1 << n):
             if r & bit:
                 inside[r] += inside[r ^ bit]
-    return inside
+    return [count << (n - r.bit_count()) for r, count in enumerate(inside)]
 
 
 def oracle_no_message(code: LinearCode) -> OracleReport:
     """Enumerated no-message acceptance next to the closed form (3/4)^n.
 
-    The forger's bases miss the key on a uniform mask D, where the
-    receiver's fair coins pass the syndrome test iff they flip a
-    codeword: probability ``inside[D]`` / 2^|D|.  The sum over D, an
-    integer over 4^n, must equal ``oracle_no_message_any_codeword``;
-    (3/4)^n is the exact-codeword event alone, so the gap is positive.
+    The forger's bases miss the key on a uniform mask D, so acceptance
+    is the mean of ``_acceptance`` over D, an integer over 4^n.  It must
+    equal ``oracle_no_message_any_codeword``; (3/4)^n is the
+    exact-codeword event alone, so the gap is positive.
     """
     n = code.n
-    inside = _containment_table(code)
-    total = sum(count << (n - d.bit_count()) for d, count in enumerate(inside))
     return OracleReport(
-        f"p_f[{code.name}]", Fraction(total, 4**n), analytics.p_f_no_message(n)
+        f"p_f[{code.name}]",
+        Fraction(sum(_acceptance(code)), 4**n),
+        analytics.p_f_no_message(n),
     )
 
 
@@ -123,6 +121,14 @@ def oracle_no_message_any_codeword(code: LinearCode) -> Fraction:
 # Intercept-resend oracles (decoder in the loop).
 # ---------------------------------------------------------------------------
 
+def _check_decode_walk(code: LinearCode) -> None:
+    if code.n > DECODE_ORACLE_MAX_N:
+        raise UnsupportedSizeError(
+            f"n={code.n}: 3^{code.n} decodes exceed the decode-oracle "
+            f"enumeration bound (n <= {DECODE_ORACLE_MAX_N})"
+        )
+
+
 def oracle_p_dec(code: LinearCode) -> OracleReport:
     """P(the eavesdropper's decode recovers the transmitted codeword).
 
@@ -135,11 +141,8 @@ def oracle_p_dec(code: LinearCode) -> OracleReport:
     decoder flips exactly e.  Each (D, e) pair has probability
     2^-n * 2^-|D|, so the sum is an integer over 2^(2n).
     """
+    _check_decode_walk(code)
     n = code.n
-    if n > P_DEC_MAX_N:
-        raise UnsupportedSizeError(
-            f"n={n} exceeds the decode-oracle enumeration bound ({P_DEC_MAX_N})"
-        )
     decode = code.decode
     hits = 0
     for d in range(1 << n):
@@ -170,32 +173,29 @@ def oracle_intercept_resend(
     flips her basis guess at the corrected positions (a failed decode
     flips nothing, and under abort sends nothing), leaving residual
     mismatch R = D xor flips, on which the receiver accepts with
-    probability ``inside[R]`` / 2^|R| (see ``oracle_no_message``).  With
-    (D, e) at probability 2^-n * 2^-|D|, the sum is an integer over
-    2^(3n).  Equality with p_f_prime is NOT expected; the signed gap is
-    the result.  The cost is 3^n decodes plus the table.
+    probability ``accept[R]`` / 2^n (see ``_acceptance``).  With (D, e)
+    at probability 2^-n * 2^-|D|, each D adds its readouts' ``accept``
+    sum times 2^(n-|D|) to an integer over 2^(3n).  Equality with
+    p_f_prime is NOT expected; the signed gap is the result.  The cost
+    is 3^n decodes plus the table.
     """
     resend = decode_failure_policy(on_decode_failure) == RESEND_UNCORRECTED
+    _check_decode_walk(code)
     n = code.n
-    if n > INTERCEPT_RESEND_MAX_N:
-        raise UnsupportedSizeError(
-            f"n={n} exceeds the intercept-resend enumeration bound "
-            f"({INTERCEPT_RESEND_MAX_N})"
-        )
-    inside = _containment_table(code)
+    accept = _acceptance(code)
     decode = code.decode
     total = 0
     for d in range(1 << n):
-        shift = 2 * n - d.bit_count()
+        given_d = 0
         e = d
         while True:  # every submask e of d, as in oracle_p_dec
             ok, flips = decode(e)
             if ok or resend:
-                r = d ^ flips
-                total += inside[r] << (shift - r.bit_count())
+                given_d += accept[d ^ flips]
             if not e:
                 break
             e = (e - 1) & d
+        total += given_d << (n - d.bit_count())
     return OracleReport(
         f"p_f_prime[{code.name}:{on_decode_failure}]",
         Fraction(total, 8**n),

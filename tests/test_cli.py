@@ -210,6 +210,17 @@ class TestOracle:
         assert rc == EXIT_CONFIG
         assert "smaller code" in capsys.readouterr().err
 
+    def test_ir_runs_at_n_11(self):
+        assert run_cli("oracle", "ir", "--code", "rep11") == EXIT_OK
+
+    @pytest.mark.parametrize("oracle", ["pdec", "ir"])
+    def test_decode_oracles_share_the_bound_n_12(self, oracle, capsys):
+        rc = run_cli("oracle", oracle, "--code", "rep13")
+        assert rc == EXIT_CONFIG
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "n=13" in lines[0] and "n <= 12" in lines[0]
+
 
 class TestUserInputErrors:
     """Bad user input exits 2 with one line on stderr, never a traceback."""

@@ -28,8 +28,8 @@ from qauth.protocol import run_session
 from qauth.rng import substream
 from qauth.verify import (
     CONFIDENCE,
-    INTERCEPT_RESEND_MAX_N,
     TrialStats,
+    _acceptance,
     clopper_pearson,
     monte_carlo,
     oracle_intercept_resend,
@@ -111,6 +111,24 @@ class TestNoMessageOracles:
             oracle_no_message(make_repetition(17))
 
 
+class TestAcceptanceTable:
+    """Bob's acceptance on every mask, against a naive codeword count."""
+
+    @pytest.mark.parametrize("selector", [
+        "rep3", "rep5", "hamming74", "bch-7-4-1", "short-hamming63", "random-10-6",
+    ])
+    def test_every_mask_against_a_naive_count(self, selector):
+        code = _pinned_code(selector)
+        n = code.n
+        codewords = list(code.codewords())
+        accept = _acceptance(code)
+        assert len(accept) == 1 << n
+        for r in range(1 << n):
+            inside = sum(1 for c in codewords if c & ~r == 0)
+            assert accept[r] == inside << (n - r.bit_count()), r
+        assert sum(accept) == 4**n * oracle_no_message_any_codeword(code)
+
+
 class TestDecodeOracle:
     @pytest.mark.parametrize("maker", [
         lambda: make_repetition(3),
@@ -166,7 +184,7 @@ class TestInterceptResendOracle:
 
     def test_size_bound(self, rep3):
         with pytest.raises(UnsupportedSizeError):
-            oracle_intercept_resend(make_repetition(11))
+            oracle_intercept_resend(make_repetition(13))
 
     def test_invalid_policy_rejected(self, rep3):
         with pytest.raises(ParameterError):
@@ -254,10 +272,10 @@ def _pinned_code(selector):
         # 8 syndromes, so some decodes fail and the two policies differ
         return LinearCode(selector, [0b110001, 0b101010, 0b011100], 6, 1)
     if selector == "random-10-6":
-        # a random [10, 6] code at the intercept-resend size bound: seed 43
-        # is the first whose six 10-bit rows span six dimensions at d = 3
-        # (the constructor checks that t = 1 is corrected); 11 patterns of
-        # weight <= 1 fill 11 of its 16 syndromes
+        # a random imperfect [10, 6] code: seed 43 is the first whose six
+        # 10-bit rows span six dimensions at d = 3 (the constructor checks
+        # that t = 1 is corrected); 11 patterns of weight <= 1 fill 11 of
+        # its 16 syndromes
         randomness = Random(43)
         rows = [randomness.getrandbits(10) for _ in range(6)]
         return LinearCode(selector, rows, 10, 1)
@@ -273,6 +291,7 @@ class TestPinnedOracleValues:
         "rep5": Fraction(913, 2048),
         "rep7": Fraction(46085, 131072),
         "rep9": Fraction(2317217, 8388608),
+        "rep11": Fraction(115817191, 536870912),
         "hamming74": Fraction(233, 1024),
         "bch-7-4-1": Fraction(233, 1024),
     }
@@ -309,9 +328,9 @@ class TestPinnedOracleValues:
             report = oracle_intercept_resend(code, oracle.removeprefix("ir-"))
         assert report.exact_value == expected
 
-    def test_random_code_is_at_the_size_bound(self):
+    def test_random_code_is_a_10_6_code_at_distance_3(self):
         code = _pinned_code("random-10-6")
-        assert (code.n, code.m, code.t) == (INTERCEPT_RESEND_MAX_N, 6, 1)
+        assert (code.n, code.m, code.t) == (10, 6, 1)
         assert code.weight_distribution()[:4] == [1, 0, 0, 9]
 
 
