@@ -1,21 +1,20 @@
 """Eve's strategies against the channel: no-message and intercept-resend.
 
-Both strategies see only public data (the code) and the opaque channel
-interface.  Each writes its attack once, as ``forge(code, read,
-randomness)``: ``read(bases)`` is Eve's readout of Alice's qubits, each
-measured in the basis its bit of ``bases`` selects, and ``forge``
-returns the plain tuple ``(x_E, m_E, decode_success, flips, x_E')``,
-where x_E' is the basis word the forgery is sent under, or None when
-nothing is sent.  ``act`` runs ``forge`` on a channel of qubit handles
-(the reference session), reading each handle through ``measure``;
-``verify.word_session`` runs the same ``forge`` on packed words.  In
-both, Eve reaches Alice's qubits only through ``read``, and each
-``read`` draws one n-bit coin word from ``randomness``, after x_E.
+Both strategies see only public data (the code) and what the engine
+running them hands over.  Each writes its attack once, as a pure rule
+``forge(code, x_E, m_E) -> (decode_success, flips, x_E')``: x_E is her
+uniformly random basis guess, m_E her readout of Alice's qubits in
+those bases (None for a strategy whose ``reads`` is False), and x_E' is
+the basis word the forgery is sent under, or None when nothing is sent.
+``act`` runs ``forge`` on a channel of qubit handles (the reference
+session), drawing x_E and then, if she reads, one n-bit coin word for
+the handles it measures; ``verify.word_session`` runs the same
+``forge`` on packed words, with the same bits taken in one draw.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from .codes import LinearCode
 from .errors import DimensionError, ParameterError
@@ -26,9 +25,9 @@ from .rng import Stream
 ABORT = "abort"
 RESEND_UNCORRECTED = "resend_uncorrected"
 
-# (x_E, m_E, decode_success, flips, x_E'); flips has bit j set for each
-# position the decode corrected, and m_E is None when Eve reads nothing
-Forgery = tuple[int, Optional[int], bool, int, Optional[int]]
+# (decode_success, flips, x_E'); flips has bit j set for each position
+# the decode corrected, and x_E' is None when nothing is sent
+Forgery = tuple[bool, int, Optional[int]]
 
 
 def decode_failure_policy(on_decode_failure: str) -> str:
@@ -49,31 +48,31 @@ def act_on_channel(strategy, tap: ChannelTap, code: LinearCode,
                    randomness: Stream) -> dict:
     """Run ``strategy.forge`` on the qubit handles in flight on ``tap``.
 
-    Eve takes Alice's handles, reads them only through ``read``, and
-    puts her forged codeword back under x_E' (nothing when x_E' is
-    None).  Each ``read`` draws one n-bit coin word, and a handle j
-    measured in the other basis reads bit j of it.  Returns the
-    transcript as a JSON dict of hex words; it never includes Bob's key.
+    Eve takes Alice's handles and draws x_E; if she reads, she draws one
+    n-bit coin word and measures handle j in the basis bit j of x_E
+    selects, reading bit j of the coins when that is the other basis.
+    She puts her forged codeword back under x_E' (nothing when x_E' is
+    None).  Returns the transcript as a JSON dict of hex words; it never
+    includes Bob's key.
     """
     intercepted = tap.intercept()
     if strategy.forged_message.length != code.m:
         raise DimensionError(
             f"forged message length {strategy.forged_message.length} != m={code.m}"
         )
-
-    def read(bases: int) -> int:
+    x_e = randomness.getrandbits(code.n)
+    m_e = None
+    if strategy.reads:
         if len(intercepted) != code.n:
             raise DimensionError(
                 f"expected {code.n} intercepted qubits, got {len(intercepted)}"
             )
         coins = randomness.getrandbits(code.n)
-        word = 0
+        m_e = 0
         for j, handle in enumerate(intercepted):
-            basis = _basis_of(bases >> j & 1)
-            word |= measure(handle, basis, coins >> j & 1) << j
-        return word
-
-    x_e, m_e, ok, flips, x_e_prime = strategy.forge(code, read, randomness)
+            basis = _basis_of(x_e >> j & 1)
+            m_e |= measure(handle, basis, coins >> j & 1) << j
+    ok, flips, x_e_prime = strategy.forge(code, x_e, m_e)
     handles = []
     if x_e_prime is not None:
         forged = code.encode(strategy.forged_message)
@@ -96,14 +95,13 @@ class NoMessageStrategy:
     """Forge from scratch: random basis guess x_E, Alice's qubits unread."""
 
     name = "no-message"
+    reads = False
 
     def __init__(self, forged_message: BitWord):
         self.forged_message = forged_message
 
-    def forge(self, code: LinearCode, read: Callable[[int], int],
-              randomness: Stream) -> Forgery:
-        x_e = randomness.getrandbits(code.n)
-        return x_e, None, False, 0, x_e
+    def forge(self, code: LinearCode, x_e: int, m_e: None) -> Forgery:
+        return False, 0, x_e
 
     act = act_on_channel
 
@@ -120,19 +118,17 @@ class InterceptResendStrategy:
     """
 
     name = "intercept-resend"
+    reads = True
 
     def __init__(self, forged_message: BitWord, on_decode_failure: str = ABORT):
         self.forged_message = forged_message
         self.on_decode_failure = decode_failure_policy(on_decode_failure)
 
-    def forge(self, code: LinearCode, read: Callable[[int], int],
-              randomness: Stream) -> Forgery:
-        x_e = randomness.getrandbits(code.n)
-        m_e = read(x_e)
+    def forge(self, code: LinearCode, x_e: int, m_e: int) -> Forgery:
         ok, flips = code.decode(m_e)
         # a failed decode flips nothing: x_E is resent as is, or dropped
         if ok or self.on_decode_failure == RESEND_UNCORRECTED:
-            return x_e, m_e, ok, flips, x_e ^ flips
-        return x_e, m_e, ok, flips, None
+            return ok, flips, x_e ^ flips
+        return ok, flips, None
 
     act = act_on_channel

@@ -10,9 +10,10 @@ walking the readouts (the submasks of each difference) inline; each
 call is one index into the code's decode map.  Each sums an integer
 numerator over a power of 2, so each result is one exact
 ``Fraction``.  Monte Carlo runs sessions on packed words, each the same
-session as ``protocol.run_session`` on the same stream, and reports
-exact (Clopper-Pearson) confidence intervals, since true probabilities
-near 0 or 1 are common here.
+session as ``protocol.run_session`` on the same stream, with the words
+taken in one draw and each attack's pure ``forge`` rule in the loop,
+and reports exact (Clopper-Pearson) confidence intervals, since true
+probabilities near 0 or 1 are common here.
 """
 
 from __future__ import annotations
@@ -275,28 +276,31 @@ def word_session(
     """One session on packed words; True iff Bob accepts.
 
     ``sent`` is Alice's codeword and ``forged`` Eve's, as ints.  The
-    session draws n-bit words in this order: the key, then Eve's bases
-    x_E and, if she reads Alice's qubits, her coin word (through
-    ``adversary.forge``, whose ``read`` measures Alice's word), then
-    Bob's coin word, unless nothing arrives.  Each readout draws one
-    coin word, honest ones too.  These are the draws
-    ``protocol.run_session`` makes on the same stream, so both accept
-    alike and leave it in one state.
+    session's n-bit words come in this order: the key, then Eve's bases
+    x_E and, if she reads Alice's qubits, her coin word, then Bob's coin
+    word, unless nothing arrives.  It takes them in one draw where it
+    can: 2n bits when honest, 3n when attacked, and Bob's n bits after
+    ``adversary.forge`` when Eve has read.  The stream hands out bits in
+    order across draws, so these are the bits ``protocol.run_session``
+    draws a word at a time on the same stream: both accept alike and
+    leave it in one state.
     """
     n = code.n
-    getrandbits = randomness.getrandbits
-    key = getrandbits(n)
-    word, bases = sent, key  # honest: Alice's qubits, every basis matched
-    if adversary is not None:
-        bases = adversary.forge(
-            code,
-            lambda guess: measure_word(sent, key ^ guess, getrandbits(n)),
-            randomness,
-        )[4]
-        if bases is None:  # nothing arrives: Bob rejects
-            return False
-        word = forged
-    return code.is_codeword(measure_word(word, key ^ bases, getrandbits(n)))
+    if adversary is None:  # every basis matched: Bob reads Alice's word
+        randomness.getrandbits(2 * n)  # the key, then Bob's coins
+        return code.is_codeword(sent)
+    words = randomness.getrandbits(3 * n)
+    mask = (1 << n) - 1
+    key = words & mask
+    x_e = words >> n & mask
+    coins = words >> 2 * n  # Eve's if she reads, else Bob's
+    m_e = measure_word(sent, key ^ x_e, coins) if adversary.reads else None
+    bases = adversary.forge(code, x_e, m_e)[2]
+    if bases is None:  # nothing arrives: Bob rejects
+        return False
+    if m_e is not None:
+        coins = randomness.getrandbits(n)
+    return code.is_codeword(measure_word(forged, key ^ bases, coins))
 
 
 def monte_carlo(
@@ -308,9 +312,9 @@ def monte_carlo(
     ``substream(seed, "trial", i)``, with one coin word per readout, so
     results are bit-reproducible for a fixed seed regardless of
     scheduling, and equal to running ``protocol.run_session`` on the
-    same streams.  An adversary is an object with ``forged_message`` and
-    ``forge``, as in the adversary module; ``run_session`` runs the same
-    ``forge`` through its ``act``.
+    same streams.  An adversary is an object with ``forged_message``,
+    ``reads`` and ``forge(code, x_E, m_E)``, as in the adversary module;
+    ``run_session`` runs the same ``forge`` through its ``act``.
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")

@@ -1,7 +1,7 @@
 """Tests for the no-message and intercept-resend strategies.
 
 Each test drives a strategy through ``act`` on a channel of qubit
-handles, or through ``forge`` with a scripted ``read``.
+handles, or calls its pure rule ``forge(code, x_E, m_E)`` directly.
 """
 
 import random
@@ -36,10 +36,6 @@ class _FixedBits(random.Random):
         if self._script:
             return self._script.pop(0)
         return super().getrandbits(k)
-
-
-def _unread(bases):
-    raise AssertionError("the no-message forger read Alice's qubits")
 
 
 def _tap(code, message, key_bits):
@@ -82,8 +78,12 @@ class TestNoMessage:
         counts = [0, 0, 0]
         samples = 6000
         for _ in range(samples):
-            x_e, m_e, ok, flips, x_e_prime = strategy.forge(rep3, _unread, rng)
-            assert (m_e, ok, flips, x_e_prime) == (None, False, 0, x_e)
+            tap = _tap(rep3, BitWord(0, 1), BitWord(0, 3))
+            transcript = strategy.act(tap, rep3, rng)
+            x_e = int(transcript["x_E"], 16)
+            assert transcript["m_E"] is None and not transcript["decode_success"]
+            assert transcript["corrected_positions"] == []
+            assert int(transcript["x_E_prime"], 16) == x_e
             for j in range(3):
                 counts[j] += x_e >> j & 1
         for c in counts:
@@ -138,22 +138,15 @@ class TestInterceptResend:
         assert checked > 50  # the slice is common for random keys
 
     def test_miscorrection_is_followed(self, rep3):
-        # Alice sends 000; Eve guesses every basis wrong and happens to read
-        # 110: the decoder "corrects" toward 111 and Eve proceeds with the
-        # wrong codeword rather than learning she failed
-        asked = []
-
-        def read(bases):
-            asked.append(bases)
-            return BitWord.from_str("110").value
-
+        # Alice sends 000; Eve guesses every basis wrong (x_E = 0b111) and
+        # happens to read 0b110: the decoder "corrects" bit 0 toward 111
+        # and Eve proceeds with the wrong codeword rather than learning
+        # she failed
         strategy = InterceptResendStrategy(BitWord(0, 1))
-        x_e, m_e, ok, flips, x_e_prime = strategy.forge(rep3, read, _FixedBits(0b111))
-        assert asked == [x_e] and x_e == BitWord.from_str("111").value
-        assert m_e == BitWord.from_str("110").value
+        ok, flips, x_e_prime = strategy.forge(rep3, 0b111, 0b110)
         assert ok
-        assert flips == 1 << 2
-        assert x_e_prime == BitWord.from_str("110").value
+        assert flips == 1 << 0
+        assert x_e_prime == 0b110
 
     def test_abort_policy_drops_transmission(self):
         # BCH[15,7,2] is not perfect, so Eve's decode can genuinely fail

@@ -308,10 +308,21 @@ class TestAlgebraicMatchesReference:
     # w = 8 fills the whole byte lane; (8, 1) is perfect, so every word
     # that is not a codeword reaches Chien search
     @pytest.mark.parametrize("wt", sorted(GRID) + [(5, 7), (8, 1), (8, 12)])
-    def test_random_words_and_beyond_t_patterns(self, wt):
+    def test_random_words_and_beyond_t_patterns(self, wt, monkeypatch):
         code = build_bch(*wt)
         decoder = code.decoder
         reference = ReferenceBchDecoder(decoder.field, code.t)
+        # Chien search never reads the locator's constant term, so a
+        # register that leaves it dirty still decodes every word right
+        locators = []
+        berlekamp_massey = decoder._berlekamp_massey
+
+        def recorded(syn):
+            locator = berlekamp_massey(syn)
+            locators.append(locator)
+            return locator
+
+        monkeypatch.setattr(decoder, "_berlekamp_massey", recorded)
         rng = random.Random(4000 + 10 * wt[0] + wt[1])
         for k in range(2000):
             if k % 2:
@@ -320,6 +331,8 @@ class TestAlgebraicMatchesReference:
                 cw = code.encode(BitWord(rng.getrandbits(code.m), code.m))
                 received = cw ^ _mask(rng.sample(range(code.n), code.t + 1 + k % 3))
             assert decoder(received) == reference(received), received
+        returned = [locator for locator in locators if locator is not None]
+        assert returned and all(locator[0] == 1 for locator in returned)
 
     @pytest.mark.parametrize("wt", sorted(GRID) + [(5, 7), (8, 1), (8, 12)])
     def test_syndrome_lanes(self, wt):

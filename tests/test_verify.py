@@ -540,15 +540,22 @@ class TestWordKernel:
 
 
 class ScriptedStream:
-    """A stream whose draws are the queued words, in order."""
+    """A stream whose bits are the queued n-bit words, low bit first.
 
-    def __init__(self, *words):
+    The words form one little-endian bit stream, so a draw of j·n bits
+    takes the next j words, the first lowest.
+    """
+
+    def __init__(self, n, *words):
+        assert all(0 <= word < 1 << n for word in words), (n, words)
+        self.n = n
         self.words = list(words)
 
     def getrandbits(self, k):
-        word = self.words.pop(0)
-        assert 0 <= word < 1 << k, (word, k)
-        return word
+        count, rest = divmod(k, self.n)
+        assert not rest and count <= len(self.words), (k, self.words)
+        drawn, self.words = self.words[:count], self.words[count:]
+        return sum(word << self.n * i for i, word in enumerate(drawn))
 
 
 class _ResendRecorder:
@@ -557,11 +564,12 @@ class _ResendRecorder:
     def __init__(self, strategy):
         self.strategy = strategy
         self.forged_message = strategy.forged_message
+        self.reads = strategy.reads
         self.resend_bases = None
 
-    def forge(self, code, read, randomness):
-        forgery = self.strategy.forge(code, read, randomness)
-        self.resend_bases = forgery[4]
+    def forge(self, code, x_e, m_e):
+        forgery = self.strategy.forge(code, x_e, m_e)
+        self.resend_bases = forgery[2]
         return forgery
 
 
@@ -591,13 +599,13 @@ def _kernel_law(code, strategy, key=0):
     forged = code.encode(strategy.forged_message)
     eve_fill, bob_fill = (1 << n) - 1, ((1 << n) - 1) ^ forged
     recorder = _ResendRecorder(strategy)
-    reads = isinstance(strategy, InterceptResendStrategy)
+    reads = strategy.reads
     total = 0
     for x_e in range(1 << n):
         d = key ^ x_e
         for e in _submasks(d) if reads else [None]:
             draws = [key, x_e] + ([e | eve_fill & ~d] if reads else [])
-            probe = ScriptedStream(*draws, bob_fill)
+            probe = ScriptedStream(n, *draws, bob_fill)
             word_session(code, 0, recorder, forged, probe)
             if recorder.resend_bases is None:  # nothing arrives
                 assert probe.words == [bob_fill]  # and Bob drew nothing
@@ -605,7 +613,7 @@ def _kernel_law(code, strategy, key=0):
             r = key ^ recorder.resend_bases
             weight = (n - d.bit_count() if reads else 0) + n - r.bit_count()
             for b in _submasks(r):
-                stream = ScriptedStream(*draws, b | bob_fill & ~r)
+                stream = ScriptedStream(n, *draws, b | bob_fill & ~r)
                 if word_session(code, 0, recorder, forged, stream):
                     total += 1 << weight
                 assert not stream.words
@@ -622,7 +630,7 @@ class TestKernelLaw:
 
     CODES = ["rep3", "rep5", "hamming74", "bch-7-4-1"]
 
-    @pytest.mark.parametrize("selector", CODES)
+    @pytest.mark.parametrize("selector", CODES + ["rep7", "rep9"])
     def test_no_message(self, selector):
         code = resolve_code(selector)
         strategy = NoMessageStrategy(BitWord(1, code.m))
@@ -634,6 +642,15 @@ class TestKernelLaw:
         code = resolve_code(selector)
         strategy = InterceptResendStrategy(BitWord(1, code.m), policy)
         assert _kernel_law(code, strategy) == (
+            oracle_intercept_resend(code, policy).exact_value
+        )
+
+    @pytest.mark.parametrize("policy", [ABORT, RESEND_UNCORRECTED])
+    @pytest.mark.parametrize("selector", ["hamming74", "bch-7-4-1"])
+    def test_intercept_resend_at_a_nonzero_key(self, selector, policy):
+        code = resolve_code(selector)
+        strategy = InterceptResendStrategy(BitWord(1, code.m), policy)
+        assert _kernel_law(code, strategy, key=0b1011001) == (
             oracle_intercept_resend(code, policy).exact_value
         )
 
@@ -669,6 +686,70 @@ class TestOneHashPerTrial:
             stream = substream(5, "trial", trial)
             word_session(code, 0, adversary, forged, stream)
             assert stream._block == 1, trial
+
+
+class _CountingStream:
+    """A stream that records the width of every draw."""
+
+    def __init__(self, stream):
+        self.stream = stream
+        self.draws = []
+
+    def getrandbits(self, k):
+        self.draws.append(k)
+        return self.stream.getrandbits(k)
+
+
+def _expected_draws(code, adversary, stream):
+    """word_session's draw widths on ``stream``, read from its bits.
+
+    Honest: the key and Bob's coins, 2n bits.  Attacked: the key, x_E
+    and one coin word, 3n bits; under intercept-resend Bob's n bits
+    follow, unless a failed decode aborts the send.
+    """
+    n = code.n
+    if adversary is None:
+        return [2 * n]
+    if not adversary.reads:
+        return [3 * n]
+    key, x_e, coins = (stream.getrandbits(n) for _ in range(3))
+    ok, _ = code.decode(qsim.measure_word(0, key ^ x_e, coins))
+    if ok or adversary.on_decode_failure == RESEND_UNCORRECTED:
+        return [3 * n, n]
+    return [3 * n]
+
+
+class TestOneDrawPerSession:
+    """word_session takes a trial's key, x_E and first coin word in one draw."""
+
+    @pytest.mark.parametrize("mode", list(KERNEL_MODES))
+    @pytest.mark.parametrize("selector", DEFAULT_TABLE_CODES + ["rep3", "hamming74"])
+    def test_draw_widths(self, selector, mode):
+        code = resolve_code(selector)
+        adversary = KERNEL_MODES[mode](code.m)
+        forged = None if adversary is None else code.encode(adversary.forged_message)
+        for trial in range(20):
+            stream = _CountingStream(substream(6, "trial", trial))
+            word_session(code, 0, adversary, forged, stream)
+            expected = _expected_draws(code, adversary, substream(6, "trial", trial))
+            assert stream.draws == expected, trial
+
+    @pytest.mark.parametrize("selector", ["bch-15-7-2", "bch-63-18"])
+    def test_abort_after_a_failed_decode_draws_once(self, selector):
+        # Bob draws nothing when nothing arrives: the 3n-bit draw is all
+        code = resolve_code(selector)
+        adversary = InterceptResendStrategy(BitWord(1, code.m), ABORT)
+        forged = code.encode(adversary.forged_message)
+        aborted = 0
+        for trial in range(40):
+            stream = _CountingStream(substream(8, "trial", trial))
+            accepted = word_session(code, 0, adversary, forged, stream)
+            if stream.draws == [3 * code.n]:
+                aborted += 1
+                assert not accepted
+            else:
+                assert stream.draws == [3 * code.n, code.n], trial
+        assert aborted > 0
 
 
 class TestChecksUnderOptimize:
