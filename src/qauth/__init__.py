@@ -15,8 +15,7 @@ Subpackages by layer:
 """
 
 from .gf2 import BitMatrix, BitWord
-from .codes import LinearCode, make_hamming_7_4, make_repetition
-from .bch import build_bch
+from .codes import LinearCode, build_bch, make_hamming_7_4, make_repetition
 from .qsim import Basis, QubitHandle, measure, prepare
 from .protocol import SecretKey, keygen, run_session
 from .adversary import InterceptResendStrategy, NoMessageStrategy

@@ -177,26 +177,21 @@ class SecurityRow:
         return d
 
 
-def key_overhead(code: LinearCode) -> Fraction:
-    """Key bits consumed per message bit: n/m."""
-    return Fraction(code.n, code.m)
-
-
-def security_row(code: LinearCode) -> SecurityRow:
-    return SecurityRow(
-        name=code.name,
-        n=code.n,
-        m=code.m,
-        t=code.t,
-        p_f=p_f_no_message(code.n),
-        p_dec=p_dec(code.n, code.t),
-        p_f_prime=p_f_prime(code.n, code.t),
-        key_overhead=key_overhead(code),
-    )
-
-
 def table1(codes: Iterable[LinearCode]) -> list[SecurityRow]:
-    return [security_row(code) for code in codes]
+    """One row per code; the key overhead is the key bits per message bit, n/m."""
+    return [
+        SecurityRow(
+            name=code.name,
+            n=code.n,
+            m=code.m,
+            t=code.t,
+            p_f=p_f_no_message(code.n),
+            p_dec=p_dec(code.n, code.t),
+            p_f_prime=p_f_prime(code.n, code.t),
+            key_overhead=Fraction(code.n, code.m),
+        )
+        for code in codes
+    ]
 
 
 CSV_COLUMNS = ["code", "n", "m", "t", "p_f", "p_dec", "p_f_prime", "key_overhead"]

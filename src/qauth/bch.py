@@ -4,8 +4,8 @@ The generator polynomial is g(x) = prod (x + alpha^k) over K, the union
 of the cyclotomic cosets {k·2^i mod n} of k = 1..2t: the product of the
 minimal polynomials of alpha..alpha^(2t), each taken once.  It is
 multiplied out with the field's tables and packed into an int like the
-generator rows (bit i = coefficient of x^i).  ``build_bch`` is the one
-builder: it hands the m = n - deg g shifts x^i·g(x) to ``LinearCode``,
+generator rows (bit i = coefficient of x^i).  ``codes.build_bch`` is the
+one builder: it hands the m = n - deg g shifts x^i·g(x) to ``LinearCode``,
 whose constructor is the only check (zero S_1..S_2t on every row, and
 m = n - |K|).  The shifts have distinct degrees, so they span m
 dimensions; g then lies in BCH(w, t) with its generator's degree, so g
@@ -25,9 +25,8 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 
-from .codes import LinearCode
 from .errors import ParameterError, UnsupportedSizeError
-from .gf2 import DEFAULT_PRIMITIVE_POLY, GF2m, linear_byte_tables
+from .gf2 import GF2m, linear_byte_tables
 
 
 def cyclotomic_exponents(order: int, designed_t: int) -> set[int]:
@@ -220,19 +219,3 @@ class BchAlgebraicDecoder:
             flips |= 1 << j
             j = values.find(0, j + 1)
         return True, flips
-
-
-def build_bch(w: int, designed_t: int) -> LinearCode:
-    """C[2^w - 1, m, t] over the default field, with the algebraic decoder."""
-    check_bch_parameters(w, designed_t)
-    poly = DEFAULT_PRIMITIVE_POLY[w]
-    g = bch_generator_poly(bch_field(w, poly), designed_t)
-    n = (1 << w) - 1
-    m = n - (g.bit_length() - 1)
-    return LinearCode(
-        f"bch-{n}-{m}-{designed_t}",
-        [g << i for i in range(m)],
-        n,
-        designed_t,
-        field_info={"w": w, "primitive_poly": poly},
-    )

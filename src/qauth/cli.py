@@ -21,8 +21,7 @@ import sys
 
 from . import analytics, verify
 from .adversary import ABORT, InterceptResendStrategy, NoMessageStrategy
-from .bch import build_bch
-from .codes import LinearCode, load_code_spec, make_hamming_7_4, make_repetition
+from .codes import LinearCode, build_bch, load_code_spec, make_hamming_7_4, make_repetition
 from .errors import QauthError, UnsupportedSizeError
 from .gf2 import BitWord
 
@@ -51,9 +50,12 @@ class ConfigError(QauthError):
 
 
 def resolve_code(selector: str) -> LinearCode:
-    """Built-in name, BCH shorthand, or a code-spec file path."""
-    if os.path.exists(selector):
-        return load_code_spec(selector)
+    """Built-in name, BCH shorthand, or else a code-spec file path.
+
+    The built-in names come first: a file named ``rep3`` is read only as ``./rep3``.
+    """
+    if not isinstance(selector, str):  # argparse reads --code=-- as []
+        raise ConfigError(f"--code needs a selector, got {selector!r}")
     match = re.fullmatch(r"rep(\d+)", selector)
     if match:
         return make_repetition(int(match.group(1)))
@@ -81,6 +83,8 @@ def resolve_code(selector: str) -> LinearCode:
                 f"BCH(w={w}, t={t}) has m={code.m}, not {m} as in {selector!r}"
             )
         return code
+    if os.path.exists(selector):
+        return load_code_spec(selector)
     raise ConfigError(
         f"unknown code selector {selector!r} "
         "(try repN, hamming74, bch-n-m, or a spec-file path)"

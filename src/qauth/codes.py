@@ -24,10 +24,11 @@ from itertools import accumulate, combinations
 from math import comb
 from operator import xor
 from string import hexdigits
-from typing import Iterator, Optional, Protocol
+from typing import Callable, Iterator, Optional
 
+from . import bch
 from .errors import DimensionError, ParameterError, SpecError, UnsupportedSizeError
-from .gf2 import BitMatrix, BitWord, linear_byte_tables, mat_vec_mul
+from .gf2 import DEFAULT_PRIMITIVE_POLY, BitMatrix, BitWord, linear_byte_tables, mat_vec_mul
 
 # Patterns of weight <= t a syndrome table may enumerate: 2^16 builds in
 # under a second (rep17); a random [45, 21] code at t = 6 would need 9.5M.
@@ -36,9 +37,8 @@ SYNDROME_TABLE_MAX_PATTERNS = 1 << 16
 WEIGHT_ENUM_MAX_M = 20
 
 
-class Decoder(Protocol):
-    def __call__(self, received: int) -> tuple[bool, int]:
-        """Return (success, mask of the positions to flip)."""
+# received word -> (success, mask of the positions to flip)
+Decoder = Callable[[int], tuple[bool, int]]
 
 
 class LinearCode:
@@ -87,9 +87,6 @@ class LinearCode:
         self._decoder: Optional[Decoder] = None
         self._decode_map: Optional[list[tuple[bool, int]]] = None
         if field_info is not None:
-            # imported here: the bch module imports this one
-            from . import bch
-
             try:
                 w, poly = field_info["w"], field_info["primitive_poly"]
             except (KeyError, TypeError):
@@ -301,6 +298,22 @@ def make_hamming_7_4() -> LinearCode:
         BitWord.from_str("0001111").value,
     ]
     return LinearCode("hamming74", rows, 7, 1)
+
+
+def build_bch(w: int, designed_t: int) -> LinearCode:
+    """C[2^w - 1, m, t] over the default field, with the algebraic decoder."""
+    bch.check_bch_parameters(w, designed_t)
+    poly = DEFAULT_PRIMITIVE_POLY[w]
+    g = bch.bch_generator_poly(bch.bch_field(w, poly), designed_t)
+    n = (1 << w) - 1
+    m = n - (g.bit_length() - 1)
+    return LinearCode(
+        f"bch-{n}-{m}-{designed_t}",
+        [g << i for i in range(m)],
+        n,
+        designed_t,
+        field_info={"w": w, "primitive_poly": poly},
+    )
 
 
 def _require(d: dict, keys: tuple[str, ...], where: str) -> None:

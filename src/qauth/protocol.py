@@ -136,8 +136,6 @@ def run_session(
     bases x_E and her coin word (one per readout), then Bob's coin word
     unless nothing arrives.
     """
-    if message.length != code.m:
-        raise DimensionError(f"message length {message.length} != m={code.m}")
     key = keygen(code.n, randomness)
     key_bits = key.peek()
     tap = channel_send(alice_send(message, key, code))

@@ -268,33 +268,33 @@ def clopper_pearson(successes: int, trials: int) -> tuple[float, float]:
 
 def word_session(
     code: LinearCode,
-    sent: int,
     adversary,
     forged: Optional[int],
     randomness: Stream,
 ) -> bool:
     """One session on packed words; True iff Bob accepts.
 
-    ``sent`` is Alice's codeword and ``forged`` Eve's, as ints.  The
-    session's n-bit words come in this order: the key, then Eve's bases
-    x_E and, if she reads Alice's qubits, her coin word, then Bob's coin
-    word, unless nothing arrives.  It takes them in one draw where it
-    can: 2n bits when honest, 3n when attacked, and Bob's n bits after
-    ``adversary.forge`` when Eve has read.  The stream hands out bits in
-    order across draws, so these are the bits ``protocol.run_session``
-    draws a word at a time on the same stream: both accept alike and
-    leave it in one state.
+    Alice sends the zero codeword, and ``forged`` is Eve's, as an int.
+    The session's n-bit words come in this order: the key, then Eve's
+    bases x_E and, if she reads Alice's qubits, her coin word, then
+    Bob's coin word, unless nothing arrives.  It takes them in one draw
+    where it can: 2n bits when honest, 3n when attacked, and Bob's n
+    bits after ``adversary.forge`` when Eve has read.  The stream hands
+    out bits in order across draws, so these are the bits
+    ``protocol.run_session`` draws a word at a time on the same stream:
+    both accept alike and leave it in one state.
     """
     n = code.n
-    if adversary is None:  # every basis matched: Bob reads Alice's word
+    if adversary is None:  # every basis matched: Bob reads Alice's codeword
         randomness.getrandbits(2 * n)  # the key, then Bob's coins
-        return code.is_codeword(sent)
+        return True
     words = randomness.getrandbits(3 * n)
     mask = (1 << n) - 1
     key = words & mask
     x_e = words >> n & mask
     coins = words >> 2 * n  # Eve's if she reads, else Bob's
-    m_e = measure_word(sent, key ^ x_e, coins) if adversary.reads else None
+    # her readout of the zero codeword: a coin wherever her basis misses
+    m_e = coins & (key ^ x_e) if adversary.reads else None
     bases = adversary.forge(code, x_e, m_e)[2]
     if bases is None:  # nothing arrives: Bob rejects
         return False
@@ -318,14 +318,11 @@ def monte_carlo(
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
-    sent = 0  # the codeword of the zero message
     forged = None
     if adversary is not None:
         forged = code.encode(adversary.forged_message)
     successes = 0
     for trial in range(trials):
-        if word_session(
-            code, sent, adversary, forged, substream(seed, "trial", trial)
-        ):
+        if word_session(code, adversary, forged, substream(seed, "trial", trial)):
             successes += 1
     return TrialStats.of(successes, trials, seed)

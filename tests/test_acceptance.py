@@ -17,8 +17,7 @@ from scipy.stats import chisquare
 
 from qauth import analytics
 from qauth.adversary import NoMessageStrategy
-from qauth.bch import build_bch
-from qauth.codes import make_hamming_7_4, make_repetition
+from qauth.codes import build_bch, make_hamming_7_4, make_repetition
 from qauth.errors import ProtocolViolationError
 from qauth.gf2 import BitWord
 from qauth.protocol import run_session

@@ -150,7 +150,7 @@ class TestInterceptResend:
 
     def test_abort_policy_drops_transmission(self):
         # BCH[15,7,2] is not perfect, so Eve's decode can genuinely fail
-        from qauth.bch import build_bch
+        from qauth.codes import build_bch
 
         code = build_bch(4, 2)
         strategy = InterceptResendStrategy(BitWord(0, 7), on_decode_failure=ABORT)
@@ -185,7 +185,7 @@ class TestInterceptResend:
             InterceptResendStrategy(BitWord(0, 4), on_decode_failure="retry")
 
     def test_resend_uncorrected_keeps_guess(self):
-        from qauth.bch import build_bch
+        from qauth.codes import build_bch
 
         code = build_bch(4, 2)
         strategy = InterceptResendStrategy(

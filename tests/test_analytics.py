@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 
 from qauth.analytics import (
     _decode_terms,
-    key_overhead,
     p_dec,
     p_f_no_message,
     p_f_prime,
     render_fixed,
     render_scientific,
-    security_row,
     table1,
     table_to_csv,
 )
@@ -179,14 +177,14 @@ class TestRendering:
 
 class TestTable:
     def test_security_row_small_code(self):
-        rep3 = make_repetition(3)
-        row = security_row(rep3)
+        (row,) = table1([make_repetition(3)])
         assert row.p_f == Fraction(27, 64)
         assert row.p_dec == Fraction(27, 32)
         assert row.key_overhead == 3
 
     def test_key_overhead(self):
-        assert key_overhead(make_hamming_7_4()) == Fraction(7, 4)
+        (row,) = table1([make_hamming_7_4()])
+        assert row.key_overhead == Fraction(7, 4)
 
     def test_csv_shape(self):
         rows = table1([make_repetition(3), make_hamming_7_4()])

@@ -17,12 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qauth import analytics, cli
-from qauth.bch import (
-    BchAlgebraicDecoder,
-    bch_generator_poly,
-    build_bch,
-)
-from qauth.codes import syndrome_table_decoder
+from qauth.bch import BchAlgebraicDecoder, bch_generator_poly
+from qauth.codes import build_bch, syndrome_table_decoder
 from qauth.errors import UnsupportedSizeError
 from qauth.gf2 import BitWord, DEFAULT_PRIMITIVE_POLY, GF2m
 

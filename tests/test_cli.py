@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qauth import verify
@@ -79,6 +79,15 @@ class TestResolveCode:
         resolve_code("hamming74").save_spec(path)
         code = resolve_code(str(path))
         assert (code.n, code.m, code.t) == (7, 4, 1)
+
+    def test_builtin_names_win_over_files(self, tmp_path, monkeypatch):
+        # a folder rep3 and a file hamming74 in the working directory
+        (tmp_path / "rep3").mkdir()
+        resolve_code("rep5").save_spec(tmp_path / "hamming74")
+        monkeypatch.chdir(tmp_path)
+        assert resolve_code("rep3").name == "rep3"
+        assert resolve_code("hamming74").name == "hamming74"
+        assert resolve_code("./hamming74").name == "rep5"
 
 
 class TestCodeBuild:
@@ -562,6 +571,8 @@ class TestCliFuzz:
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(argv=cli_runs())
+    @example(argv=["simulate", "honest", "--code=--", "--trials=0", "--seed=0"])
+    @example(argv=["analytics", "table", "--code=--", "--format=csv"])
     def test_runs_exit_0_2_or_3(self, argv, capsys):
         rc = run_cli(*argv)
         captured = capsys.readouterr()

@@ -14,12 +14,13 @@ from qauth import cli
 from qauth.codes import (
     SYNDROME_TABLE_MAX_PATTERNS,
     LinearCode,
+    build_bch,
     load_code_spec,
     make_hamming_7_4,
     make_repetition,
     syndrome_table_decoder,
 )
-from qauth.bch import bch_field, bch_generator_poly, build_bch
+from qauth.bch import bch_field, bch_generator_poly
 from qauth.errors import (
     DimensionError,
     ParameterError,

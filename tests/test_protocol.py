@@ -146,6 +146,11 @@ class TestRunSession:
             assert not record.forged
             assert record.adversary is None
 
+    def test_wrong_message_length_rejected(self, ham):
+        # alice_send's check, which runs before the key is consumed
+        with pytest.raises(DimensionError):
+            run_session(BitWord(0, 3), ham, randomness=substream(7, "t", 0))
+
     def test_adversary_session_names_strategy(self, rep3):
         record = run_session(
             BitWord(0, 1),

@@ -10,6 +10,7 @@ not count as callers.
 
 import ast
 from collections import Counter
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -132,6 +133,31 @@ def test_every_export_is_defined():
 
     missing = [name for name in qauth.__all__ if not hasattr(qauth, name)]
     assert missing == [], f"qauth.__all__ names undefined attributes: {missing}"
+
+
+def _relative_imports(tree):
+    """The sibling modules a module imports, at any depth, function bodies included."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:  # from . import bch
+                imported.update(alias.name for alias in node.names)
+            else:
+                imported.add(node.module.partition(".")[0])
+    return imported
+
+
+def test_no_import_cycle():
+    # a cycle forces an import into a function body, out of sight of the
+    # module's header, and makes the import order matter
+    graph = {
+        path.stem: _relative_imports(ast.parse(path.read_text()))
+        for path in sorted((ROOT / "src" / "qauth").glob("*.py"))
+    }
+    try:
+        TopologicalSorter(graph).prepare()
+    except CycleError as exc:
+        raise AssertionError(f"import cycle in src/qauth: {exc.args[1]}") from None
 
 
 def _is_dataclass(node):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 from random import Random
 
@@ -18,10 +19,11 @@ from qauth.adversary import (
     RESEND_UNCORRECTED,
     InterceptResendStrategy,
     NoMessageStrategy,
+    act_on_channel,
 )
-from qauth.bch import BchAlgebraicDecoder, build_bch
+from qauth.bch import BchAlgebraicDecoder
 from qauth.cli import DEFAULT_TABLE_CODES, resolve_code
-from qauth.codes import LinearCode, make_hamming_7_4, make_repetition
+from qauth.codes import LinearCode, build_bch, make_hamming_7_4, make_repetition
 from qauth.errors import ParameterError, UnsupportedSizeError
 from qauth.gf2 import BitWord
 from qauth.protocol import run_session
@@ -426,6 +428,20 @@ class TestMonteCarlo:
         covered = sum(stats.ci_low <= truth <= stats.ci_high for stats in runs)
         assert covered >= 38
 
+    def test_exact_coverage(self, rep3):
+        # test_coverage_meta's law: P(the interval of k ~ Binomial(800, p)
+        # holds p), summed exactly over every k
+        p = oracle_no_message_any_codeword(rep3)
+        assert p == Fraction(7, 16)
+        trials = 800
+        intervals = (clopper_pearson(k, trials) for k in range(trials + 1))
+        covered = sum(
+            comb(trials, k) * 7**k * 9 ** (trials - k)
+            for k, (low, high) in enumerate(intervals)
+            if low <= p <= high
+        )
+        assert Fraction(covered, 16**trials) >= Fraction(99, 100)
+
     @pytest.mark.parametrize("selector, policy", [
         ("hamming74", ABORT),
         ("short-hamming63", ABORT),
@@ -493,7 +509,6 @@ class TestWordKernel:
         code = kernel_code
         adversary = KERNEL_MODES[mode](code.m)
         message = BitWord.zeros(code.m)
-        sent = code.encode(message)
         forged = None
         if adversary is not None:
             forged = code.encode(adversary.forged_message)
@@ -501,34 +516,11 @@ class TestWordKernel:
             by_words = substream(self.SEED, "trial", trial)
             by_handles = substream(self.SEED, "trial", trial)
             record = run_session(message, code, adversary=adversary, randomness=by_handles)
-            assert word_session(code, sent, adversary, forged, by_words) == record.accepted
+            assert word_session(code, adversary, forged, by_words) == record.accepted
             assert by_words.getrandbits(64) == by_handles.getrandbits(64)
         assert monte_carlo(code, self.TRIALS, self.SEED, adversary=adversary) == (
             _reference_stats(code, self.TRIALS, self.SEED, adversary, message)
         )
-
-    @pytest.mark.parametrize("selector", ["rep3", "hamming74"])
-    def test_nonzero_message(self, selector):
-        code = resolve_code(selector)
-        message = BitWord(1, code.m)
-        sent = code.encode(message)
-        for adversary in (
-            NoMessageStrategy(BitWord.zeros(code.m)),
-            InterceptResendStrategy(BitWord.zeros(code.m), RESEND_UNCORRECTED),
-        ):
-            forged = code.encode(adversary.forged_message)
-            successes = 0
-            for trial in range(500):
-                by_words = substream(9, "trial", trial)
-                by_handles = substream(9, "trial", trial)
-                record = run_session(
-                    message, code, adversary=adversary, randomness=by_handles
-                )
-                accepted = word_session(code, sent, adversary, forged, by_words)
-                assert accepted == record.accepted
-                assert by_words.getrandbits(64) == by_handles.getrandbits(64)
-                successes += accepted
-            assert 0 < successes < 500
 
     def test_builds_no_qubit_handles(self, ham, monkeypatch):
         def refuse(*args):
@@ -561,8 +553,11 @@ class ScriptedStream:
 class _ResendRecorder:
     """A strategy that runs another's ``forge`` and keeps its x_E'."""
 
+    act = act_on_channel
+
     def __init__(self, strategy):
         self.strategy = strategy
+        self.name = strategy.name
         self.forged_message = strategy.forged_message
         self.reads = strategy.reads
         self.resend_bases = None
@@ -582,31 +577,42 @@ def _submasks(mask):
         sub = (sub - 1) & mask
 
 
-def _kernel_law(code, strategy, key=0):
-    """P(word_session accepts) under ``key``, by enumerating its draws.
+def _kernel_law(code, strategy, key=0, message=None):
+    """P(a session accepts) under ``key``, by enumerating its draws.
 
-    Alice sends the zero codeword and Eve the codeword of her message.
+    The session is ``word_session``, where Alice sends the zero
+    codeword, or with ``message`` the reference ``run_session``, where
+    she sends its codeword c; Eve sends the codeword of her message.
     The draws are the key, every x_E, Eve's coin word (if she reads)
-    over the readouts e ⊆ D = key ^ x_E, and Bob's coin word over the
-    subsets of R = key ^ x_E'.  Every other coin bit is the complement
-    of the bit its qubit was prepared in, so a coin read at a matched
-    position flips that bit.  A kernel that reads only the coins of
-    mismatched positions sees 2^(n - |D|) Eve words and 2^(n - |R|) Bob
-    words alike in each case, which is its weight.  R is the kernel's
-    own: a first run records x_E'.
+    over the readouts c ^ e with e ⊆ D = key ^ x_E, and Bob's coin word
+    over the subsets of R = key ^ x_E'.  Every other coin bit is the
+    complement of the bit its qubit was prepared in, so a coin read at a
+    matched position flips that bit.  A session that reads only the
+    coins of mismatched positions sees 2^(n - |D|) Eve words and
+    2^(n - |R|) Bob words alike in each case, which is its weight.  R is
+    the session's own: a first run records x_E'.
     """
     n = code.n
+    mask = (1 << n) - 1
+    sent = 0 if message is None else code.encode(message)
     forged = code.encode(strategy.forged_message)
-    eve_fill, bob_fill = (1 << n) - 1, ((1 << n) - 1) ^ forged
+    bob_fill = mask ^ forged
     recorder = _ResendRecorder(strategy)
     reads = strategy.reads
+
+    def accepts(stream):
+        if message is None:
+            return word_session(code, recorder, forged, stream)
+        return run_session(message, code, recorder, randomness=stream).accepted
+
     total = 0
     for x_e in range(1 << n):
         d = key ^ x_e
         for e in _submasks(d) if reads else [None]:
-            draws = [key, x_e] + ([e | eve_fill & ~d] if reads else [])
+            # c ^ e on D, ~c off it
+            draws = [key, x_e] + ([sent ^ e ^ mask & ~d] if reads else [])
             probe = ScriptedStream(n, *draws, bob_fill)
-            word_session(code, 0, recorder, forged, probe)
+            accepts(probe)
             if recorder.resend_bases is None:  # nothing arrives
                 assert probe.words == [bob_fill]  # and Bob drew nothing
                 continue
@@ -614,7 +620,7 @@ def _kernel_law(code, strategy, key=0):
             weight = (n - d.bit_count() if reads else 0) + n - r.bit_count()
             for b in _submasks(r):
                 stream = ScriptedStream(n, *draws, b | bob_fill & ~r)
-                if word_session(code, 0, recorder, forged, stream):
+                if accepts(stream):
                     total += 1 << weight
                 assert not stream.words
     return Fraction(total, 1 << ((3 if reads else 2) * n))
@@ -625,7 +631,8 @@ class TestKernelLaw:
 
     The Monte Carlo intervals check the same law only statistically and
     re-roll with every stream change; this checks it exactly, with the
-    BCH decoder in the loop on bch-7-4-1.
+    BCH decoder in the loop on bch-7-4-1.  run_session's law at a
+    nonzero message is the same, since Bob accepts any codeword.
     """
 
     CODES = ["rep3", "rep5", "hamming74", "bch-7-4-1"]
@@ -645,6 +652,14 @@ class TestKernelLaw:
             oracle_intercept_resend(code, policy).exact_value
         )
 
+    @pytest.mark.parametrize("selector", ["hamming74", "bch-7-4-1", "rep7"])
+    def test_no_message_at_a_nonzero_key(self, selector):
+        code = resolve_code(selector)
+        strategy = NoMessageStrategy(BitWord(1, code.m))
+        assert _kernel_law(code, strategy, key=0b1011001) == (
+            oracle_no_message(code).exact_value
+        )
+
     @pytest.mark.parametrize("policy", [ABORT, RESEND_UNCORRECTED])
     @pytest.mark.parametrize("selector", ["hamming74", "bch-7-4-1"])
     def test_intercept_resend_at_a_nonzero_key(self, selector, policy):
@@ -653,6 +668,27 @@ class TestKernelLaw:
         assert _kernel_law(code, strategy, key=0b1011001) == (
             oracle_intercept_resend(code, policy).exact_value
         )
+
+    # These codes are perfect, so every decode succeeds and abort runs
+    # resend_uncorrected's sessions; at n = 7 that repeat costs 3 s a code.
+    @pytest.mark.parametrize("selector, policy", [
+        (selector, policy)
+        for selector in CODES
+        for policy in (None, ABORT, RESEND_UNCORRECTED)
+        if policy != ABORT or selector in ("rep3", "rep5")
+    ])
+    def test_reference_engine_at_a_nonzero_message(self, selector, policy):
+        # Alice sends a nonzero codeword through qubit handles, Eve forges 0
+        code = resolve_code(selector)
+        forged_message = BitWord.zeros(code.m)
+        if policy is None:
+            strategy = NoMessageStrategy(forged_message)
+            truth = oracle_no_message(code)
+        else:
+            strategy = InterceptResendStrategy(forged_message, policy)
+            truth = oracle_intercept_resend(code, policy)
+        law = _kernel_law(code, strategy, message=BitWord(1, code.m))
+        assert law == truth.exact_value
 
     def test_algebraic_decoder_in_the_loop(self):
         assert isinstance(resolve_code("bch-7-4-1").decoder, BchAlgebraicDecoder)
@@ -684,7 +720,7 @@ class TestOneHashPerTrial:
         forged = None if adversary is None else code.encode(adversary.forged_message)
         for trial in range(20):
             stream = substream(5, "trial", trial)
-            word_session(code, 0, adversary, forged, stream)
+            word_session(code, adversary, forged, stream)
             assert stream._block == 1, trial
 
 
@@ -730,7 +766,7 @@ class TestOneDrawPerSession:
         forged = None if adversary is None else code.encode(adversary.forged_message)
         for trial in range(20):
             stream = _CountingStream(substream(6, "trial", trial))
-            word_session(code, 0, adversary, forged, stream)
+            word_session(code, adversary, forged, stream)
             expected = _expected_draws(code, adversary, substream(6, "trial", trial))
             assert stream.draws == expected, trial
 
@@ -743,7 +779,7 @@ class TestOneDrawPerSession:
         aborted = 0
         for trial in range(40):
             stream = _CountingStream(substream(8, "trial", trial))
-            accepted = word_session(code, 0, adversary, forged, stream)
+            accepted = word_session(code, adversary, forged, stream)
             if stream.draws == [3 * code.n]:
                 aborted += 1
                 assert not accepted
