@@ -8,8 +8,11 @@ those bases (None for a strategy whose ``reads`` is False), and x_E' is
 the basis word the forgery is sent under, or None when nothing is sent.
 ``act`` runs ``forge`` on a channel of qubit handles (the reference
 session), drawing x_E and then, if she reads, one n-bit coin word for
-the handles it measures; ``verify.word_session`` runs the same
-``forge`` on packed words, with the same bits taken in one draw.
+the handles it measures.  ``verify.monte_carlo`` runs the same
+``forge`` on packed words, with the same bits taken in one draw: once
+per session for a rule that reads, and once on many sessions' x_E side
+by side, each in its own slot of one int, for a rule that does not.  So
+a rule that does not read must act bit by bit on x_E.
 """
 
 from __future__ import annotations

@@ -54,8 +54,6 @@ def resolve_code(selector: str) -> LinearCode:
 
     The built-in names come first: a file named ``rep3`` is read only as ``./rep3``.
     """
-    if not isinstance(selector, str):  # argparse reads --code=-- as []
-        raise ConfigError(f"--code needs a selector, got {selector!r}")
     match = re.fullmatch(r"rep(\d+)", selector)
     if match:
         return make_repetition(int(match.group(1)))
@@ -310,6 +308,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for name, value in vars(args).items():
+        # argparse reads --opt=-- as [], also as one value of an append option
+        if isinstance(value, list) and (not value or [] in value):
+            print(f"error: --{name.replace('_', '-')} needs a value, got '--'",
+                  file=sys.stderr)
+            return EXIT_CONFIG
     try:
         return args.func(args)
     except UnsupportedSizeError as exc:

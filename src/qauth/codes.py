@@ -82,6 +82,7 @@ class LinearCode:
         self.parity_check = BitMatrix(tuple(h_rows or [0]), n)  # (n-m) x n
         self.message_columns = pivots
         self._reencode_tables = None  # built on the first is_codeword
+        self._column_tables = None  # built on the first count_codewords
         # a BCH decoder is set below; a syndrome table, and for n <= 16
         # its decode map, wait for the first decode
         self._decoder: Optional[Decoder] = None
@@ -133,7 +134,9 @@ class LinearCode:
         A codeword is the XOR of the rows of G whose pivots it holds, so
         ``word`` is re-encoded from its pivot bits, one table lookup per
         byte that holds a pivot, and compared with itself.  A match lies
-        within n bits, so only a mismatch needs the range check.
+        within n bits, so only a mismatch needs the range check.  This is
+        Bob's test in ``protocol.bob_receive``; Monte Carlo tests many
+        readouts at once with its batch form, ``count_codewords``.
         """
         tables = self._reencode_tables
         if tables is None:  # a plain attribute reads faster than a cached_property
@@ -156,6 +159,62 @@ class LinearCode:
             (8 * b, linear_byte_tables(columns[8 * b : 8 * b + 8])[0])
             for b in sorted({p // 8 for p in self.message_columns})
         ]
+
+    def count_codewords(self, words: bytes, size: int) -> int:
+        """How many of the ``size``-byte slots of ``words`` hold a codeword.
+
+        Each slot is one word, little-endian.  The batch form of
+        ``is_codeword``: byte column b of the words, ``words[b::size]``,
+        holds byte b of every word.  Each pivot
+        byte's re-encode table is split into one ``bytes.translate``
+        table per output byte o, so byte o of every word's re-encoding
+        XOR the word is the XOR of translated pivot-byte columns (and
+        column o itself, when o holds no pivot).  A word is a codeword
+        iff all its output bytes are 0, so the columns are ORed and the
+        zero bytes counted: O(pivot bytes x n/8) translates a batch,
+        whatever the rate.  A slot holding a bit at or past n raises.
+        """
+        n = self.n
+        if size < (n + 7) >> 3 or len(words) % size:
+            raise DimensionError(
+                f"{len(words)} bytes are not {size}-byte slots of n={n}-bit words"
+            )
+        count = len(words) // size
+        past_n = (-1 << n) & ((1 << 8 * size) - 1)  # a slot's bits at or past n
+        if past_n and int.from_bytes(words, "little") & int.from_bytes(
+            past_n.to_bytes(size, "little") * count, "little"
+        ):
+            raise DimensionError(f"a word does not fit in n={n} bits")
+        tables = self._column_tables
+        if tables is None:
+            tables = self._column_tables = self._build_column_tables()
+        from_bytes = int.from_bytes
+        diff = 0
+        for terms in tables:
+            column = 0
+            for b, table in terms:
+                column ^= from_bytes(words[b::size].translate(table), "little")
+            diff |= column
+        return diff.to_bytes(count, "little").count(0)
+
+    def _build_column_tables(self) -> list[list[tuple[int, Optional[bytes]]]]:
+        """Per output byte o: (b, translate table) per pivot byte b that reaches it.
+
+        The table of b maps a word's byte b to byte o of its pivot bits'
+        re-encoding, XOR the byte itself when b = o; ``None`` translates
+        nothing, so it stands for column o itself when o holds no pivot.
+        """
+        reencode = {shift >> 3: table for shift, table in self._build_reencode_tables()}
+        columns = []
+        for o in range((self.n + 7) >> 3):
+            terms = [] if o in reencode else [(o, None)]
+            for b, table in reencode.items():
+                own = 255 if b == o else 0
+                column = bytes(table[v] >> 8 * o & 255 ^ v & own for v in range(256))
+                if any(column):
+                    terms.append((b, column))
+            columns.append(terms)
+        return columns
 
     def message_of(self, codeword: int) -> BitWord:
         """Project a codeword back to its message (pivot-column readout)."""

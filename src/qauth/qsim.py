@@ -10,7 +10,8 @@ consumed by its first measurement.  A readout of n qubits draws one
 n-bit coin word, and a qubit j measured in the conjugate basis reads
 bit j of it: ``measure`` takes that coin bit, and ``measure_word`` reads
 out a whole word of qubits packed into one int, which Monte Carlo uses
-instead of one handle per qubit.
+instead of one handle per qubit.  It acts bit by bit, so one call reads
+out many sessions' words, side by side in one int.
 """
 
 from __future__ import annotations

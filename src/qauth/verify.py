@@ -9,18 +9,24 @@ pair, 3^n calls of ``LinearCode.decode`` under one bound, n <= 12,
 walking the readouts (the submasks of each difference) inline; each
 call is one index into the code's decode map.  Each sums an integer
 numerator over a power of 2, so each result is one exact
-``Fraction``.  Monte Carlo runs sessions on packed words, each the same
-session as ``protocol.run_session`` on the same stream, with the words
-taken in one draw and each attack's pure ``forge`` rule in the loop,
-and reports exact (Clopper-Pearson) confidence intervals, since true
-probabilities near 0 or 1 are common here.
+``Fraction``.  Monte Carlo runs sessions side by side on packed words,
+each on its own stream and the same session as ``protocol.run_session``
+on that stream, with the words taken in one draw and each attack's
+pure ``forge`` rule in the loop; Bob's readouts are counted in one
+``LinearCode.count_codewords`` call a chunk.  It reports exact
+(Clopper-Pearson) confidence intervals, since true probabilities near
+0 or 1 are common here.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from itertools import chain, compress, repeat
+from operator import is_not, itemgetter, methodcaller, xor
+from struct import iter_unpack, pack, unpack
+from typing import Iterable, Optional
 
 from . import analytics
 from .adversary import ABORT, RESEND_UNCORRECTED, decode_failure_policy
@@ -34,6 +40,7 @@ from .rng import Stream, substream
 
 DECODE_ORACLE_MAX_N = 12  # each decoder-in-the-loop oracle decodes 3^n pairs
 CONFIDENCE = 0.99  # of every Monte Carlo interval
+_CHUNK = 4096  # Monte Carlo sessions run side by side; no result depends on it
 
 
 @dataclass(frozen=True)
@@ -266,41 +273,109 @@ def clopper_pearson(successes: int, trials: int) -> tuple[float, float]:
     return low, high
 
 
-def word_session(
+_STRUCT_INTS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # struct's little-endian unsigned ints
+
+
+def _slot(bits: int) -> int:
+    """Bytes a slot gives a ``bits``-bit word.
+
+    That is ceil(bits/8), widened to a struct int width (1, 2, 4 or 8
+    bytes) where one holds it, so ``struct`` packs a whole chunk in one
+    call.  No result depends on the slot size.
+    """
+    size = (bits + 7) >> 3
+    return size if size > 8 else 1 << (size - 1).bit_length()
+
+
+def _pack(words: list[int], size: int) -> int:
+    """The words side by side in ``size``-byte little-endian slots of one int."""
+    code = _STRUCT_INTS.get(size)
+    if code is None:
+        data = b"".join(map(int.to_bytes, words, repeat(size), repeat("little")))
+    else:
+        data = pack(f"<{len(words)}{code}", *words)
+    return int.from_bytes(data, "little")
+
+
+def _unpack(slots: int, size: int, count: int, bits: int) -> Iterable[int]:
+    """The ``count`` words of ``slots``, each in the low ``bits`` bits of its slot."""
+    data = slots.to_bytes(size * count, "little")
+    width = _slot(bits)
+    if width > 8:
+        words = chain.from_iterable(iter_unpack(f"{size}s", data))
+        return map(int.from_bytes, words, repeat("little"))
+    return unpack("<" + f"{_STRUCT_INTS[width]}{size - width}x" * count, data)
+
+
+def _repeated(word: int, size: int, count: int) -> int:
+    """``word`` in each of ``count`` slots of ``size`` bytes."""
+    return int.from_bytes(word.to_bytes(size, "little") * count, "little")
+
+
+def _bob_accepts(code: LinearCode, forged: int, mismatch: int, coins: int,
+                 size: int, count: int) -> int:
+    """How many of ``count`` readouts of the forgery are codewords.
+
+    Slot i of ``mismatch`` is where Bob's bases miss the forgery's in
+    session i, and slot i of ``coins`` is his coin word.
+    """
+    readout = measure_word(_repeated(forged, size, count), mismatch, coins)
+    return code.count_codewords(readout.to_bytes(size * count, "little"), size)
+
+
+def _accepted(
     code: LinearCode,
     adversary,
     forged: Optional[int],
-    randomness: Stream,
-) -> bool:
-    """One session on packed words; True iff Bob accepts.
+    streams: list[Stream],
+) -> int:
+    """How many sessions Bob accepts, one on each stream, run side by side.
 
     Alice sends the zero codeword, and ``forged`` is Eve's, as an int.
-    The session's n-bit words come in this order: the key, then Eve's
+    A session's n-bit words come in this order: the key, then Eve's
     bases x_E and, if she reads Alice's qubits, her coin word, then
-    Bob's coin word, unless nothing arrives.  It takes them in one draw
-    where it can: 2n bits when honest, 3n when attacked, and Bob's n
-    bits after ``adversary.forge`` when Eve has read.  The stream hands
-    out bits in order across draws, so these are the bits
-    ``protocol.run_session`` draws a word at a time on the same stream:
-    both accept alike and leave it in one state.
+    Bob's coin word, unless nothing arrives.  Each stream gives them in
+    one draw where it can: 2n bits when honest, 3n when attacked, and
+    Bob's n bits after ``adversary.forge`` when Eve has read and sends.
+    The stream hands out bits in order across draws, so these are the
+    bits ``protocol.run_session`` draws a word at a time on the same
+    stream: both accept alike and leave it in one state.
+
+    The 3n-bit draws sit side by side in the slots of one int, so the
+    keys, the x_E and the coin words are three masked shifts of it.  A
+    rule that does not read acts bit by bit on x_E, so its ``forge``
+    runs once on all the slots; one that reads runs once per session,
+    on her readout of the zero codeword (a coin wherever her basis
+    misses), and a session whose forgery is dropped is a reject.
     """
     n = code.n
     if adversary is None:  # every basis matched: Bob reads Alice's codeword
-        randomness.getrandbits(2 * n)  # the key, then Bob's coins
-        return True
-    words = randomness.getrandbits(3 * n)
-    mask = (1 << n) - 1
-    key = words & mask
-    x_e = words >> n & mask
-    coins = words >> 2 * n  # Eve's if she reads, else Bob's
-    # her readout of the zero codeword: a coin wherever her basis misses
-    m_e = coins & (key ^ x_e) if adversary.reads else None
-    bases = adversary.forge(code, x_e, m_e)[2]
-    if bases is None:  # nothing arrives: Bob rejects
-        return False
-    if m_e is not None:
-        coins = randomness.getrandbits(n)
-    return code.is_codeword(measure_word(forged, key ^ bases, coins))
+        deque(map(methodcaller("getrandbits", 2 * n), streams), 0)  # key, coins
+        return len(streams)
+    count = len(streams)
+    size = _slot(3 * n)
+    words = _pack(list(map(methodcaller("getrandbits", 3 * n), streams)), size)
+    ones = _repeated((1 << n) - 1, size, count)
+    key = words & ones
+    x_e = words >> n & ones
+    coins = words >> 2 * n & ones  # Eve's if she reads, else Bob's
+    if not adversary.reads:
+        bases = adversary.forge(code, x_e, None)[2]
+        if bases is None:  # nothing arrives: Bob rejects
+            return 0
+        return _bob_accepts(code, forged, key ^ bases, coins, size, count)
+    m_e = coins & (key ^ x_e)
+    bases = list(map(itemgetter(2), map(
+        adversary.forge, repeat(code),
+        _unpack(x_e, size, count, n), _unpack(m_e, size, count, n),
+    )))
+    sent = list(map(is_not, bases, repeat(None)))
+    keys = compress(_unpack(key, size, count, n), sent)
+    streams = list(compress(streams, sent))
+    bob_size = _slot(n)  # Bob's words are n bits wide
+    mismatch = _pack(list(map(xor, keys, compress(bases, sent))), bob_size)
+    coins = _pack(list(map(methodcaller("getrandbits", n), streams)), bob_size)
+    return _bob_accepts(code, forged, mismatch, coins, bob_size, len(streams))
 
 
 def monte_carlo(
@@ -308,13 +383,15 @@ def monte_carlo(
 ) -> TrialStats:
     """Acceptance frequency over independent simulated sessions.
 
-    Alice sends the zero message.  Trial i is one ``word_session`` on
+    Alice sends the zero message.  Trial i is one session on
     ``substream(seed, "trial", i)``, with one coin word per readout, so
     results are bit-reproducible for a fixed seed regardless of
     scheduling, and equal to running ``protocol.run_session`` on the
-    same streams.  An adversary is an object with ``forged_message``,
-    ``reads`` and ``forge(code, x_E, m_E)``, as in the adversary module;
-    ``run_session`` runs the same ``forge`` through its ``act``.
+    same streams.  The trials run ``_CHUNK`` at a time through
+    ``_accepted``; no result depends on that size.  An adversary is an
+    object with ``forged_message``, ``reads`` and ``forge(code, x_E,
+    m_E)``, as in the adversary module; ``run_session`` runs the same
+    ``forge`` through its ``act``.
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
@@ -322,7 +399,8 @@ def monte_carlo(
     if adversary is not None:
         forged = code.encode(adversary.forged_message)
     successes = 0
-    for trial in range(trials):
-        if word_session(code, adversary, forged, substream(seed, "trial", trial)):
-            successes += 1
+    for start in range(0, trials, _CHUNK):
+        streams = list(map(substream, repeat(seed), repeat("trial"),
+                           range(start, min(start + _CHUNK, trials))))
+        successes += _accepted(code, adversary, forged, streams)
     return TrialStats.of(successes, trials, seed)

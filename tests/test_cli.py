@@ -536,33 +536,67 @@ SELECTORS = (
 POLICIES = st.sampled_from(("abort", "resend_uncorrected"))
 
 
-def _with_policy(draw, argv):
-    """argv, with ``--on-decode-failure`` drawn as absent or a policy."""
-    policy = draw(st.none() | POLICIES)
-    if policy is not None:
-        argv.append(f"--on-decode-failure={policy}")
+def _option(draw, name, values):
+    """``--name=value``, the value now and then ``--``, which argparse reads as []."""
+    value = "--" if draw(st.integers(0, 11), label=f"--{name}=--") == 0 else draw(values)
+    return f"--{name}={value}"
+
+
+def _with_options(draw, argv):
+    """argv, with ``--on-decode-failure`` and ``--out`` each drawn or absent.
+
+    ``--out`` is drawn only as ``--``: a path would write a file.
+    """
+    if draw(st.booleans()):
+        argv.append(_option(draw, "on-decode-failure", POLICIES))
+    if draw(st.integers(0, 11)) == 0:
+        argv.append("--out=--")
     return argv
 
 
 @st.composite
 def cli_runs(draw):
     """argv for one simulate, oracle or analytics-table run."""
-    code = f"--code={draw(SELECTORS)}"
+    code = _option(draw, "code", SELECTORS)
     group = draw(st.sampled_from(("simulate", "oracle", "analytics")))
     if group == "analytics":
-        return ["analytics", "table", code,
-                f"--format={draw(st.sampled_from(('csv', 'json')))}"]
+        argv = ["analytics", "table", code,
+                _option(draw, "format", st.sampled_from(("csv", "json")))]
+        if draw(st.integers(0, 11)) == 0:
+            argv.append("--out=--")
+        return argv
     if group == "oracle":
         which = draw(st.sampled_from(("nomsg", "pdec", "ir")))
-        return _with_policy(draw, ["oracle", which, code])
+        return _with_options(draw, ["oracle", which, code])
     attack = draw(st.sampled_from(("honest", "no-message", "intercept-resend")))
-    argv = _with_policy(draw, ["simulate", attack, code,
-                               f"--trials={draw(st.integers(-2, 5))}",
-                               f"--seed={draw(st.integers(-(2**70), 2**70))}"])
-    forged = draw(st.none() | st.text("01x", max_size=8))
-    if forged is not None:
-        argv.append(f"--forged-message={forged}")
+    argv = _with_options(draw, [
+        "simulate", attack, code,
+        _option(draw, "trials", st.integers(-2, 5)),
+        _option(draw, "seed", st.integers(-(2**70), 2**70)),
+    ])
+    if draw(st.booleans()):
+        argv.append(_option(draw, "forged-message", st.text("01x", max_size=8)))
     return argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "honest", "--code=rep3", "--trials=--"],
+    ["simulate", "honest", "--code=rep3", "--seed=--"],
+    ["simulate", "honest", "--code=rep3", "--out=--"],
+    ["oracle", "pdec", "--code=rep3", "--out=--"],
+    ["oracle", "ir", "--code=rep3", "--on-decode-failure=--"],
+    ["analytics", "table", "--code=rep3", "--format=--"],
+    ["analytics", "table", "--code=rep3", "--code=--"],
+    ["simulate", "no-message", "--code=rep3", "--forged-message=--"],
+])
+def test_an_option_valued_dashes_exits_2(argv, capsys):
+    # argparse reads --opt=-- as [], which no command can use
+    assert run_cli(*argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {argv[-1].partition('=')[0]} needs a value, got '--'"
+    ]
 
 
 class TestCliFuzz:
@@ -573,6 +607,10 @@ class TestCliFuzz:
     @given(argv=cli_runs())
     @example(argv=["simulate", "honest", "--code=--", "--trials=0", "--seed=0"])
     @example(argv=["analytics", "table", "--code=--", "--format=csv"])
+    @example(argv=["simulate", "honest", "--code=rep3", "--trials=--"])
+    @example(argv=["simulate", "honest", "--code=rep3", "--seed=--"])
+    @example(argv=["oracle", "pdec", "--code=rep3", "--out=--"])
+    @example(argv=["analytics", "table", "--code=rep3", "--format=--"])
     def test_runs_exit_0_2_or_3(self, argv, capsys):
         rc = run_cli(*argv)
         captured = capsys.readouterr()

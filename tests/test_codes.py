@@ -576,3 +576,71 @@ def test_is_codeword_is_zero_syndrome_on_pinned_codes(name):
 )
 def test_is_codeword_is_zero_syndrome_on_fixture_codes(code):
     _check_codewords_and_neighbours(code, 29)
+
+
+def _slots(words, size):
+    return b"".join(word.to_bytes(size, "little") for word in words)
+
+
+def _check_count_codewords(code, words, rng):
+    """count_codewords is is_codeword, slot by slot, at every slot size.
+
+    Slot sizes run from ceil(n/8) to ceil(3n/8) bytes; a bit at or past
+    n in any one slot raises.
+    """
+    n = code.n
+    flags = [code.is_codeword(word) for word in words]
+    for size in range((n + 7) // 8, (3 * n + 7) // 8 + 1):
+        assert code.count_codewords(_slots(words, size), size) == sum(flags), size
+        for word, flag in zip(words, flags):
+            assert code.count_codewords(_slots([word], size), size) == flag
+        for _ in range(3 if 8 * size > n else 0):
+            bad = list(words)
+            bad[rng.randrange(len(bad))] |= 1 << rng.randrange(n, 8 * size)
+            with pytest.raises(DimensionError):
+                code.count_codewords(_slots(bad, size), size)
+
+
+def _sample_words(code, rng, count):
+    """Codewords, their one-bit neighbours and random words."""
+    words = []
+    for _ in range(count):
+        codeword = code.encode(BitWord(rng.getrandbits(code.m), code.m))
+        words += [codeword, codeword ^ 1 << rng.randrange(code.n),
+                  rng.getrandbits(code.n)]
+    return words
+
+
+@pytest.mark.parametrize(
+    "name", WORD_TABLE_CODES + [f"bch-{n}-{m}" for n, m in cli.BCH_PARAMS]
+)
+def test_count_codewords_is_is_codeword_on_pinned_codes(name):
+    code = _word_table_code(name)
+    rng = random.Random(31)
+    _check_count_codewords(code, _sample_words(code, rng, 20), rng)
+
+
+@pytest.mark.parametrize("code", EVERY_FAMILY, indirect=True)
+def test_count_codewords_is_is_codeword_on_fixture_codes(code):
+    rng = random.Random(37)
+    _check_count_codewords(code, _sample_words(code, rng, 20), rng)
+
+
+@given(code=_any_code(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_count_codewords_is_is_codeword_on_any_code(code, data):
+    words = data.draw(st.lists(st.integers(0, (1 << code.n) - 1), min_size=1,
+                               max_size=8))
+    messages = data.draw(st.lists(st.integers(0, (1 << code.m) - 1), max_size=8))
+    words += [code.encode(BitWord(k, code.m)) for k in messages]
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    _check_count_codewords(code, words, rng)
+
+
+def test_count_codewords_slots_must_hold_n_bits(ham):
+    assert ham.count_codewords(b"", 1) == 0
+    with pytest.raises(DimensionError):
+        ham.count_codewords(bytes(3), 2)  # not a whole number of slots
+    code = build_bch(6, 1)  # n = 63: 8 bytes a word
+    with pytest.raises(DimensionError):
+        code.count_codewords(bytes(7), 7)

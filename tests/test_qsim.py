@@ -83,6 +83,20 @@ class TestMeasureWord:
             assert measure_word(word, prep ^ meas, by_word.getrandbits(n)) == readout
             assert by_word.getrandbits(64) == by_handle.getrandbits(64)
 
+    @pytest.mark.parametrize("n, size", [(7, 1), (7, 4), (63, 24)])
+    def test_side_by_side_words_read_out_alone(self, n, size):
+        # one call on words packed in size-byte slots is one call per slot
+        rng = random.Random(n + size)
+        triples = [[rng.getrandbits(n) for _ in range(3)] for _ in range(20)]
+
+        def packed(column):
+            return sum(t[column] << 8 * size * i for i, t in enumerate(triples))
+
+        readout = measure_word(packed(0), packed(1), packed(2))
+        assert readout == sum(
+            measure_word(*t) << 8 * size * i for i, t in enumerate(triples)
+        )
+
     def test_readout_is_the_coin_not_bit_xor_coin(self):
         n = 64
         coins = random.Random(5).getrandbits(n)
@@ -92,7 +106,7 @@ class TestMeasureWord:
     def test_matched_positions_read_the_prepared_bit(self):
         # whatever the coin word, a matched position reads its bit of
         # the word; how many words a readout draws is tested where the
-        # readouts draw them (bob_receive, act, word_session)
+        # readouts draw them (bob_receive, act, verify._accepted)
         n = 7
         rng = random.Random(9)
         for _ in range(50):

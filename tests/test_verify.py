@@ -38,7 +38,8 @@ from qauth.verify import (
     oracle_no_message,
     oracle_no_message_any_codeword,
     oracle_p_dec,
-    word_session,
+    _accepted,
+    _CHUNK,
 )
 
 
@@ -516,7 +517,7 @@ class TestWordKernel:
             by_words = substream(self.SEED, "trial", trial)
             by_handles = substream(self.SEED, "trial", trial)
             record = run_session(message, code, adversary=adversary, randomness=by_handles)
-            assert word_session(code, adversary, forged, by_words) == record.accepted
+            assert _accepted(code, adversary, forged, [by_words]) == record.accepted
             assert by_words.getrandbits(64) == by_handles.getrandbits(64)
         assert monte_carlo(code, self.TRIALS, self.SEED, adversary=adversary) == (
             _reference_stats(code, self.TRIALS, self.SEED, adversary, message)
@@ -580,7 +581,7 @@ def _submasks(mask):
 def _kernel_law(code, strategy, key=0, message=None):
     """P(a session accepts) under ``key``, by enumerating its draws.
 
-    The session is ``word_session``, where Alice sends the zero
+    The session is a one-stream ``_accepted``, where Alice sends the zero
     codeword, or with ``message`` the reference ``run_session``, where
     she sends its codeword c; Eve sends the codeword of her message.
     The draws are the key, every x_E, Eve's coin word (if she reads)
@@ -602,7 +603,7 @@ def _kernel_law(code, strategy, key=0, message=None):
 
     def accepts(stream):
         if message is None:
-            return word_session(code, recorder, forged, stream)
+            return _accepted(code, recorder, forged, [stream])
         return run_session(message, code, recorder, randomness=stream).accepted
 
     total = 0
@@ -627,7 +628,7 @@ def _kernel_law(code, strategy, key=0, message=None):
 
 
 class TestKernelLaw:
-    """word_session's exact law, enumerated over its draws, is the oracles'.
+    """The kernel's exact law, enumerated over its draws, is the oracles'.
 
     The Monte Carlo intervals check the same law only statistically and
     re-roll with every stream change; this checks it exactly, with the
@@ -690,6 +691,18 @@ class TestKernelLaw:
         law = _kernel_law(code, strategy, message=BitWord(1, code.m))
         assert law == truth.exact_value
 
+    @pytest.mark.parametrize("key", [0, 0b101101])
+    @pytest.mark.parametrize("policy", [ABORT, RESEND_UNCORRECTED])
+    def test_intercept_resend_on_a_non_perfect_code(self, policy, key):
+        # some decodes of short-hamming63 fail, so abort sends nothing on
+        # them (and Bob draws nothing), and its law is below resend's
+        code = _pinned_code("short-hamming63")
+        assert not all(code.decode(e)[0] for e in range(1 << code.n))
+        strategy = InterceptResendStrategy(BitWord(1, code.m), policy)
+        assert _kernel_law(code, strategy, key=key) == (
+            oracle_intercept_resend(code, policy).exact_value
+        )
+
     def test_algebraic_decoder_in_the_loop(self):
         assert isinstance(resolve_code("bch-7-4-1").decoder, BchAlgebraicDecoder)
 
@@ -706,6 +719,43 @@ class TestKernelLaw:
             )
 
 
+class TestBatchIndependence:
+    """Sessions run side by side count as the same sessions run one by one."""
+
+    SELECTORS = ["rep3", "hamming74", "short-hamming63", "bch-15-7-2",
+                 "bch-31-6-7", "bch-63-18", "bch-127-22"]
+
+    @pytest.mark.parametrize("mode", list(KERNEL_MODES))
+    @pytest.mark.parametrize("selector", SELECTORS)
+    def test_a_batch_is_the_sum_of_its_streams(self, selector, mode):
+        code = _pinned_code(selector)
+        adversary = KERNEL_MODES[mode](code.m)
+        forged = None if adversary is None else code.encode(adversary.forged_message)
+
+        def streams():
+            return [substream(12, "trial", i) for i in range(150)]
+
+        batch, singles = streams(), streams()
+        assert _accepted(code, adversary, forged, batch) == sum(
+            _accepted(code, adversary, forged, [stream]) for stream in singles
+        )
+        # and each stream is left in one state
+        assert [s.getrandbits(64) for s in batch] == [
+            s.getrandbits(64) for s in singles
+        ]
+        assert _accepted(code, adversary, forged, []) == 0
+
+    @pytest.mark.parametrize("mode", list(KERNEL_MODES))
+    @pytest.mark.parametrize("selector", ["rep3", "hamming74"])
+    def test_past_one_chunk_matches_run_session(self, selector, mode):
+        code = resolve_code(selector)
+        adversary = KERNEL_MODES[mode](code.m)
+        trials = _CHUNK + 3
+        assert monte_carlo(code, trials, 77, adversary=adversary) == (
+            _reference_stats(code, trials, 77, adversary, BitWord.zeros(code.m))
+        )
+
+
 class TestOneHashPerTrial:
     """A session reads only the block 0 digest that ``substream`` hashes.
 
@@ -720,7 +770,7 @@ class TestOneHashPerTrial:
         forged = None if adversary is None else code.encode(adversary.forged_message)
         for trial in range(20):
             stream = substream(5, "trial", trial)
-            word_session(code, adversary, forged, stream)
+            _accepted(code, adversary, forged, [stream])
             assert stream._block == 1, trial
 
 
@@ -737,7 +787,7 @@ class _CountingStream:
 
 
 def _expected_draws(code, adversary, stream):
-    """word_session's draw widths on ``stream``, read from its bits.
+    """A session's draw widths on ``stream``, read from its bits.
 
     Honest: the key and Bob's coins, 2n bits.  Attacked: the key, x_E
     and one coin word, 3n bits; under intercept-resend Bob's n bits
@@ -756,7 +806,7 @@ def _expected_draws(code, adversary, stream):
 
 
 class TestOneDrawPerSession:
-    """word_session takes a trial's key, x_E and first coin word in one draw."""
+    """A session takes its key, x_E and first coin word in one draw."""
 
     @pytest.mark.parametrize("mode", list(KERNEL_MODES))
     @pytest.mark.parametrize("selector", DEFAULT_TABLE_CODES + ["rep3", "hamming74"])
@@ -766,7 +816,7 @@ class TestOneDrawPerSession:
         forged = None if adversary is None else code.encode(adversary.forged_message)
         for trial in range(20):
             stream = _CountingStream(substream(6, "trial", trial))
-            word_session(code, adversary, forged, stream)
+            _accepted(code, adversary, forged, [stream])
             expected = _expected_draws(code, adversary, substream(6, "trial", trial))
             assert stream.draws == expected, trial
 
@@ -779,7 +829,7 @@ class TestOneDrawPerSession:
         aborted = 0
         for trial in range(40):
             stream = _CountingStream(substream(8, "trial", trial))
-            accepted = word_session(code, adversary, forged, stream)
+            accepted = _accepted(code, adversary, forged, [stream])
             if stream.draws == [3 * code.n]:
                 aborted += 1
                 assert not accepted
