@@ -135,8 +135,10 @@ class LinearCode:
         ``word`` is re-encoded from its pivot bits, one table lookup per
         byte that holds a pivot, and compared with itself.  A match lies
         within n bits, so only a mismatch needs the range check.  This is
-        Bob's test in ``protocol.bob_receive``; Monte Carlo tests many
-        readouts at once with its batch form, ``count_codewords``.
+        Bob's test in ``protocol.bob_receive`` and in intercept-resend
+        Monte Carlo, which runs one session at a time; no-message Monte
+        Carlo tests a chunk of readouts with the batch form,
+        ``count_codewords``.
         """
         tables = self._reencode_tables
         if tables is None:  # a plain attribute reads faster than a cached_property
@@ -173,6 +175,9 @@ class LinearCode:
         iff all its output bytes are 0, so the columns are ORed and the
         zero bytes counted: O(pivot bytes x n/8) translates a batch,
         whatever the rate.  A slot holding a bit at or past n raises.
+        Monte Carlo counts each chunk of no-message readouts here; honest
+        sessions test no word, and intercept-resend ones call
+        ``is_codeword`` one at a time.
         """
         n = self.n
         if size < (n + 7) >> 3 or len(words) % size:

@@ -9,13 +9,15 @@ pair, 3^n calls of ``LinearCode.decode`` under one bound, n <= 12,
 walking the readouts (the submasks of each difference) inline; each
 call is one index into the code's decode map.  Each sums an integer
 numerator over a power of 2, so each result is one exact
-``Fraction``.  Monte Carlo runs sessions side by side on packed words,
-each on its own stream and the same session as ``protocol.run_session``
-on that stream, with the words taken in one draw and each attack's
-pure ``forge`` rule in the loop; Bob's readouts are counted in one
-``LinearCode.count_codewords`` call a chunk.  It reports exact
-(Clopper-Pearson) confidence intervals, since true probabilities near
-0 or 1 are common here.
+``Fraction``.  Monte Carlo runs each session on its own stream, the
+same session as ``protocol.run_session`` on that stream, with the words
+taken in one draw and each attack's pure ``forge`` rule in the loop.
+No-message sessions run side by side on packed words, and Bob's
+readouts are counted in one ``LinearCode.count_codewords`` call a
+chunk; intercept-resend, where Eve decodes every readout, runs one
+session at a time, and Bob's test there is ``LinearCode.is_codeword``.
+It reports exact (Clopper-Pearson) confidence intervals, since true
+probabilities near 0 or 1 are common here.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, repeat
-from operator import is_not, itemgetter, methodcaller, xor
-from struct import iter_unpack, pack, unpack
-from typing import Iterable, Optional
+from itertools import repeat
+from operator import methodcaller
+from struct import pack
+from typing import Optional
 
 from . import analytics
 from .adversary import ABORT, RESEND_UNCORRECTED, decode_failure_policy
@@ -297,30 +299,9 @@ def _pack(words: list[int], size: int) -> int:
     return int.from_bytes(data, "little")
 
 
-def _unpack(slots: int, size: int, count: int, bits: int) -> Iterable[int]:
-    """The ``count`` words of ``slots``, each in the low ``bits`` bits of its slot."""
-    data = slots.to_bytes(size * count, "little")
-    width = _slot(bits)
-    if width > 8:
-        words = chain.from_iterable(iter_unpack(f"{size}s", data))
-        return map(int.from_bytes, words, repeat("little"))
-    return unpack("<" + f"{_STRUCT_INTS[width]}{size - width}x" * count, data)
-
-
 def _repeated(word: int, size: int, count: int) -> int:
     """``word`` in each of ``count`` slots of ``size`` bytes."""
     return int.from_bytes(word.to_bytes(size, "little") * count, "little")
-
-
-def _bob_accepts(code: LinearCode, forged: int, mismatch: int, coins: int,
-                 size: int, count: int) -> int:
-    """How many of ``count`` readouts of the forgery are codewords.
-
-    Slot i of ``mismatch`` is where Bob's bases miss the forgery's in
-    session i, and slot i of ``coins`` is his coin word.
-    """
-    readout = measure_word(_repeated(forged, size, count), mismatch, coins)
-    return code.count_codewords(readout.to_bytes(size * count, "little"), size)
 
 
 def _accepted(
@@ -329,7 +310,7 @@ def _accepted(
     forged: Optional[int],
     streams: list[Stream],
 ) -> int:
-    """How many sessions Bob accepts, one on each stream, run side by side.
+    """How many sessions Bob accepts, one on each stream.
 
     Alice sends the zero codeword, and ``forged`` is Eve's, as an int.
     A session's n-bit words come in this order: the key, then Eve's
@@ -341,41 +322,43 @@ def _accepted(
     bits ``protocol.run_session`` draws a word at a time on the same
     stream: both accept alike and leave it in one state.
 
-    The 3n-bit draws sit side by side in the slots of one int, so the
-    keys, the x_E and the coin words are three masked shifts of it.  A
-    rule that does not read acts bit by bit on x_E, so its ``forge``
-    runs once on all the slots; one that reads runs once per session,
-    on her readout of the zero codeword (a coin wherever her basis
-    misses), and a session whose forgery is dropped is a reject.
+    A rule that reads runs one session at a time: ``forge`` gets her
+    readout of the zero codeword (a coin wherever her basis misses),
+    a session whose forgery is dropped is a reject, and Bob's readout
+    goes to ``is_codeword``.  A rule that does not read always sends
+    and acts bit by bit on x_E, so those sessions run side by side: the
+    3n-bit draws sit in the slots of one int, the keys, the x_E and the
+    coin words are three masked shifts of it, ``forge`` runs once on all
+    the slots, and Bob's readouts are counted in one
+    ``count_codewords``.
     """
     n = code.n
     if adversary is None:  # every basis matched: Bob reads Alice's codeword
         deque(map(methodcaller("getrandbits", 2 * n), streams), 0)  # key, coins
         return len(streams)
+    mask = (1 << n) - 1
+    if adversary.reads:
+        forge, is_codeword = adversary.forge, code.is_codeword
+        total = 0
+        for stream in streams:
+            words = stream.getrandbits(3 * n)
+            key = words & mask
+            x_e = words >> n & mask
+            bases = forge(code, x_e, words >> 2 * n & (key ^ x_e))[2]
+            if bases is not None:  # else nothing arrives: Bob rejects
+                coins = stream.getrandbits(n)
+                total += is_codeword(measure_word(forged, key ^ bases, coins))
+        return total
     count = len(streams)
     size = _slot(3 * n)
     words = _pack(list(map(methodcaller("getrandbits", 3 * n), streams)), size)
-    ones = _repeated((1 << n) - 1, size, count)
+    ones = _repeated(mask, size, count)
     key = words & ones
     x_e = words >> n & ones
-    coins = words >> 2 * n & ones  # Eve's if she reads, else Bob's
-    if not adversary.reads:
-        bases = adversary.forge(code, x_e, None)[2]
-        if bases is None:  # nothing arrives: Bob rejects
-            return 0
-        return _bob_accepts(code, forged, key ^ bases, coins, size, count)
-    m_e = coins & (key ^ x_e)
-    bases = list(map(itemgetter(2), map(
-        adversary.forge, repeat(code),
-        _unpack(x_e, size, count, n), _unpack(m_e, size, count, n),
-    )))
-    sent = list(map(is_not, bases, repeat(None)))
-    keys = compress(_unpack(key, size, count, n), sent)
-    streams = list(compress(streams, sent))
-    bob_size = _slot(n)  # Bob's words are n bits wide
-    mismatch = _pack(list(map(xor, keys, compress(bases, sent))), bob_size)
-    coins = _pack(list(map(methodcaller("getrandbits", n), streams)), bob_size)
-    return _bob_accepts(code, forged, mismatch, coins, bob_size, len(streams))
+    coins = words >> 2 * n & ones  # Bob's, since Eve does not read
+    bases = adversary.forge(code, x_e, None)[2]
+    readout = measure_word(_repeated(forged, size, count), key ^ bases, coins)
+    return code.count_codewords(readout.to_bytes(size * count, "little"), size)
 
 
 def monte_carlo(

@@ -17,10 +17,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qauth import analytics, cli
+from qauth.adversary import (
+    ABORT,
+    RESEND_UNCORRECTED,
+    InterceptResendStrategy,
+    NoMessageStrategy,
+)
 from qauth.bch import BchAlgebraicDecoder, bch_generator_poly
 from qauth.codes import build_bch, syndrome_table_decoder
 from qauth.errors import UnsupportedSizeError
 from qauth.gf2 import BitWord, DEFAULT_PRIMITIVE_POLY, GF2m
+from qauth.verify import monte_carlo
 
 # (w, t) -> (n, m) for the standard parameter grid
 GRID = {
@@ -406,7 +413,7 @@ def test_codeword_plus_error_decodes_as_the_reference(data, w):
 
 
 class TestLazyTables:
-    """Multiplication, Chien-search and re-encode tables wait for their first use.
+    """Multiplication, Chien-search, re-encode and column tables wait for their first use.
 
     Resolving the grid and computing its table decodes nothing and
     tests no word, so it builds none of them: their memory and build time
@@ -420,6 +427,7 @@ class TestLazyTables:
         for code in codes:
             assert "_chien_terms" not in vars(code.decoder), code.name
             assert code._reencode_tables is None, code.name
+            assert code._column_tables is None, code.name
 
     def test_table1_on_the_grid_builds_no_multiplication_tables(self):
         # _mul, one translate table per exponent (twice round), waits for
@@ -431,6 +439,21 @@ class TestLazyTables:
         code = codes[0]
         code.decode(0b11)
         assert len(code.decoder._mul) == 2 * code.n
+
+    @pytest.mark.parametrize("selector", ["hamming74", "bch-31-6-7"])
+    def test_only_no_message_monte_carlo_builds_column_tables(self, selector):
+        # honest sessions test no word, and intercept-resend tests each
+        # readout alone with is_codeword; only the no-message batch counts
+        honest, attacked, forged = (cli.resolve_code(selector) for _ in range(3))
+        monte_carlo(honest, 50, 3)
+        assert honest._column_tables is None
+        message = BitWord(1, attacked.m)
+        for policy in (ABORT, RESEND_UNCORRECTED):
+            monte_carlo(attacked, 50, 3, InterceptResendStrategy(message, policy))
+        assert attacked._column_tables is None
+        assert attacked._reencode_tables is not None
+        monte_carlo(forged, 50, 3, NoMessageStrategy(message))
+        assert forged._column_tables is not None
 
     def test_first_use_builds_them(self):
         code = build_bch(6, 10)

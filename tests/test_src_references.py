@@ -3,15 +3,19 @@
 Every function, class and method defined at module or class level in
 ``src/qauth``, and every UPPER_CASE constant assigned at module level,
 must be referenced, as a name, an attribute or an import, somewhere in
-``src/qauth`` or ``bench/`` outside its own definition, and every
-parameter with a default must be passed by some call there.  Tests do
-not count as callers.
+``src/qauth`` or ``bench/`` outside its own definition; a method or
+property counts only as an attribute or an import, since a bare name of
+the same spelling is some local.  Every parameter with a default must
+be passed by some call there.  Tests do not count as callers.
 """
 
 import ast
+import textwrap
 from collections import Counter
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -40,12 +44,12 @@ EXEMPT_DEFAULTS = {
 }
 
 
-def _referenced_names(node):
-    """Every name, attribute and imported name under ``node``."""
+def _referenced_names(node, bare=True):
+    """Every attribute and imported name under ``node``, and every name if ``bare``."""
     names = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            names[sub.id] += 1
+            names[sub.id] += bare
         elif isinstance(sub, ast.Attribute):
             names[sub.attr] += 1
         elif isinstance(sub, ast.alias):
@@ -68,20 +72,51 @@ def _src_definitions():
         yield from _definitions(path.stem, ast.parse(path.read_text()))
 
 
-def _unreferenced():
-    paths = sorted((ROOT / "src" / "qauth").glob("*.py"))
-    paths += sorted((ROOT / "bench").glob("*.py"))
-    everywhere = Counter()
-    for path in paths:
-        everywhere += _referenced_names(ast.parse(path.read_text()))
+def _unused(definitions, trees):
+    """The qualified names in ``definitions`` no tree references outside them.
+
+    A member (module.Class.name) counts only through an attribute or an
+    import, not through a bare name.
+    """
+    names, attributes = Counter(), Counter()
+    for tree in trees:
+        names += _referenced_names(tree)
+        attributes += _referenced_names(tree, bare=False)
     unused = []
-    for qualname, node in _src_definitions():
+    for qualname, node in definitions:
         name = node.name
         if name.startswith("__") and name.endswith("__"):
             continue
-        if everywhere[name] == _referenced_names(node)[name]:
+        bare = qualname.count(".") == 1
+        if (names if bare else attributes)[name] == _referenced_names(node, bare)[name]:
             unused.append(qualname)
     return unused
+
+
+def _unreferenced():
+    paths = sorted((ROOT / "src" / "qauth").glob("*.py"))
+    paths += sorted((ROOT / "bench").glob("*.py"))
+    trees = [ast.parse(path.read_text()) for path in paths]
+    return _unused(_src_definitions(), trees)
+
+
+@pytest.mark.parametrize("tally, unused", [
+    ("accepted = sum(record.ok for record in records)", ["m.Record.accepted"]),
+    ("accepted = sum(record.accepted() for record in records)", []),
+])
+def test_a_local_named_like_a_method_is_no_call(tally, unused):
+    tree = ast.parse(textwrap.dedent(f"""
+        class Record:
+            def accepted(self):
+                return self.ok
+
+        def count(records):
+            {tally}
+            return accepted
+
+        print(count([Record()]))
+    """))
+    assert _unused(_definitions("m", tree), [tree]) == unused
 
 
 def _constants(tree):
