@@ -9,11 +9,12 @@ the basis word the forgery is sent under, or None when nothing is sent.
 ``act`` runs ``forge`` on a channel of qubit handles (the reference
 session), drawing x_E and then, if she reads, one n-bit coin word for
 the handles it measures.  ``verify.monte_carlo`` runs the same
-``forge`` on words, with the same bits taken in one draw.  A rule that
-reads runs once per session, one session at a time, since each readout
-is decoded on its own.  A rule that does not read runs once on many
-sessions' x_E side by side, each in its own slot of one int, so it must
-act bit by bit on x_E and always send: x_E' is never None.
+``forge`` on words, with the same bits.  A rule that reads runs once
+per session, one session at a time, since each readout is decoded on
+its own; x_E and her coins are fields of the trial's first 4n stream
+bits.  A rule that does not read runs once on many sessions' x_E side
+by side, each in its own slot of one int, so it must act bit by bit on
+x_E and always send: x_E' is never None.
 """
 
 from __future__ import annotations

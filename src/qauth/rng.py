@@ -10,15 +10,21 @@ the stream hands out the blocks' bits low bit first, across block
 boundaries.  Readouts draw one coin word each, so a session draws at
 most four n-bit words (the key, Eve's bases and two coin words), and for
 n <= 128 the block 0 hash that ``substream`` makes serves the whole trial.
+``trial_words`` hands out the first bits of many trials' streams at
+once, hashing their blocks in ``map`` pipelines with no ``Stream`` per
+trial; each trial's bits are a pure function of its path and block.
 """
 
 from __future__ import annotations
 
 from hashlib import blake2b
+from itertools import repeat
+from operator import methodcaller
 
 _BLOCK_BITS = 512
 _BLOCK_0 = bytes(8)  # block index 0, 8 bytes little-endian
 _from_bytes = int.from_bytes
+_digest = methodcaller("digest")
 
 
 class Stream:
@@ -61,3 +67,24 @@ def substream(seed: int, *path) -> Stream:
     for part in path:
         key += "/" + str(part)
     return Stream(key.encode())
+
+
+def trial_words(seed: int, start: int, stop: int, bits: int) -> list[int]:
+    """``substream(seed, "trial", i).getrandbits(bits)``, i in range(start, stop).
+
+    The paths are built as ``substream`` builds them, and each trial's
+    ceil(bits/512) blocks are hashed here, one ``map`` pipeline per
+    block over the whole range, with no ``Stream`` per trial.
+    """
+    path = str(int(seed)).encode() + b"/trial/%d"  # %d formats i as str(i)
+    blocks = [
+        # the block's 8 bytes follow the path, escaped for %-formatting
+        map(_digest, map(blake2b, map(
+            (path + block.to_bytes(8, "little").replace(b"%", b"%%")).__mod__,
+            range(start, stop),
+        )))
+        for block in range(max(1, -(-bits // _BLOCK_BITS)))
+    ]
+    digests = blocks[0] if len(blocks) == 1 else map(b"".join, zip(*blocks))
+    return list(map(((1 << bits) - 1).__and__,
+                    map(_from_bytes, digests, repeat("little"))))

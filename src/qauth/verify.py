@@ -9,15 +9,18 @@ pair, 3^n calls of ``LinearCode.decode`` under one bound, n <= 12,
 walking the readouts (the submasks of each difference) inline; each
 call is one index into the code's decode map.  Each sums an integer
 numerator over a power of 2, so each result is one exact
-``Fraction``.  Monte Carlo runs each session on its own stream, the
-same session as ``protocol.run_session`` on that stream, with the words
-taken in one draw and each attack's pure ``forge`` rule in the loop.
-No-message sessions run side by side on packed words, and Bob's
-readouts are counted in one ``LinearCode.count_codewords`` call a
-chunk; intercept-resend, where Eve decodes every readout, runs one
-session at a time, and Bob's test there is ``LinearCode.is_codeword``.
-It reports exact (Clopper-Pearson) confidence intervals, since true
-probabilities near 0 or 1 are common here.
+``Fraction``.  Monte Carlo runs each trial on the bits of its own
+stream, the same session as ``protocol.run_session`` on that stream,
+with each attack's pure ``forge`` rule in the loop.  Honest and
+no-message sessions take their words in one draw from a ``Stream``;
+no-message ones run side by side on packed words, and Bob's readouts
+are counted in one ``LinearCode.count_codewords`` call a chunk.
+Intercept-resend, where Eve decodes every readout, runs one session at
+a time on each trial's first 4n stream bits, which ``rng.trial_words``
+hashes for a whole chunk, and Bob's test there is
+``LinearCode.is_codeword``.  It reports exact (Clopper-Pearson)
+confidence intervals, since true probabilities near 0 or 1 are common
+here.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .errors import ParameterError, UnsupportedSizeError
 # kernel is tested against; bench/spans.py traces it as verify.run_session.
 from .protocol import run_session  # noqa: F401
 from .qsim import measure_word
-from .rng import Stream, substream
+from .rng import Stream, substream, trial_words
 
 DECODE_ORACLE_MAX_N = 12  # each decoder-in-the-loop oracle decodes 3^n pairs
 CONFIDENCE = 0.99  # of every Monte Carlo interval
@@ -310,55 +313,62 @@ def _accepted(
     forged: Optional[int],
     streams: list[Stream],
 ) -> int:
-    """How many sessions Bob accepts, one on each stream.
+    """How many honest or no-message sessions Bob accepts, one on each stream.
 
     Alice sends the zero codeword, and ``forged`` is Eve's, as an int.
     A session's n-bit words come in this order: the key, then Eve's
-    bases x_E and, if she reads Alice's qubits, her coin word, then
-    Bob's coin word, unless nothing arrives.  Each stream gives them in
-    one draw where it can: 2n bits when honest, 3n when attacked, and
-    Bob's n bits after ``adversary.forge`` when Eve has read and sends.
-    The stream hands out bits in order across draws, so these are the
-    bits ``protocol.run_session`` draws a word at a time on the same
-    stream: both accept alike and leave it in one state.
+    bases x_E under attack, then Bob's coin word.  Each stream gives
+    them in one draw: 2n bits when honest, 3n when attacked.  The stream
+    hands out bits in order across draws, so these are the bits
+    ``protocol.run_session`` draws a word at a time on the same stream:
+    both accept alike and leave it in one state.
 
-    A rule that reads runs one session at a time: ``forge`` gets her
-    readout of the zero codeword (a coin wherever her basis misses),
-    a session whose forgery is dropped is a reject, and Bob's readout
-    goes to ``is_codeword``.  A rule that does not read always sends
-    and acts bit by bit on x_E, so those sessions run side by side: the
-    3n-bit draws sit in the slots of one int, the keys, the x_E and the
-    coin words are three masked shifts of it, ``forge`` runs once on all
-    the slots, and Bob's readouts are counted in one
-    ``count_codewords``.
+    A rule that does not read always sends and acts bit by bit on x_E,
+    so its sessions run side by side: the 3n-bit draws sit in the slots
+    of one int, the keys, the x_E and the coin words are three masked
+    shifts of it, ``forge`` runs once on all the slots, and Bob's
+    readouts are counted in one ``count_codewords``.
     """
     n = code.n
     if adversary is None:  # every basis matched: Bob reads Alice's codeword
         deque(map(methodcaller("getrandbits", 2 * n), streams), 0)  # key, coins
         return len(streams)
-    mask = (1 << n) - 1
-    if adversary.reads:
-        forge, is_codeword = adversary.forge, code.is_codeword
-        total = 0
-        for stream in streams:
-            words = stream.getrandbits(3 * n)
-            key = words & mask
-            x_e = words >> n & mask
-            bases = forge(code, x_e, words >> 2 * n & (key ^ x_e))[2]
-            if bases is not None:  # else nothing arrives: Bob rejects
-                coins = stream.getrandbits(n)
-                total += is_codeword(measure_word(forged, key ^ bases, coins))
-        return total
     count = len(streams)
     size = _slot(3 * n)
     words = _pack(list(map(methodcaller("getrandbits", 3 * n), streams)), size)
-    ones = _repeated(mask, size, count)
+    ones = _repeated((1 << n) - 1, size, count)
     key = words & ones
     x_e = words >> n & ones
     coins = words >> 2 * n & ones  # Bob's, since Eve does not read
     bases = adversary.forge(code, x_e, None)[2]
     readout = measure_word(_repeated(forged, size, count), key ^ bases, coins)
     return code.count_codewords(readout.to_bytes(size * count, "little"), size)
+
+
+def _intercepted(
+    code: LinearCode, adversary, forged: int, words: list[int]
+) -> int:
+    """How many sessions Bob accepts when Eve reads, one per 4n-bit word.
+
+    A word is the first 4n bits of its trial's stream, cut into n-bit
+    fields in draw order: the key, x_E, Eve's coins and Bob's coins, the
+    bits ``protocol.run_session`` draws on that stream.  Eve's readout
+    of the zero codeword is her coin wherever her basis misses the key;
+    ``forge`` decodes it, a session whose forgery is dropped is a
+    reject, and Bob's readout goes to ``is_codeword``.  The sessions run
+    one at a time, since each readout is decoded on its own.
+    """
+    n = code.n
+    mask = (1 << n) - 1
+    forge, is_codeword = adversary.forge, code.is_codeword
+    total = 0
+    for word in words:
+        key = word & mask
+        x_e = word >> n & mask
+        bases = forge(code, x_e, word >> 2 * n & (key ^ x_e))[2]
+        if bases is not None:  # else nothing arrives: Bob rejects
+            total += is_codeword(measure_word(forged, key ^ bases, word >> 3 * n))
+    return total
 
 
 def monte_carlo(
@@ -370,20 +380,29 @@ def monte_carlo(
     ``substream(seed, "trial", i)``, with one coin word per readout, so
     results are bit-reproducible for a fixed seed regardless of
     scheduling, and equal to running ``protocol.run_session`` on the
-    same streams.  The trials run ``_CHUNK`` at a time through
-    ``_accepted``; no result depends on that size.  An adversary is an
-    object with ``forged_message``, ``reads`` and ``forge(code, x_E,
-    m_E)``, as in the adversary module; ``run_session`` runs the same
-    ``forge`` through its ``act``.
+    same streams.  The trials run ``_CHUNK`` at a time; no result
+    depends on that size.  A rule that reads runs through
+    ``_intercepted`` on each trial's first 4n stream bits, from one
+    ``trial_words`` call a chunk; every other session runs through
+    ``_accepted`` on its stream.  An adversary is an object with
+    ``forged_message``, ``reads`` and ``forge(code, x_E, m_E)``, as in
+    the adversary module; ``run_session`` runs the same ``forge``
+    through its ``act``.
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     forged = None
     if adversary is not None:
         forged = code.encode(adversary.forged_message)
+    reads = adversary is not None and adversary.reads
     successes = 0
     for start in range(0, trials, _CHUNK):
-        streams = list(map(substream, repeat(seed), repeat("trial"),
-                           range(start, min(start + _CHUNK, trials))))
-        successes += _accepted(code, adversary, forged, streams)
+        stop = min(start + _CHUNK, trials)
+        if reads:
+            words = trial_words(seed, start, stop, 4 * code.n)
+            successes += _intercepted(code, adversary, forged, words)
+        else:
+            streams = list(map(substream, repeat(seed), repeat("trial"),
+                               range(start, stop)))
+            successes += _accepted(code, adversary, forged, streams)
     return TrialStats.of(successes, trials, seed)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, chisquare
 
-from qauth.rng import substream
+from qauth import rng
+from qauth.rng import substream, trial_words
 
 
 def test_same_path_same_stream():
@@ -71,6 +72,46 @@ def test_blocks_are_blake2b_in_counter_mode():
         for b in range(3)
     ]
     assert s.getrandbits(1536) == int.from_bytes(b"".join(blocks), "little")
+
+
+@pytest.mark.parametrize("seed", [0, -3, 2**70])
+@pytest.mark.parametrize("bits", [1, 511, 512, 513, 1020, 1025])
+def test_trial_words_are_each_trials_first_bits(seed, bits):
+    assert trial_words(seed, 5, 12, bits) == [
+        substream(seed, "trial", i).getrandbits(bits) for i in range(5, 12)
+    ]
+    assert trial_words(seed, 7, 7, bits) == []
+
+
+def test_trial_words_past_block_37():
+    # block 37's first byte is b"%", which the path's %-format must escape
+    bits = 38 * 512 + 1
+    assert trial_words(4, 0, 2, bits) == [
+        substream(4, "trial", i).getrandbits(bits) for i in range(2)
+    ]
+
+
+def test_trial_words_rejects_negative_bits():
+    with pytest.raises(ValueError):
+        trial_words(1, 0, 3, -1)
+
+
+@pytest.mark.parametrize("n, blocks", [(7, 1), (63, 1), (127, 1), (128, 1), (255, 2)])
+def test_trial_words_hash_each_block_once(monkeypatch, n, blocks):
+    # one hash a trial while a session's four words fit block 0
+    hashes = []
+
+    def counted(data):
+        hashes.append(data)
+        return hashlib.blake2b(data)
+
+    monkeypatch.setattr(rng, "blake2b", counted)
+    trial_words(9, 3, 8, 4 * n)
+    assert sorted(hashes) == sorted(
+        f"9/trial/{i}".encode() + block.to_bytes(8, "little")
+        for i in range(3, 8)
+        for block in range(blocks)
+    )
 
 
 WORDS, WIDTH = 20_000, 127

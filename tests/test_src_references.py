@@ -6,7 +6,8 @@ must be referenced, as a name, an attribute or an import, somewhere in
 ``src/qauth`` or ``bench/`` outside its own definition; a method or
 property counts only as an attribute or an import, since a bare name of
 the same spelling is some local.  Every parameter with a default must
-be passed by some call there.  Tests do not count as callers.
+be passed by some call there, and no parameter may get one literal
+from every call there.  Tests do not count as callers.
 """
 
 import ast
@@ -253,8 +254,8 @@ def _call_name(call):
     return getattr(func, "id", None) or getattr(func, "attr", None)
 
 
-def _defaulted_parameters(module, tree):
-    """(label, call name, position, parameter) per parameter with a default.
+def _parameters(module, tree):
+    """(label, call name, position, parameter, defaulted) per named parameter.
 
     A call reaches ``__init__`` by its class's name, and passes a method
     its arguments after ``self`` or ``cls``; ``position`` counts from
@@ -280,13 +281,19 @@ def _defaulted_parameters(module, tree):
         name = owner if node.name == "__init__" else node.name
         label = f"{module}.{owner + '.' if owner else ''}{node.name}"
         first = len(positional) - len(a.defaults)
-        for index, param in enumerate(positional[first:], first):
-            yield f"{label}({param.arg})", name, index, param.arg
+        for index, param in enumerate(positional):
+            yield f"{label}({param.arg})", name, index, param.arg, index >= first
         for param, default in zip(a.kwonlyargs, a.kw_defaults):
-            if default is not None:
-                yield f"{label}({param.arg})", name, None, param.arg
+            yield f"{label}({param.arg})", name, None, param.arg, default is not None
 
     yield from visit(tree, None)
+
+
+def _defaulted_parameters(module, tree):
+    """(label, call name, position, parameter) per parameter with a default."""
+    for label, name, position, param, defaulted in _parameters(module, tree):
+        if defaulted:
+            yield label, name, position, param
 
 
 def _passes(call, position, param):
@@ -329,3 +336,73 @@ def test_default_exemptions_name_defaulted_parameters():
         for label, *_ in _defaulted_parameters(path.stem, ast.parse(path.read_text()))
     }
     assert set(EXEMPT_DEFAULTS) <= defaulted
+
+
+def _literal_passed(call, position, param):
+    """The literal ``call`` passes as ``param``, dumped, or None if it passes
+    no literal there: another expression, nothing, or maybe something
+    through * or **."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args) or any(
+        k.arg is None for k in call.keywords
+    ):
+        return None
+    passed = [k.value for k in call.keywords if k.arg == param]
+    if position is not None and len(call.args) > position:
+        passed.append(call.args[position])
+    if not passed:
+        return None
+    try:
+        ast.literal_eval(passed[0])
+    except ValueError:
+        return None
+    return ast.dump(passed[0])
+
+
+def _one_valued_parameters(definition_trees, call_trees):
+    """Labels of the parameters that every call passes one literal.
+
+    ``definition_trees`` maps a module name to its tree; the calls are
+    every call in ``call_trees``, matched by name as in the defaults
+    check.
+    """
+    calls = [
+        node
+        for tree in call_trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    ]
+    for module, tree in definition_trees.items():
+        for label, name, position, param, _ in _parameters(module, tree):
+            passed = {
+                _literal_passed(call, position, param)
+                for call in calls
+                if _call_name(call) == name
+            }
+            if len(passed) == 1 and None not in passed:
+                yield label
+
+
+@pytest.mark.parametrize("calls, flagged", [
+    ('draw(seed, "trial")\ndraw(seed + 1, "trial")', ["m.draw(label)"]),
+    ('draw(seed, "trial")\ndraw(seed + 1, label="trial")', ["m.draw(label)"]),
+    ('draw(seed, "trial")\ndraw(seed + 1, "batch")', []),
+    ('draw(seed, "trial")\ndraw(seed + 1)', []),
+    ('draw(seed, "trial")\ndraw(*args)', []),
+    ('draw(0, label)', ["m.draw(seed)"]),
+])
+def test_a_literal_every_call_passes_is_flagged(calls, flagged):
+    definition = ast.parse(textwrap.dedent("""
+        def draw(seed, label="trial"):
+            return seed, label
+    """))
+    assert list(_one_valued_parameters({"m": definition}, [ast.parse(calls)])) == flagged
+
+
+def test_no_argument_is_one_literal_at_every_call():
+    # a parameter every caller sets to one value is a constant in disguise
+    paths = sorted((ROOT / "src" / "qauth").glob("*.py"))
+    trees = {path.stem: ast.parse(path.read_text()) for path in paths}
+    calls = list(trees.values())
+    calls += [ast.parse(path.read_text()) for path in sorted((ROOT / "bench").glob("*.py"))]
+    found = sorted(_one_valued_parameters(trees, calls))
+    assert found == [], f"parameters every call in src/qauth or bench/ passes one literal: {found}"

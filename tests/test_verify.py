@@ -5,6 +5,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from hashlib import blake2b
 from math import comb
 from pathlib import Path
 from random import Random
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qauth import analytics, qsim
+from qauth import analytics, qsim, rng, verify
 from qauth.adversary import (
     ABORT,
     RESEND_UNCORRECTED,
@@ -27,7 +28,7 @@ from qauth.codes import LinearCode, build_bch, make_hamming_7_4, make_repetition
 from qauth.errors import ParameterError, UnsupportedSizeError
 from qauth.gf2 import BitWord
 from qauth.protocol import run_session
-from qauth.rng import substream
+from qauth.rng import substream, trial_words
 from qauth.verify import (
     CONFIDENCE,
     TrialStats,
@@ -39,6 +40,7 @@ from qauth.verify import (
     oracle_no_message_any_codeword,
     oracle_p_dec,
     _accepted,
+    _intercepted,
     _CHUNK,
 )
 
@@ -495,6 +497,16 @@ def _reference_stats(code, trials, seed, adversary, message):
     return TrialStats.of(successes, trials, seed)
 
 
+def _reads(adversary):
+    """Monte Carlo runs ``adversary`` on words, not on streams."""
+    return adversary is not None and adversary.reads
+
+
+def _word(n, *fields):
+    """The n-bit fields side by side, the first lowest: a 4n-bit trial word."""
+    return sum(field << n * i for i, field in enumerate(fields))
+
+
 class TestWordKernel:
     """monte_carlo's word-level sessions are run_session's sessions."""
 
@@ -513,10 +525,19 @@ class TestWordKernel:
         forged = None
         if adversary is not None:
             forged = code.encode(adversary.forged_message)
-        for trial in range(self.TRIALS):
-            by_words = substream(self.SEED, "trial", trial)
+        words = trial_words(self.SEED, 0, self.TRIALS, 4 * code.n)
+        for trial, word in enumerate(words):
             by_handles = substream(self.SEED, "trial", trial)
             record = run_session(message, code, adversary=adversary, randomness=by_handles)
+            if _reads(adversary):
+                assert _intercepted(code, adversary, forged, [word]) == record.accepted
+                # run_session drew the word's fields, Bob's only if sent
+                drawn = 4 if record.adversary_transcript["resent"] else 3
+                after = substream(self.SEED, "trial", trial)
+                after.getrandbits(drawn * code.n)
+                assert by_handles.getrandbits(64) == after.getrandbits(64)
+                continue
+            by_words = substream(self.SEED, "trial", trial)
             assert _accepted(code, adversary, forged, [by_words]) == record.accepted
             assert by_words.getrandbits(64) == by_handles.getrandbits(64)
         assert monte_carlo(code, self.TRIALS, self.SEED, adversary=adversary) == (
@@ -530,6 +551,65 @@ class TestWordKernel:
         monkeypatch.setattr(qsim.QubitHandle, "__init__", refuse)
         adversary = InterceptResendStrategy(BitWord(1, ham.m))
         assert monte_carlo(ham, 100, 1, adversary=adversary).trials == 100
+
+
+class _ForgeSpy:
+    """A strategy that runs another's ``forge`` and records each call's
+    (x_E, m_E, x_E')."""
+
+    act = act_on_channel
+
+    def __init__(self, strategy):
+        self.strategy = strategy
+        self.name = strategy.name
+        self.forged_message = strategy.forged_message
+        self.reads = strategy.reads
+        self.calls = []
+
+    def forge(self, code, x_e, m_e):
+        forgery = self.strategy.forge(code, x_e, m_e)
+        self.calls.append((x_e, m_e, forgery[2]))
+        return forgery
+
+
+class TestEveSeesRunSessionsWords:
+    """Under intercept-resend, monte_carlo hands ``forge`` the x_E and
+    m_E of run_session's transcript, trial by trial, and gets its x_E'.
+
+    At n = 255 a trial's 4n bits span two blocks: x_E, Eve's coins and
+    Bob's coins straddle bit 512.
+    """
+
+    TRIALS = 200
+    SEED = 515
+
+    @pytest.mark.parametrize("policy", [ABORT, RESEND_UNCORRECTED])
+    @pytest.mark.parametrize(
+        "selector", ["hamming74", "bch-31-6-7", "bch-127-22", "bch-255-239-2"]
+    )
+    def test_forge_inputs_match_the_transcript(self, selector, policy):
+        code = resolve_code(selector)
+        strategy = InterceptResendStrategy(BitWord(1, code.m), policy)
+        spy = _ForgeSpy(strategy)
+        stats = monte_carlo(code, self.TRIALS, self.SEED, adversary=spy)
+        records = [
+            run_session(BitWord.zeros(code.m), code, strategy,
+                        randomness=substream(self.SEED, "trial", trial))
+            for trial in range(self.TRIALS)
+        ]
+        assert [
+            tuple(None if word is None else format(word, "x") for word in call)
+            for call in spy.calls
+        ] == [
+            tuple(record.adversary_transcript[key] for key in ("x_E", "m_E", "x_E_prime"))
+            for record in records
+        ]
+        forged = code.encode(strategy.forged_message)
+        words = trial_words(self.SEED, 0, self.TRIALS, 4 * code.n)
+        assert [_intercepted(code, strategy, forged, [word]) for word in words] == [
+            record.accepted for record in records
+        ]
+        assert stats.successes == sum(record.accepted for record in records)
 
 
 class ScriptedStream:
@@ -548,25 +628,7 @@ class ScriptedStream:
         count, rest = divmod(k, self.n)
         assert not rest and count <= len(self.words), (k, self.words)
         drawn, self.words = self.words[:count], self.words[count:]
-        return sum(word << self.n * i for i, word in enumerate(drawn))
-
-
-class _ResendRecorder:
-    """A strategy that runs another's ``forge`` and keeps its x_E'."""
-
-    act = act_on_channel
-
-    def __init__(self, strategy):
-        self.strategy = strategy
-        self.name = strategy.name
-        self.forged_message = strategy.forged_message
-        self.reads = strategy.reads
-        self.resend_bases = None
-
-    def forge(self, code, x_e, m_e):
-        forgery = self.strategy.forge(code, x_e, m_e)
-        self.resend_bases = forgery[2]
-        return forgery
+        return _word(self.n, *drawn)
 
 
 def _submasks(mask):
@@ -581,9 +643,11 @@ def _submasks(mask):
 def _kernel_law(code, strategy, key=0, message=None):
     """P(a session accepts) under ``key``, by enumerating its draws.
 
-    The session is a one-stream ``_accepted``, where Alice sends the zero
-    codeword, or with ``message`` the reference ``run_session``, where
-    she sends its codeword c; Eve sends the codeword of her message.
+    The session is the kernel, where Alice sends the zero codeword (a
+    one-word ``_intercepted`` for a rule that reads, with the draws as
+    the word's n-bit fields, else a one-stream ``_accepted``), or with
+    ``message`` the reference ``run_session``, where she sends its
+    codeword c; Eve sends the codeword of her message.
     The draws are the key, every x_E, Eve's coin word (if she reads)
     over the readouts c ^ e with e ⊆ D = key ^ x_E, and Bob's coin word
     over the subsets of R = key ^ x_E'.  Every other coin bit is the
@@ -591,20 +655,28 @@ def _kernel_law(code, strategy, key=0, message=None):
     matched position flips that bit.  A session that reads only the
     coins of mismatched positions sees 2^(n - |D|) Eve words and
     2^(n - |R|) Bob words alike in each case, which is its weight.  R is
-    the session's own: a first run records x_E'.
+    the session's own: a first run records x_E'.  A session whose
+    forgery is dropped is a reject, even when Bob's coins would read
+    the forgery, and a session on a stream leaves Bob's word undrawn.
     """
     n = code.n
     mask = (1 << n) - 1
     sent = 0 if message is None else code.encode(message)
     forged = code.encode(strategy.forged_message)
     bob_fill = mask ^ forged
-    recorder = _ResendRecorder(strategy)
+    recorder = _ForgeSpy(strategy)
     reads = strategy.reads
 
-    def accepts(stream):
+    on_words = reads and message is None
+
+    def session(*draws):
+        """The verdict on these draws, and the words a stream left undrawn."""
+        if on_words:
+            return _intercepted(code, recorder, forged, [_word(n, *draws)]), None
+        stream = ScriptedStream(n, *draws)
         if message is None:
-            return _accepted(code, recorder, forged, [stream])
-        return run_session(message, code, recorder, randomness=stream).accepted
+            return _accepted(code, recorder, forged, [stream]), stream.words
+        return run_session(message, code, recorder, randomness=stream).accepted, stream.words
 
     total = 0
     for x_e in range(1 << n):
@@ -612,18 +684,20 @@ def _kernel_law(code, strategy, key=0, message=None):
         for e in _submasks(d) if reads else [None]:
             # c ^ e on D, ~c off it
             draws = [key, x_e] + ([sent ^ e ^ mask & ~d] if reads else [])
-            probe = ScriptedStream(n, *draws, bob_fill)
-            accepts(probe)
-            if recorder.resend_bases is None:  # nothing arrives
-                assert probe.words == [bob_fill]  # and Bob drew nothing
+            session(*draws, bob_fill)
+            resend_bases = recorder.calls[-1][2]
+            if resend_bases is None:  # nothing arrives: a reject
+                accepted, left = session(*draws, forged)  # coins reading the forgery
+                assert not accepted
+                assert left == (None if on_words else [forged])  # Bob drew nothing
                 continue
-            r = key ^ recorder.resend_bases
+            r = key ^ resend_bases
             weight = (n - d.bit_count() if reads else 0) + n - r.bit_count()
             for b in _submasks(r):
-                stream = ScriptedStream(n, *draws, b | bob_fill & ~r)
-                if accepts(stream):
+                accepted, left = session(*draws, b | bob_fill & ~r)
+                if accepted:
                     total += 1 << weight
-                assert not stream.words
+                assert not left
     return Fraction(total, 1 << ((3 if reads else 2) * n))
 
 
@@ -731,6 +805,17 @@ class TestBatchIndependence:
         code = _pinned_code(selector)
         adversary = KERNEL_MODES[mode](code.m)
         forged = None if adversary is None else code.encode(adversary.forged_message)
+        if _reads(adversary):
+            words = trial_words(12, 0, 150, 4 * code.n)
+            assert _intercepted(code, adversary, forged, words) == sum(
+                _intercepted(code, adversary, forged, [word]) for word in words
+            )
+            # and each word is its stream's first 4n bits
+            assert words == [
+                substream(12, "trial", i).getrandbits(4 * code.n) for i in range(150)
+            ]
+            assert _intercepted(code, adversary, forged, []) == 0
+            return
 
         def streams():
             return [substream(12, "trial", i) for i in range(150)]
@@ -756,22 +841,54 @@ class TestBatchIndependence:
         )
 
 
-class TestOneHashPerTrial:
-    """A session reads only the block 0 digest that ``substream`` hashes.
+def _count_hashes(monkeypatch):
+    """A list that gets one entry per BLAKE2b hash ``rng`` makes."""
+    hashes = []
 
-    It draws at most four n-bit words, and 4n <= 512 for n <= 128.
+    def counted(data):
+        hashes.append(data)
+        return blake2b(data)
+
+    monkeypatch.setattr(rng, "blake2b", counted)
+    return hashes
+
+
+class TestOneHashPerTrial:
+    """A session reads only its trial's block 0 digest.
+
+    It draws at most four n-bit words, and 4n <= 512 for n <= 128:
+    ``substream`` hashes block 0 for a session on a stream, and
+    ``trial_words`` hashes it for a rule that reads.
     """
 
     @pytest.mark.parametrize("mode", list(KERNEL_MODES))
     @pytest.mark.parametrize("selector", DEFAULT_TABLE_CODES)
-    def test_word_session_stays_in_block_0(self, selector, mode):
+    def test_word_session_stays_in_block_0(self, selector, mode, monkeypatch):
         code = resolve_code(selector)
         adversary = KERNEL_MODES[mode](code.m)
         forged = None if adversary is None else code.encode(adversary.forged_message)
-        for trial in range(20):
-            stream = substream(5, "trial", trial)
-            _accepted(code, adversary, forged, [stream])
-            assert stream._block == 1, trial
+        if not _reads(adversary):
+            for trial in range(20):
+                stream = substream(5, "trial", trial)
+                _accepted(code, adversary, forged, [stream])
+                assert stream._block == 1, trial
+        hashes = _count_hashes(monkeypatch)
+        monte_carlo(code, 20, 5, adversary=adversary)
+        assert hashes == [
+            f"5/trial/{trial}".encode() + bytes(8) for trial in range(20)
+        ]
+
+    @pytest.mark.parametrize("policy", [ABORT, RESEND_UNCORRECTED])
+    def test_n_255_hashes_two_blocks_a_trial(self, policy, monkeypatch):
+        code = resolve_code("bch-255-239-2")
+        adversary = InterceptResendStrategy(BitWord(1, code.m), policy)
+        hashes = _count_hashes(monkeypatch)
+        monte_carlo(code, 20, 5, adversary=adversary)
+        assert sorted(hashes) == sorted(
+            f"5/trial/{trial}".encode() + block.to_bytes(8, "little")
+            for trial in range(20)
+            for block in (0, 1)
+        )
 
 
 class _CountingStream:
@@ -789,9 +906,10 @@ class _CountingStream:
 def _expected_draws(code, adversary, stream):
     """A session's draw widths on ``stream``, read from its bits.
 
-    Honest: the key and Bob's coins, 2n bits.  Attacked: the key, x_E
-    and one coin word, 3n bits; under intercept-resend Bob's n bits
-    follow, unless a failed decode aborts the send.
+    The kernel's draws: honest, the key and Bob's coins, 2n bits; under
+    no-message, the key, x_E and Bob's coins, 3n bits.  run_session's
+    draws under intercept-resend: the key, x_E and Eve's coins, a word
+    at a time, then Bob's coins, unless a failed decode aborts the send.
     """
     n = code.n
     if adversary is None:
@@ -801,40 +919,64 @@ def _expected_draws(code, adversary, stream):
     key, x_e, coins = (stream.getrandbits(n) for _ in range(3))
     ok, _ = code.decode(qsim.measure_word(0, key ^ x_e, coins))
     if ok or adversary.on_decode_failure == RESEND_UNCORRECTED:
-        return [3 * n, n]
-    return [3 * n]
+        return [n] * 4
+    return [n] * 3
 
 
 class TestOneDrawPerSession:
-    """A session takes its key, x_E and first coin word in one draw."""
+    """A session takes its key, x_E and first coin word in one draw.
+
+    A rule that reads takes no draw at all: its chunk is one
+    ``trial_words`` call of 4n bits a trial, the bits run_session draws
+    a word at a time.
+    """
 
     @pytest.mark.parametrize("mode", list(KERNEL_MODES))
     @pytest.mark.parametrize("selector", DEFAULT_TABLE_CODES + ["rep3", "hamming74"])
-    def test_draw_widths(self, selector, mode):
+    def test_draw_widths(self, selector, mode, monkeypatch):
         code = resolve_code(selector)
         adversary = KERNEL_MODES[mode](code.m)
         forged = None if adversary is None else code.encode(adversary.forged_message)
         for trial in range(20):
-            stream = _CountingStream(substream(6, "trial", trial))
-            _accepted(code, adversary, forged, [stream])
             expected = _expected_draws(code, adversary, substream(6, "trial", trial))
+            stream = _CountingStream(substream(6, "trial", trial))
+            if _reads(adversary):
+                run_session(BitWord.zeros(code.m), code, adversary, randomness=stream)
+            else:
+                _accepted(code, adversary, forged, [stream])
             assert stream.draws == expected, trial
+        if _reads(adversary):
+            calls = []
+
+            def recorded(*args):
+                calls.append(args)
+                return trial_words(*args)
+
+            monkeypatch.setattr(verify, "trial_words", recorded)
+            monkeypatch.setattr(verify, "substream", None)  # never called
+            monte_carlo(code, 20, 6, adversary=adversary)
+            assert calls == [(6, 0, 20, 4 * code.n)]
 
     @pytest.mark.parametrize("selector", ["bch-15-7-2", "bch-63-18"])
     def test_abort_after_a_failed_decode_draws_once(self, selector):
-        # Bob draws nothing when nothing arrives: the 3n-bit draw is all
+        # nothing arrives: Bob draws nothing, and rejects whatever his
+        # word holds, even coins that read the forgery
         code = resolve_code(selector)
+        n = code.n
         adversary = InterceptResendStrategy(BitWord(1, code.m), ABORT)
         forged = code.encode(adversary.forged_message)
         aborted = 0
-        for trial in range(40):
+        for trial, word in enumerate(trial_words(8, 0, 40, 4 * n)):
             stream = _CountingStream(substream(8, "trial", trial))
-            accepted = _accepted(code, adversary, forged, [stream])
-            if stream.draws == [3 * code.n]:
+            record = run_session(BitWord.zeros(code.m), code, adversary, randomness=stream)
+            assert _intercepted(code, adversary, forged, [word]) == record.accepted
+            if stream.draws == [n] * 3:
                 aborted += 1
-                assert not accepted
+                assert not record.accepted
+                reading = word & ((1 << 3 * n) - 1) | forged << 3 * n
+                assert not _intercepted(code, adversary, forged, [reading])
             else:
-                assert stream.draws == [3 * code.n, code.n], trial
+                assert stream.draws == [n] * 4, trial
         assert aborted > 0
 
 
