@@ -6,12 +6,13 @@ minimal polynomials of alpha..alpha^(2t), each taken once.  It is
 multiplied out with the field's tables and packed into an int like the
 generator rows (bit i = coefficient of x^i).  ``codes.build_bch`` is the
 one builder: it hands the m = n - deg g shifts x^i·g(x) to ``LinearCode``,
-whose constructor is the only check (zero S_1..S_2t on every row, and
-m = n - |K|).  The shifts have distinct degrees, so they span m
-dimensions; g then lies in BCH(w, t) with its generator's degree, so g
-is that generator and divides x^n + 1.  Every BCH code decodes
-with ``BchAlgebraicDecoder``: all 2t syndromes from one pass of
-per-byte tables, already the int register that binary (odd-step)
+whose constructor is the only check (zero S_1..S_2t on every row, read
+off the decoder's columns, so it builds no table, and m = n - |K|).
+The shifts have distinct degrees, so they span m dimensions; g then
+lies in BCH(w, t) with its generator's degree, so g is that generator
+and divides x^n + 1.  Every BCH code decodes with
+``BchAlgebraicDecoder``: all 2t syndromes from one pass of per-byte
+tables, already the int register that binary (odd-step)
 Berlekamp-Massey runs on, one field element per byte lane, 3t + 2
 lanes wide with the locator at lane 3t - step (C·S stays below lane 3t
 while L <= t); a Chien search with one byte lane per position, one
@@ -75,9 +76,12 @@ class BchAlgebraicDecoder:
     Syndromes and Chien search are GF(2)-linear, so both are table
     lookups: the syndromes one per byte of the word, and Chien search
     one per locator term.  Chien search keeps position j in byte lane j
-    of one n-byte word.  ``_mul`` is built on the first Berlekamp-Massey
-    run and the Chien tables on the first decode that reaches them, so a
-    code that never decodes a word with nonzero syndromes builds neither.
+    of one n-byte word.  The syndrome tables are built on the first
+    ``syndromes`` call, ``_mul`` on the first Berlekamp-Massey run and
+    the Chien tables on the first decode that reaches them, so a code
+    that never decodes builds none of them.  Until then the decoder
+    holds only the n columns the syndrome tables come from, the
+    syndromes of each single flip, which ``column_syndromes`` XORs.
     """
 
     def __init__(self, field: GF2m, t: int):
@@ -88,21 +92,37 @@ class BchAlgebraicDecoder:
         exp = field._exp
         # column j holds S_1..S_2t of a flip at position j,
         # S_k = alpha^(kj) in byte k-1
-        columns = [
+        self._columns = [
             int.from_bytes(bytes(exp[k * j % n] for k in range(1, 2 * t + 1)), "little")
             for j in range(n)
         ]
-        self._byte_rows = linear_byte_tables(columns)
-        self._n_bytes = len(self._byte_rows)
+        self._byte_rows = None  # built by the first syndromes call
+        self._n_bytes = (n + 7) >> 3
         self._mul = None  # built by the first Berlekamp-Massey run
         # the locator's constant term, 1, in every lane
         self._ones = int.from_bytes(b"\1" * n, "little")
 
     def syndromes(self, received: int) -> int:
         """S_1..S_2t, S_k in byte lane k-1 of one int: one lookup per byte."""
+        rows = self._byte_rows
+        if rows is None:  # a plain attribute reads faster than a cached_property
+            rows = self._byte_rows = linear_byte_tables(self._columns)
         acc = 0
-        for row, v in zip(self._byte_rows, received.to_bytes(self._n_bytes, "little")):
+        for row, v in zip(rows, received.to_bytes(self._n_bytes, "little")):
             acc ^= row[v]
+        return acc
+
+    def column_syndromes(self, word: int) -> int:
+        """``syndromes(word)`` as the XOR of the columns at its set bits.
+
+        One step per set bit and no table, so checking a code's
+        generator rows, which ``LinearCode`` does once, builds none.
+        """
+        columns, acc = self._columns, 0
+        while word:
+            low = word & -word
+            acc ^= columns[low.bit_length() - 1]
+            word ^= low
         return acc
 
     def _build_mul(self) -> list[bytes]:

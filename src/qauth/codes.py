@@ -5,10 +5,10 @@ row echelon form, so the message is read back off the pivot columns.
 Decoding is bounded-distance, with one decoder per code family, chosen
 by the ``LinearCode`` constructor: BCH codes (those built over a field)
 decode algebraically (see the bch module), every other code by
-syndrome lookup table, built on its first decode, so a code that never
-decodes never builds one.  For n <= 16 ``LinearCode`` then runs that
-table once on every received word, the whole decode map, which
-``decode`` indexes.  Every decoder returns ``(ok, flips)``: ``flips`` is
+syndrome lookup table.  Either decoder's tables are built on its first
+decode, so a code that never decodes builds none.  For n <= 16
+``LinearCode`` then runs that syndrome table once on every received
+word, the whole decode map, which ``decode`` indexes.  Every decoder returns ``(ok, flips)``: ``flips`` is
 an int with bit j set for each position j to flip, and 0 when ``ok`` is
 False.
 
@@ -50,11 +50,12 @@ class LinearCode:
     pivot p whose row of G holds j.  A code over a field (any
     ``field_info`` but None, which must hold w and primitive_poly) must
     be BCH(w, t): n = 2^w - 1, every row has zero syndromes S_1..S_2t,
-    and m = n - |K| (the cyclotomic cosets of 1..2t), so the rows span
-    that whole code.  It decodes by Berlekamp-Massey + Chien.  Any other
-    code must have a minimum distance that corrects t (checked for
-    m <= WEIGHT_ENUM_MAX_M) and decodes by syndrome table, which is
-    built on the first decode.
+    read off the decoder's per-position columns so that no syndrome
+    table is built, and m = n - |K| (the cyclotomic cosets of 1..2t), so
+    the rows span that whole code.  It decodes by Berlekamp-Massey +
+    Chien.  Any other code must have a minimum distance that corrects t
+    (checked for m <= WEIGHT_ENUM_MAX_M) and decodes by syndrome table,
+    which is built on the first decode.
     """
 
     def __init__(
@@ -99,7 +100,7 @@ class LinearCode:
             decoder = bch.BchAlgebraicDecoder(field, t)
             bch_m = field.order - len(bch.cyclotomic_exponents(field.order, t))
             if (n, self.m) != (field.order, bch_m) or any(
-                decoder.syndromes(row) for row in generator.rows
+                decoder.column_syndromes(row) for row in generator.rows
             ):
                 raise ParameterError(
                     f"[{n}, {self.m}] rows are not BCH(w={w}, t={t}), "

@@ -413,11 +413,15 @@ def test_codeword_plus_error_decodes_as_the_reference(data, w):
 
 
 class TestLazyTables:
-    """Multiplication, Chien-search, re-encode and column tables wait for their first use.
+    """Decoder, re-encode and column tables wait for their first use.
 
-    Resolving the grid and computing its table decodes nothing and
-    tests no word, so it builds none of them: their memory and build time
-    stay out of the start-up of runs that never need them.
+    A BCH decoder's tables are its syndrome, multiplication and
+    Chien-search tables.  Resolving the grid and computing its table
+    decodes nothing and tests no word, so it builds none of them: their
+    memory and build time stay out of the start-up of runs that never
+    need them.  The constructor checks a BCH code's rows from the
+    decoder's columns, so even it builds no syndrome table, and honest
+    and no-message sessions, which never decode, build none either.
     """
 
     def test_table1_on_the_grid_builds_neither(self):
@@ -425,6 +429,7 @@ class TestLazyTables:
         assert len(codes) == 8
         analytics.table1(codes)
         for code in codes:
+            assert code.decoder._byte_rows is None, code.name
             assert "_chien_terms" not in vars(code.decoder), code.name
             assert code._reencode_tables is None, code.name
             assert code._column_tables is None, code.name
@@ -455,9 +460,32 @@ class TestLazyTables:
         monte_carlo(forged, 50, 3, NoMessageStrategy(message))
         assert forged._column_tables is not None
 
+    def test_sessions_that_never_decode_build_no_decoder_table(self):
+        code = cli.resolve_code("bch-63-18")
+        monte_carlo(code, 50, 3)
+        monte_carlo(code, 50, 3, NoMessageStrategy(BitWord(1, code.m)))
+        decoder = code.decoder
+        assert decoder._byte_rows is None
+        assert decoder._mul is None
+        assert "_chien_terms" not in vars(decoder)
+
     def test_first_use_builds_them(self):
         code = build_bch(6, 10)
+        assert code.decoder._byte_rows is None
         code.decode(0b111)  # three errors: Chien search finds them
         assert code.is_codeword(0)
+        assert len(code.decoder._byte_rows) == (code.n + 7) // 8
         assert len(vars(code.decoder)["_chien_terms"]) == code.t
         assert code._reencode_tables is not None
+
+    def test_column_syndromes_are_the_syndromes(self, grid_codes):
+        # the constructor's row check reads the same linear map the tables hold
+        rng = random.Random(17)
+        for code in grid_codes.values():
+            decoder = code.decoder
+            words = [1 << j for j in range(code.n)]
+            words += [rng.getrandbits(code.n) for _ in range(200)]
+            for word in words:
+                assert decoder.column_syndromes(word) == decoder.syndromes(word), (
+                    code.name, word,
+                )

@@ -251,6 +251,11 @@ class TestUserInputErrors:
                 "simulate", "honest", "--code",
                 _edited_spec(tmp, "bch-15-7-2", field={"w": 4, "primitive_poly": 0b11111}),
             ],
+            # x^4 + x^3 + 1 is primitive, but over it the rows are not BCH(4, 2)
+            lambda tmp: [
+                "simulate", "honest", "--code",
+                _edited_spec(tmp, "bch-15-7-2", field={"w": 4, "primitive_poly": 0b11001}),
+            ],
             # x^9 + x^4 + 1 is primitive, but GF(2^9) elements overflow a byte lane
             lambda tmp: [
                 "simulate", "honest", "--code",
@@ -377,7 +382,8 @@ class TestUserInputErrors:
         ],
         ids=[
             "trials-0", "rep4", "bch-6-40", "spec-missing-t", "bch-spec-edited-t",
-            "bch-spec-not-primitive", "bch-spec-w-9", "forged-message-not-binary",
+            "bch-spec-not-primitive", "bch-spec-reversed-field", "bch-spec-w-9",
+            "forged-message-not-binary",
             "spec-t-string",
             "spec-n-float", "spec-t-bool", "spec-rows-not-list", "spec-rows-not-strings",
             "spec-rows-not-hex", "spec-row-negative", "spec-row-0x-prefix",

@@ -124,6 +124,15 @@ class TestFieldCodesAreBch:
         with pytest.raises(ParameterError, match=r"not BCH\(w=3, t=2\), a \[7, 1\]"):
             LinearCode("x", [0b1011 << i for i in range(4)], 7, 2, self.FIELD3)
 
+    @pytest.mark.parametrize("w, t, reversed_poly", [(4, 2, 0b11001), (6, 10, 0b1100001)])
+    def test_rows_of_the_reversed_code_are_rejected(self, w, t, reversed_poly):
+        # over the reciprocal polynomial, BCH(w, t) has the same n and m
+        # but other codewords, so only the rows' syndromes tell them apart
+        code = build_bch(w, t)
+        field_info = {"w": w, "primitive_poly": reversed_poly}
+        with pytest.raises(ParameterError, match=rf"\[{code.n}, {code.m}\] rows"):
+            LinearCode("x", list(code.generator.rows), code.n, t, field_info)
+
     def test_rows_spanning_a_subcode_are_rejected(self):
         code = build_bch(4, 2)
         with pytest.raises(ParameterError, match=r"\[15, 6\] rows"):
