@@ -85,7 +85,6 @@ class BchAlgebraicDecoder:
     """
 
     def __init__(self, field: GF2m, t: int):
-        check_bch_parameters(field.w, t)
         self.field = field
         self.t = t
         self.n = n = field.order

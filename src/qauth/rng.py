@@ -13,6 +13,9 @@ n <= 128 the block 0 hash that ``substream`` makes serves the whole trial.
 ``trial_words`` hands out the first bits of many trials' streams at
 once, hashing their blocks in ``map`` pipelines with no ``Stream`` per
 trial; each trial's bits are a pure function of its path and block.
+Monte Carlo kernels take those first bits as ints, which only
+``verify.monte_carlo`` derives: one draw on each trial's ``substream``
+when honest or no-message, ``trial_words`` under intercept-resend.
 """
 
 from __future__ import annotations

@@ -9,27 +9,24 @@ pair, 3^n calls of ``LinearCode.decode`` under one bound, n <= 12,
 walking the readouts (the submasks of each difference) inline; each
 call is one index into the code's decode map.  Each sums an integer
 numerator over a power of 2, so each result is one exact
-``Fraction``.  Monte Carlo runs each trial on the bits of its own
-stream, the same session as ``protocol.run_session`` on that stream,
-with each attack's pure ``forge`` rule in the loop.  Honest and
-no-message sessions take their words in one draw from a ``Stream``;
-no-message ones run side by side on packed words, and Bob's readouts
-are counted in one ``LinearCode.count_codewords`` call a chunk.
-Intercept-resend, where Eve decodes every readout, runs one session at
-a time on each trial's first 4n stream bits, which ``rng.trial_words``
-hashes for a whole chunk, and Bob's test there is
-``LinearCode.is_codeword``.  It reports exact (Clopper-Pearson)
-confidence intervals, since true probabilities near 0 or 1 are common
-here.
+``Fraction``.  Monte Carlo runs each trial on the first bits of its
+stream, as ints, which ``monte_carlo`` alone derives: the same session
+as ``protocol.run_session`` on that stream, with each attack's pure
+``forge`` rule in the loop.  Honest and no-message sessions take 2n
+and 3n bits; no-message ones run side by side on packed words, and
+Bob's readouts are counted in one ``LinearCode.count_codewords`` call a
+chunk.  Intercept-resend, where Eve decodes every readout, runs one
+session at a time on 4n bits a trial, which ``rng.trial_words`` hashes
+for a whole chunk, and Bob's test there is ``LinearCode.is_codeword``.
+It reports exact (Clopper-Pearson) confidence intervals, since true
+probabilities near 0 or 1 are common here.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from operator import methodcaller
 from struct import pack
 from typing import Optional
 
@@ -41,7 +38,7 @@ from .errors import ParameterError, UnsupportedSizeError
 # kernel is tested against; bench/spans.py traces it as verify.run_session.
 from .protocol import run_session  # noqa: F401
 from .qsim import measure_word
-from .rng import Stream, substream, trial_words
+from .rng import substream, trial_words
 
 DECODE_ORACLE_MAX_N = 12  # each decoder-in-the-loop oracle decodes 3^n pairs
 CONFIDENCE = 0.99  # of every Monte Carlo interval
@@ -308,38 +305,32 @@ def _repeated(word: int, size: int, count: int) -> int:
 
 
 def _accepted(
-    code: LinearCode,
-    adversary,
-    forged: Optional[int],
-    streams: list[Stream],
+    code: LinearCode, adversary, forged: Optional[int], words: list[int]
 ) -> int:
-    """How many honest or no-message sessions Bob accepts, one on each stream.
+    """How many honest or no-message sessions Bob accepts, one per word.
 
     Alice sends the zero codeword, and ``forged`` is Eve's, as an int.
-    A session's n-bit words come in this order: the key, then Eve's
-    bases x_E under attack, then Bob's coin word.  Each stream gives
-    them in one draw: 2n bits when honest, 3n when attacked.  The stream
-    hands out bits in order across draws, so these are the bits
-    ``protocol.run_session`` draws a word at a time on the same stream:
-    both accept alike and leave it in one state.
+    A word is the first 2n bits of its trial's stream when honest, 3n
+    under attack, cut into n-bit fields in draw order as in
+    ``_intercepted``: the key, then x_E under attack, then Bob's coins,
+    the bits ``protocol.run_session`` draws on that stream.
 
     A rule that does not read always sends and acts bit by bit on x_E,
-    so its sessions run side by side: the 3n-bit draws sit in the slots
-    of one int, the keys, the x_E and the coin words are three masked
-    shifts of it, ``forge`` runs once on all the slots, and Bob's
-    readouts are counted in one ``count_codewords``.
+    so its sessions run side by side: the words sit in the slots of one
+    int, the keys, the x_E and the coin words are three masked shifts of
+    it, ``forge`` runs once on all the slots, and Bob's readouts are
+    counted in one ``count_codewords``.
     """
-    n = code.n
+    count = len(words)
     if adversary is None:  # every basis matched: Bob reads Alice's codeword
-        deque(map(methodcaller("getrandbits", 2 * n), streams), 0)  # key, coins
-        return len(streams)
-    count = len(streams)
+        return count
+    n = code.n
     size = _slot(3 * n)
-    words = _pack(list(map(methodcaller("getrandbits", 3 * n), streams)), size)
+    packed = _pack(words, size)
     ones = _repeated((1 << n) - 1, size, count)
-    key = words & ones
-    x_e = words >> n & ones
-    coins = words >> 2 * n & ones  # Bob's, since Eve does not read
+    key = packed & ones
+    x_e = packed >> n & ones
+    coins = packed >> 2 * n & ones  # Bob's, since Eve does not read
     bases = adversary.forge(code, x_e, None)[2]
     readout = measure_word(_repeated(forged, size, count), key ^ bases, coins)
     return code.count_codewords(readout.to_bytes(size * count, "little"), size)
@@ -376,33 +367,34 @@ def monte_carlo(
 ) -> TrialStats:
     """Acceptance frequency over independent simulated sessions.
 
-    Alice sends the zero message.  Trial i is one session on
-    ``substream(seed, "trial", i)``, with one coin word per readout, so
-    results are bit-reproducible for a fixed seed regardless of
-    scheduling, and equal to running ``protocol.run_session`` on the
-    same streams.  The trials run ``_CHUNK`` at a time; no result
-    depends on that size.  A rule that reads runs through
-    ``_intercepted`` on each trial's first 4n stream bits, from one
-    ``trial_words`` call a chunk; every other session runs through
-    ``_accepted`` on its stream.  An adversary is an object with
-    ``forged_message``, ``reads`` and ``forge(code, x_E, m_E)``, as in
-    the adversary module; ``run_session`` runs the same ``forge``
-    through its ``act``.
+    Alice sends the zero message.  Trial i is one session on the first
+    bits of ``substream(seed, "trial", i)``, with one coin word per
+    readout, so results are bit-reproducible for a fixed seed regardless
+    of scheduling, and equal to running ``protocol.run_session`` on the
+    same streams.  Only this function derives those bits: 2n a trial
+    when honest and 3n under a rule that does not read, in one draw
+    each, or 4n under a rule that reads, from one ``trial_words`` call
+    a chunk.  The trials run ``_CHUNK`` at a time; no result depends on
+    that size.  An adversary is an object with ``forged_message``,
+    ``reads`` and ``forge(code, x_E, m_E)``, as in the adversary module;
+    ``run_session`` runs the same ``forge`` through its ``act``.
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
+    n = code.n
     forged = None
     if adversary is not None:
         forged = code.encode(adversary.forged_message)
     reads = adversary is not None and adversary.reads
+    kernel = _intercepted if reads else _accepted
+    bits = (2 if adversary is None else 4 if reads else 3) * n
     successes = 0
     for start in range(0, trials, _CHUNK):
         stop = min(start + _CHUNK, trials)
         if reads:
-            words = trial_words(seed, start, stop, 4 * code.n)
-            successes += _intercepted(code, adversary, forged, words)
+            words = trial_words(seed, start, stop, bits)
         else:
-            streams = list(map(substream, repeat(seed), repeat("trial"),
-                               range(start, stop)))
-            successes += _accepted(code, adversary, forged, streams)
+            words = [substream(seed, "trial", i).getrandbits(bits)
+                     for i in range(start, stop)]
+        successes += kernel(code, adversary, forged, words)
     return TrialStats.of(successes, trials, seed)

@@ -106,7 +106,7 @@ class TestMeasureWord:
     def test_matched_positions_read_the_prepared_bit(self):
         # whatever the coin word, a matched position reads its bit of
         # the word; how many words a readout draws is tested where the
-        # readouts draw them (bob_receive, act, verify._accepted)
+        # readouts draw them (bob_receive, act, verify.monte_carlo)
         n = 7
         rng = random.Random(9)
         for _ in range(50):

@@ -7,7 +7,8 @@ must be referenced, as a name, an attribute or an import, somewhere in
 property counts only as an attribute or an import, since a bare name of
 the same spelling is some local.  Every parameter with a default must
 be passed by some call there, and no parameter may get one literal
-from every call there.  Tests do not count as callers.
+from every call there.  Tests do not count as callers.  Inside
+``verify``, only ``monte_carlo`` names a source of randomness.
 """
 
 import ast
@@ -406,3 +407,58 @@ def test_no_argument_is_one_literal_at_every_call():
     calls += [ast.parse(path.read_text()) for path in sorted((ROOT / "bench").glob("*.py"))]
     found = sorted(_one_valued_parameters(trees, calls))
     assert found == [], f"parameters every call in src/qauth or bench/ passes one literal: {found}"
+
+
+# what a Monte Carlo kernel would name to derive its own randomness
+RANDOMNESS = {"substream", "trial_words", "Stream", "getrandbits"}
+
+
+def _randomness_outside(tree, owner):
+    """(line, name) wherever ``tree`` names a RANDOMNESS source outside its
+    module-level function ``owner``, as a name, an attribute or a string
+    constant; an import is no use of it."""
+    found = []
+    for statement in tree.body:
+        if isinstance(statement, ast.FunctionDef) and statement.name == owner:
+            continue
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                name = node.value
+            else:
+                continue
+            if name in RANDOMNESS:
+                found.append((node.lineno, name))
+    return found
+
+
+@pytest.mark.parametrize("kernel, found", [
+    ("return len(words)", []),
+    ('"""Counts words, never a trial_words call."""', []),
+    ('return list(map(methodcaller("getrandbits", 6), streams))', [(5, "getrandbits")]),
+    ("return [stream.getrandbits(6) for stream in streams]", [(5, "getrandbits")]),
+    ("streams: list[Stream] = []", [(5, "Stream")]),
+    ("return substream(seed, 'trial', 0)", [(5, "substream")]),
+])
+def test_randomness_outside_monte_carlo_is_flagged(kernel, found):
+    tree = ast.parse(textwrap.dedent(f"""
+        from .rng import Stream, substream, trial_words
+
+        def kernel(words, streams, seed):
+            {kernel}
+
+        def monte_carlo(seed, bits):
+            return [substream(seed, "trial", i).getrandbits(bits) for i in range(9)]
+    """))
+    assert _randomness_outside(tree, "monte_carlo") == found
+
+
+def test_only_monte_carlo_derives_randomness_in_verify():
+    # the kernels count the trial words monte_carlo hands them, so every
+    # attack has one input contract and one place its bits come from
+    tree = ast.parse((ROOT / "src" / "qauth" / "verify.py").read_text())
+    found = _randomness_outside(tree, "monte_carlo")
+    assert found == [], f"verify names randomness outside monte_carlo: {found}"

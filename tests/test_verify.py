@@ -498,13 +498,61 @@ def _reference_stats(code, trials, seed, adversary, message):
 
 
 def _reads(adversary):
-    """Monte Carlo runs ``adversary`` on words, not on streams."""
+    """Monte Carlo runs ``adversary`` through ``_intercepted``."""
     return adversary is not None and adversary.reads
 
 
+def _kernel(adversary):
+    """The kernel that counts ``adversary``'s sessions, as monte_carlo picks it."""
+    return _intercepted if _reads(adversary) else _accepted
+
+
+def _bits(adversary, n):
+    """A trial word's width: 2n honest, 3n no-message, 4n when Eve reads."""
+    return (2 if adversary is None else 4 if adversary.reads else 3) * n
+
+
 def _word(n, *fields):
-    """The n-bit fields side by side, the first lowest: a 4n-bit trial word."""
+    """The n-bit fields side by side, the first lowest: one trial word."""
     return sum(field << n * i for i, field in enumerate(fields))
+
+
+class _CountingStream:
+    """A stream that records the width of every draw."""
+
+    def __init__(self, stream):
+        self.stream = stream
+        self.draws = []
+
+    def getrandbits(self, k):
+        self.draws.append(k)
+        return self.stream.getrandbits(k)
+
+
+def _count_against_run_session(code, adversary, trials, seed):
+    """The sessions run_session accepts on trials 0..trials-1, checked
+    trial by trial against the kernel on each trial's word.
+
+    run_session draws exactly the word's bits on the trial's stream,
+    Bob's coins only if something is sent, and monte_carlo counts the
+    same sessions.
+    """
+    message = BitWord.zeros(code.m)
+    forged = None if adversary is None else code.encode(adversary.forged_message)
+    kernel, bits = _kernel(adversary), _bits(adversary, code.n)
+    accepted = 0
+    for trial, word in enumerate(trial_words(seed, 0, trials, bits)):
+        stream = _CountingStream(substream(seed, "trial", trial))
+        record = run_session(message, code, adversary=adversary, randomness=stream)
+        assert kernel(code, adversary, forged, [word]) == record.accepted, trial
+        transcript = record.adversary_transcript
+        sent = transcript is None or transcript["resent"]
+        assert sum(stream.draws) == bits - (0 if sent else code.n), trial
+        accepted += record.accepted
+    assert monte_carlo(code, trials, seed, adversary=adversary) == (
+        TrialStats.of(accepted, trials, seed)
+    )
+    return accepted
 
 
 class TestWordKernel:
@@ -519,30 +567,20 @@ class TestWordKernel:
 
     @pytest.mark.parametrize("mode", list(KERNEL_MODES))
     def test_each_trial_matches_run_session(self, kernel_code, mode):
-        code = kernel_code
+        adversary = KERNEL_MODES[mode](kernel_code.m)
+        _count_against_run_session(kernel_code, adversary, self.TRIALS, self.SEED)
+
+    @pytest.mark.parametrize("mode", ["honest", "no-message-zero", "no-message-nonzero"])
+    def test_n_255_matches_run_session(self, mode):
+        # a no-message word (3n = 765 bits) leaves block 0, and its
+        # 96-byte slot is wider than any struct int
+        code = resolve_code("bch-255-247-1")
         adversary = KERNEL_MODES[mode](code.m)
-        message = BitWord.zeros(code.m)
-        forged = None
-        if adversary is not None:
-            forged = code.encode(adversary.forged_message)
-        words = trial_words(self.SEED, 0, self.TRIALS, 4 * code.n)
-        for trial, word in enumerate(words):
-            by_handles = substream(self.SEED, "trial", trial)
-            record = run_session(message, code, adversary=adversary, randomness=by_handles)
-            if _reads(adversary):
-                assert _intercepted(code, adversary, forged, [word]) == record.accepted
-                # run_session drew the word's fields, Bob's only if sent
-                drawn = 4 if record.adversary_transcript["resent"] else 3
-                after = substream(self.SEED, "trial", trial)
-                after.getrandbits(drawn * code.n)
-                assert by_handles.getrandbits(64) == after.getrandbits(64)
-                continue
-            by_words = substream(self.SEED, "trial", trial)
-            assert _accepted(code, adversary, forged, [by_words]) == record.accepted
-            assert by_words.getrandbits(64) == by_handles.getrandbits(64)
-        assert monte_carlo(code, self.TRIALS, self.SEED, adversary=adversary) == (
-            _reference_stats(code, self.TRIALS, self.SEED, adversary, message)
-        )
+        accepted = _count_against_run_session(code, adversary, 3000, 77)
+        if adversary is None:
+            assert accepted == 3000
+        else:  # some sessions pass, so the check compares accepted ones too
+            assert 0 < accepted < 3000
 
     def test_builds_no_qubit_handles(self, ham, monkeypatch):
         def refuse(*args):
@@ -644,10 +682,10 @@ def _kernel_law(code, strategy, key=0, message=None):
     """P(a session accepts) under ``key``, by enumerating its draws.
 
     The session is the kernel, where Alice sends the zero codeword (a
-    one-word ``_intercepted`` for a rule that reads, with the draws as
-    the word's n-bit fields, else a one-stream ``_accepted``), or with
-    ``message`` the reference ``run_session``, where she sends its
-    codeword c; Eve sends the codeword of her message.
+    one-word chunk, the draws as the word's n-bit fields), or with
+    ``message`` the reference ``run_session`` on a scripted stream,
+    where she sends its codeword c; Eve sends the codeword of her
+    message.
     The draws are the key, every x_E, Eve's coin word (if she reads)
     over the readouts c ^ e with e ⊆ D = key ^ x_E, and Bob's coin word
     over the subsets of R = key ^ x_E'.  Every other coin bit is the
@@ -657,7 +695,7 @@ def _kernel_law(code, strategy, key=0, message=None):
     2^(n - |R|) Bob words alike in each case, which is its weight.  R is
     the session's own: a first run records x_E'.  A session whose
     forgery is dropped is a reject, even when Bob's coins would read
-    the forgery, and a session on a stream leaves Bob's word undrawn.
+    the forgery, and ``run_session`` leaves Bob's word undrawn.
     """
     n = code.n
     mask = (1 << n) - 1
@@ -666,16 +704,13 @@ def _kernel_law(code, strategy, key=0, message=None):
     bob_fill = mask ^ forged
     recorder = _ForgeSpy(strategy)
     reads = strategy.reads
-
-    on_words = reads and message is None
+    kernel = _kernel(strategy)
 
     def session(*draws):
         """The verdict on these draws, and the words a stream left undrawn."""
-        if on_words:
-            return _intercepted(code, recorder, forged, [_word(n, *draws)]), None
-        stream = ScriptedStream(n, *draws)
         if message is None:
-            return _accepted(code, recorder, forged, [stream]), stream.words
+            return kernel(code, recorder, forged, [_word(n, *draws)]), None
+        stream = ScriptedStream(n, *draws)
         return run_session(message, code, recorder, randomness=stream).accepted, stream.words
 
     total = 0
@@ -689,7 +724,7 @@ def _kernel_law(code, strategy, key=0, message=None):
             if resend_bases is None:  # nothing arrives: a reject
                 accepted, left = session(*draws, forged)  # coins reading the forgery
                 assert not accepted
-                assert left == (None if on_words else [forged])  # Bob drew nothing
+                assert left == (None if message is None else [forged])  # Bob drew nothing
                 continue
             r = key ^ resend_bases
             weight = (n - d.bit_count() if reads else 0) + n - r.bit_count()
@@ -805,30 +840,14 @@ class TestBatchIndependence:
         code = _pinned_code(selector)
         adversary = KERNEL_MODES[mode](code.m)
         forged = None if adversary is None else code.encode(adversary.forged_message)
-        if _reads(adversary):
-            words = trial_words(12, 0, 150, 4 * code.n)
-            assert _intercepted(code, adversary, forged, words) == sum(
-                _intercepted(code, adversary, forged, [word]) for word in words
-            )
-            # and each word is its stream's first 4n bits
-            assert words == [
-                substream(12, "trial", i).getrandbits(4 * code.n) for i in range(150)
-            ]
-            assert _intercepted(code, adversary, forged, []) == 0
-            return
-
-        def streams():
-            return [substream(12, "trial", i) for i in range(150)]
-
-        batch, singles = streams(), streams()
-        assert _accepted(code, adversary, forged, batch) == sum(
-            _accepted(code, adversary, forged, [stream]) for stream in singles
+        kernel, bits = _kernel(adversary), _bits(adversary, code.n)
+        words = trial_words(12, 0, 150, bits)
+        assert kernel(code, adversary, forged, words) == sum(
+            kernel(code, adversary, forged, [word]) for word in words
         )
-        # and each stream is left in one state
-        assert [s.getrandbits(64) for s in batch] == [
-            s.getrandbits(64) for s in singles
-        ]
-        assert _accepted(code, adversary, forged, []) == 0
+        # and each word is its stream's first bits
+        assert words == [substream(12, "trial", i).getrandbits(bits) for i in range(150)]
+        assert kernel(code, adversary, forged, []) == 0
 
     @pytest.mark.parametrize("mode", list(KERNEL_MODES))
     @pytest.mark.parametrize("selector", ["rep3", "hamming74"])
@@ -866,12 +885,6 @@ class TestOneHashPerTrial:
     def test_word_session_stays_in_block_0(self, selector, mode, monkeypatch):
         code = resolve_code(selector)
         adversary = KERNEL_MODES[mode](code.m)
-        forged = None if adversary is None else code.encode(adversary.forged_message)
-        if not _reads(adversary):
-            for trial in range(20):
-                stream = substream(5, "trial", trial)
-                _accepted(code, adversary, forged, [stream])
-                assert stream._block == 1, trial
         hashes = _count_hashes(monkeypatch)
         monte_carlo(code, 20, 5, adversary=adversary)
         assert hashes == [
@@ -890,32 +903,32 @@ class TestOneHashPerTrial:
             for block in (0, 1)
         )
 
+    @pytest.mark.parametrize("mode", list(KERNEL_MODES))
+    def test_hash_count_at_n_255(self, mode, monkeypatch):
+        # honest words (2n = 510 bits) stay in block 0; 3n and 4n leave it
+        code = resolve_code("bch-255-247-1")
+        adversary = KERNEL_MODES[mode](code.m)
+        hashes = _count_hashes(monkeypatch)
+        monte_carlo(code, 20, 5, adversary=adversary)
+        assert sorted(hashes) == sorted(
+            f"5/trial/{trial}".encode() + block.to_bytes(8, "little")
+            for trial in range(20)
+            for block in ((0,) if adversary is None else (0, 1))
+        )
 
-class _CountingStream:
-    """A stream that records the width of every draw."""
 
-    def __init__(self, stream):
-        self.stream = stream
-        self.draws = []
+def _session_draws(code, adversary, stream):
+    """run_session's draw widths on ``stream``, read from its bits.
 
-    def getrandbits(self, k):
-        self.draws.append(k)
-        return self.stream.getrandbits(k)
-
-
-def _expected_draws(code, adversary, stream):
-    """A session's draw widths on ``stream``, read from its bits.
-
-    The kernel's draws: honest, the key and Bob's coins, 2n bits; under
-    no-message, the key, x_E and Bob's coins, 3n bits.  run_session's
-    draws under intercept-resend: the key, x_E and Eve's coins, a word
-    at a time, then Bob's coins, unless a failed decode aborts the send.
+    It draws a word at a time: the key, then x_E and Eve's coins under
+    an attack that reads them, then Bob's coins unless a failed decode
+    aborts the send.
     """
     n = code.n
     if adversary is None:
-        return [2 * n]
+        return [n] * 2
     if not adversary.reads:
-        return [3 * n]
+        return [n] * 3
     key, x_e, coins = (stream.getrandbits(n) for _ in range(3))
     ok, _ = code.decode(qsim.measure_word(0, key ^ x_e, coins))
     if ok or adversary.on_decode_failure == RESEND_UNCORRECTED:
@@ -924,11 +937,12 @@ def _expected_draws(code, adversary, stream):
 
 
 class TestOneDrawPerSession:
-    """A session takes its key, x_E and first coin word in one draw.
+    """monte_carlo takes a trial's words in one draw.
 
-    A rule that reads takes no draw at all: its chunk is one
-    ``trial_words`` call of 4n bits a trial, the bits run_session draws
-    a word at a time.
+    Honest and no-message trials draw 2n and 3n bits once on each
+    trial's stream; a rule that reads takes one ``trial_words`` call of
+    4n bits a trial a chunk, and no stream.  These are the bits
+    run_session draws a word at a time.
     """
 
     @pytest.mark.parametrize("mode", list(KERNEL_MODES))
@@ -936,26 +950,30 @@ class TestOneDrawPerSession:
     def test_draw_widths(self, selector, mode, monkeypatch):
         code = resolve_code(selector)
         adversary = KERNEL_MODES[mode](code.m)
-        forged = None if adversary is None else code.encode(adversary.forged_message)
         for trial in range(20):
-            expected = _expected_draws(code, adversary, substream(6, "trial", trial))
+            expected = _session_draws(code, adversary, substream(6, "trial", trial))
             stream = _CountingStream(substream(6, "trial", trial))
-            if _reads(adversary):
-                run_session(BitWord.zeros(code.m), code, adversary, randomness=stream)
-            else:
-                _accepted(code, adversary, forged, [stream])
+            run_session(BitWord.zeros(code.m), code, adversary, randomness=stream)
             assert stream.draws == expected, trial
+        streams, calls = [], []
+
+        def counted(*path):
+            streams.append((path, _CountingStream(substream(*path))))
+            return streams[-1][1]
+
+        def recorded(*args):
+            calls.append(args)
+            return trial_words(*args)
+
+        monkeypatch.setattr(verify, "substream", counted)
+        monkeypatch.setattr(verify, "trial_words", recorded)
+        monte_carlo(code, 20, 6, adversary=adversary)
+        bits = _bits(adversary, code.n)
+        drawn = [(path, stream.draws) for path, stream in streams]
         if _reads(adversary):
-            calls = []
-
-            def recorded(*args):
-                calls.append(args)
-                return trial_words(*args)
-
-            monkeypatch.setattr(verify, "trial_words", recorded)
-            monkeypatch.setattr(verify, "substream", None)  # never called
-            monte_carlo(code, 20, 6, adversary=adversary)
-            assert calls == [(6, 0, 20, 4 * code.n)]
+            assert (drawn, calls) == ([], [(6, 0, 20, bits)])
+        else:
+            assert (drawn, calls) == ([((6, "trial", i), [bits]) for i in range(20)], [])
 
     @pytest.mark.parametrize("selector", ["bch-15-7-2", "bch-63-18"])
     def test_abort_after_a_failed_decode_draws_once(self, selector):
