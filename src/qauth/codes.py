@@ -82,7 +82,6 @@ class LinearCode:
         self.generator = generator  # m x n, reduced row echelon form
         self.parity_check = BitMatrix(tuple(h_rows or [0]), n)  # (n-m) x n
         self.message_columns = pivots
-        self._reencode_tables = None  # built on the first is_codeword
         self._column_tables = None  # built on the first count_codewords
         # a BCH decoder is set below; a syndrome table, and for n <= 16
         # its decode map, wait for the first decode
@@ -130,55 +129,31 @@ class LinearCode:
         return acc
 
     def is_codeword(self, word: int) -> bool:
-        """Whether ``word`` is the codeword its message columns select.
+        """Whether ``word`` is a codeword: Bob's test in ``protocol.bob_receive``.
 
-        A codeword is the XOR of the rows of G whose pivots it holds, so
-        ``word`` is re-encoded from its pivot bits, one table lookup per
-        byte that holds a pivot, and compared with itself.  A match lies
-        within n bits, so only a mismatch needs the range check.  This is
-        Bob's test in ``protocol.bob_receive`` and in intercept-resend
-        Monte Carlo, which runs one session at a time; no-message Monte
-        Carlo tests a chunk of readouts with the batch form,
-        ``count_codewords``.
+        ``count_codewords`` on the one ceil(n/8)-byte slot that holds it.
         """
-        tables = self._reencode_tables
-        if tables is None:  # a plain attribute reads faster than a cached_property
-            tables = self._reencode_tables = self._build_reencode_tables()
-        acc = 0
-        for shift, table in tables:
-            acc ^= table[word >> shift & 255]
-        if acc == word:
-            return True
         if word < 0 or word >> self.n:
             raise DimensionError(f"word {word:#x} does not fit in n={self.n} bits")
-        return False
-
-    def _build_reencode_tables(self) -> list[tuple[int, list[int]]]:
-        """(shift, table) per byte that holds a pivot: its pivot bits' rows of G."""
-        columns = [0] * self.n
-        for p, row in zip(self.message_columns, self.generator.rows):
-            columns[p] = row
-        return [
-            (8 * b, linear_byte_tables(columns[8 * b : 8 * b + 8])[0])
-            for b in sorted({p // 8 for p in self.message_columns})
-        ]
+        size = (self.n + 7) >> 3
+        return self.count_codewords(word.to_bytes(size, "little"), size) == 1
 
     def count_codewords(self, words: bytes, size: int) -> int:
         """How many of the ``size``-byte slots of ``words`` hold a codeword.
 
-        Each slot is one word, little-endian.  The batch form of
-        ``is_codeword``: byte column b of the words, ``words[b::size]``,
-        holds byte b of every word.  Each pivot
-        byte's re-encode table is split into one ``bytes.translate``
-        table per output byte o, so byte o of every word's re-encoding
-        XOR the word is the XOR of translated pivot-byte columns (and
-        column o itself, when o holds no pivot).  A word is a codeword
-        iff all its output bytes are 0, so the columns are ORed and the
-        zero bytes counted: O(pivot bytes x n/8) translates a batch,
-        whatever the rate.  A slot holding a bit at or past n raises.
-        Monte Carlo counts each chunk of no-message readouts here; honest
-        sessions test no word, and intercept-resend ones call
-        ``is_codeword`` one at a time.
+        Each slot is one word, little-endian.  A codeword is the XOR of
+        the rows of G whose pivots it holds, so each word is re-encoded
+        from its pivot bits and compared with itself.  Byte column b of
+        the words, ``words[b::size]``, holds byte b of every word, and
+        each pivot byte's re-encode table is split into one
+        ``bytes.translate`` table per output byte o, so byte o of every
+        word's re-encoding XOR the word is the XOR of translated
+        pivot-byte columns (and column o itself, when o holds no pivot).
+        A word is a codeword iff all its output bytes are 0, so the
+        columns are ORed and the zero bytes counted: O(pivot bytes x n/8)
+        translates a batch, whatever the rate.  A slot holding a bit at
+        or past n raises.  This is Bob's one test: Monte Carlo counts
+        each chunk of readouts here, and ``is_codeword`` one word.
         """
         n = self.n
         if size < (n + 7) >> 3 or len(words) % size:
@@ -207,10 +182,17 @@ class LinearCode:
         """Per output byte o: (b, translate table) per pivot byte b that reaches it.
 
         The table of b maps a word's byte b to byte o of its pivot bits'
-        re-encoding, XOR the byte itself when b = o; ``None`` translates
-        nothing, so it stands for column o itself when o holds no pivot.
+        re-encoding (the XOR of their rows of G), XOR the byte itself
+        when b = o; ``None`` translates nothing, so it stands for column
+        o itself when o holds no pivot.
         """
-        reencode = {shift >> 3: table for shift, table in self._build_reencode_tables()}
+        rows = [0] * self.n
+        for p, row in zip(self.message_columns, self.generator.rows):
+            rows[p] = row
+        reencode = {
+            b: linear_byte_tables(rows[8 * b : 8 * b + 8])[0]
+            for b in sorted({p >> 3 for p in self.message_columns})
+        }
         columns = []
         for o in range((self.n + 7) >> 3):
             terms = [] if o in reencode else [(o, None)]

@@ -13,11 +13,11 @@ numerator over a power of 2, so each result is one exact
 stream, as ints, which ``monte_carlo`` alone derives: the same session
 as ``protocol.run_session`` on that stream, with each attack's pure
 ``forge`` rule in the loop.  Honest and no-message sessions take 2n
-and 3n bits; no-message ones run side by side on packed words, and
-Bob's readouts are counted in one ``LinearCode.count_codewords`` call a
-chunk.  Intercept-resend, where Eve decodes every readout, runs one
-session at a time on 4n bits a trial, which ``rng.trial_words`` hashes
-for a whole chunk, and Bob's test there is ``LinearCode.is_codeword``.
+and 3n bits; no-message ones run side by side on packed words.
+Intercept-resend, where Eve decodes every readout, runs one session at
+a time on 4n bits a trial, which ``rng.trial_words`` hashes for a whole
+chunk.  Either way Bob's readouts are counted in one
+``LinearCode.count_codewords`` call a chunk.
 It reports exact (Clopper-Pearson) confidence intervals, since true
 probabilities near 0 or 1 are common here.
 """
@@ -289,14 +289,12 @@ def _slot(bits: int) -> int:
     return size if size > 8 else 1 << (size - 1).bit_length()
 
 
-def _pack(words: list[int], size: int) -> int:
-    """The words side by side in ``size``-byte little-endian slots of one int."""
+def _pack(words: list[int], size: int) -> bytes:
+    """The words side by side in ``size``-byte little-endian slots."""
     code = _STRUCT_INTS.get(size)
     if code is None:
-        data = b"".join(map(int.to_bytes, words, repeat(size), repeat("little")))
-    else:
-        data = pack(f"<{len(words)}{code}", *words)
-    return int.from_bytes(data, "little")
+        return b"".join(map(int.to_bytes, words, repeat(size), repeat("little")))
+    return pack(f"<{len(words)}{code}", *words)
 
 
 def _repeated(word: int, size: int, count: int) -> int:
@@ -326,7 +324,7 @@ def _accepted(
         return count
     n = code.n
     size = _slot(3 * n)
-    packed = _pack(words, size)
+    packed = int.from_bytes(_pack(words, size), "little")
     ones = _repeated((1 << n) - 1, size, count)
     key = packed & ones
     x_e = packed >> n & ones
@@ -345,21 +343,23 @@ def _intercepted(
     fields in draw order: the key, x_E, Eve's coins and Bob's coins, the
     bits ``protocol.run_session`` draws on that stream.  Eve's readout
     of the zero codeword is her coin wherever her basis misses the key;
-    ``forge`` decodes it, a session whose forgery is dropped is a
-    reject, and Bob's readout goes to ``is_codeword``.  The sessions run
-    one at a time, since each readout is decoded on its own.
+    ``forge`` decodes it, and a session whose forgery is dropped is a
+    reject, with no readout.  The sessions run one at a time, since each
+    readout is decoded on its own, and Bob's readouts are counted in one
+    ``count_codewords``.
     """
     n = code.n
     mask = (1 << n) - 1
-    forge, is_codeword = adversary.forge, code.is_codeword
-    total = 0
+    forge = adversary.forge
+    readouts = []
     for word in words:
         key = word & mask
         x_e = word >> n & mask
         bases = forge(code, x_e, word >> 2 * n & (key ^ x_e))[2]
         if bases is not None:  # else nothing arrives: Bob rejects
-            total += is_codeword(measure_word(forged, key ^ bases, word >> 3 * n))
-    return total
+            readouts.append(measure_word(forged, key ^ bases, word >> 3 * n))
+    size = _slot(n)
+    return code.count_codewords(_pack(readouts, size), size)
 
 
 def monte_carlo(

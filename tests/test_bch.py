@@ -413,15 +413,17 @@ def test_codeword_plus_error_decodes_as_the_reference(data, w):
 
 
 class TestLazyTables:
-    """Decoder, re-encode and column tables wait for their first use.
+    """Decoder and column tables wait for their first use.
 
     A BCH decoder's tables are its syndrome, multiplication and
-    Chien-search tables.  Resolving the grid and computing its table
-    decodes nothing and tests no word, so it builds none of them: their
-    memory and build time stay out of the start-up of runs that never
-    need them.  The constructor checks a BCH code's rows from the
-    decoder's columns, so even it builds no syndrome table, and honest
-    and no-message sessions, which never decode, build none either.
+    Chien-search tables; a code's column tables are Bob's test, built
+    on the first ``count_codewords``.  Resolving the grid and computing
+    its table decodes nothing and tests no word, so it builds none of
+    them: their memory and build time stay out of the start-up of runs
+    that never need them.  The constructor checks a BCH code's rows from
+    the decoder's columns, so even it builds no syndrome table, and
+    honest and no-message sessions, which never decode, build no decoder
+    table either.
     """
 
     def test_table1_on_the_grid_builds_neither(self):
@@ -431,7 +433,6 @@ class TestLazyTables:
         for code in codes:
             assert code.decoder._byte_rows is None, code.name
             assert "_chien_terms" not in vars(code.decoder), code.name
-            assert code._reencode_tables is None, code.name
             assert code._column_tables is None, code.name
 
     def test_table1_on_the_grid_builds_no_multiplication_tables(self):
@@ -446,19 +447,22 @@ class TestLazyTables:
         assert len(code.decoder._mul) == 2 * code.n
 
     @pytest.mark.parametrize("selector", ["hamming74", "bch-31-6-7"])
-    def test_only_no_message_monte_carlo_builds_column_tables(self, selector):
-        # honest sessions test no word, and intercept-resend tests each
-        # readout alone with is_codeword; only the no-message batch counts
-        honest, attacked, forged = (cli.resolve_code(selector) for _ in range(3))
+    def test_monte_carlo_that_tests_a_readout_builds_column_tables(self, selector):
+        # honest sessions test no word; intercept-resend, under either
+        # policy, and no-message sessions count Bob's readouts a chunk
+        # at a time with count_codewords
+        honest = cli.resolve_code(selector)
         monte_carlo(honest, 50, 3)
         assert honest._column_tables is None
-        message = BitWord(1, attacked.m)
-        for policy in (ABORT, RESEND_UNCORRECTED):
-            monte_carlo(attacked, 50, 3, InterceptResendStrategy(message, policy))
-        assert attacked._column_tables is None
-        assert attacked._reencode_tables is not None
-        monte_carlo(forged, 50, 3, NoMessageStrategy(message))
-        assert forged._column_tables is not None
+        message = BitWord(1, honest.m)
+        for adversary in (
+            InterceptResendStrategy(message, ABORT),
+            InterceptResendStrategy(message, RESEND_UNCORRECTED),
+            NoMessageStrategy(message),
+        ):
+            code = cli.resolve_code(selector)
+            monte_carlo(code, 50, 3, adversary)
+            assert code._column_tables is not None, adversary
 
     def test_sessions_that_never_decode_build_no_decoder_table(self):
         code = cli.resolve_code("bch-63-18")
@@ -473,10 +477,11 @@ class TestLazyTables:
         code = build_bch(6, 10)
         assert code.decoder._byte_rows is None
         code.decode(0b111)  # three errors: Chien search finds them
+        assert code._column_tables is None
         assert code.is_codeword(0)
         assert len(code.decoder._byte_rows) == (code.n + 7) // 8
         assert len(vars(code.decoder)["_chien_terms"]) == code.t
-        assert code._reencode_tables is not None
+        assert code._column_tables is not None
 
     def test_column_syndromes_are_the_syndromes(self, grid_codes):
         # the constructor's row check reads the same linear map the tables hold

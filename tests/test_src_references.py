@@ -8,7 +8,8 @@ property counts only as an attribute or an import, since a bare name of
 the same spelling is some local.  Every parameter with a default must
 be passed by some call there, and no parameter may get one literal
 from every call there.  Tests do not count as callers.  Inside
-``verify``, only ``monte_carlo`` names a source of randomness.
+``verify``, only ``monte_carlo`` names a source of randomness, and
+nothing names ``is_codeword``.
 """
 
 import ast
@@ -413,8 +414,8 @@ def test_no_argument_is_one_literal_at_every_call():
 RANDOMNESS = {"substream", "trial_words", "Stream", "getrandbits"}
 
 
-def _randomness_outside(tree, owner):
-    """(line, name) wherever ``tree`` names a RANDOMNESS source outside its
+def _named_outside(tree, names, owner=None):
+    """(line, name) wherever ``tree`` names one of ``names`` outside its
     module-level function ``owner``, as a name, an attribute or a string
     constant; an import is no use of it."""
     found = []
@@ -430,7 +431,7 @@ def _randomness_outside(tree, owner):
                 name = node.value
             else:
                 continue
-            if name in RANDOMNESS:
+            if name in names:
                 found.append((node.lineno, name))
     return found
 
@@ -453,12 +454,36 @@ def test_randomness_outside_monte_carlo_is_flagged(kernel, found):
         def monte_carlo(seed, bits):
             return [substream(seed, "trial", i).getrandbits(bits) for i in range(9)]
     """))
-    assert _randomness_outside(tree, "monte_carlo") == found
+    assert _named_outside(tree, RANDOMNESS, "monte_carlo") == found
 
 
 def test_only_monte_carlo_derives_randomness_in_verify():
     # the kernels count the trial words monte_carlo hands them, so every
     # attack has one input contract and one place its bits come from
     tree = ast.parse((ROOT / "src" / "qauth" / "verify.py").read_text())
-    found = _randomness_outside(tree, "monte_carlo")
+    found = _named_outside(tree, RANDOMNESS, "monte_carlo")
     assert found == [], f"verify names randomness outside monte_carlo: {found}"
+
+
+@pytest.mark.parametrize("kernel, found", [
+    ("return code.count_codewords(words, size)", []),
+    ('"""Bob\'s test, never an is_codeword call."""', []),
+    ("is_codeword = code.is_codeword", [(5, "is_codeword"), (5, "is_codeword")]),
+    ('return sum(map(methodcaller("is_codeword"), readouts))', [(5, "is_codeword")]),
+])
+def test_a_named_is_codeword_is_flagged(kernel, found):
+    tree = ast.parse(textwrap.dedent(f"""
+        from .codes import LinearCode
+
+        def kernel(code, words, readouts, size):
+            {kernel}
+    """))
+    assert _named_outside(tree, {"is_codeword"}) == found
+
+
+def test_verify_counts_readouts_with_count_codewords():
+    # Bob's test has one implementation, count_codewords; a per-word
+    # is_codeword call in a kernel would be a second path to keep equal
+    tree = ast.parse((ROOT / "src" / "qauth" / "verify.py").read_text())
+    found = _named_outside(tree, {"is_codeword"})
+    assert found == [], f"verify names is_codeword: {found}"
