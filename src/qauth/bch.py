@@ -7,11 +7,12 @@ multiplied out with the field's tables and packed into an int like the
 generator rows (bit i = coefficient of x^i).  ``codes.build_bch`` is the
 one builder: it hands the m = n - deg g shifts x^i·g(x) to ``LinearCode``,
 whose constructor is the only check (zero S_1..S_2t on every row, read
-off the decoder's columns, so it builds no table, and m = n - |K|).
+off ``column_syndromes``, so it builds no table, and m = n - |K|).
 The shifts have distinct degrees, so they span m dimensions; g then
 lies in BCH(w, t) with its generator's degree, so g is that generator
 and divides x^n + 1.  Every BCH code decodes with
-``BchAlgebraicDecoder``: all 2t syndromes from one pass of per-byte
+``BchAlgebraicDecoder``, which ``LinearCode.decoder`` builds whole on
+the code's first decode: all 2t syndromes from one pass of per-byte
 tables, already the int register that binary (odd-step)
 Berlekamp-Massey runs on, one field element per byte lane, 3t + 2
 lanes wide with the locator at lane 3t - step (C·S stays below lane 3t
@@ -24,7 +25,7 @@ table, which the tests use as its oracle.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import ParameterError, UnsupportedSizeError
 from .gf2 import GF2m, linear_byte_tables
@@ -67,6 +68,30 @@ def bch_field(w: int, primitive_poly: int) -> GF2m:
     return GF2m(w, primitive_poly)
 
 
+def column_syndromes(field: GF2m, t: int, words: list[int]) -> list[int]:
+    """S_1..S_2t of each word, S_k in byte lane k-1: the XOR of its columns.
+
+    Column j holds the syndromes of a flip at position j, S_k =
+    alpha^(kj).  One step per set bit and no table, so checking a
+    code's generator rows, which ``LinearCode`` does once, builds none;
+    the decoder's syndrome tables are the byte tables of the columns.
+    """
+    n, exp = field.order, field._exp
+    columns = [
+        int.from_bytes(bytes(exp[k * j % n] for k in range(1, 2 * t + 1)), "little")
+        for j in range(n)
+    ]
+    syndromes = []
+    for word in words:
+        acc = 0
+        while word:
+            low = word & -word
+            acc ^= columns[low.bit_length() - 1]
+            word ^= low
+        syndromes.append(acc)
+    return syndromes
+
+
 class BchAlgebraicDecoder:
     """Bounded-distance decoder: syndromes, binary Berlekamp-Massey, Chien search.
 
@@ -76,84 +101,47 @@ class BchAlgebraicDecoder:
     Syndromes and Chien search are GF(2)-linear, so both are table
     lookups: the syndromes one per byte of the word, and Chien search
     one per locator term.  Chien search keeps position j in byte lane j
-    of one n-byte word.  The syndrome tables are built on the first
-    ``syndromes`` call, ``_mul`` on the first Berlekamp-Massey run and
-    the Chien tables on the first decode that reaches them, so a code
-    that never decodes builds none of them.  Until then the decoder
-    holds only the n columns the syndrome tables come from, the
-    syndromes of each single flip, which ``column_syndromes`` XORs.
+    of one n-byte word.  ``__init__`` builds every table, so a decoder
+    is whole once it exists; ``LinearCode.decoder`` builds it on the
+    code's first decode, so a code that never decodes builds none.
     """
 
     def __init__(self, field: GF2m, t: int):
         self.field = field
         self.t = t
         self.n = n = field.order
-        exp = field._exp
-        # column j holds S_1..S_2t of a flip at position j,
-        # S_k = alpha^(kj) in byte k-1
-        self._columns = [
-            int.from_bytes(bytes(exp[k * j % n] for k in range(1, 2 * t + 1)), "little")
-            for j in range(n)
-        ]
-        self._byte_rows = None  # built by the first syndromes call
+        exp, log = field._exp, field._log
+        self._byte_rows = linear_byte_tables(
+            column_syndromes(field, t, [1 << j for j in range(n)])
+        )
         self._n_bytes = (n + 7) >> 3
-        self._mul = None  # built by the first Berlekamp-Massey run
+        # _mul[k] is the bytes.translate table of b -> alpha^k·b, k < 2n:
+        # indexed by exponent, twice round, so a Berlekamp-Massey step
+        # finds the table of d / d_last by one index, log d + n - log d_last
+        mul = [bytes(exp[k + j] for j in log).ljust(256, b"\0") for k in range(n)]
+        self._mul = mul + mul
+        # _chien_terms[k-1][c] is locator term k at every alpha^-j, times
+        # coefficient c: lane j is c·alpha^(-jk).  Multiplying by c is
+        # GF(2)-linear in c's bits, so each of the t tables is the byte
+        # table of the w single-bit multiples, cut to its 2^w entries.
+        size = 1 << field.w
+        self._chien_terms = []
+        for k in range(1, t + 1):
+            lanes = bytes(exp[-j * k % n] for j in range(n))
+            bit_multiples = [
+                int.from_bytes(lanes.translate(mul[log[1 << i]]), "little")
+                for i in range(field.w)
+            ]
+            self._chien_terms.append(linear_byte_tables(bit_multiples)[0][:size])
         # the locator's constant term, 1, in every lane
         self._ones = int.from_bytes(b"\1" * n, "little")
 
     def syndromes(self, received: int) -> int:
         """S_1..S_2t, S_k in byte lane k-1 of one int: one lookup per byte."""
-        rows = self._byte_rows
-        if rows is None:  # a plain attribute reads faster than a cached_property
-            rows = self._byte_rows = linear_byte_tables(self._columns)
         acc = 0
-        for row, v in zip(rows, received.to_bytes(self._n_bytes, "little")):
+        for row, v in zip(self._byte_rows, received.to_bytes(self._n_bytes, "little")):
             acc ^= row[v]
         return acc
-
-    def column_syndromes(self, word: int) -> int:
-        """``syndromes(word)`` as the XOR of the columns at its set bits.
-
-        One step per set bit and no table, so checking a code's
-        generator rows, which ``LinearCode`` does once, builds none.
-        """
-        columns, acc = self._columns, 0
-        while word:
-            low = word & -word
-            acc ^= columns[low.bit_length() - 1]
-            word ^= low
-        return acc
-
-    def _build_mul(self) -> list[bytes]:
-        """``_mul[k]``, the bytes.translate table of b -> alpha^k·b, k < 2n.
-
-        Indexed by exponent, twice round, so a Berlekamp-Massey step
-        finds the table of d / d_last by one index, log d + n - log d_last.
-        """
-        exp, log = self.field._exp, self.field._log
-        tables = [bytes(exp[k + j] for j in log).ljust(256, b"\0") for k in range(self.n)]
-        self._mul = tables + tables
-        return self._mul
-
-    @cached_property
-    def _chien_terms(self) -> list[list[int]]:
-        """``[k-1][c]``: locator term k at every alpha^-j, times coefficient c.
-
-        Lane j of ``[k-1][c]`` is c·alpha^(-jk).  Multiplying by c is
-        GF(2)-linear in c's bits, so each of the t tables is the byte
-        table of the w single-bit multiples, cut to its 2^w entries.
-        """
-        exp, log, n, size = self.field._exp, self.field._log, self.n, 1 << self.field.w
-        mul = self._mul or self._build_mul()
-        terms = []
-        for k in range(1, self.t + 1):
-            lanes = bytes(exp[-j * k % n] for j in range(n))
-            bit_multiples = [
-                int.from_bytes(lanes.translate(mul[log[1 << i]]), "little")
-                for i in range(self.field.w)
-            ]
-            terms.append(linear_byte_tables(bit_multiples)[0][:size])
-        return terms
 
     def _berlekamp_massey(self, syn: int) -> bytes | None:
         """The error locator's coefficients, one byte each, or None once L > t.
@@ -177,7 +165,7 @@ class BchAlgebraicDecoder:
         L > t.  C's top lane is 3t - step + L <= 3t + 1, as
         L <= step + 1, so 3t + 2 lanes hold X and Y.
         """
-        mul, log = self._mul or self._build_mul(), self.field._log
+        mul, log = self._mul, self.field._log
         from_bytes, to_bytes = int.from_bytes, int.to_bytes
         n, t = self.n, self.t
         width = 3 * t + 2

@@ -2,15 +2,15 @@
 
 The message-to-codeword map is c = k·G with a public G kept in reduced
 row echelon form, so the message is read back off the pivot columns.
-Decoding is bounded-distance, with one decoder per code family, chosen
-by the ``LinearCode`` constructor: BCH codes (those built over a field)
-decode algebraically (see the bch module), every other code by
-syndrome lookup table.  Either decoder's tables are built on its first
-decode, so a code that never decodes builds none.  For n <= 16
-``LinearCode`` then runs that syndrome table once on every received
-word, the whole decode map, which ``decode`` indexes.  Every decoder returns ``(ok, flips)``: ``flips`` is
-an int with bit j set for each position j to flip, and 0 when ``ok`` is
-False.
+Decoding is bounded-distance, with one decoder per code family, which
+``LinearCode.decoder`` chooses and builds whole on the code's first
+decode, so a code that never decodes builds none: BCH codes (those
+built over a field) decode algebraically (see the bch module), every
+other code by syndrome lookup table.  For n <= 16 it then runs that
+syndrome table once on every received word, the whole decode map,
+which ``decode`` indexes.  Every decoder returns ``(ok, flips)``:
+``flips`` is an int with bit j set for each position j to flip, and 0
+when ``ok`` is False.
 
 Inside this layer an n-bit word (codeword, received word, flip mask) is
 an int, bit j the symbol at position j; ``BitWord`` carries only the
@@ -50,12 +50,13 @@ class LinearCode:
     pivot p whose row of G holds j.  A code over a field (any
     ``field_info`` but None, which must hold w and primitive_poly) must
     be BCH(w, t): n = 2^w - 1, every row has zero syndromes S_1..S_2t,
-    read off the decoder's per-position columns so that no syndrome
-    table is built, and m = n - |K| (the cyclotomic cosets of 1..2t), so
-    the rows span that whole code.  It decodes by Berlekamp-Massey +
-    Chien.  Any other code must have a minimum distance that corrects t
-    (checked for m <= WEIGHT_ENUM_MAX_M) and decodes by syndrome table,
-    which is built on the first decode.
+    read off ``bch.column_syndromes`` so that no syndrome table is
+    built, and m = n - |K| (the cyclotomic cosets of 1..2t), so the
+    rows span that whole code.  It decodes by Berlekamp-Massey + Chien
+    over that field.  Any other code must have a minimum distance that
+    corrects t (checked for m <= WEIGHT_ENUM_MAX_M) and decodes by
+    syndrome table.  The constructor builds no decoder: ``decoder``
+    builds one on the first decode.
     """
 
     def __init__(
@@ -83,10 +84,10 @@ class LinearCode:
         self.parity_check = BitMatrix(tuple(h_rows or [0]), n)  # (n-m) x n
         self.message_columns = pivots
         self._column_tables = None  # built on the first count_codewords
-        # a BCH decoder is set below; a syndrome table, and for n <= 16
-        # its decode map, wait for the first decode
+        # the decoder, and for n <= 16 its decode map, wait for the first decode
         self._decoder: Optional[Decoder] = None
         self._decode_map: Optional[list[tuple[bool, int]]] = None
+        self._field = None  # a BCH code's GF2m, set below
         if field_info is not None:
             try:
                 w, poly = field_info["w"], field_info["primitive_poly"]
@@ -96,16 +97,15 @@ class LinearCode:
                 ) from None
             bch.check_bch_parameters(w, t)  # before a field table is built for w
             field = bch.bch_field(w, poly)
-            decoder = bch.BchAlgebraicDecoder(field, t)
             bch_m = field.order - len(bch.cyclotomic_exponents(field.order, t))
             if (n, self.m) != (field.order, bch_m) or any(
-                decoder.column_syndromes(row) for row in generator.rows
+                bch.column_syndromes(field, t, generator.rows)
             ):
                 raise ParameterError(
                     f"[{n}, {self.m}] rows are not BCH(w={w}, t={t}), "
                     f"a [{field.order}, {bch_m}] code"
                 )
-            self._decoder = decoder
+            self._field = field
             return
         if self.m <= WEIGHT_ENUM_MAX_M:
             weights = self.weight_distribution()
@@ -212,12 +212,20 @@ class LinearCode:
 
     @property
     def decoder(self) -> Decoder:
-        """The BCH decoder, or the syndrome table and (n <= 16) its decode map."""
+        """The code's one decoder, chosen and built whole on the first call.
+
+        A BCH code's is the algebraic decoder over its field; any other
+        code's is its syndrome table and, for n <= 16, its decode map.
+        """
         decoder = self._decoder
         if decoder is None:
-            decoder = self._decoder = syndrome_table_decoder(self.parity_check, self.t)
-            if 1 << self.n <= SYNDROME_TABLE_MAX_PATTERNS:
-                self._decode_map = list(map(decoder, range(1 << self.n)))
+            if self._field is not None:
+                decoder = bch.BchAlgebraicDecoder(self._field, self.t)
+            else:
+                decoder = syndrome_table_decoder(self.parity_check, self.t)
+                if 1 << self.n <= SYNDROME_TABLE_MAX_PATTERNS:
+                    self._decode_map = list(map(decoder, range(1 << self.n)))
+            self._decoder = decoder
         return decoder
 
     def decode(self, received: int) -> tuple[bool, int]:

@@ -7,6 +7,10 @@ sum_i p_x * p_weight_le_t_given_i (times p_forge_given_i below n - t).
 
 The Born-rule oracle: the four BB84 states as amplitudes, whose
 measurement probabilities the qubit simulator's readouts must follow.
+
+The coverage law of a Monte Carlo interval: the successes k whose
+Clopper-Pearson interval holds a given p, so a sampled interval test has
+an exact counterpart that no change of the random stream re-rolls.
 """
 
 import math
@@ -16,6 +20,7 @@ from math import comb
 
 from qauth.errors import DimensionError
 from qauth.qsim import Basis
+from qauth.verify import clopper_pearson
 
 _NORM_TOL = 1e-12
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -101,3 +106,27 @@ def born_probabilities(s, basis):
         p0 = abs(s.a0 + s.a1) ** 2 / 2.0
         p1 = abs(s.a0 - s.a1) ** 2 / 2.0
     return p0, p1
+
+
+def covering_range(trials, p):
+    """(lo, hi): the k in [lo, hi] are those whose interval of k successes holds p.
+
+    Both ends of ``clopper_pearson(k, trials)`` rise with k, so its
+    upper end reaches p from some k on and its lower end passes p from
+    some later k on; the k in between form one range, and bisection
+    finds each end.
+    """
+
+    def first(holds):
+        """The least k in [0, trials + 1] with ``holds(k)``, which stays true."""
+        lo, hi = 0, trials + 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if holds(mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+    low = first(lambda k: clopper_pearson(k, trials)[1] >= p)
+    return low, first(lambda k: clopper_pearson(k, trials)[0] > p) - 1

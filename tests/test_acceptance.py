@@ -24,13 +24,20 @@ from qauth.protocol import run_session
 from qauth.qsim import Basis, measure, prepare
 from qauth.rng import substream
 from qauth.verify import (
+    clopper_pearson,
     monte_carlo,
     oracle_intercept_resend,
     oracle_no_message,
     oracle_no_message_any_codeword,
     oracle_p_dec,
 )
-from reference_model import born_probabilities, p_forge_given_i, p_x, statevector_of
+from reference_model import (
+    born_probabilities,
+    covering_range,
+    p_forge_given_i,
+    p_x,
+    statevector_of,
+)
 
 # (w, t) -> (n, m) and the published security-table entries
 GRID = {
@@ -199,6 +206,21 @@ class TestCriterion5StatisticalSoundness:
         truth = oracle_no_message_any_codeword(code)
         assert truth == Fraction(28, 64)
         assert stats.ci_low <= truth <= stats.ci_high
+
+    def test_no_message_1m_exact_coverage(self):
+        # test_no_message_monte_carlo_1m's law: P(the interval of
+        # k ~ Binomial(10^6, 7/16) holds 7/16) >= 0.99.  Its 2557 terms
+        # take over 10 s in exact integers, even each from the last, so
+        # the binomial cdf sums them in floats: 0.990040, 4e-5 clear
+        from scipy.stats import binom
+
+        trials, p = 1_000_000, Fraction(7, 16)
+        lo, hi = covering_range(trials, p)
+        for k in (lo - 1, lo, hi, hi + 1):
+            low, high = clopper_pearson(k, trials)
+            assert (low <= p <= high) == (lo <= k <= hi), k
+        covered = binom.cdf(hi, trials, float(p)) - binom.cdf(lo - 1, trials, float(p))
+        assert covered >= 0.99
 
 
 class TestCriterion6ProtocolCompleteness:

@@ -23,8 +23,13 @@ from qauth.adversary import (
     InterceptResendStrategy,
     NoMessageStrategy,
 )
-from qauth.bch import BchAlgebraicDecoder, bch_generator_poly
-from qauth.codes import build_bch, syndrome_table_decoder
+from qauth.bch import (
+    BchAlgebraicDecoder,
+    bch_field,
+    bch_generator_poly,
+    column_syndromes,
+)
+from qauth.codes import LinearCode, build_bch, syndrome_table_decoder
 from qauth.errors import UnsupportedSizeError
 from qauth.gf2 import BitWord, DEFAULT_PRIMITIVE_POLY, GF2m
 from qauth.verify import monte_carlo
@@ -367,6 +372,45 @@ class TestAlgebraicMatchesReference:
         assert decoder(word) == reference(word) == (False, 0)
 
 
+class TestReciprocalField:
+    """A BCH code over the reciprocal of the default primitive polynomial.
+
+    Its rows are the shifts of the generator over that field, so it is
+    another code with the same n and m; the first decode builds the
+    decoder over the field the constructor resolved, not the default.
+    """
+
+    @staticmethod
+    def _code(w, t, poly):
+        g = bch_generator_poly(bch_field(w, poly), t)
+        n = (1 << w) - 1
+        m = n - (g.bit_length() - 1)
+        field_info = {"w": w, "primitive_poly": poly}
+        return LinearCode("x", [g << i for i in range(m)], n, t, field_info)
+
+    def test_every_word_of_bch_15_7_2_matches_the_table(self):
+        code = self._code(4, 2, 0b11001)
+        assert code._decoder is None
+        _assert_decoders_agree(code, range(1 << 15))
+        assert code.decoder.field.primitive_poly == 0b11001
+
+    def test_bch_63_18_matches_the_reference(self):
+        code = self._code(6, 10, 0b1100001)
+        assert (code.n, code.m) == (63, 18)
+        assert code.decode(0) == (True, 0)
+        decoder = code.decoder
+        assert decoder.field.primitive_poly == 0b1100001
+        reference = ReferenceBchDecoder(decoder.field, code.t)
+        rng = random.Random(6310)
+        for k in range(20000):
+            if k % 2:
+                received = rng.getrandbits(code.n)
+            else:
+                cw = code.encode(BitWord(rng.getrandbits(code.m), code.m))
+                received = cw ^ _mask(rng.sample(range(code.n), k % (code.t + 4)))
+            assert code.decode(received) == reference(received), received
+
+
 class TestLocatorRegister:
     """The locator as read off the register, checked without Chien search."""
 
@@ -413,17 +457,17 @@ def test_codeword_plus_error_decodes_as_the_reference(data, w):
 
 
 class TestLazyTables:
-    """Decoder and column tables wait for their first use.
+    """Decoders and column tables wait for their first use.
 
-    A BCH decoder's tables are its syndrome, multiplication and
-    Chien-search tables; a code's column tables are Bob's test, built
-    on the first ``count_codewords``.  Resolving the grid and computing
-    its table decodes nothing and tests no word, so it builds none of
-    them: their memory and build time stay out of the start-up of runs
-    that never need them.  The constructor checks a BCH code's rows from
-    the decoder's columns, so even it builds no syndrome table, and
-    honest and no-message sessions, which never decode, build no decoder
-    table either.
+    ``LinearCode.decoder`` builds a code's decoder, whole, on its first
+    decode; a code's column tables are Bob's test, built on the first
+    ``count_codewords``.  Resolving the grid and computing its table
+    decodes nothing and tests no word, so it builds no decoder object
+    and no column table: their memory and build time stay out of the
+    start-up of runs that never need them.  The constructor checks a
+    BCH code's rows with ``bch.column_syndromes``, so even it builds no
+    decoder, and honest and no-message sessions, which never decode,
+    build none either.
     """
 
     def test_table1_on_the_grid_builds_neither(self):
@@ -431,20 +475,19 @@ class TestLazyTables:
         assert len(codes) == 8
         analytics.table1(codes)
         for code in codes:
-            assert code.decoder._byte_rows is None, code.name
-            assert "_chien_terms" not in vars(code.decoder), code.name
+            assert code._decoder is None, code.name
             assert code._column_tables is None, code.name
 
     def test_table1_on_the_grid_builds_no_multiplication_tables(self):
-        # _mul, one translate table per exponent (twice round), waits for
-        # the first Berlekamp-Massey run
+        # _mul, one translate table per exponent (twice round), is part
+        # of the decoder, which the first decode builds whole
         codes = [cli.resolve_code(s) for s in cli.DEFAULT_TABLE_CODES]
         analytics.table1(codes)
         for code in codes:
-            assert code.decoder._mul is None, code.name
+            assert code._decoder is None, code.name
         code = codes[0]
         code.decode(0b11)
-        assert len(code.decoder._mul) == 2 * code.n
+        assert len(code._decoder._mul) == 2 * code.n
 
     @pytest.mark.parametrize("selector", ["hamming74", "bch-31-6-7"])
     def test_monte_carlo_that_tests_a_readout_builds_column_tables(self, selector):
@@ -468,19 +511,20 @@ class TestLazyTables:
         code = cli.resolve_code("bch-63-18")
         monte_carlo(code, 50, 3)
         monte_carlo(code, 50, 3, NoMessageStrategy(BitWord(1, code.m)))
-        decoder = code.decoder
-        assert decoder._byte_rows is None
-        assert decoder._mul is None
-        assert "_chien_terms" not in vars(decoder)
+        assert code._decoder is None
 
     def test_first_use_builds_them(self):
         code = build_bch(6, 10)
-        assert code.decoder._byte_rows is None
+        assert code._decoder is None
         code.decode(0b111)  # three errors: Chien search finds them
+        decoder = code._decoder
+        assert isinstance(decoder, BchAlgebraicDecoder)
+        assert code.decoder is decoder
+        assert len(decoder._byte_rows) == (code.n + 7) // 8
+        assert len(decoder._mul) == 2 * code.n
+        assert len(decoder._chien_terms) == code.t
         assert code._column_tables is None
         assert code.is_codeword(0)
-        assert len(code.decoder._byte_rows) == (code.n + 7) // 8
-        assert len(vars(code.decoder)["_chien_terms"]) == code.t
         assert code._column_tables is not None
 
     def test_column_syndromes_are_the_syndromes(self, grid_codes):
@@ -490,7 +534,6 @@ class TestLazyTables:
             decoder = code.decoder
             words = [1 << j for j in range(code.n)]
             words += [rng.getrandbits(code.n) for _ in range(200)]
-            for word in words:
-                assert decoder.column_syndromes(word) == decoder.syndromes(word), (
-                    code.name, word,
-                )
+            assert column_syndromes(decoder.field, code.t, words) == [
+                decoder.syndromes(word) for word in words
+            ], code.name

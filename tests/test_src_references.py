@@ -9,7 +9,9 @@ the same spelling is some local.  Every parameter with a default must
 be passed by some call there, and no parameter may get one literal
 from every call there.  Tests do not count as callers.  Inside
 ``verify``, only ``monte_carlo`` names a source of randomness, and
-nothing names ``is_codeword``.
+nothing names ``is_codeword``.  Only ``LinearCode.decoder`` builds a
+decoder, and ``BchAlgebraicDecoder`` sets every attribute in its
+``__init__``.
 """
 
 import ast
@@ -487,3 +489,142 @@ def test_verify_counts_readouts_with_count_codewords():
     tree = ast.parse((ROOT / "src" / "qauth" / "verify.py").read_text())
     found = _named_outside(tree, {"is_codeword"})
     assert found == [], f"verify names is_codeword: {found}"
+
+
+# what building a decoder calls; only LinearCode.decoder may call them
+DECODER_BUILDERS = {"BchAlgebraicDecoder", "syndrome_table_decoder"}
+
+
+def _calls_by_owner(module, tree, names):
+    """(place, owner) per call of one of ``names`` in ``tree``: its file and
+    line, and the qualified name of the innermost def or class around it
+    (the module itself at module level)."""
+    found = []
+
+    def visit(node, owner):
+        for sub in ast.iter_child_nodes(node):
+            if isinstance(sub, DEFS):
+                visit(sub, f"{owner}.{sub.name}")
+                continue
+            if isinstance(sub, ast.Call) and _call_name(sub) in names:
+                found.append((f"{module}.py:{sub.lineno}", owner))
+            visit(sub, owner)
+
+    visit(tree, module)
+    return found
+
+
+@pytest.mark.parametrize("source, found", [
+    ("class LinearCode:\n"
+     "    @property\n"
+     "    def decoder(self):\n"
+     "        return syndrome_table_decoder(self.h, self.t)",
+     [("codes.py:4", "codes.LinearCode.decoder")]),
+    ("class LinearCode:\n"
+     "    def __init__(self, field, t):\n"
+     "        self._decoder = bch.BchAlgebraicDecoder(field, t)",
+     [("codes.py:3", "codes.LinearCode.__init__")]),
+    ("DECODER = syndrome_table_decoder(H, 1)", [("codes.py:1", "codes")]),
+    ("is_bch = isinstance(decoder, BchAlgebraicDecoder)", []),
+])
+def test_a_decoder_build_is_placed_by_its_owner(source, found):
+    tree = ast.parse(source)
+    assert _calls_by_owner("codes", tree, DECODER_BUILDERS) == found
+
+
+def test_only_linear_code_decoder_builds_a_decoder():
+    # one place chooses and builds a code's decoder, on its first decode
+    found = [
+        (place, owner)
+        for path in sorted((ROOT / "src" / "qauth").glob("*.py"))
+        for place, owner in _calls_by_owner(
+            path.stem, ast.parse(path.read_text()), DECODER_BUILDERS
+        )
+        if owner != "codes.LinearCode.decoder"
+    ]
+    assert found == [], f"decoders built outside LinearCode.decoder: {found}"
+
+
+def _decorator_names(function):
+    decorators = function.decorator_list
+    return {getattr(d, "id", None) or getattr(d, "attr", None) for d in decorators}
+
+
+def _self_attributes(function):
+    return [
+        node
+        for node in ast.walk(function)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ]
+
+
+def _attributes_set_outside_init(cls):
+    """(line, name) per ``self`` attribute that ``cls`` builds outside ``__init__``.
+
+    That is an attribute a method other than ``__init__`` stores, one it
+    reads that neither ``__init__`` assigns nor the class defines as a
+    method, and every ``cached_property`` (at its definition).
+    """
+    functions = [f for f in cls.body if isinstance(f, ast.FunctionDef)]
+    lazy = {f.name for f in functions if "cached_property" in _decorator_names(f)}
+    found = [(f.lineno, f.name) for f in functions if f.name in lazy]
+    known = {f.name for f in functions} - lazy
+    for function in functions:
+        if function.name == "__init__":
+            known |= {
+                a.attr for a in _self_attributes(function) if isinstance(a.ctx, ast.Store)
+            }
+    for function in functions:
+        if function.name != "__init__":
+            found += [
+                (a.lineno, a.attr)
+                for a in _self_attributes(function)
+                if isinstance(a.ctx, ast.Store) or a.attr not in known
+            ]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("body, found", [
+    ("def lookup(self, v):\n"
+     "    return self._rows[v]", []),
+    ("def lookup(self, v):\n"
+     "    if self._table is None:\n"
+     "        self._table = build()\n"
+     "    return self._table[v]", [(8, "_table")]),
+    ("def lookup(self, v):\n"
+     "    return (self._table or self._build())[v]\n"
+     "def _build(self):\n"
+     "    self._table = build()\n"
+     "    return self._table", [(9, "_table")]),
+    ("@cached_property\n"
+     "def _terms(self):\n"
+     "    return build()\n"
+     "def lookup(self, v):\n"
+     "    return self._terms[v]", [(7, "_terms"), (10, "_terms")]),
+    ("def lookup(self, v):\n"
+     "    return self._missing[v]", [(7, "_missing")]),
+])
+def test_a_table_built_outside_init_is_flagged(body, found):
+    source = textwrap.dedent("""
+        class Decoder:
+            def __init__(self, t):
+                self._rows = build()
+                self._table = None
+    """) + textwrap.indent(body, "    ")
+    cls = ast.parse(source).body[0]
+    assert _attributes_set_outside_init(cls) == found
+
+
+def test_bch_decoder_is_built_whole():
+    # a decoder that exists holds every table it decodes with, so there
+    # is no lazy build inside it to follow: LinearCode.decoder is the one
+    tree = ast.parse((ROOT / "src" / "qauth" / "bch.py").read_text())
+    cls = next(
+        node
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "BchAlgebraicDecoder"
+    )
+    found = _attributes_set_outside_init(cls)
+    assert found == [], f"BchAlgebraicDecoder builds attributes outside __init__: {found}"

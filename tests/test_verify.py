@@ -43,6 +43,7 @@ from qauth.verify import (
     _intercepted,
     _CHUNK,
 )
+from reference_model import covering_range
 
 
 @pytest.fixture(scope="module")
@@ -422,6 +423,24 @@ class TestMonteCarlo:
             rep3, 40000, 11, adversary=NoMessageStrategy(BitWord(1, 1))
         )
         assert stats.ci_low <= truth <= stats.ci_high
+
+    def test_no_message_interval_exact_coverage(self, rep3):
+        # test_no_message_interval_covers_oracle's law: P(the interval of
+        # k ~ Binomial(40000, 7/16) holds 7/16) >= 0.99, summed exactly
+        p = oracle_no_message_any_codeword(rep3)
+        assert p == Fraction(7, 16)
+        trials = 40000
+        lo, hi = covering_range(trials, p)
+        for k in (lo - 1, lo, hi, hi + 1):
+            low, high = clopper_pearson(k, trials)
+            assert (low <= p <= high) == (lo <= k <= hi), k
+        # 16^T·P(k) in integers, each term from the last by its ratio
+        term = comb(trials, lo) * 7**lo * 9 ** (trials - lo)
+        covered = term
+        for k in range(lo, hi):
+            term = term * (trials - k) * 7 // ((k + 1) * 9)
+            covered += term
+        assert 100 * covered >= 99 * 16**trials
 
     def test_coverage_meta(self, rep3):
         # the 99% interval should cover the truth in nearly all repeats
