@@ -18,8 +18,9 @@ Berlekamp-Massey runs on, one field element per byte lane, 3t + 2
 lanes wide with the locator at lane 3t - step (C·S stays below lane 3t
 while L <= t); a Chien search with one byte lane per position, one
 table lookup per locator term.  It returns ``(ok, flips)`` like every
-decoder, the roots packed into the int ``flips``.  For designed
-distance 2t+1 this is the same bounded-distance map as a syndrome
+decoder, the roots packed into the int ``flips``; for n <= 15 it runs
+once per syndrome coset, to fill the code's decode map.  For designed
+distance 2t+1 it is the same bounded-distance map as a syndrome
 table, which the tests use as its oracle.
 """
 

@@ -6,11 +6,11 @@ Decoding is bounded-distance, with one decoder per code family, which
 ``LinearCode.decoder`` chooses and builds whole on the code's first
 decode, so a code that never decodes builds none: BCH codes (those
 built over a field) decode algebraically (see the bch module), every
-other code by syndrome lookup table.  For n <= 16 it then runs that
-syndrome table once on every received word, the whole decode map,
-which ``decode`` indexes.  Every decoder returns ``(ok, flips)``:
-``flips`` is an int with bit j set for each position j to flip, and 0
-when ``ok`` is False.
+other code by syndrome lookup table.  For n <= 16, in either family,
+it decodes one word per syndrome coset and lays the answers out by
+word, the decode map (the standard array), which ``decode`` indexes.
+Every decoder returns ``(ok, flips)``: ``flips`` is an int with bit j
+set for each position j to flip, and 0 when ``ok`` is False.
 
 Inside this layer an n-bit word (codeword, received word, flip mask) is
 an int, bit j the symbol at position j; ``BitWord`` carries only the
@@ -214,8 +214,11 @@ class LinearCode:
     def decoder(self) -> Decoder:
         """The code's one decoder, chosen and built whole on the first call.
 
-        A BCH code's is the algebraic decoder over its field; any other
-        code's is its syndrome table and, for n <= 16, its decode map.
+        A BCH code's is the algebraic decoder over its field, any other
+        code's its syndrome table.  For n <= 16 it also builds the decode
+        map by coset: H is the identity on its free columns, so the word
+        holding s there lies in syndrome s's coset, and one decode of
+        each of those 2^(n-m) leaders answers every word of its coset.
         """
         decoder = self._decoder
         if decoder is None:
@@ -223,8 +226,15 @@ class LinearCode:
                 decoder = bch.BchAlgebraicDecoder(self._field, self.t)
             else:
                 decoder = syndrome_table_decoder(self.parity_check, self.t)
-                if 1 << self.n <= SYNDROME_TABLE_MAX_PATTERNS:
-                    self._decode_map = list(map(decoder, range(1 << self.n)))
+            if 1 << self.n <= SYNDROME_TABLE_MAX_PATTERNS:
+                leaders, syndromes = [0], [0]  # indexed by syndrome, by word
+                for j in range(self.n):
+                    if j not in self.message_columns:
+                        leaders += [w | 1 << j for w in leaders]
+                    column = mat_vec_mul(self.parity_check, 1 << j)
+                    syndromes += [s ^ column for s in syndromes]
+                coset = list(map(decoder, leaders))
+                self._decode_map = [coset[s] for s in syndromes]
             self._decoder = decoder
         return decoder
 
@@ -299,9 +309,8 @@ def syndrome_table_decoder(parity_check: BitMatrix, t: int) -> Decoder:
     The table holds every pattern of weight <= t; patterns of larger
     weight decode to whatever <= t pattern shares their syndrome
     (miscorrection) or to failure.  The decoder sums one byte table per
-    received byte into the syndrome and looks it up; ``LinearCode``
-    runs it once on every word of a code with n <= 16, the whole decode
-    map (the standard array).
+    received byte into the syndrome and looks it up; for n <= 16,
+    ``LinearCode.decoder`` runs it once per coset to fill the decode map.
     """
     n = parity_check.ncols
     radius = min(t, n)  # no pattern weighs more than n, whatever t a spec holds

@@ -203,8 +203,15 @@ def _assert_decoders_agree(code, values):
 
 
 class TestAlgebraicMatchesTable:
-    def test_every_word_of_bch_15_7_2(self):
-        _assert_decoders_agree(build_bch(4, 2), range(1 << 15))
+    # code.decode indexes these codes' decode maps, so this is the one
+    # test that runs Berlekamp-Massey itself on every word of them
+    @pytest.mark.parametrize(
+        "name", ["bch-7-4-1", "bch-15-11-1", "bch-15-7-2", "bch-15-5-3"]
+    )
+    def test_every_word(self, name):
+        code = cli.resolve_code(name)
+        assert isinstance(code.decoder, BchAlgebraicDecoder)
+        _assert_decoders_agree(code, range(1 << code.n))
 
     @pytest.mark.parametrize("w", [4, 5])
     @pytest.mark.parametrize("t", [1, 2, 3])
@@ -457,14 +464,15 @@ def test_codeword_plus_error_decodes_as_the_reference(data, w):
 
 
 class TestLazyTables:
-    """Decoders and column tables wait for their first use.
+    """Decoders, decode maps and column tables wait for their first use.
 
-    ``LinearCode.decoder`` builds a code's decoder, whole, on its first
-    decode; a code's column tables are Bob's test, built on the first
-    ``count_codewords``.  Resolving the grid and computing its table
-    decodes nothing and tests no word, so it builds no decoder object
-    and no column table: their memory and build time stay out of the
-    start-up of runs that never need them.  The constructor checks a
+    ``LinearCode.decoder`` builds a code's decoder, whole, and for
+    n <= 16 its decode map, on its first decode; a code's column tables
+    are Bob's test, built on the first ``count_codewords``.  Resolving
+    the grid and computing its table decodes nothing and tests no word,
+    so it builds no decoder object, no map and no column table: their
+    memory and build time stay out of the start-up of runs that never
+    need them.  The constructor checks a
     BCH code's rows with ``bch.column_syndromes``, so even it builds no
     decoder, and honest and no-message sessions, which never decode,
     build none either.
@@ -476,6 +484,7 @@ class TestLazyTables:
         analytics.table1(codes)
         for code in codes:
             assert code._decoder is None, code.name
+            assert code._decode_map is None, code.name
             assert code._column_tables is None, code.name
 
     def test_table1_on_the_grid_builds_no_multiplication_tables(self):
@@ -526,6 +535,17 @@ class TestLazyTables:
         assert code._column_tables is None
         assert code.is_codeword(0)
         assert code._column_tables is not None
+
+    @pytest.mark.parametrize(
+        "name", ["rep15", "hamming74", "bch-7-4-1", "bch-15-7-2", "bch-15-5-3"]
+    )
+    def test_first_decode_builds_the_decode_map(self, name):
+        code = cli.resolve_code(name)
+        assert code.is_codeword(0)  # Bob's test builds no decoder either
+        assert (code._decoder, code._decode_map) == (None, None)
+        assert code.decode(0) == (True, 0)
+        assert code._decoder is not None
+        assert len(code._decode_map) == 1 << code.n
 
     def test_column_syndromes_are_the_syndromes(self, grid_codes):
         # the constructor's row check reads the same linear map the tables hold

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qauth import cli
+from qauth import bch, cli, codes
 from qauth.codes import (
     SYNDROME_TABLE_MAX_PATTERNS,
     LinearCode,
@@ -386,8 +386,8 @@ def test_decode_matches_the_reference(name):
         ), received
 
 
-# codes small enough to decode every word, each family's fast path:
-# the decode map (n <= 16) and the algebraic BCH decoder
+# codes small enough to decode every word: each decodes by its decode
+# map, built from its family's decoder (Berlekamp-Massey for BCH codes)
 FAST_PATH_CODES = [f"rep{n}" for n in range(3, 13, 2)] + [
     "hamming74", "bch-7-4-1", "bch-15-11-1", "bch-15-7-2", "bch-15-5-3",
 ]
@@ -417,6 +417,60 @@ def test_decode_is_the_syndrome_table_on_random_codes(code):
     table = syndrome_table_decoder(code.parity_check, code.t)
     for word in range(1 << code.n):
         assert code.decode(word) == table(word), (code.generator.rows, word)
+
+
+def _counting(build, calls):
+    """``build``, whose decoders append every word they decode to ``calls``."""
+
+    def counted_build(*args):
+        decoder = build(*args)
+
+        def counted(word):
+            calls.append(word)
+            return decoder(word)
+
+        return counted
+
+    return counted_build
+
+
+class TestDecodeMapByCoset:
+    """One map rule for every code with n <= 16, of either family.
+
+    ``LinearCode.decoder`` decodes one leader per syndrome coset with the
+    code's own decoder and lays the answers out by word; no code with
+    n >= 17 builds a map.
+    """
+
+    @pytest.mark.parametrize(
+        "name", ["rep15", "hamming74", "bch-7-4-1", "bch-15-7-2", "bch-15-5-3"]
+    )
+    def test_one_decoder_call_per_coset(self, name, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            codes, "syndrome_table_decoder", _counting(syndrome_table_decoder, calls)
+        )
+        monkeypatch.setattr(
+            bch, "BchAlgebraicDecoder", _counting(bch.BchAlgebraicDecoder, calls)
+        )
+        code = cli.resolve_code(name)
+        cosets = 1 << (code.n - code.m)
+        code.decoder  # builds the decoder and the map, decoding no word of its own
+        assert len(calls) == cosets
+        # one leader of each coset: their syndromes are every syndrome
+        syndromes = sorted(mat_vec_mul(code.parity_check, w) for w in calls)
+        assert syndromes == list(range(cosets))
+        assert len(code._decode_map) == 1 << code.n
+        for word in range(0, 1 << code.n, 97):
+            code.decode(word)
+        assert len(calls) == cosets  # the map answers every later word
+
+    @pytest.mark.parametrize("name", ["rep17", "short-hamming17-12", "bch-31-6-7"])
+    def test_no_map_past_n_16(self, name):
+        code = _word_table_code(name)
+        code.decode(0)
+        assert code._decoder is not None
+        assert code._decode_map is None
 
 
 class TestSerialization:

@@ -10,7 +10,8 @@ be passed by some call there, and no parameter may get one literal
 from every call there.  Tests do not count as callers.  Inside
 ``verify``, only ``monte_carlo`` names a source of randomness, and
 nothing names ``is_codeword``.  Only ``LinearCode.decoder`` builds a
-decoder, and ``BchAlgebraicDecoder`` sets every attribute in its
+decoder or stores a decode map (which ``LinearCode.__init__`` sets to
+None), and ``BchAlgebraicDecoder`` sets every attribute in its
 ``__init__``.
 """
 
@@ -495,10 +496,10 @@ def test_verify_counts_readouts_with_count_codewords():
 DECODER_BUILDERS = {"BchAlgebraicDecoder", "syndrome_table_decoder"}
 
 
-def _calls_by_owner(module, tree, names):
-    """(place, owner) per call of one of ``names`` in ``tree``: its file and
-    line, and the qualified name of the innermost def or class around it
-    (the module itself at module level)."""
+def _placed_by_owner(module, tree, match):
+    """(place, owner) per node of ``tree`` that ``match`` accepts: its file
+    and line, and the qualified name of the innermost def or class around
+    it (the module itself at module level)."""
     found = []
 
     def visit(node, owner):
@@ -506,12 +507,30 @@ def _calls_by_owner(module, tree, names):
             if isinstance(sub, DEFS):
                 visit(sub, f"{owner}.{sub.name}")
                 continue
-            if isinstance(sub, ast.Call) and _call_name(sub) in names:
+            if match(sub):
                 found.append((f"{module}.py:{sub.lineno}", owner))
             visit(sub, owner)
 
     visit(tree, module)
     return found
+
+
+def _calls_by_owner(module, tree, names):
+    """(place, owner) per call of one of ``names`` in ``tree``."""
+    return _placed_by_owner(
+        module, tree, lambda node: isinstance(node, ast.Call) and _call_name(node) in names
+    )
+
+
+def _stores_by_owner(module, tree, attribute):
+    """(place, owner) per store to an attribute named ``attribute`` in ``tree``."""
+    return _placed_by_owner(
+        module,
+        tree,
+        lambda node: isinstance(node, ast.Attribute)
+        and node.attr == attribute
+        and isinstance(node.ctx, ast.Store),
+    )
 
 
 @pytest.mark.parametrize("source, found", [
@@ -543,6 +562,46 @@ def test_only_linear_code_decoder_builds_a_decoder():
         if owner != "codes.LinearCode.decoder"
     ]
     assert found == [], f"decoders built outside LinearCode.decoder: {found}"
+
+
+# the only places that may store a code's decode map: its None, and the build
+DECODE_MAP_OWNERS = {"codes.LinearCode.__init__", "codes.LinearCode.decoder"}
+
+
+@pytest.mark.parametrize("source, found", [
+    ("class LinearCode:\n"
+     "    def __init__(self):\n"
+     "        self._decode_map: Optional[list] = None",
+     [("codes.py:3", "codes.LinearCode.__init__")]),
+    ("class LinearCode:\n"
+     "    def decode(self, received):\n"
+     "        return self._decode_map[received]", []),
+    ("class LinearCode:\n"
+     "    def _build_map(self, decoder):\n"
+     "        self._decode_map = list(map(decoder, range(1 << self.n)))",
+     [("codes.py:3", "codes.LinearCode._build_map")]),
+    ("def tabulate(code):\n"
+     "    code._decode_map = [code.decode(w) for w in range(1 << code.n)]",
+     [("codes.py:2", "codes.tabulate")]),
+    ("code._decode_map, code._decoder = table, decoder",
+     [("codes.py:1", "codes")]),
+])
+def test_a_decode_map_store_is_placed_by_its_owner(source, found):
+    assert _stores_by_owner("codes", ast.parse(source), "_decode_map") == found
+
+
+def test_only_linear_code_decoder_builds_the_decode_map():
+    # the map is built from the decoder, at the one point that builds it,
+    # never beside it by another rule
+    found = [
+        (place, owner)
+        for path in sorted((ROOT / "src" / "qauth").glob("*.py"))
+        for place, owner in _stores_by_owner(
+            path.stem, ast.parse(path.read_text()), "_decode_map"
+        )
+        if owner not in DECODE_MAP_OWNERS
+    ]
+    assert found == [], f"decode maps stored outside LinearCode.decoder: {found}"
 
 
 def _decorator_names(function):
