@@ -12,16 +12,17 @@ The shifts have distinct degrees, so they span m dimensions; g then
 lies in BCH(w, t) with its generator's degree, so g is that generator
 and divides x^n + 1.  Every BCH code decodes with
 ``BchAlgebraicDecoder``, which ``LinearCode.decoder`` builds whole on
-the code's first decode: all 2t syndromes from one pass of per-byte
-tables, already the int register that binary (odd-step)
-Berlekamp-Massey runs on, one field element per byte lane, 3t + 2
-lanes wide with the locator at lane 3t - step (C·S stays below lane 3t
-while L <= t); a Chien search with one byte lane per position, one
-table lookup per locator term.  It returns ``(ok, flips)`` like every
-decoder, the roots packed into the int ``flips``; for n <= 15 it runs
-once per syndrome coset, to fill the code's decode map.  For designed
-distance 2t+1 it is the same bounded-distance map as a syndrome
-table, which the tests use as its oracle.
+the code's first decode: all 2t syndromes from one pass of the byte
+tables of ``syndrome_columns``, already the int register that binary
+(odd-step) Berlekamp-Massey runs on, one field element per byte lane,
+3t + 2 lanes wide with the locator at lane 3t - step (C·S stays below
+lane 3t while L <= t); a Chien search with one byte lane per position,
+one lookup per locator term in a ``gf2.linear_table``.  It returns
+``(ok, flips)`` like every decoder, the roots packed into the int
+``flips``; for n <= 15 it runs once per syndrome coset, to fill the
+code's decode map.  For designed distance 2t+1 it is the same
+bounded-distance map as a syndrome table, which the tests use as its
+oracle.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import ParameterError, UnsupportedSizeError
-from .gf2 import GF2m, linear_byte_tables
+from .gf2 import GF2m, linear_byte_tables, linear_table
 
 
 def cyclotomic_exponents(order: int, designed_t: int) -> set[int]:
@@ -69,19 +70,22 @@ def bch_field(w: int, primitive_poly: int) -> GF2m:
     return GF2m(w, primitive_poly)
 
 
-def column_syndromes(field: GF2m, t: int, words: list[int]) -> list[int]:
-    """S_1..S_2t of each word, S_k in byte lane k-1: the XOR of its columns.
-
-    Column j holds the syndromes of a flip at position j, S_k =
-    alpha^(kj).  One step per set bit and no table, so checking a
-    code's generator rows, which ``LinearCode`` does once, builds none;
-    the decoder's syndrome tables are the byte tables of the columns.
-    """
+def syndrome_columns(field: GF2m, t: int) -> list[int]:
+    """Column j: S_1..S_2t of a flip at position j, S_k = alpha^(kj) in lane k-1."""
     n, exp = field.order, field._exp
-    columns = [
+    return [
         int.from_bytes(bytes(exp[k * j % n] for k in range(1, 2 * t + 1)), "little")
         for j in range(n)
     ]
+
+
+def column_syndromes(field: GF2m, t: int, words: list[int]) -> list[int]:
+    """S_1..S_2t of each word, S_k in byte lane k-1: the XOR of its columns.
+
+    One step per set bit and no table, so checking a code's generator
+    rows, which ``LinearCode`` does once, builds none.
+    """
+    columns = syndrome_columns(field, t)
     syndromes = []
     for word in words:
         acc = 0
@@ -112,9 +116,7 @@ class BchAlgebraicDecoder:
         self.t = t
         self.n = n = field.order
         exp, log = field._exp, field._log
-        self._byte_rows = linear_byte_tables(
-            column_syndromes(field, t, [1 << j for j in range(n)])
-        )
+        self._byte_rows = linear_byte_tables(syndrome_columns(field, t))
         self._n_bytes = (n + 7) >> 3
         # _mul[k] is the bytes.translate table of b -> alpha^k·b, k < 2n:
         # indexed by exponent, twice round, so a Berlekamp-Massey step
@@ -123,9 +125,8 @@ class BchAlgebraicDecoder:
         self._mul = mul + mul
         # _chien_terms[k-1][c] is locator term k at every alpha^-j, times
         # coefficient c: lane j is c·alpha^(-jk).  Multiplying by c is
-        # GF(2)-linear in c's bits, so each of the t tables is the byte
-        # table of the w single-bit multiples, cut to its 2^w entries.
-        size = 1 << field.w
+        # GF(2)-linear in c's bits, so each of the t tables is the
+        # linear table of the w single-bit multiples.
         self._chien_terms = []
         for k in range(1, t + 1):
             lanes = bytes(exp[-j * k % n] for j in range(n))
@@ -133,7 +134,7 @@ class BchAlgebraicDecoder:
                 int.from_bytes(lanes.translate(mul[log[1 << i]]), "little")
                 for i in range(field.w)
             ]
-            self._chien_terms.append(linear_byte_tables(bit_multiples)[0][:size])
+            self._chien_terms.append(linear_table(bit_multiples))
         # the locator's constant term, 1, in every lane
         self._ones = int.from_bytes(b"\1" * n, "little")
 

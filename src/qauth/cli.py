@@ -143,10 +143,7 @@ def cmd_code_build(args) -> int:
     else:
         code = make_hamming_7_4()
     if args.out is not None:
-        try:
-            code.save_spec(args.out)
-        except OSError as exc:
-            raise ConfigError(f"cannot write {args.out}: {exc}") from None
+        _write(json.dumps(code.to_spec_dict(), indent=2) + "\n", args.out)
     print(
         f"{code.name}: n={code.n} m={code.m} t={code.t} "
         f"rank(G)={code.m} rank(H)={code.n - code.m}"

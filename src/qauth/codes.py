@@ -3,14 +3,15 @@
 The message-to-codeword map is c = k·G with a public G kept in reduced
 row echelon form, so the message is read back off the pivot columns.
 Decoding is bounded-distance, with one decoder per code family, which
-``LinearCode.decoder`` chooses and builds whole on the code's first
-decode, so a code that never decodes builds none: BCH codes (those
-built over a field) decode algebraically (see the bch module), every
-other code by syndrome lookup table.  For n <= 16, in either family,
-it decodes one word per syndrome coset and lays the answers out by
-word, the decode map (the standard array), which ``decode`` indexes.
-Every decoder returns ``(ok, flips)``: ``flips`` is an int with bit j
-set for each position j to flip, and 0 when ``ok`` is False.
+``LinearCode.decoder`` chooses and builds whole, from the code's
+syndrome columns, on its first decode, so a code that never decodes
+builds none: BCH codes (those built over a field) decode
+algebraically (see the bch module), every other code by syndrome
+lookup table.  For n <= 16, in either family, it decodes one word per
+syndrome coset and lays the answers out by word, the decode map (the
+standard array), which ``decode`` indexes.  Every decoder returns
+``(ok, flips)``: ``flips`` is an int with bit j set for each position
+j to flip, and 0 when ``ok`` is False.
 
 Inside this layer an n-bit word (codeword, received word, flip mask) is
 an int, bit j the symbol at position j; ``BitWord`` carries only the
@@ -28,7 +29,8 @@ from typing import Callable, Iterator, Optional
 
 from . import bch
 from .errors import DimensionError, ParameterError, SpecError, UnsupportedSizeError
-from .gf2 import DEFAULT_PRIMITIVE_POLY, BitMatrix, BitWord, linear_byte_tables, mat_vec_mul
+from .gf2 import DEFAULT_PRIMITIVE_POLY, BitMatrix, BitWord, mat_vec_mul
+from .gf2 import linear_byte_tables, linear_table
 
 # Patterns of weight <= t a syndrome table may enumerate: 2^16 builds in
 # under a second (rep17); a random [45, 21] code at t = 6 would need 9.5M.
@@ -189,10 +191,8 @@ class LinearCode:
         rows = [0] * self.n
         for p, row in zip(self.message_columns, self.generator.rows):
             rows[p] = row
-        reencode = {
-            b: linear_byte_tables(rows[8 * b : 8 * b + 8])[0]
-            for b in sorted({p >> 3 for p in self.message_columns})
-        }
+        tables = linear_byte_tables(rows)
+        reencode = {b: tables[b] for b in sorted({p >> 3 for p in self.message_columns})}
         columns = []
         for o in range((self.n + 7) >> 3):
             terms = [] if o in reencode else [(o, None)]
@@ -215,26 +215,25 @@ class LinearCode:
         """The code's one decoder, chosen and built whole on the first call.
 
         A BCH code's is the algebraic decoder over its field, any other
-        code's its syndrome table.  For n <= 16 it also builds the decode
-        map by coset: H is the identity on its free columns, so the word
-        holding s there lies in syndrome s's coset, and one decode of
-        each of those 2^(n-m) leaders answers every word of its coset.
+        code's the syndrome table of H's n columns, computed here once.
+        For n <= 16 it also builds the decode map by coset: H is the
+        identity on its free columns, so the word holding s there lies
+        in syndrome s's coset, and one decode of each of those 2^(n-m)
+        leaders answers every word of its coset.
         """
         decoder = self._decoder
         if decoder is None:
+            small = 1 << self.n <= SYNDROME_TABLE_MAX_PATTERNS
+            if self._field is None or small:
+                columns = [mat_vec_mul(self.parity_check, 1 << j) for j in range(self.n)]
             if self._field is not None:
                 decoder = bch.BchAlgebraicDecoder(self._field, self.t)
             else:
-                decoder = syndrome_table_decoder(self.parity_check, self.t)
-            if 1 << self.n <= SYNDROME_TABLE_MAX_PATTERNS:
-                leaders, syndromes = [0], [0]  # indexed by syndrome, by word
-                for j in range(self.n):
-                    if j not in self.message_columns:
-                        leaders += [w | 1 << j for w in leaders]
-                    column = mat_vec_mul(self.parity_check, 1 << j)
-                    syndromes += [s ^ column for s in syndromes]
-                coset = list(map(decoder, leaders))
-                self._decode_map = [coset[s] for s in syndromes]
+                decoder = syndrome_table_decoder(columns, self.t)
+            if small:
+                free = [1 << j for j in range(self.n) if j not in self.message_columns]
+                coset = list(map(decoder, linear_table(free)))  # by syndrome
+                self._decode_map = [coset[s] for s in linear_table(columns)]
             self._decoder = decoder
         return decoder
 
@@ -245,7 +244,8 @@ class LinearCode:
         one whenever the true error weight was <= t, and may be a
         miscorrection otherwise.  A failed decode flips nothing.  Once
         built, the decode map answers a word of at most n bits by one
-        list index; any other word ends in the range check.
+        list index, the first decode's word too; any other word ends in
+        the range check.
         """
         table = self._decode_map
         if table is not None and received >= 0:
@@ -255,7 +255,9 @@ class LinearCode:
                 pass
         if received < 0 or received >> self.n:
             raise DimensionError(f"word {received:#x} does not fit in n={self.n} bits")
-        return (self._decoder or self.decoder)(received)
+        decoder = self._decoder or self.decoder  # the first decode builds it and the map
+        table = self._decode_map
+        return decoder(received) if table is None else table[received]
 
     # -- enumeration ----------------------------------------------------------
 
@@ -297,22 +299,18 @@ class LinearCode:
             "field": self.field_info,
         }
 
-    def save_spec(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_spec_dict(), fh, indent=2)
-            fh.write("\n")
 
-
-def syndrome_table_decoder(parity_check: BitMatrix, t: int) -> Decoder:
+def syndrome_table_decoder(columns: list[int], t: int) -> Decoder:
     """Bounded-distance decoding via a syndrome -> error-pattern table.
 
-    The table holds every pattern of weight <= t; patterns of larger
+    ``columns[j]`` is H's column j, the syndrome of a flip at j.  The
+    table holds every pattern of weight <= t; patterns of larger
     weight decode to whatever <= t pattern shares their syndrome
     (miscorrection) or to failure.  The decoder sums one byte table per
     received byte into the syndrome and looks it up; for n <= 16,
     ``LinearCode.decoder`` runs it once per coset to fill the decode map.
     """
-    n = parity_check.ncols
+    n = len(columns)
     radius = min(t, n)  # no pattern weighs more than n, whatever t a spec holds
     patterns = sum(comb(n, h) for h in range(radius + 1))
     if patterns > SYNDROME_TABLE_MAX_PATTERNS:
@@ -321,8 +319,6 @@ def syndrome_table_decoder(parity_check: BitMatrix, t: int) -> Decoder:
             f"at least 2^{patterns.bit_length() - 1} error patterns of weight "
             f"<= {t} exceed the syndrome-table bound ({SYNDROME_TABLE_MAX_PATTERNS})"
         )
-    # columns[j] is the syndrome of a flip at position j
-    columns = [mat_vec_mul(parity_check, 1 << j) for j in range(n)]
     # syndrome -> the decode result, built once: (True, error pattern)
     table = {0: (True, 0)}
     for w in range(1, radius + 1):
@@ -395,7 +391,7 @@ def _count(d: dict, key: str, where: str, low: int = 0) -> int:
 
 
 def _hex_rows(d: dict, key: str, n: int, where: str) -> list[int]:
-    """``d[key]``'s rows: strings of hex digits only, as ``save_spec`` writes."""
+    """``d[key]``'s rows: strings of hex digits only, as ``code build --out`` writes."""
     value = d[key]
     if not isinstance(value, list) or not all(
         isinstance(r, str) and r and set(r) <= set(hexdigits) for r in value
@@ -409,7 +405,7 @@ def _hex_rows(d: dict, key: str, n: int, where: str) -> list[int]:
 
 
 def load_code_spec(path) -> LinearCode:
-    """Rebuild a code from the JSON spec written by ``save_spec``.
+    """Rebuild a code from the JSON spec that ``code build --out`` writes.
 
     ``name`` must be a string, n, m and t integers, a ``field`` other
     than absent or null an object whose w and primitive_poly are

@@ -2,7 +2,8 @@
 
 Words and matrix rows are bit-packed into Python ints.  Index 0 is the
 leftmost / first-transmitted bit everywhere and maps to bit 0 (the LSB)
-of the backing integer.  String renderings put index 0 first.
+of the backing integer.  String renderings put index 0 first.  Every
+lookup table of a GF(2)-linear map in qauth is a ``linear_table``.
 
 Lengths are capped at MAX_LEN; the protocol needs n <= 127 and the cap
 keeps enumeration oracles honest about their cost.
@@ -133,23 +134,26 @@ def mat_vec_mul(m: BitMatrix, v: int) -> int:
     return out
 
 
-def linear_byte_tables(columns: list[int]) -> list[list[int]]:
-    """Per-byte lookup tables of the GF(2)-linear map bit j -> ``columns[j]``.
+def linear_table(columns: list[int]) -> list[int]:
+    """The 2^k-entry table of the GF(2)-linear map bit j -> ``columns[j]``.
 
-    ``tables[b][v]`` is the image of the word whose bits 8b..8b+7 hold v
-    and whose other bits are 0, so a word's image is the XOR of
-    ``tables[b][byte]`` over its little-endian bytes: one lookup per
-    byte instead of one parity per output bit.
+    ``table[v]`` is the XOR of ``columns[j]`` over the set bits j of v,
+    built by doubling: each column XORs into a copy of the table so far.
+    """
+    table = [0]
+    for column in columns:
+        table += [v ^ column for v in table]
+    return table
+
+
+def linear_byte_tables(columns: list[int]) -> list[list[int]]:
+    """The ``linear_table`` of each 8 columns, zero-padded to 256 entries.
+
+    A word's image is the XOR of ``tables[b][byte]`` over its
+    little-endian bytes: one lookup per byte, not one parity per output bit.
     """
     columns = columns + [0] * (-len(columns) % 8)
-    tables = []
-    for base in range(0, len(columns), 8):
-        table = [0] * 256
-        for v in range(1, 256):
-            low = v & -v
-            table[v] = table[v ^ low] ^ columns[base + low.bit_length() - 1]
-        tables.append(table)
-    return tables
+    return [linear_table(columns[b : b + 8]) for b in range(0, len(columns), 8)]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,9 @@ measurement probabilities the qubit simulator's readouts must follow.
 The coverage law of a Monte Carlo interval: the successes k whose
 Clopper-Pearson interval holds a given p, so a sampled interval test has
 an exact counterpart that no change of the random stream re-rolls.
+
+The syndrome table of any code, from H's columns: the decoder that the
+algebraic decoder and every decode map must agree with.
 """
 
 import math
@@ -18,7 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from qauth.codes import syndrome_table_decoder
 from qauth.errors import DimensionError
+from qauth.gf2 import mat_vec_mul
 from qauth.qsim import Basis
 from qauth.verify import clopper_pearson
 
@@ -130,3 +135,9 @@ def covering_range(trials, p):
 
     low = first(lambda k: clopper_pearson(k, trials)[1] >= p)
     return low, first(lambda k: clopper_pearson(k, trials)[0] > p) - 1
+
+
+def table_decoder(code):
+    """The syndrome table of ``code``, built from H's n columns."""
+    columns = [mat_vec_mul(code.parity_check, 1 << j) for j in range(code.n)]
+    return syndrome_table_decoder(columns, code.t)

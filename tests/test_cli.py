@@ -76,14 +76,14 @@ class TestResolveCode:
 
     def test_spec_file(self, tmp_path):
         path = tmp_path / "spec.json"
-        resolve_code("hamming74").save_spec(path)
+        path.write_text(json.dumps(resolve_code("hamming74").to_spec_dict()))
         code = resolve_code(str(path))
         assert (code.n, code.m, code.t) == (7, 4, 1)
 
     def test_builtin_names_win_over_files(self, tmp_path, monkeypatch):
         # a folder rep3 and a file hamming74 in the working directory
         (tmp_path / "rep3").mkdir()
-        resolve_code("rep5").save_spec(tmp_path / "hamming74")
+        (tmp_path / "hamming74").write_text(json.dumps(resolve_code("rep5").to_spec_dict()))
         monkeypatch.chdir(tmp_path)
         assert resolve_code("rep3").name == "rep3"
         assert resolve_code("hamming74").name == "hamming74"

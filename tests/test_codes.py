@@ -28,6 +28,7 @@ from qauth.errors import (
     UnsupportedSizeError,
 )
 from qauth.gf2 import DEFAULT_PRIMITIVE_POLY, BitMatrix, BitWord, mat_vec_mul
+from reference_model import table_decoder
 
 
 @pytest.fixture(scope="module")
@@ -204,7 +205,7 @@ class TestOneReduction:
     def test_loading_a_spec_reduces_once(self, ham, tmp_path, reductions):
         path = tmp_path / "code.json"
         for code in (ham, build_bch(4, 2)):
-            code.save_spec(path)
+            path.write_text(json.dumps(code.to_spec_dict()))
             del reductions[:]
             load_code_spec(path)
             assert len(reductions) == 1, code.name
@@ -396,7 +397,7 @@ FAST_PATH_CODES = [f"rep{n}" for n in range(3, 13, 2)] + [
 @pytest.mark.parametrize("name", FAST_PATH_CODES)
 def test_decode_is_the_syndrome_table_on_every_word(name):
     code = cli.resolve_code(name)
-    table = syndrome_table_decoder(code.parity_check, code.t)
+    table = table_decoder(code)
     for word in range(1 << code.n):
         assert code.decode(word) == table(word), word
 
@@ -414,7 +415,7 @@ def _decodable_code(draw):
 @given(code=_decodable_code())
 @settings(max_examples=60, deadline=None)
 def test_decode_is_the_syndrome_table_on_random_codes(code):
-    table = syndrome_table_decoder(code.parity_check, code.t)
+    table = table_decoder(code)
     for word in range(1 << code.n):
         assert code.decode(word) == table(word), (code.generator.rows, word)
 
@@ -465,6 +466,35 @@ class TestDecodeMapByCoset:
             code.decode(word)
         assert len(calls) == cosets  # the map answers every later word
 
+    @pytest.mark.parametrize("name", ["rep15", "hamming74", "bch-15-7-2"])
+    def test_first_decode_reads_its_own_map(self, name, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            codes, "syndrome_table_decoder", _counting(syndrome_table_decoder, calls)
+        )
+        monkeypatch.setattr(
+            bch, "BchAlgebraicDecoder", _counting(bch.BchAlgebraicDecoder, calls)
+        )
+        code = cli.resolve_code(name)
+        assert code.decode(0) == (True, 0)
+        assert len(calls) == 1 << (code.n - code.m)  # the leaders, and no more
+
+    @pytest.mark.parametrize("name", ["hamming74", "rep17", "bch-15-7-2", "bch-31-6-7"])
+    def test_h_columns_are_computed_once(self, name, monkeypatch):
+        # a table code's decoder and its map share H's n columns; a BCH
+        # code needs them only for its map, its decoder reads bch.syndrome_columns
+        calls = []
+
+        def counted(matrix, v):
+            calls.append(v)
+            return mat_vec_mul(matrix, v)
+
+        monkeypatch.setattr(codes, "mat_vec_mul", counted)
+        code = _word_table_code(name)
+        code.decode(0)
+        needed = code._field is None or code._decode_map is not None
+        assert calls == ([1 << j for j in range(code.n)] if needed else [])
+
     @pytest.mark.parametrize("name", ["rep17", "short-hamming17-12", "bch-31-6-7"])
     def test_no_map_past_n_16(self, name):
         code = _word_table_code(name)
@@ -479,7 +509,7 @@ class TestSerialization:
     )
     def test_spec_roundtrip(self, code, tmp_path):
         path = tmp_path / "code.json"
-        code.save_spec(path)
+        path.write_text(json.dumps(code.to_spec_dict()))
         loaded = load_code_spec(path)
         assert loaded.generator == code.generator
         assert loaded.parity_check == code.parity_check
@@ -518,7 +548,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("row", ["-7", "0x7", " 7 ", "+7", "7_0", "", "f"])
     def test_malformed_rows_name_the_file(self, row, tmp_path):
-        # only hex digits, as save_spec writes them, and at most n bits wide
+        # only hex digits, as code build --out writes them, and at most n bits wide
         spec = {"name": "rep3", "n": 3, "m": 1, "t": 1, "generator_rows": [row]}
         path = tmp_path / "code.json"
         path.write_text(json.dumps(spec))
@@ -528,7 +558,7 @@ class TestSerialization:
     @pytest.mark.parametrize("code", SMALL_CODES, indirect=True)
     def test_unedited_specs_pass_the_distance_check(self, code, tmp_path):
         path = tmp_path / "code.json"
-        code.save_spec(path)
+        path.write_text(json.dumps(code.to_spec_dict()))
         assert load_code_spec(path).t == code.t
 
     @pytest.mark.parametrize("text", [

@@ -10,6 +10,8 @@ from qauth.gf2 import (
     BitWord,
     DEFAULT_PRIMITIVE_POLY,
     GF2m,
+    linear_byte_tables,
+    linear_table,
     mat_vec_mul,
 )
 
@@ -90,6 +92,43 @@ class TestBitMatrix:
         u = data.draw(st.integers(0, (1 << n) - 1))
         v = data.draw(st.integers(0, (1 << n) - 1))
         assert mat_vec_mul(m, u ^ v) == mat_vec_mul(m, u) ^ mat_vec_mul(m, v)
+
+
+columns_lists = st.lists(st.integers(0, (1 << 64) - 1), max_size=20)
+
+
+def _image(columns, v):
+    """The XOR of ``columns[j]`` over the set bits j of v, bit by bit."""
+    image = 0
+    for j, column in enumerate(columns):
+        if (v >> j) & 1:
+            image ^= column
+    return image
+
+
+class TestLinearTables:
+    @given(columns_lists, st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_linear_table_is_the_xor_of_the_selected_columns(self, columns, data):
+        table = linear_table(columns)
+        assert len(table) == 1 << len(columns)
+        if len(columns) <= 10:
+            words = range(len(table))
+        else:
+            words = data.draw(st.lists(st.integers(0, len(table) - 1), max_size=64))
+        for v in words:
+            assert table[v] == _image(columns, v), v
+
+    @given(columns_lists, st.data())
+    def test_byte_tables_sum_to_the_image(self, columns, data):
+        tables = linear_byte_tables(columns)
+        assert len(tables) == (len(columns) + 7) // 8
+        assert all(len(table) == 256 for table in tables)
+        word = data.draw(st.integers(0, (1 << len(columns)) - 1))
+        image = 0
+        for table, byte in zip(tables, word.to_bytes(len(tables), "little")):
+            image ^= table[byte]
+        assert image == _image(columns, word)
 
 
 class TestGF2m:

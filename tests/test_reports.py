@@ -4,7 +4,8 @@ Each run's report file is compared by sha256 with its pinned digest.  A
 change that moves any of them changes what the lab reports: it bumps
 ``schema_version`` once, records each moved digest and its reason in
 CHANGES.md, and pins the new digests here.  The CSV table carries no
-``schema_version``, so only a change to its values moves its digest.
+``schema_version``, so only a change to its values moves its digest,
+and neither do the code specs that ``code build --out`` writes.
 """
 
 import hashlib
@@ -43,8 +44,17 @@ REPORTS = [
      "ac6cc0abf6d9ac6e888d3ea8b796a87fbd593c4eea76c4b9f99d8dabb06b09c9"),
 ]
 
+SPECS = [
+    ("code build --bch 6 10",
+     "89cd0b8107057dbb507768cb103c2248154bbd649d480524a4730d9bc0b277f1"),
+    ("code build --repetition 3",
+     "a6a9009ca79f8ff66e8deba72e1a342918fbf2bdbf6a32195716dac04084abf8"),
+]
 
-@pytest.mark.parametrize("command,digest", REPORTS, ids=[c for c, _ in REPORTS])
+
+@pytest.mark.parametrize(
+    "command,digest", REPORTS + SPECS, ids=[c for c, _ in REPORTS + SPECS]
+)
 def test_report_bytes_are_pinned(command, digest, tmp_path):
     out = tmp_path / "report"
     assert main(command.split() + ["--out", str(out)]) == EXIT_OK

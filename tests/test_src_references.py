@@ -10,9 +10,9 @@ be passed by some call there, and no parameter may get one literal
 from every call there.  Tests do not count as callers.  Inside
 ``verify``, only ``monte_carlo`` names a source of randomness, and
 nothing names ``is_codeword``.  Only ``LinearCode.decoder`` builds a
-decoder or stores a decode map (which ``LinearCode.__init__`` sets to
-None), and ``BchAlgebraicDecoder`` sets every attribute in its
-``__init__``.
+decoder, stores a decode map (which ``LinearCode.__init__`` sets to
+None) or computes H's columns with ``mat_vec_mul``, and
+``BchAlgebraicDecoder`` sets every attribute in its ``__init__``.
 """
 
 import ast
@@ -562,6 +562,41 @@ def test_only_linear_code_decoder_builds_a_decoder():
         if owner != "codes.LinearCode.decoder"
     ]
     assert found == [], f"decoders built outside LinearCode.decoder: {found}"
+
+
+def _columns_outside_decoder(tree):
+    """(place, owner) per ``mat_vec_mul`` call in ``codes`` outside ``LinearCode.decoder``."""
+    return [
+        (place, owner)
+        for place, owner in _calls_by_owner("codes", tree, {"mat_vec_mul"})
+        if owner != "codes.LinearCode.decoder"
+    ]
+
+
+@pytest.mark.parametrize("source, found", [
+    ("class LinearCode:\n"
+     "    @property\n"
+     "    def decoder(self):\n"
+     "        return [mat_vec_mul(self.h, 1 << j) for j in range(self.n)]", []),
+    ("def syndrome_table_decoder(parity_check, t):\n"
+     "    columns = [mat_vec_mul(parity_check, 1 << j) for j in range(7)]",
+     [("codes.py:2", "codes.syndrome_table_decoder")]),
+    ("class LinearCode:\n"
+     "    def syndrome(self, word):\n"
+     "        return gf2.mat_vec_mul(self.parity_check, word)",
+     [("codes.py:3", "codes.LinearCode.syndrome")]),
+    ("from .gf2 import mat_vec_mul", []),
+])
+def test_a_syndrome_column_computation_is_placed_by_its_owner(source, found):
+    assert _columns_outside_decoder(ast.parse(source)) == found
+
+
+def test_only_linear_code_decoder_computes_syndrome_columns():
+    # H's columns are computed once, where the decoder that reads them is
+    # built, and handed to it; no second place recomputes them
+    tree = ast.parse((ROOT / "src" / "qauth" / "codes.py").read_text())
+    found = _columns_outside_decoder(tree)
+    assert found == [], f"mat_vec_mul called outside LinearCode.decoder: {found}"
 
 
 # the only places that may store a code's decode map: its None, and the build
