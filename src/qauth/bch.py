@@ -17,12 +17,12 @@ tables of ``syndrome_columns``, already the int register that binary
 (odd-step) Berlekamp-Massey runs on, one field element per byte lane,
 3t + 2 lanes wide with the locator at lane 3t - step (C·S stays below
 lane 3t while L <= t); a Chien search with one byte lane per position,
-one lookup per locator term in a ``gf2.linear_table``.  It returns
-``(ok, flips)`` like every decoder, the roots packed into the int
-``flips``; for n <= 15 it runs once per syndrome coset, to fill the
-code's decode map.  For designed distance 2t+1 it is the same
-bounded-distance map as a syndrome table, which the tests use as its
-oracle.
+one lookup per locator term in a ``gf2.linear_table``; the roots come
+out as ``flips`` in one translate, each lane a binary digit.  It
+returns ``(ok, flips)`` like every decoder; for n <= 15 it runs once
+per syndrome coset, to fill the code's decode map.  For designed
+distance 2t+1 it is the same bounded-distance map as a syndrome table,
+which the tests use as its oracle.
 """
 
 from __future__ import annotations
@@ -31,6 +31,10 @@ from functools import lru_cache
 
 from .errors import ParameterError, UnsupportedSizeError
 from .gf2 import GF2m, linear_byte_tables, linear_table
+
+# bytes.translate table: a Chien lane of 0 (a root) becomes the digit "1",
+# any other lane "0", so int(lanes.translate(_ROOT_DIGITS), 2) is the mask
+_ROOT_DIGITS = b"1" + b"0" * 255
 
 
 def cyclotomic_exponents(order: int, designed_t: int) -> set[int]:
@@ -106,7 +110,8 @@ class BchAlgebraicDecoder:
     Syndromes and Chien search are GF(2)-linear, so both are table
     lookups: the syndromes one per byte of the word, and Chien search
     one per locator term.  Chien search keeps position j in byte lane j
-    of one n-byte word.  ``__init__`` builds every table, so a decoder
+    of one n-byte int; laid out big-endian, its roots become ``flips``
+    in one translate.  ``__init__`` builds every table, so a decoder
     is whole once it exists; ``LinearCode.decoder`` builds it on the
     code's first decode, so a code that never decodes builds none.
     """
@@ -190,18 +195,12 @@ class BchAlgebraicDecoder:
             x >>= 16
         return to_bytes(x >> 8 * t, big_l + 1, "little")
 
-    def _chien_values(self, locator: bytes) -> bytes:
-        """locator(alpha^-j) in byte j: a lookup and XOR per term; roots are 0."""
-        acc = self._ones
-        for terms, coef in zip(self._chien_terms, locator[1:]):
-            acc ^= terms[coef]
-        return acc.to_bytes(self.n, "little")
-
     def __call__(self, received: int) -> tuple[bool, int]:
         """(ok, flips); a locator of degree L <= t with L roots is ok.
 
         ``flips`` has bit j set for each root position j, and is 0 when
-        the decode fails.
+        the decode fails, which the count of zero Chien lanes tells
+        before any root is read.
 
         No syndrome re-check is needed after Chien search.  Say
         Berlekamp-Massey returns the shortest LFSR of S_1..S_2t, of
@@ -220,11 +219,10 @@ class BchAlgebraicDecoder:
         locator = self._berlekamp_massey(syn)
         if locator is None:
             return False, 0
-        values = self._chien_values(locator)
+        acc = self._ones
+        for terms, coef in zip(self._chien_terms, locator[1:]):
+            acc ^= terms[coef]
+        values = acc.to_bytes(self.n, "big")  # byte n-1-j: locator(alpha^-j)
         if values.count(0) != len(locator) - 1:
             return False, 0
-        flips, j = 0, values.find(0)
-        while j >= 0:
-            flips |= 1 << j
-            j = values.find(0, j + 1)
-        return True, flips
+        return True, int(values.translate(_ROOT_DIGITS), 2)

@@ -148,14 +148,15 @@ class LinearCode:
         from its pivot bits and compared with itself.  Byte column b of
         the words, ``words[b::size]``, holds byte b of every word, and
         each pivot byte's re-encode table is split into one
-        ``bytes.translate`` table per output byte o, so byte o of every
-        word's re-encoding XOR the word is the XOR of translated
-        pivot-byte columns (and column o itself, when o holds no pivot).
-        A word is a codeword iff all its output bytes are 0, so the
-        columns are ORed and the zero bytes counted: O(pivot bytes x n/8)
-        translates a batch, whatever the rate.  A slot holding a bit at
-        or past n raises.  This is Bob's one test: Monte Carlo counts
-        each chunk of readouts here, and ``is_codeword`` one word.
+        ``bytes.translate`` table per output byte o.  Each output byte
+        starts from the word's own byte and XORs in the translated
+        pivot-byte columns, so byte o is that of the word XOR its
+        re-encoding.  A word is a codeword iff all its output bytes are
+        0, so the columns are ORed and the zero bytes counted:
+        O(pivot bytes x n/8) translates a batch, whatever the rate.  A
+        slot holding a bit at or past n raises.  This is Bob's one test:
+        Monte Carlo counts each chunk of readouts here, and
+        ``is_codeword`` one word.
         """
         n = self.n
         if size < (n + 7) >> 3 or len(words) % size:
@@ -173,20 +174,18 @@ class LinearCode:
             tables = self._column_tables = self._build_column_tables()
         from_bytes = int.from_bytes
         diff = 0
-        for terms in tables:
-            column = 0
+        for o, terms in enumerate(tables):
+            column = from_bytes(words[o::size], "little")
             for b, table in terms:
                 column ^= from_bytes(words[b::size].translate(table), "little")
             diff |= column
         return diff.to_bytes(count, "little").count(0)
 
-    def _build_column_tables(self) -> list[list[tuple[int, Optional[bytes]]]]:
+    def _build_column_tables(self) -> list[list[tuple[int, bytes]]]:
         """Per output byte o: (b, translate table) per pivot byte b that reaches it.
 
         The table of b maps a word's byte b to byte o of its pivot bits'
-        re-encoding (the XOR of their rows of G), XOR the byte itself
-        when b = o; ``None`` translates nothing, so it stands for column
-        o itself when o holds no pivot.
+        re-encoding, the XOR of their rows of G.
         """
         rows = [0] * self.n
         for p, row in zip(self.message_columns, self.generator.rows):
@@ -195,10 +194,9 @@ class LinearCode:
         reencode = {b: tables[b] for b in sorted({p >> 3 for p in self.message_columns})}
         columns = []
         for o in range((self.n + 7) >> 3):
-            terms = [] if o in reencode else [(o, None)]
+            terms = []
             for b, table in reencode.items():
-                own = 255 if b == o else 0
-                column = bytes(table[v] >> 8 * o & 255 ^ v & own for v in range(256))
+                column = bytes(table[v] >> 8 * o & 255 for v in range(256))
                 if any(column):
                     terms.append((b, column))
             columns.append(terms)

@@ -145,6 +145,20 @@ class TestDecoding:
             assert code.message_of(decoded) == msg
             assert flips == _mask(errors)
 
+    # positions 0 and n - 1 are the two ends of the Chien lanes; with
+    # t = 1 an error holds one of them at a time
+    @pytest.mark.parametrize("wt", sorted(GRID) + [(8, 1), (8, 12)])
+    def test_flips_at_both_ends(self, wt):
+        code = build_bch(*wt)
+        ends = [{0, code.n - 1}] if code.t > 1 else [{0}, {code.n - 1}]
+        rng = random.Random(7000 + 10 * wt[0] + wt[1])
+        for k in range(100):
+            end = ends[k % len(ends)]
+            rest = rng.sample(range(1, code.n - 1), rng.randint(0, code.t - len(end)))
+            error = _mask(end | set(rest))
+            cw = code.encode(BitWord(rng.getrandbits(code.m), code.m))
+            assert code.decode(cw ^ error) == (True, error)
+
     def test_beyond_t_is_failure_or_codeword(self, grid_codes):
         code = grid_codes[(6, 2)]
         rng = random.Random(99)
