@@ -111,14 +111,11 @@ def p_f_prime(n: int, t: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def render_scientific(p: Fraction) -> str:
-    """Scientific notation at two significant digits, half-to-even."""
+    """A probability p in [0, 1] at two significant digits, half-to-even."""
     if p == 0:
         return "0"
     exp = 0
     q = p
-    while q >= 10:
-        q /= 10
-        exp += 1
     while q < 1:
         q *= 10
         exp -= 1

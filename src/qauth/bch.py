@@ -200,7 +200,8 @@ class BchAlgebraicDecoder:
 
         ``flips`` has bit j set for each root position j, and is 0 when
         the decode fails, which the count of zero Chien lanes tells
-        before any root is read.
+        before any root is read.  A zero syndrome gives L = 0 and no
+        root, so a codeword decodes ok with flips 0.
 
         No syndrome re-check is needed after Chien search.  Say
         Berlekamp-Massey returns the shortest LFSR of S_1..S_2t, of
@@ -213,10 +214,7 @@ class BchAlgebraicDecoder:
         shortest one, so every Y_i is 1, and flipping the L positions
         cancels all 2t syndromes.
         """
-        syn = self.syndromes(received)
-        if not syn:
-            return True, 0
-        locator = self._berlekamp_massey(syn)
+        locator = self._berlekamp_massey(self.syndromes(received))
         if locator is None:
             return False, 0
         acc = self._ones

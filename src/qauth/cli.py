@@ -20,7 +20,7 @@ import re
 import sys
 
 from . import analytics, verify
-from .adversary import ABORT, InterceptResendStrategy, NoMessageStrategy
+from .adversary import ABORT, RESEND_UNCORRECTED, InterceptResendStrategy, NoMessageStrategy
 from .codes import LinearCode, build_bch, load_code_spec, make_hamming_7_4, make_repetition
 from .errors import QauthError, UnsupportedSizeError
 from .gf2 import BitWord
@@ -47,6 +47,13 @@ DEFAULT_TABLE_CODES = [f"bch-{n}-{m}" for n, m in BCH_PARAMS]
 
 class ConfigError(QauthError):
     """Bad command-line configuration (exit code 2)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Its errors, and its subparsers', are ``ConfigError``s: one line, exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def resolve_code(selector: str) -> LinearCode:
@@ -132,8 +139,6 @@ def _report(command: str, config: dict, results) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_code_build(args) -> int:
-    if sum((args.bch is not None, args.repetition is not None, args.hamming74)) != 1:
-        raise ConfigError("choose exactly one of --bch, --repetition, --hamming74")
     if args.bch is not None:
         w = _parse_kv_int(args.bch[0], "w")
         t = _parse_kv_int(args.bch[1], "t")
@@ -253,7 +258,7 @@ def cmd_oracle(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qauth",
         description="Quantum message-authentication laboratory",
     )
@@ -262,10 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_code = sub.add_parser("code", help="code construction")
     code_sub = p_code.add_subparsers(dest="action", required=True)
     p_build = code_sub.add_parser("build", help="build a code, print its parameters")
-    p_build.add_argument("--bch", nargs=2, metavar=("W", "T"),
-                         help="BCH field exponent and error capability (w=6 t=10 or 6 10)")
-    p_build.add_argument("--repetition", type=int, metavar="N")
-    p_build.add_argument("--hamming74", action="store_true")
+    family = p_build.add_mutually_exclusive_group(required=True)
+    family.add_argument("--bch", nargs=2, metavar=("W", "T"),
+                        help="BCH field exponent and error capability (w=6 t=10 or 6 10)")
+    family.add_argument("--repetition", type=int, metavar="N")
+    family.add_argument("--hamming74", action="store_true")
     p_build.add_argument("--out", help="write the code-spec JSON here")
     p_build.set_defaults(func=cmd_code_build)
 
@@ -287,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_sim.add_argument("--forged-message", help="bit string, length m")
     p_sim.add_argument("--on-decode-failure",
-                       choices=("abort", "resend_uncorrected"))
+                       choices=(ABORT, RESEND_UNCORRECTED))
     p_sim.add_argument("--out")
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -295,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_or.add_argument("which", choices=("nomsg", "pdec", "ir"))
     p_or.add_argument("--code", required=True)
     p_or.add_argument("--on-decode-failure",
-                      choices=("abort", "resend_uncorrected"))
+                      choices=(ABORT, RESEND_UNCORRECTED))
     p_or.add_argument("--out")
     p_or.set_defaults(func=cmd_oracle)
 
@@ -303,15 +309,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    for name, value in vars(args).items():
-        # argparse reads --opt=-- as [], also as one value of an append option
-        if isinstance(value, list) and (not value or [] in value):
-            print(f"error: --{name.replace('_', '-')} needs a value, got '--'",
-                  file=sys.stderr)
-            return EXIT_CONFIG
     try:
+        args = build_parser().parse_args(argv)
+        for name, value in vars(args).items():
+            # argparse reads --opt=-- as [], also as one value of an append option
+            if isinstance(value, list) and (not value or [] in value):
+                raise ConfigError(f"--{name.replace('_', '-')} needs a value, got '--'")
         return args.func(args)
     except UnsupportedSizeError as exc:
         print(

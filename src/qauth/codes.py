@@ -83,7 +83,7 @@ class LinearCode:
         self.name, self.n, self.m, self.t = name, n, len(pivots), t
         self.field_info = field_info
         self.generator = generator  # m x n, reduced row echelon form
-        self.parity_check = BitMatrix(tuple(h_rows or [0]), n)  # (n-m) x n
+        self.parity_check = BitMatrix(tuple(h_rows), n)  # (n-m) x n, no rows if m = n
         self.message_columns = pivots
         self._column_tables = None  # built on the first count_codewords
         # the decoder, and for n <= 16 its decode map, wait for the first decode
@@ -109,6 +109,8 @@ class LinearCode:
                 )
             self._field = field
             return
+        if t < 0:
+            raise ParameterError(f"t={t} is negative: a code corrects t >= 0 errors")
         if self.m <= WEIGHT_ENUM_MAX_M:
             weights = self.weight_distribution()
             d = next((w for w in range(1, n + 1) if weights[w]), None)
@@ -164,15 +166,13 @@ class LinearCode:
                 f"{len(words)} bytes are not {size}-byte slots of n={n}-bit words"
             )
         count = len(words) // size
-        past_n = (-1 << n) & ((1 << 8 * size) - 1)  # a slot's bits at or past n
-        if past_n and int.from_bytes(words, "little") & int.from_bytes(
-            past_n.to_bytes(size, "little") * count, "little"
-        ):
+        from_bytes = int.from_bytes
+        past_n = ((1 << 8 * size) - (1 << n)).to_bytes(size, "little")  # bits >= n
+        if from_bytes(words, "little") & from_bytes(past_n * count, "little"):
             raise DimensionError(f"a word does not fit in n={n} bits")
         tables = self._column_tables
         if tables is None:
             tables = self._column_tables = self._build_column_tables()
-        from_bytes = int.from_bytes
         diff = 0
         for o, terms in enumerate(tables):
             column = from_bytes(words[o::size], "little")
@@ -302,11 +302,12 @@ def syndrome_table_decoder(columns: list[int], t: int) -> Decoder:
     """Bounded-distance decoding via a syndrome -> error-pattern table.
 
     ``columns[j]`` is H's column j, the syndrome of a flip at j.  The
-    table holds every pattern of weight <= t; patterns of larger
-    weight decode to whatever <= t pattern shares their syndrome
-    (miscorrection) or to failure.  The decoder sums one byte table per
-    received byte into the syndrome and looks it up; for n <= 16,
-    ``LinearCode.decoder`` runs it once per coset to fill the decode map.
+    table holds every pattern of weight <= t, filled from weight 0 up;
+    heavier patterns decode to whatever <= t pattern shares their
+    syndrome (miscorrection) or to failure.  The decoder sums one byte
+    table per received byte into the syndrome and looks it up; for
+    n <= 16, ``LinearCode.decoder`` runs it once per coset to fill the
+    decode map.
     """
     n = len(columns)
     radius = min(t, n)  # no pattern weighs more than n, whatever t a spec holds
@@ -317,9 +318,8 @@ def syndrome_table_decoder(columns: list[int], t: int) -> Decoder:
             f"at least 2^{patterns.bit_length() - 1} error patterns of weight "
             f"<= {t} exceed the syndrome-table bound ({SYNDROME_TABLE_MAX_PATTERNS})"
         )
-    # syndrome -> the decode result, built once: (True, error pattern)
-    table = {0: (True, 0)}
-    for w in range(1, radius + 1):
+    table = {}  # syndrome -> the decode result, built once: (True, error pattern)
+    for w in range(radius + 1):
         for positions in combinations(range(n), w):
             pattern = syn = 0
             for p in positions:

@@ -107,8 +107,23 @@ class TestCodeBuild:
         assert run_cli("code", "build", "--repetition", "3") == EXIT_OK
         assert "n=3 m=1 t=1" in capsys.readouterr().out
 
+    def test_hamming74(self, capsys):
+        assert run_cli("code", "build", "--hamming74") == EXIT_OK
+        assert "n=7 m=4 t=1" in capsys.readouterr().out
+
     def test_missing_choice_is_config_error(self, capsys):
         assert run_cli("code", "build") == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            "error: one of the arguments --bch --repetition --hamming74 is required"
+        ]
+
+    @pytest.mark.parametrize("w, message", [
+        ("x=6", "error: expected w=..., got 'x=6'"),
+        ("six", "error: expected an integer for w, got 'six'"),
+    ])
+    def test_bad_bch_tokens_are_config_errors(self, w, message, capsys):
+        assert run_cli("code", "build", "--bch", w, "10") == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [message]
 
     def test_bad_bch_params(self, capsys):
         assert run_cli("code", "build", "--bch", "w=9", "t=1") == EXIT_CONFIG
@@ -359,6 +374,9 @@ class TestUserInputErrors:
                          "--forged-message", ""],
             lambda tmp: ["code", "build", "--repetition", "0"],
             lambda tmp: ["code", "build", "--bch", "6", "10", "--repetition", "3"],
+            lambda tmp: ["simulate", "honest", "--code", "rep3", "--trials", "abc"],
+            lambda tmp: ["simulate", "honest", "--code", "rep3", "--bogus"],
+            lambda tmp: ["oracle", "xyz"],
             lambda tmp: ["simulate", "honest", "--code", "rep3", "--trials", "5",
                          "--out", ""],
             lambda tmp: ["analytics", "table", "--code", "rep3", "--exact"],
@@ -395,7 +413,8 @@ class TestUserInputErrors:
             "spec-is-directory",
             "spec-not-utf8", "simulate-out-unwritable", "code-build-out-unwritable",
             "table-csv-out-unwritable", "forged-message-empty",
-            "code-build-repetition-0", "code-build-two-codes", "simulate-out-empty",
+            "code-build-repetition-0", "code-build-two-codes", "trials-not-an-integer",
+            "unknown-option", "unknown-oracle", "simulate-out-empty",
             "table-exact-without-json", "honest-forged-message",
             "honest-on-decode-failure", "no-message-on-decode-failure",
             "pdec-on-decode-failure", "nomsg-on-decode-failure",
@@ -412,10 +431,11 @@ class TestUserInputErrors:
 
     @pytest.mark.parametrize("command", [["simulate", "honest"], ["oracle", "pdec"]])
     def test_format_is_only_an_analytics_table_option(self, command, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(*command, "--code", "rep3", "--format", "json")
-        assert exc.value.code == EXIT_CONFIG
-        assert "unrecognized arguments: --format json" in capsys.readouterr().err
+        assert run_cli(*command, "--code", "rep3", "--format", "json") == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "unrecognized arguments: --format json" in lines[0]
 
     def test_oversized_syndrome_table_exits_2(self, tmp_path, capsys):
         # a [45, 21] code at t = 6: 24 checks, but ~9.5M patterns of weight <= 6;

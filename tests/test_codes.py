@@ -114,6 +114,12 @@ class TestConstruction:
         assert code.m == 2
         assert len(code.generator.row_reduce().rows) == 2
 
+    def test_a_negative_t_is_rejected(self):
+        # the spec loader and every builder refuse it too; analytics.table1
+        # would otherwise be the first to fail, long after the build
+        with pytest.raises(ParameterError, match="t=-1 is negative"):
+            LinearCode("x", [0b111], 3, -1)
+
 
 class TestFieldCodesAreBch:
     """A code built over a field is checked to be BCH(w, t) before it decodes."""
@@ -233,6 +239,11 @@ class TestEncoding:
             counts[code.encode(BitWord(k, code.m)).bit_count()] += 1
         assert code.weight_distribution() == counts
         assert len(set(code.codewords())) == 1 << code.m
+
+    def test_weight_distribution_past_m_20_is_unsupported(self):
+        code = build_bch(5, 1)  # [31, 26]: 2^26 codewords
+        with pytest.raises(UnsupportedSizeError, match="m <= 20"):
+            code.weight_distribution()
 
     def test_repetition_codewords(self, rep3):
         assert set(rep3.codewords()) == {0, 0b111}
@@ -525,6 +536,19 @@ class TestSerialization:
         for received in values:
             assert loaded.decode(received) == code.decode(received)
 
+    def test_a_full_code_has_no_parity_rows(self, tmp_path):
+        # an [n, n] code has no checks, so H has no rows and every word is
+        # a codeword that decodes to itself
+        code = LinearCode("full3", [1, 2, 4], 3, 0)
+        spec = code.to_spec_dict()
+        assert spec["parity_rows"] == []
+        path = tmp_path / "code.json"
+        path.write_text(json.dumps(spec))
+        loaded = load_code_spec(path)
+        assert loaded.parity_check.rows == code.parity_check.rows == ()
+        assert [loaded.decode(w) for w in range(8)] == [(True, 0)] * 8
+        assert loaded.count_codewords(bytes(range(8)), 1) == 8
+
     def test_t_beyond_the_minimum_distance_is_rejected(self, ham, tmp_path):
         # d = 3 corrects one error; with t = 2 the tables of p_dec and
         # p_f_prime would describe a code that does not exist
@@ -564,7 +588,8 @@ class TestSerialization:
     @pytest.mark.parametrize("text", [
         "[]",
         '{"name": "x", "n": 3, "m": 1, "t": 1, "generator_rows": ["7"], "field": 5}',
-    ], ids=["spec-not-object", "field-not-object"])
+        '{"name": "rep3", "n": 3,',
+    ], ids=["spec-not-object", "field-not-object", "spec-not-json"])
     def test_non_object_is_rejected(self, text, tmp_path):
         path = tmp_path / "code.json"
         path.write_text(text)

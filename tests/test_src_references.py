@@ -12,7 +12,8 @@ from every call there.  Tests do not count as callers.  Inside
 nothing names ``is_codeword``.  Only ``LinearCode.decoder`` builds a
 decoder, stores a decode map (which ``LinearCode.__init__`` sets to
 None) or computes H's columns with ``mat_vec_mul``, and
-``BchAlgebraicDecoder`` sets every attribute in its ``__init__``.
+``BchAlgebraicDecoder`` sets every attribute in its ``__init__``.  No
+``assert`` statement stands in ``src/qauth``, since ``python -O`` strips it.
 """
 
 import ast
@@ -722,3 +723,28 @@ def test_bch_decoder_is_built_whole():
     )
     found = _attributes_set_outside_init(cls)
     assert found == [], f"BchAlgebraicDecoder builds attributes outside __init__: {found}"
+
+
+def _asserts(tree):
+    """The line of every ``assert`` statement in ``tree``."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("source, found", [
+    ("assert n > 0", [1]),
+    ("def f(n):\n    assert n, 'n'\n    return n", [2]),
+    ("if n <= 0:\n    raise AssertionError('n')", []),
+    ("class Check(AssertionError):\n    pass", []),
+])
+def test_an_assert_statement_is_flagged(source, found):
+    assert _asserts(ast.parse(source)) == found
+
+
+def test_src_holds_no_assert_statement():
+    # python -O strips asserts, so an invariant held by one is not held there
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted((ROOT / "src" / "qauth").glob("*.py"))
+        for line in _asserts(ast.parse(path.read_text()))
+    ]
+    assert found == [], f"src/qauth holds assert statements: {found}"
