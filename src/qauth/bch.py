@@ -4,22 +4,22 @@ The generator polynomial is g(x) = prod (x + alpha^k) over K, the union
 of the cyclotomic cosets {k·2^i mod n} of k = 1..2t: the product of the
 minimal polynomials of alpha..alpha^(2t), each taken once.  It is
 multiplied out with the field's tables and packed into an int like the
-generator rows (bit i = coefficient of x^i).  ``codes.build_bch`` is the
-one builder: it hands the m = n - deg g shifts x^i·g(x) to ``LinearCode``,
-whose constructor is the only check (zero S_1..S_2t on every row, read
-off ``column_syndromes``, so it builds no table, and m = n - |K|).
-The shifts have distinct degrees, so they span m dimensions; g then
-lies in BCH(w, t) with its generator's degree, so g is that generator
-and divides x^n + 1.  Every BCH code decodes with
-``BchAlgebraicDecoder``, which ``LinearCode.decoder`` builds whole on
-the code's first decode: all 2t syndromes from one pass of the byte
-tables of ``syndrome_columns``, already the int register that binary
-(odd-step) Berlekamp-Massey runs on, one field element per byte lane,
-3t + 2 lanes wide with the locator at lane 3t - step (C·S stays below
-lane 3t while L <= t); a Chien search with one byte lane per position,
-one lookup per locator term in a ``gf2.linear_table``; the roots come
-out as ``flips`` in one translate, each lane a binary digit.  It
-returns ``(ok, flips)`` like every decoder; for n <= 15 it runs once
+generator rows (bit i = coefficient of x^i).  It is the one definition of
+BCH(w, t): the code is the multiples of g below degree n, since
+c(alpha^k) = 0 for k = 1..2t exactly when g divides c.
+``codes.build_bch`` hands the m = n - deg g shifts x^i·g(x) to
+``LinearCode``, whose constructor is the only check: it computes g
+itself, and every row must leave ``poly_mod`` 0 with m = n - deg g, so
+the rows span that whole code and no table is built.  Every BCH code
+decodes with ``BchAlgebraicDecoder``, which ``LinearCode.decoder``
+builds whole on the code's first decode: all 2t syndromes from one pass
+of the byte tables of ``syndrome_columns``, already the int register
+that binary (odd-step) Berlekamp-Massey runs on, one field element per
+byte lane, 3t + 2 lanes wide with the locator at lane 3t - step (C·S
+stays below lane 3t while L <= t); a Chien search with one byte lane per
+position, one lookup per locator term in a ``gf2.linear_table``; the
+roots come out as ``flips`` in one translate, each lane a binary digit.
+It returns ``(ok, flips)`` like every decoder; for n <= 15 it runs once
 per syndrome coset, to fill the code's decode map.  For designed
 distance 2t+1 it is the same bounded-distance map as a syndrome table,
 which the tests use as its oracle.
@@ -59,6 +59,14 @@ def bch_generator_poly(field: GF2m, designed_t: int) -> int:
     return sum(c << i for i, c in enumerate(coeffs))
 
 
+def poly_mod(a: int, g: int) -> int:
+    """a(x) mod g(x) over GF(2), both packed like g (bit i = coefficient of x^i)."""
+    width = g.bit_length()
+    while (shift := a.bit_length() - width) >= 0:
+        a ^= g << shift
+    return a
+
+
 def check_bch_parameters(w: int, designed_t: int) -> None:
     """w in [2, 8], so that an element fits one byte lane, and 2t < 2^w - 1."""
     if not 2 <= w <= 8:
@@ -81,24 +89,6 @@ def syndrome_columns(field: GF2m, t: int) -> list[int]:
         int.from_bytes(bytes(exp[k * j % n] for k in range(1, 2 * t + 1)), "little")
         for j in range(n)
     ]
-
-
-def column_syndromes(field: GF2m, t: int, words: list[int]) -> list[int]:
-    """S_1..S_2t of each word, S_k in byte lane k-1: the XOR of its columns.
-
-    One step per set bit and no table, so checking a code's generator
-    rows, which ``LinearCode`` does once, builds none.
-    """
-    columns = syndrome_columns(field, t)
-    syndromes = []
-    for word in words:
-        acc = 0
-        while word:
-            low = word & -word
-            acc ^= columns[low.bit_length() - 1]
-            word ^= low
-        syndromes.append(acc)
-    return syndromes
 
 
 class BchAlgebraicDecoder:

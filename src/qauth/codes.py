@@ -51,11 +51,10 @@ class LinearCode:
     one row per free column j, with bit j set and bit p set for each
     pivot p whose row of G holds j.  A code over a field (any
     ``field_info`` but None, which must hold w and primitive_poly) must
-    be BCH(w, t): n = 2^w - 1, every row has zero syndromes S_1..S_2t,
-    read off ``bch.column_syndromes`` so that no syndrome table is
-    built, and m = n - |K| (the cyclotomic cosets of 1..2t), so the
-    rows span that whole code.  It decodes by Berlekamp-Massey + Chien
-    over that field.  Any other code must have a minimum distance that
+    be BCH(w, t): n = 2^w - 1, each row is a multiple of its generator
+    g(x) (``bch.bch_generator_poly``), and m = n - deg g, so the rows
+    span that whole code.  It decodes by Berlekamp-Massey + Chien over
+    that field.  Any other code must have a minimum distance that
     corrects t (checked for m <= WEIGHT_ENUM_MAX_M) and decodes by
     syndrome table.  The constructor builds no decoder: ``decoder``
     builds one on the first decode.
@@ -99,9 +98,10 @@ class LinearCode:
                 ) from None
             bch.check_bch_parameters(w, t)  # before a field table is built for w
             field = bch.bch_field(w, poly)
-            bch_m = field.order - len(bch.cyclotomic_exponents(field.order, t))
+            g = bch.bch_generator_poly(field, t)
+            bch_m = field.order - (g.bit_length() - 1)
             if (n, self.m) != (field.order, bch_m) or any(
-                bch.column_syndromes(field, t, generator.rows)
+                bch.poly_mod(row, g) for row in generator.rows
             ):
                 raise ParameterError(
                     f"[{n}, {self.m}] rows are not BCH(w={w}, t={t}), "

@@ -27,7 +27,7 @@ from qauth.bch import (
     BchAlgebraicDecoder,
     bch_field,
     bch_generator_poly,
-    column_syndromes,
+    poly_mod,
 )
 from qauth.codes import LinearCode, build_bch
 from qauth.errors import UnsupportedSizeError
@@ -488,7 +488,7 @@ class TestLazyTables:
     so it builds no decoder object, no map and no column table: their
     memory and build time stay out of the start-up of runs that never
     need them.  The constructor checks a
-    BCH code's rows with ``bch.column_syndromes``, so even it builds no
+    BCH code's rows by their remainder modulo g(x), so even it builds no
     decoder, and honest and no-message sessions, which never decode,
     build none either.
     """
@@ -562,13 +562,16 @@ class TestLazyTables:
         assert code._decoder is not None
         assert len(code._decode_map) == 1 << code.n
 
-    def test_column_syndromes_are_the_syndromes(self, grid_codes):
-        # the constructor's row check reads the same linear map the tables hold
+    def test_remainder_by_g_is_zero_iff_the_syndromes_are(self, grid_codes):
+        # the constructor's row check, g | c, is the decoder's S_1..S_2t = 0
         rng = random.Random(17)
         for code in grid_codes.values():
             decoder = code.decoder
-            words = [1 << j for j in range(code.n)]
+            g = bch_generator_poly(decoder.field, code.t)
+            words = [1 << j for j in range(code.n)] + list(code.generator.rows)
             words += [rng.getrandbits(code.n) for _ in range(200)]
-            assert column_syndromes(decoder.field, code.t, words) == [
-                decoder.syndromes(word) for word in words
-            ], code.name
+            for word in words:
+                assert (poly_mod(word, g) == 0) == (decoder.syndromes(word) == 0), (
+                    code.name,
+                    word,
+                )

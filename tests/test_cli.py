@@ -255,6 +255,7 @@ class TestUserInputErrors:
             lambda tmp: ["simulate", "honest", "--code", "rep3", "--trials", "0"],
             lambda tmp: ["simulate", "honest", "--code", "rep4"],
             lambda tmp: ["code", "build", "--bch", "6", "40"],
+            lambda tmp: ["analytics", "table", "--code", "bch-62-10-3"],
             lambda tmp: [
                 "simulate", "honest", "--code", _edited_spec(tmp, "hamming74", t=None),
             ],
@@ -276,9 +277,18 @@ class TestUserInputErrors:
                 "simulate", "honest", "--code",
                 _edited_spec(tmp, "bch-15-7-2", field={"w": 9, "primitive_poly": 0x211}),
             ],
+            # x^2 + x + 1 is primitive, but not of degree 4
+            lambda tmp: [
+                "simulate", "honest", "--code",
+                _edited_spec(tmp, "bch-15-7-2", field={"w": 4, "primitive_poly": 0b111}),
+            ],
             lambda tmp: [
                 "simulate", "no-message", "--code", "hamming74",
                 "--forged-message", "0a11",
+            ],
+            lambda tmp: [
+                "simulate", "no-message", "--code", "hamming74",
+                "--forged-message", "0120",
             ],
             lambda tmp: [
                 "simulate", "honest", "--code", _edited_spec(tmp, "hamming74", t="1"),
@@ -399,9 +409,10 @@ class TestUserInputErrors:
             ).encode())],
         ],
         ids=[
-            "trials-0", "rep4", "bch-6-40", "spec-missing-t", "bch-spec-edited-t",
-            "bch-spec-not-primitive", "bch-spec-reversed-field", "bch-spec-w-9",
-            "forged-message-not-binary",
+            "trials-0", "rep4", "bch-6-40", "bch-length-not-2^w-1", "spec-missing-t",
+            "bch-spec-edited-t", "bch-spec-not-primitive", "bch-spec-reversed-field",
+            "bch-spec-w-9", "bch-spec-field-poly-degree", "forged-message-not-binary",
+            "forged-message-digit-2",
             "spec-t-string",
             "spec-n-float", "spec-t-bool", "spec-rows-not-list", "spec-rows-not-strings",
             "spec-rows-not-hex", "spec-row-negative", "spec-row-0x-prefix",
@@ -428,6 +439,25 @@ class TestUserInputErrors:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv,reason",
+        [
+            (lambda tmp: ["analytics", "table", "--code", "bch-62-10-3"],
+             "BCH length must be 2^w - 1, got n=62"),
+            (lambda tmp: ["simulate", "honest", "--code", _edited_spec(
+                tmp, "bch-15-7-2", field={"w": 4, "primitive_poly": 0b111})],
+             "primitive polynomial 0b111 must have degree 4"),
+            (lambda tmp: ["simulate", "no-message", "--code", "hamming74",
+                          "--forged-message", "0120"],
+             "forged message must be a string of 0s and 1s, got '0120'"),
+        ],
+        ids=["bch-length", "field-poly-degree", "forged-message-digit-2"],
+    )
+    def test_the_line_names_the_check(self, argv, reason, tmp_path, capsys):
+        # each of these checks is reached by no other test
+        assert run_cli(*argv(tmp_path)) == EXIT_CONFIG
+        assert reason in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [["simulate", "honest"], ["oracle", "pdec"]])
     def test_format_is_only_an_analytics_table_option(self, command, capsys):

@@ -120,6 +120,10 @@ class TestConstruction:
         with pytest.raises(ParameterError, match="t=-1 is negative"):
             LinearCode("x", [0b111], 3, -1)
 
+    def test_a_row_wider_than_n_is_rejected(self):
+        with pytest.raises(DimensionError, match="row 0x8 wider than 3 columns"):
+            LinearCode("x", [0b1000], 3, 0)
+
 
 class TestFieldCodesAreBch:
     """A code built over a field is checked to be BCH(w, t) before it decodes."""
@@ -134,7 +138,8 @@ class TestFieldCodesAreBch:
     @pytest.mark.parametrize("w, t, reversed_poly", [(4, 2, 0b11001), (6, 10, 0b1100001)])
     def test_rows_of_the_reversed_code_are_rejected(self, w, t, reversed_poly):
         # over the reciprocal polynomial, BCH(w, t) has the same n and m
-        # but other codewords, so only the rows' syndromes tell them apart
+        # but other codewords, so only the rows' remainders by g(x) tell
+        # them apart
         code = build_bch(w, t)
         field_info = {"w": w, "primitive_poly": reversed_poly}
         with pytest.raises(ParameterError, match=rf"\[{code.n}, {code.m}\] rows"):

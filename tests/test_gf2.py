@@ -46,6 +46,10 @@ class TestBitWord:
         with pytest.raises(ValueError):
             BitWord(8, 3)
 
+    def test_index_out_of_range(self):
+        with pytest.raises(IndexError):
+            BitWord(5, 3)[3]
+
     @given(words)
     def test_weight_counts_ones(self, w):
         assert w.value.bit_count() == sum(w)

@@ -103,6 +103,11 @@ class TestBobReceive:
             bits = key.peek()
             assert bob_receive(alice_send(msg, key, ham), bits, ham, rng) == msg
 
+    def test_wrong_key_length_raises(self, ham):
+        qubits = alice_send(BitWord(0, 4), keygen(7, random.Random(2)), ham)
+        with pytest.raises(DimensionError, match="key length 3 != n=7"):
+            bob_receive(qubits, BitWord(0, 3), ham, random.Random(2))
+
     def test_wrong_qubit_count_rejected(self, ham):
         key = keygen(7, random.Random(2))
         received = bob_receive(
