@@ -27,8 +27,6 @@ which the tests use as its oracle.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .errors import ParameterError, UnsupportedSizeError
 from .gf2 import GF2m, linear_byte_tables, linear_table
 
@@ -75,11 +73,6 @@ def check_bch_parameters(w: int, designed_t: int) -> None:
         )
     if not 1 <= designed_t < (1 << (w - 1)):
         raise ParameterError(f"designed t={designed_t} outside [1, {2 ** (w - 1) - 1}]")
-
-
-@lru_cache(maxsize=None)
-def bch_field(w: int, primitive_poly: int) -> GF2m:
-    return GF2m(w, primitive_poly)
 
 
 def syndrome_columns(field: GF2m, t: int) -> list[int]:

@@ -5,11 +5,12 @@ row echelon form, so the message is read back off the pivot columns.
 Decoding is bounded-distance, with one decoder per code family, which
 ``LinearCode.decoder`` chooses and builds whole, from the code's
 syndrome columns, on its first decode, so a code that never decodes
-builds none: BCH codes (those built over a field) decode
-algebraically (see the bch module), every other code by syndrome
-lookup table.  For n <= 16, in either family, it decodes one word per
-syndrome coset and lays the answers out by word, the decode map (the
-standard array), which ``decode`` indexes.  Every decoder returns
+builds none: BCH codes (those built with a ``GF2m``, which
+``LinearCode.field`` holds) decode algebraically over that field (see
+the bch module), every other code by syndrome lookup table.  For
+n <= 16, in either family, it decodes one word per syndrome coset
+and lays the answers out by word, the decode map (the standard array),
+which ``decode`` indexes.  Every decoder returns
 ``(ok, flips)``: ``flips`` is an int with bit j set for each position
 j to flip, and 0 when ``ok`` is False.
 
@@ -29,7 +30,7 @@ from typing import Callable, Iterator, Optional
 
 from . import bch
 from .errors import DimensionError, ParameterError, SpecError, UnsupportedSizeError
-from .gf2 import DEFAULT_PRIMITIVE_POLY, BitMatrix, BitWord, mat_vec_mul
+from .gf2 import DEFAULT_PRIMITIVE_POLY, BitMatrix, BitWord, GF2m, mat_vec_mul
 from .gf2 import linear_byte_tables, linear_table
 
 # Patterns of weight <= t a syndrome table may enumerate: 2^16 builds in
@@ -49,15 +50,16 @@ class LinearCode:
     Built from any rows that span it, in one pass: G is their reduced
     row echelon form, whose pivots are the message columns, and H has
     one row per free column j, with bit j set and bit p set for each
-    pivot p whose row of G holds j.  A code over a field (any
-    ``field_info`` but None, which must hold w and primitive_poly) must
-    be BCH(w, t): n = 2^w - 1, each row is a multiple of its generator
-    g(x) (``bch.bch_generator_poly``), and m = n - deg g, so the rows
-    span that whole code.  It decodes by Berlekamp-Massey + Chien over
-    that field.  Any other code must have a minimum distance that
-    corrects t (checked for m <= WEIGHT_ENUM_MAX_M) and decodes by
-    syndrome table.  The constructor builds no decoder: ``decoder``
-    builds one on the first decode.
+    pivot p whose row of G holds j.  A code built with a ``field``, a
+    ``GF2m`` with w in [2, 8], must be BCH(w, t): n = 2^w - 1, each row
+    is a multiple of its generator g(x) (``bch.bch_generator_poly``),
+    and m = n - deg g, so the rows span that whole code.  ``field`` is
+    the one record of the code's field: the spec writes its w and
+    primitive_poly, and the code decodes by Berlekamp-Massey + Chien
+    over it.  Any other code (``field`` None) must have a minimum
+    distance that corrects t (checked for m <= WEIGHT_ENUM_MAX_M) and
+    decodes by syndrome table.  The constructor builds no decoder:
+    ``decoder`` builds one on the first decode.
     """
 
     def __init__(
@@ -66,7 +68,7 @@ class LinearCode:
         rows: list[int],
         n: int,
         t: int,
-        field_info: Optional[dict] = None,
+        field: Optional[GF2m] = None,
     ):
         generator = BitMatrix(tuple(rows), n).row_reduce()
         pivots = tuple((r & -r).bit_length() - 1 for r in generator.rows)
@@ -80,7 +82,7 @@ class LinearCode:
                     row |= 1 << p
             h_rows.append(row)
         self.name, self.n, self.m, self.t = name, n, len(pivots), t
-        self.field_info = field_info
+        self.field = field
         self.generator = generator  # m x n, reduced row echelon form
         self.parity_check = BitMatrix(tuple(h_rows), n)  # (n-m) x n, no rows if m = n
         self.message_columns = pivots
@@ -88,26 +90,17 @@ class LinearCode:
         # the decoder, and for n <= 16 its decode map, wait for the first decode
         self._decoder: Optional[Decoder] = None
         self._decode_map: Optional[list[tuple[bool, int]]] = None
-        self._field = None  # a BCH code's GF2m, set below
-        if field_info is not None:
-            try:
-                w, poly = field_info["w"], field_info["primitive_poly"]
-            except (KeyError, TypeError):
-                raise ParameterError(
-                    f"field_info {field_info!r} lacks w or primitive_poly"
-                ) from None
-            bch.check_bch_parameters(w, t)  # before a field table is built for w
-            field = bch.bch_field(w, poly)
+        if field is not None:
+            bch.check_bch_parameters(field.w, t)
             g = bch.bch_generator_poly(field, t)
             bch_m = field.order - (g.bit_length() - 1)
             if (n, self.m) != (field.order, bch_m) or any(
                 bch.poly_mod(row, g) for row in generator.rows
             ):
                 raise ParameterError(
-                    f"[{n}, {self.m}] rows are not BCH(w={w}, t={t}), "
+                    f"[{n}, {self.m}] rows are not BCH(w={field.w}, t={t}), "
                     f"a [{field.order}, {bch_m}] code"
                 )
-            self._field = field
             return
         if t < 0:
             raise ParameterError(f"t={t} is negative: a code corrects t >= 0 errors")
@@ -222,10 +215,10 @@ class LinearCode:
         decoder = self._decoder
         if decoder is None:
             small = 1 << self.n <= SYNDROME_TABLE_MAX_PATTERNS
-            if self._field is None or small:
+            if self.field is None or small:
                 columns = [mat_vec_mul(self.parity_check, 1 << j) for j in range(self.n)]
-            if self._field is not None:
-                decoder = bch.BchAlgebraicDecoder(self._field, self.t)
+            if self.field is not None:
+                decoder = bch.BchAlgebraicDecoder(self.field, self.t)
             else:
                 decoder = syndrome_table_decoder(columns, self.t)
             if small:
@@ -287,6 +280,9 @@ class LinearCode:
     # -- serialization ---------------------------------------------------------
 
     def to_spec_dict(self) -> dict:
+        field = None
+        if self.field is not None:
+            field = {"w": self.field.w, "primitive_poly": self.field.primitive_poly}
         return {
             "name": self.name,
             "n": self.n,
@@ -294,7 +290,7 @@ class LinearCode:
             "t": self.t,
             "generator_rows": [format(r, "x") for r in self.generator.rows],
             "parity_rows": [format(r, "x") for r in self.parity_check.rows],
-            "field": self.field_info,
+            "field": field,
         }
 
 
@@ -359,19 +355,17 @@ def make_hamming_7_4() -> LinearCode:
 
 
 def build_bch(w: int, designed_t: int) -> LinearCode:
-    """C[2^w - 1, m, t] over the default field, with the algebraic decoder."""
+    """C[2^w - 1, m, t] over the default field for w, which the code holds.
+
+    w and t are checked before that field is built.
+    """
     bch.check_bch_parameters(w, designed_t)
-    poly = DEFAULT_PRIMITIVE_POLY[w]
-    g = bch.bch_generator_poly(bch.bch_field(w, poly), designed_t)
-    n = (1 << w) - 1
+    field = GF2m(w, DEFAULT_PRIMITIVE_POLY[w])
+    g = bch.bch_generator_poly(field, designed_t)
+    n = field.order
     m = n - (g.bit_length() - 1)
-    return LinearCode(
-        f"bch-{n}-{m}-{designed_t}",
-        [g << i for i in range(m)],
-        n,
-        designed_t,
-        field_info={"w": w, "primitive_poly": poly},
-    )
+    rows = [g << i for i in range(m)]
+    return LinearCode(f"bch-{n}-{m}-{designed_t}", rows, n, designed_t, field)
 
 
 def _require(d: dict, keys: tuple[str, ...], where: str) -> None:
@@ -408,12 +402,14 @@ def load_code_spec(path) -> LinearCode:
     ``name`` must be a string, n, m and t integers, a ``field`` other
     than absent or null an object whose w and primitive_poly are
     integers, and ``generator_rows`` a list of strings of
-    hex digits, each at most n bits wide.  The rest is the
-    ``LinearCode`` constructor's, built once: a spec with a ``field``
-    must hold rows that span BCH(w, t), and one without a field must
-    hold a t its minimum distance corrects (checked for m <=
-    WEIGHT_ENUM_MAX_M).  Its ``ParameterError`` becomes a ``SpecError``;
-    a w outside [2, 8] raises ``UnsupportedSizeError``.
+    hex digits, each at most n bits wide.  A ``field``'s w and t are
+    checked (``bch.check_bch_parameters``) before its ``GF2m`` is built
+    and handed to the ``LinearCode`` constructor; the rest is the
+    constructor's, built once: a spec with a ``field`` must hold rows
+    that span BCH(w, t), and one without a field must hold a t its
+    minimum distance corrects (checked for m <= WEIGHT_ENUM_MAX_M).
+    Every ``ParameterError`` becomes a ``SpecError``; a w outside
+    [2, 8] raises ``UnsupportedSizeError``.
     Any spec must hold the m its rows span, and its ``parity_rows``, when
     present, must be the rows of the H the constructor derives.
     Anything else raises ``SpecError``.
@@ -437,15 +433,18 @@ def load_code_spec(path) -> LinearCode:
     m, t = _count(d, "m", where, low=1), _count(d, "t", where)
     rows = _hex_rows(d, "generator_rows", n, where)
     info = d.get("field")
-    if info is not None:
-        where_field = f"field of {where}"
-        if not isinstance(info, dict):
-            raise SpecError(f"{where_field} is not a JSON object")
-        _require(info, ("w", "primitive_poly"), where_field)
-        _count(info, "w", where_field)
-        _count(info, "primitive_poly", where_field)
     try:
-        code = LinearCode(d["name"], rows, n, t, field_info=info)
+        field = None
+        if info is not None:
+            where_field = f"field of {where}"
+            if not isinstance(info, dict):
+                raise SpecError(f"{where_field} is not a JSON object")
+            _require(info, ("w", "primitive_poly"), where_field)
+            w = _count(info, "w", where_field)
+            poly = _count(info, "primitive_poly", where_field)
+            bch.check_bch_parameters(w, t)  # before a field table is built for w
+            field = GF2m(w, poly)
+        code = LinearCode(d["name"], rows, n, t, field)
     except ParameterError as exc:
         raise SpecError(f"{where} says {exc}") from None
     if code.m != m:

@@ -25,7 +25,6 @@ from qauth.adversary import (
 )
 from qauth.bch import (
     BchAlgebraicDecoder,
-    bch_field,
     bch_generator_poly,
     poly_mod,
 )
@@ -106,7 +105,7 @@ class TestConstruction:
             code = build_bch(w, t)
             assert code.m == code.n - (g.bit_length() - 1), (w, t)
             assert all(code.is_codeword(g << i) for i in range(code.m)), (w, t)
-            assert code.field_info["primitive_poly"] == DEFAULT_PRIMITIVE_POLY[w]
+            assert code.field.primitive_poly == DEFAULT_PRIMITIVE_POLY[w]
 
     def test_rejects_bad_w(self):
         with pytest.raises(UnsupportedSizeError):
@@ -404,11 +403,10 @@ class TestReciprocalField:
 
     @staticmethod
     def _code(w, t, poly):
-        g = bch_generator_poly(bch_field(w, poly), t)
-        n = (1 << w) - 1
-        m = n - (g.bit_length() - 1)
-        field_info = {"w": w, "primitive_poly": poly}
-        return LinearCode("x", [g << i for i in range(m)], n, t, field_info)
+        field = GF2m(w, poly)
+        g = bch_generator_poly(field, t)
+        m = field.order - (g.bit_length() - 1)
+        return LinearCode("x", [g << i for i in range(m)], field.order, t, field)
 
     def test_every_word_of_bch_15_7_2_matches_the_table(self):
         code = self._code(4, 2, 0b11001)

@@ -256,6 +256,7 @@ class TestUserInputErrors:
             lambda tmp: ["simulate", "honest", "--code", "rep4"],
             lambda tmp: ["code", "build", "--bch", "6", "40"],
             lambda tmp: ["analytics", "table", "--code", "bch-62-10-3"],
+            lambda tmp: ["simulate", "honest", "--code", "bch-63-50-2"],
             lambda tmp: [
                 "simulate", "honest", "--code", _edited_spec(tmp, "hamming74", t=None),
             ],
@@ -349,6 +350,14 @@ class TestUserInputErrors:
             ],
             lambda tmp: [
                 "simulate", "honest", "--code",
+                _edited_spec(tmp, "bch-15-7-2", field={"w": 4}),
+            ],
+            lambda tmp: [
+                "simulate", "honest", "--code",
+                _edited_spec(tmp, "bch-15-7-2", field={"primitive_poly": 19}),
+            ],
+            lambda tmp: [
+                "simulate", "honest", "--code",
                 _edited_spec(tmp, "bch-15-7-2", field=0),
             ],
             lambda tmp: [
@@ -409,7 +418,8 @@ class TestUserInputErrors:
             ).encode())],
         ],
         ids=[
-            "trials-0", "rep4", "bch-6-40", "bch-length-not-2^w-1", "spec-missing-t",
+            "trials-0", "rep4", "bch-6-40", "bch-length-not-2^w-1", "bch-m-wrong",
+            "spec-missing-t",
             "bch-spec-edited-t", "bch-spec-not-primitive", "bch-spec-reversed-field",
             "bch-spec-w-9", "bch-spec-field-poly-degree", "forged-message-not-binary",
             "forged-message-digit-2",
@@ -418,7 +428,8 @@ class TestUserInputErrors:
             "spec-rows-not-hex", "spec-row-negative", "spec-row-0x-prefix",
             "spec-row-padded", "spec-row-wider-than-n", "spec-parity-rows-not-hex",
             "spec-parity-rows-edited", "spec-field-w-string", "spec-field-poly-string",
-            "spec-field-empty-object", "spec-field-zero", "spec-field-empty-list",
+            "spec-field-empty-object", "spec-field-lacks-primitive-poly",
+            "spec-field-lacks-w", "spec-field-zero", "spec-field-empty-list",
             "spec-field-empty-string",
             "spec-t-beyond-distance", "spec-name-not-string", "spec-spans-no-word",
             "spec-is-directory",
@@ -445,6 +456,8 @@ class TestUserInputErrors:
         [
             (lambda tmp: ["analytics", "table", "--code", "bch-62-10-3"],
              "BCH length must be 2^w - 1, got n=62"),
+            (lambda tmp: ["simulate", "honest", "--code", "bch-63-50-2"],
+             "BCH(w=6, t=2) has m=51, not 50 as in 'bch-63-50-2'"),
             (lambda tmp: ["simulate", "honest", "--code", _edited_spec(
                 tmp, "bch-15-7-2", field={"w": 4, "primitive_poly": 0b111})],
              "primitive polynomial 0b111 must have degree 4"),
@@ -452,7 +465,7 @@ class TestUserInputErrors:
                           "--forged-message", "0120"],
              "forged message must be a string of 0s and 1s, got '0120'"),
         ],
-        ids=["bch-length", "field-poly-degree", "forged-message-digit-2"],
+        ids=["bch-length", "bch-m", "field-poly-degree", "forged-message-digit-2"],
     )
     def test_the_line_names_the_check(self, argv, reason, tmp_path, capsys):
         # each of these checks is reached by no other test

@@ -20,14 +20,14 @@ from qauth.codes import (
     make_repetition,
     syndrome_table_decoder,
 )
-from qauth.bch import bch_field, bch_generator_poly
+from qauth.bch import bch_generator_poly
 from qauth.errors import (
     DimensionError,
     ParameterError,
     SpecError,
     UnsupportedSizeError,
 )
-from qauth.gf2 import DEFAULT_PRIMITIVE_POLY, BitMatrix, BitWord, mat_vec_mul
+from qauth.gf2 import DEFAULT_PRIMITIVE_POLY, BitMatrix, BitWord, GF2m, mat_vec_mul
 from reference_model import table_decoder
 
 
@@ -128,7 +128,7 @@ class TestConstruction:
 class TestFieldCodesAreBch:
     """A code built over a field is checked to be BCH(w, t) before it decodes."""
 
-    FIELD3 = {"w": 3, "primitive_poly": 0b1011}
+    FIELD3 = GF2m(3, 0b1011)
 
     def test_rows_of_another_code_are_rejected(self):
         # the [7, 4] Hamming code holds codewords BCH(3, 2) decodes as errors
@@ -141,14 +141,14 @@ class TestFieldCodesAreBch:
         # but other codewords, so only the rows' remainders by g(x) tell
         # them apart
         code = build_bch(w, t)
-        field_info = {"w": w, "primitive_poly": reversed_poly}
+        field = GF2m(w, reversed_poly)
         with pytest.raises(ParameterError, match=rf"\[{code.n}, {code.m}\] rows"):
-            LinearCode("x", list(code.generator.rows), code.n, t, field_info)
+            LinearCode("x", list(code.generator.rows), code.n, t, field)
 
     def test_rows_spanning_a_subcode_are_rejected(self):
         code = build_bch(4, 2)
         with pytest.raises(ParameterError, match=r"\[15, 6\] rows"):
-            LinearCode("x", code.generator.rows[1:], 15, 2, code.field_info)
+            LinearCode("x", code.generator.rows[1:], 15, 2, code.field)
 
     def test_n_other_than_2_to_the_w_minus_1_is_rejected(self):
         with pytest.raises(ParameterError, match=r"\[8, 4\] rows"):
@@ -160,30 +160,26 @@ class TestFieldCodesAreBch:
             LinearCode("x", [0b1111111], 7, t, self.FIELD3)
 
     def test_fields_wider_than_a_byte_lane_are_unsupported(self):
-        # x^9 + x^4 + 1 is primitive, but w is checked before a field is built
-        field_info = {"w": 9, "primitive_poly": (1 << 9) | (1 << 4) | 1}
+        # x^9 + x^4 + 1 is primitive, but GF(2^9) elements overflow a byte lane
+        field = GF2m(9, (1 << 9) | (1 << 4) | 1)
         with pytest.raises(UnsupportedSizeError, match=r"outside \[2, 8\]"):
-            LinearCode("x", [(1 << 511) - 1], 511, 1, field_info)
+            LinearCode("x", [(1 << 511) - 1], 511, 1, field)
 
     @pytest.mark.parametrize("w", [0, 1, 9])
-    def test_no_field_is_built_for_an_unsupported_exponent(self, w, monkeypatch):
-        from qauth import bch
-
+    def test_no_field_is_built_for_an_unsupported_exponent(
+        self, w, tmp_path, monkeypatch
+    ):
+        # a spec's w is checked before its field table is built
         def no_field(*args):
-            raise AssertionError(f"bch_field{args} built for w={w}")
+            raise AssertionError(f"GF2m{args} built for w={w}")
 
-        monkeypatch.setattr(bch, "bch_field", no_field)
-        field_info = {"w": w, "primitive_poly": (1 << w) | 1}
+        monkeypatch.setattr(codes, "GF2m", no_field)
+        spec = {"name": "x", "n": 1, "m": 1, "t": 1, "generator_rows": ["1"],
+                "field": {"w": w, "primitive_poly": (1 << w) | 1}}
+        path = tmp_path / "code.json"
+        path.write_text(json.dumps(spec))
         with pytest.raises(UnsupportedSizeError, match=r"outside \[2, 8\]"):
-            LinearCode("x", [1], 1, 1, field_info)
-
-    @pytest.mark.parametrize(
-        "field_info", [{}, {"w": 3}, {"primitive_poly": 0b1011}, 0]
-    )
-    def test_a_field_lacking_w_or_primitive_poly_is_rejected(self, field_info):
-        # any field_info but None makes a field code, never a table-decoded one
-        with pytest.raises(ParameterError, match="lacks w or primitive_poly"):
-            LinearCode("x", [0b1011 << i for i in range(4)], 7, 1, field_info)
+            load_code_spec(path)
 
     def test_the_cyclic_hamming_code_is_bch_3_1(self):
         code = LinearCode("x", [0b1011 << i for i in range(4)], 7, 1, self.FIELD3)
@@ -208,9 +204,9 @@ class TestOneReduction:
     def test_constructor_reduces_once(self, reductions):
         LinearCode("hamming74", [0b0110001, 0b1010010, 0b1100100, 0b1111000], 7, 1)
         assert len(reductions) == 1
-        field_info = {"w": 4, "primitive_poly": DEFAULT_PRIMITIVE_POLY[4]}
-        g = bch_generator_poly(bch_field(4, DEFAULT_PRIMITIVE_POLY[4]), 2)
-        LinearCode("bch-15-7-2", [g << i for i in range(7)], 15, 2, field_info)
+        field = GF2m(4, DEFAULT_PRIMITIVE_POLY[4])
+        g = bch_generator_poly(field, 2)
+        LinearCode("bch-15-7-2", [g << i for i in range(7)], 15, 2, field)
         assert len(reductions) == 2
 
     def test_loading_a_spec_reduces_once(self, ham, tmp_path, reductions):
@@ -508,7 +504,7 @@ class TestDecodeMapByCoset:
         monkeypatch.setattr(codes, "mat_vec_mul", counted)
         code = _word_table_code(name)
         code.decode(0)
-        needed = code._field is None or code._decode_map is not None
+        needed = code.field is None or code._decode_map is not None
         assert calls == ([1 << j for j in range(code.n)] if needed else [])
 
     @pytest.mark.parametrize("name", ["rep17", "short-hamming17-12", "bch-31-6-7"])

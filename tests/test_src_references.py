@@ -12,8 +12,10 @@ from every call there.  Tests do not count as callers.  Inside
 nothing names ``is_codeword``.  Only ``LinearCode.decoder`` builds a
 decoder, stores a decode map (which ``LinearCode.__init__`` sets to
 None) or computes H's columns with ``mat_vec_mul``, and
-``BchAlgebraicDecoder`` sets every attribute in its ``__init__``.  No
-``assert`` statement stands in ``src/qauth``, since ``python -O`` strips it.
+``BchAlgebraicDecoder`` sets every attribute in its ``__init__``.  Only
+``codes.build_bch`` and ``codes.load_code_spec`` build a ``GF2m``, which
+the BCH code they build then holds.  No ``assert`` statement stands in
+``src/qauth``, since ``python -O`` strips it.
 """
 
 import ast
@@ -638,6 +640,57 @@ def test_only_linear_code_decoder_builds_the_decode_map():
         if owner not in DECODE_MAP_OWNERS
     ]
     assert found == [], f"decode maps stored outside LinearCode.decoder: {found}"
+
+
+# the two places that read a BCH code's field from outside and build it
+FIELD_BUILDERS = {"codes.build_bch", "codes.load_code_spec"}
+
+
+def _fields_built_outside_builders(module, tree):
+    """(place, owner) per ``GF2m`` call in ``tree`` outside ``FIELD_BUILDERS``."""
+    return [
+        (place, owner)
+        for place, owner in _calls_by_owner(module, tree, {"GF2m"})
+        if owner not in FIELD_BUILDERS
+    ]
+
+
+@pytest.mark.parametrize("module, source, found", [
+    ("codes",
+     "def build_bch(w, t):\n"
+     "    field = GF2m(w, DEFAULT_PRIMITIVE_POLY[w])", []),
+    ("codes",
+     "def load_code_spec(path):\n"
+     "    field = gf2.GF2m(info['w'], info['primitive_poly'])", []),
+    ("bch",
+     "@lru_cache(maxsize=None)\n"
+     "def bch_field(w, primitive_poly):\n"
+     "    return GF2m(w, primitive_poly)",
+     [("bch.py:3", "bch.bch_field")]),
+    ("codes",
+     "class LinearCode:\n"
+     "    def __init__(self, info):\n"
+     "        self.field = GF2m(info['w'], info['primitive_poly'])",
+     [("codes.py:3", "codes.LinearCode.__init__")]),
+    ("codes", "FIELD4 = GF2m(4, 0b10011)", [("codes.py:1", "codes")]),
+    ("codes", "def decode(field: GF2m):\n    return isinstance(field, GF2m)", []),
+])
+def test_a_field_build_is_placed_by_its_owner(module, source, found):
+    assert _fields_built_outside_builders(module, ast.parse(source)) == found
+
+
+def test_only_build_bch_and_load_code_spec_build_a_field():
+    # a BCH code's field has one record, code.field, built where the
+    # code's w and primitive polynomial come in; no cache or second
+    # copy of it stands beside the code
+    found = [
+        (place, owner)
+        for path in sorted((ROOT / "src" / "qauth").glob("*.py"))
+        for place, owner in _fields_built_outside_builders(
+            path.stem, ast.parse(path.read_text())
+        )
+    ]
+    assert found == [], f"GF2m built outside build_bch and load_code_spec: {found}"
 
 
 def _decorator_names(function):

@@ -1022,13 +1022,13 @@ class TestChecksUnderOptimize:
         # python -O strips asserts; these checks must survive it.
         script = (
             "from fractions import Fraction\n"
-            "from qauth import analytics, codes, verify\n"
+            "from qauth import analytics, codes, gf2, verify\n"
             "bch_15_7 = codes.build_bch(4, 2)\n"
             "cases = [\n"
             "    lambda: verify.TrialStats(10, 9, 0.0, 0.5, seed=0),\n"
             "    lambda: analytics._check_prob(Fraction(3, 2)),\n"
             "    lambda: codes.LinearCode('x', list(bch_15_7.generator.rows), 15, 2,\n"
-            "                             {'w': 4, 'primitive_poly': 0b11001}),\n"
+            "                             gf2.GF2m(4, 0b11001)),\n"
             "]\n"
             "for case in cases:\n"
             "    try:\n"
