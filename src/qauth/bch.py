@@ -10,10 +10,12 @@ c(alpha^k) = 0 for k = 1..2t exactly when g divides c.
 ``codes.build_bch`` hands the m = n - deg g shifts x^i·g(x) to
 ``LinearCode``, whose constructor is the only check: it computes g
 itself, and every row must leave ``poly_mod`` 0 with m = n - deg g, so
-the rows span that whole code and no table is built.  Every BCH code
-decodes with ``BchAlgebraicDecoder``, which ``LinearCode.decoder``
-builds whole on the code's first decode: all 2t syndromes from one pass
-of the byte tables of ``syndrome_columns``, already the int register
+the rows span that whole code and no table is built.  A BCH code of
+n >= 31 with at most 2^8 codewords decodes by its nearest codeword
+(``codes.nearest_codeword_decoder``), and every other BCH code with
+``BchAlgebraicDecoder``, which ``LinearCode.decoder`` builds whole on
+the code's first decode: all 2t syndromes from one pass of the byte
+tables of ``syndrome_columns``, already the int register
 that binary (odd-step) Berlekamp-Massey runs on, one field element per
 byte lane, 3t + 2 lanes wide with the locator at lane 3t - step (C·S
 stays below lane 3t while L <= t); a Chien search with one byte lane per
@@ -66,8 +68,14 @@ def poly_mod(a: int, g: int) -> int:
 
 
 def check_bch_parameters(w: int, designed_t: int) -> None:
-    """w in [2, 8], so that an element fits one byte lane, and 2t < 2^w - 1."""
-    if not 2 <= w <= 8:
+    """w in [2, 8], so that an element fits one byte lane, and 2t < 2^w - 1.
+
+    A w below 2 defines no BCH code, a parameter error; a w above 8 is
+    one the byte-lane decoder does not support.
+    """
+    if w < 2:
+        raise ParameterError(f"field exponent {w} is below 2: no BCH code has n < 3")
+    if w > 8:
         raise UnsupportedSizeError(
             f"field exponent {w} outside [2, 8]: an element must fit one byte lane"
         )

@@ -2,15 +2,17 @@
 
 The message-to-codeword map is c = k·G with a public G kept in reduced
 row echelon form, so the message is read back off the pivot columns.
-Decoding is bounded-distance, with one decoder per code family, which
-``LinearCode.decoder`` chooses and builds whole, from the code's
-syndrome columns, on its first decode, so a code that never decodes
-builds none: BCH codes (those built with a ``GF2m``, which
-``LinearCode.field`` holds) decode algebraically over that field (see
-the bch module), every other code by syndrome lookup table.  For
-n <= 16, in either family, it decodes one word per syndrome coset
-and lays the answers out by word, the decode map (the standard array),
-which ``decode`` indexes.  Every decoder returns
+Decoding is bounded-distance, with one decoder per code, which
+``LinearCode.decoder`` chooses from the code's size, then its family,
+and builds whole on its first decode, so a code that never decodes
+builds none.  A code of n >= 17 with at most 2^8 codewords and
+n <= 255 finds its nearest codeword in byte-lane distance tables;
+any other BCH code (built with a ``GF2m``, which ``LinearCode.field``
+holds) decodes algebraically over that field (see the bch module),
+and any other code by syndrome lookup table.  For n <= 16, in either
+family, it decodes one word per syndrome coset and lays the answers
+out by word, the decode map (the standard array), which ``decode``
+indexes.  Every decoder returns
 ``(ok, flips)``: ``flips`` is an int with bit j set for each position
 j to flip, and 0 when ``ok`` is False.
 
@@ -24,7 +26,7 @@ from __future__ import annotations
 import json
 from itertools import accumulate, combinations
 from math import comb
-from operator import xor
+from operator import getitem, xor
 from string import hexdigits
 from typing import Callable, Iterator, Optional
 
@@ -37,7 +39,15 @@ from .gf2 import linear_byte_tables, linear_table
 # under a second (rep17); a random [45, 21] code at t = 6 would need 9.5M.
 # It also bounds the 2^n received words a code may tabulate (n <= 16).
 SYNDROME_TABLE_MAX_PATTERNS = 1 << 16
+# A code with no decode map, at most 2^8 codewords and n <= 255 decodes
+# by its nearest codeword: every table stays within 2 MiB, and every
+# distance fits one byte lane.
+NEAREST_CODEWORD_MAX_M = 8
+NEAREST_CODEWORD_MAX_N = 255
 WEIGHT_ENUM_MAX_M = 20
+
+# bytes.translate table of a byte's popcount
+_POPCOUNT = bytes(v.bit_count() for v in range(256))
 
 
 # received word -> (success, mask of the positions to flip)
@@ -55,11 +65,11 @@ class LinearCode:
     is a multiple of its generator g(x) (``bch.bch_generator_poly``),
     and m = n - deg g, so the rows span that whole code.  ``field`` is
     the one record of the code's field: the spec writes its w and
-    primitive_poly, and the code decodes by Berlekamp-Massey + Chien
-    over it.  Any other code (``field`` None) must have a minimum
-    distance that corrects t (checked for m <= WEIGHT_ENUM_MAX_M) and
-    decodes by syndrome table.  The constructor builds no decoder:
-    ``decoder`` builds one on the first decode.
+    primitive_poly, and a code too large for the other decoders decodes
+    by Berlekamp-Massey + Chien over it.  Any other code (``field``
+    None) must have a minimum distance that corrects t (checked for
+    m <= WEIGHT_ENUM_MAX_M).  The constructor builds no decoder:
+    ``decoder`` chooses and builds one on the first decode.
     """
 
     def __init__(
@@ -205,8 +215,13 @@ class LinearCode:
     def decoder(self) -> Decoder:
         """The code's one decoder, chosen and built whole on the first call.
 
-        A BCH code's is the algebraic decoder over its field, any other
-        code's the syndrome table of H's n columns, computed here once.
+        Chosen by the code's size, then its family.  A code with no
+        decode map (2^n past SYNDROME_TABLE_MAX_PATTERNS), at most
+        2^NEAREST_CODEWORD_MAX_M codewords and n <= NEAREST_CODEWORD_MAX_N
+        decodes by its nearest codeword, from its 2^m codewords.  Any
+        other BCH code's is the algebraic decoder over its field, any
+        other code's the syndrome table of H's n columns, computed here
+        once, and only where that table or the decode map reads them.
         For n <= 16 it also builds the decode map by coset: H is the
         identity on its free columns, so the word holding s there lies
         in syndrome s's coset, and one decode of each of those 2^(n-m)
@@ -214,15 +229,24 @@ class LinearCode:
         """
         decoder = self._decoder
         if decoder is None:
-            small = 1 << self.n <= SYNDROME_TABLE_MAX_PATTERNS
-            if self.field is None or small:
-                columns = [mat_vec_mul(self.parity_check, 1 << j) for j in range(self.n)]
-            if self.field is not None:
-                decoder = bch.BchAlgebraicDecoder(self.field, self.t)
+            n, t = self.n, self.t
+            small = 1 << n <= SYNDROME_TABLE_MAX_PATTERNS
+            nearest = (
+                not small
+                and self.m <= NEAREST_CODEWORD_MAX_M
+                and n <= NEAREST_CODEWORD_MAX_N
+            )
+            if small or (self.field is None and not nearest):
+                columns = [mat_vec_mul(self.parity_check, 1 << j) for j in range(n)]
+            if nearest:
+                words = linear_table(list(self.generator.rows))
+                decoder = nearest_codeword_decoder(words, n, t)
+            elif self.field is not None:
+                decoder = bch.BchAlgebraicDecoder(self.field, t)
             else:
-                decoder = syndrome_table_decoder(columns, self.t)
+                decoder = syndrome_table_decoder(columns, t)
             if small:
-                free = [1 << j for j in range(self.n) if j not in self.message_columns]
+                free = [1 << j for j in range(n) if j not in self.message_columns]
                 coset = list(map(decoder, linear_table(free)))  # by syndrome
                 self._decode_map = [coset[s] for s in linear_table(columns)]
             self._decoder = decoder
@@ -335,6 +359,43 @@ def syndrome_table_decoder(columns: list[int], t: int) -> Decoder:
     return decode
 
 
+def nearest_codeword_decoder(words: list[int], n: int, t: int) -> Decoder:
+    """Bounded-distance decoding by the one codeword within distance t.
+
+    ``words`` holds all 2^m codewords of an n-bit code, m <= 8 and
+    n <= 255, and byte lane i of every sum below belongs to
+    ``words[i]``.  At most one codeword lies within t of any word, as
+    2t + 1 <= d (the BCH bound for a field code, the constructor's check
+    for any other), so this is the same map as a syndrome table or
+    Berlekamp-Massey with its root-count check.  Entry v of byte b's
+    table holds, in lane i, popcount(v ^ byte b of ``words[i]``): one
+    translate by a popcount table of byte b's column with v XORed into
+    every lane.  These are integer sums, not GF(2)-linear maps.  A
+    decode adds the entries the word's bytes select, each lane its
+    distance to that codeword (at most n <= 255, so no lane carries),
+    and finds the one lane within t.
+    """
+    lanes = len(words)
+    n_bytes = (n + 7) >> 3
+    from_bytes = int.from_bytes
+    ones = from_bytes(b"\1" * lanes, "little")
+    tables = []
+    for b in range(n_bytes):
+        column = from_bytes(bytes(word >> 8 * b & 255 for word in words), "little")
+        rows = ((column ^ v * ones).to_bytes(lanes, "little") for v in range(256))
+        tables.append([from_bytes(row.translate(_POPCOUNT), "little") for row in rows])
+    within = bytes(int(d <= t) for d in range(256))  # translate: lane 1 iff <= t
+
+    def decode(received: int) -> tuple[bool, int]:
+        distances = sum(map(getitem, tables, received.to_bytes(n_bytes, "little")))
+        i = distances.to_bytes(lanes, "little").translate(within).find(1)
+        if i < 0:
+            return False, 0
+        return True, received ^ words[i]
+
+    return decode
+
+
 def make_repetition(n: int) -> LinearCode:
     """The [n, 1, (n-1)/2] repetition code; n must be odd so majority decides."""
     if n < 3 or n % 2 == 0:
@@ -408,8 +469,8 @@ def load_code_spec(path) -> LinearCode:
     constructor's, built once: a spec with a ``field`` must hold rows
     that span BCH(w, t), and one without a field must hold a t its
     minimum distance corrects (checked for m <= WEIGHT_ENUM_MAX_M).
-    Every ``ParameterError`` becomes a ``SpecError``; a w outside
-    [2, 8] raises ``UnsupportedSizeError``.
+    Every ``ParameterError``, a w below 2 included, becomes a
+    ``SpecError``; a w above 8 raises ``UnsupportedSizeError``.
     Any spec must hold the m its rows span, and its ``parity_rows``, when
     present, must be the rows of the H the constructor derives.
     Anything else raises ``SpecError``.

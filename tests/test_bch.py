@@ -4,7 +4,9 @@ The syndrome-table decoder is the algebraic decoder's oracle: for
 designed distance 2t+1 both are the same bounded-distance map.  Codes
 with more than 24 checks have no table; there the oracle is
 ``ReferenceBchDecoder``, the general (all 2t steps) Berlekamp-Massey
-decoder over field tables of its own.
+decoder over field tables of its own.  A code of n >= 31 with at most
+2^8 codewords decodes by its nearest codeword, so the tests of
+Berlekamp-Massey on such a code build ``BchAlgebraicDecoder`` directly.
 """
 
 import random
@@ -86,8 +88,9 @@ class TestConstruction:
         # every row x^i·g(x) has alpha..alpha^(2t) as roots: S_1..S_2t = 0
         small = [build_bch(w, t) for w, t in [(3, 1), (4, 2), (5, 3), (5, 7)]]
         for code in small + list(grid_codes.values()):
+            decoder = BchAlgebraicDecoder(code.field, code.t)
             for row in code.generator.rows:
-                assert not any(_syndrome_lanes(code.decoder, row)), code.name
+                assert not any(_syndrome_lanes(decoder, row)), code.name
 
     def test_generator_polys_match_lin_costello(self):
         # Lin & Costello, Error Control Coding, App. C, by (w, t); octal,
@@ -339,8 +342,8 @@ class TestAlgebraicMatchesReference:
     @pytest.mark.parametrize("wt", sorted(GRID) + [(5, 7), (8, 1), (8, 12)])
     def test_random_words_and_beyond_t_patterns(self, wt, monkeypatch):
         code = build_bch(*wt)
-        decoder = code.decoder
-        reference = ReferenceBchDecoder(decoder.field, code.t)
+        decoder = BchAlgebraicDecoder(code.field, code.t)
+        reference = ReferenceBchDecoder(code.field, code.t)
         # Chien search never reads the locator's constant term, so a
         # register that leaves it dirty still decodes every word right
         locators = []
@@ -366,8 +369,7 @@ class TestAlgebraicMatchesReference:
     @pytest.mark.parametrize("wt", sorted(GRID) + [(5, 7), (8, 1), (8, 12)])
     def test_syndrome_lanes(self, wt):
         # lane k-1 is S_k, and the even lanes are the squares S_2k = S_k^2
-        code, reference = _code_and_reference(*wt)
-        decoder = code.decoder
+        code, decoder, reference = _code_and_reference(*wt)
         rng = random.Random(5000 + 10 * wt[0] + wt[1])
         for _ in range(300):
             word = rng.getrandbits(code.n)
@@ -382,15 +384,47 @@ class TestAlgebraicMatchesReference:
     @pytest.mark.parametrize("wt,supercode", [((5, 7), (5, 5)), ((7, 23), (7, 15))])
     def test_locator_passing_t_early(self, wt, supercode):
         code, sup = build_bch(*wt), build_bch(*supercode)
-        decoder = code.decoder
+        decoder = BchAlgebraicDecoder(code.field, code.t)
         rng = random.Random(17)
         word = sup.encode(BitWord(rng.randrange(1, 1 << sup.m), sup.m))
         lanes = _syndrome_lanes(decoder, word)
         k = next(i for i, s in enumerate(lanes, start=1) if s)
         assert code.t < k < 2 * code.t - 1
         assert decoder._berlekamp_massey(decoder.syndromes(word)) is None
-        reference = ReferenceBchDecoder(decoder.field, code.t)
-        assert decoder(word) == reference(word) == (False, 0)
+        reference = ReferenceBchDecoder(code.field, code.t)
+        assert decoder(word) == reference(word) == code.decode(word) == (False, 0)
+
+
+class TestNearestCodewordMatchesBerlekampMassey:
+    """Low-rate BCH codes decode by their nearest codeword.
+
+    With at most 2^8 codewords and n >= 31, ``LinearCode.decoder`` gives
+    a BCH code the nearest-codeword decoder.  Every codeword lies at
+    least 2t + 1 from every other, so it must return exactly what
+    Berlekamp-Massey with its root-count check returns, word for word.
+    """
+
+    @pytest.mark.parametrize("name", ["bch-31-6-7", "bch-63-7-15", "bch-127-8-31"])
+    def test_seeded_words(self, name):
+        code = cli.resolve_code(name)
+        assert not isinstance(code.decoder, BchAlgebraicDecoder)
+        decoder = BchAlgebraicDecoder(code.field, code.t)
+        reference = ReferenceBchDecoder(code.field, code.t)
+        rng = random.Random(code.n)
+        outcomes = set()
+        for k in range(20000):
+            if k % 2:
+                received = rng.getrandbits(code.n)
+            else:
+                cw = code.encode(BitWord(rng.getrandbits(code.m), code.m))
+                weight = k // 2 % (code.t + 4)  # 0 .. t + 3 errors
+                received = cw ^ _mask(rng.sample(range(code.n), weight))
+            result = code.decode(received)
+            assert result == decoder(received), received
+            if k % 10 == 0:  # the general decoder is slower: every tenth word
+                assert result == reference(received), received
+            outcomes.add(result[0])
+        assert outcomes == {True, False}
 
 
 class TestReciprocalField:
@@ -438,8 +472,8 @@ class TestLocatorRegister:
     def test_locator_is_the_product_over_error_positions(self, wt):
         # for weight <= t, BM's locator is prod (1 + alpha^j x) over e
         code = build_bch(*wt)
-        decoder = code.decoder
-        reference = ReferenceBchDecoder(decoder.field, code.t)
+        decoder = BchAlgebraicDecoder(code.field, code.t)
+        reference = ReferenceBchDecoder(code.field, code.t)
         rng = random.Random(7000 + 10 * wt[0] + wt[1])
         for k in range(300):
             positions = rng.sample(range(code.n), k % (code.t + 1))
@@ -456,15 +490,16 @@ class TestLocatorRegister:
 
 @lru_cache(maxsize=None)
 def _code_and_reference(w, t):
+    """BCH(w, t), its Berlekamp-Massey decoder and the reference decoder."""
     code = build_bch(w, t)
-    return code, ReferenceBchDecoder(code.decoder.field, t)
+    return code, BchAlgebraicDecoder(code.field, t), ReferenceBchDecoder(code.field, t)
 
 
 @given(data=st.data(), w=st.integers(3, 8))
 @settings(max_examples=120, deadline=None)
 def test_codeword_plus_error_decodes_as_the_reference(data, w):
     t = data.draw(st.integers(1, (1 << (w - 1)) - 1), label="t")
-    code, reference = _code_and_reference(w, t)
+    code, decoder, reference = _code_and_reference(w, t)
     cw = code.encode(BitWord(data.draw(st.integers(0, (1 << code.m) - 1)), code.m))
     weight = data.draw(st.integers(0, t + 3), label="weight")
     positions = data.draw(
@@ -473,7 +508,8 @@ def test_codeword_plus_error_decodes_as_the_reference(data, w):
         label="positions",
     )
     received = cw ^ _mask(positions)
-    assert code.decoder(received) == reference(received)
+    # code.decode is the nearest-codeword decoder when n >= 31 and m <= 8
+    assert decoder(received) == code.decode(received) == reference(received)
 
 
 class TestLazyTables:

@@ -1,13 +1,18 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import qauth
 from qauth import verify
 from qauth.cli import (
     DEFAULT_SEED,
@@ -392,6 +397,7 @@ class TestUserInputErrors:
             lambda tmp: ["simulate", "no-message", "--code", "rep3",
                          "--forged-message", ""],
             lambda tmp: ["code", "build", "--repetition", "0"],
+            lambda tmp: ["code", "build", "--bch", "1", "1"],
             lambda tmp: ["code", "build", "--bch", "6", "10", "--repetition", "3"],
             lambda tmp: ["simulate", "honest", "--code", "rep3", "--trials", "abc"],
             lambda tmp: ["simulate", "honest", "--code", "rep3", "--bogus"],
@@ -435,7 +441,7 @@ class TestUserInputErrors:
             "spec-is-directory",
             "spec-not-utf8", "simulate-out-unwritable", "code-build-out-unwritable",
             "table-csv-out-unwritable", "forged-message-empty",
-            "code-build-repetition-0", "code-build-two-codes", "trials-not-an-integer",
+            "code-build-repetition-0", "code-build-bch-w-1", "code-build-two-codes", "trials-not-an-integer",
             "unknown-option", "unknown-oracle", "simulate-out-empty",
             "table-exact-without-json", "honest-forged-message",
             "honest-on-decode-failure", "no-message-on-decode-failure",
@@ -464,8 +470,14 @@ class TestUserInputErrors:
             (lambda tmp: ["simulate", "no-message", "--code", "hamming74",
                           "--forged-message", "0120"],
              "forged message must be a string of 0s and 1s, got '0120'"),
+            # a parameter error: the line ends there, with no size hint
+            (lambda tmp: ["code", "build", "--bch", "1", "1"],
+             "field exponent 1 is below 2: no BCH code has n < 3\n"),
+            (lambda tmp: ["simulate", "honest", "--code", "bch-1-0-1"],
+             "field exponent 1 is below 2: no BCH code has n < 3\n"),
         ],
-        ids=["bch-length", "bch-m", "field-poly-degree", "forged-message-digit-2"],
+        ids=["bch-length", "bch-m", "field-poly-degree", "forged-message-digit-2",
+             "bch-w-1", "bch-selector-w-1"],
     )
     def test_the_line_names_the_check(self, argv, reason, tmp_path, capsys):
         # each of these checks is reached by no other test
@@ -497,18 +509,30 @@ class TestUserInputErrors:
         ["simulate", "no-message", "--trials", "20"],
     ])
     def test_commands_that_never_decode_take_an_untabulable_code(self, argv, capsys):
-        # rep19's 2^18 patterns exceed the syndrome-table bound, but the
-        # table is built by the first decode, and these commands make none
-        assert run_cli(*argv, "--code", "rep19") == EXIT_OK
+        # rep257 is past n <= 255, so it would decode by syndrome table, and
+        # its 2^256 patterns exceed that table's bound; but the table is
+        # built by the first decode, and these commands make none
+        assert run_cli(*argv, "--code", "rep257") == EXIT_OK
         assert capsys.readouterr().err == ""
 
     def test_decoding_an_untabulable_code_exits_2(self, capsys):
-        rc = run_cli("simulate", "intercept-resend", "--code", "rep19", "--trials", "1")
+        rc = run_cli("simulate", "intercept-resend", "--code", "rep257", "--trials", "1")
         captured = capsys.readouterr()
         assert rc == EXIT_CONFIG
         assert captured.out == ""
         lines = captured.err.splitlines()
-        assert len(lines) == 1 and "2^18 error patterns" in lines[0]
+        assert len(lines) == 1 and "2^256 error patterns" in lines[0]
+
+    @pytest.mark.parametrize("selector", ["rep19", "rep255"])
+    def test_long_repetition_codes_decode_by_their_nearest_codeword(
+        self, selector, capsys
+    ):
+        # two codewords and n <= 255: no syndrome table, so no bound to reach
+        rc = run_cli("simulate", "intercept-resend", "--code", selector,
+                     "--trials", "40")
+        captured = capsys.readouterr()
+        assert rc == EXIT_OK and captured.err == ""
+        assert json.loads(captured.out)["results"]["trials"] == 40
 
     def test_huge_pattern_count_is_printed_as_a_power_of_2(self, capsys):
         # rep999 has 2^998 patterns of weight <= 499, 301 digits in full
@@ -522,14 +546,53 @@ class TestUserInputErrors:
     def test_field_exponent_outside_a_byte_lane_names_its_bound(
         self, w, tmp_path, capsys
     ):
-        # the bound the decoder needs is checked before any field is built
+        # w is checked before any field is built: below 2 no BCH code
+        # exists, a spec error; above 8 an element overflows a byte lane,
+        # a size the decoder does not support, with a hint to go smaller
         field = {"w": w, "primitive_poly": 0x211}
         path = _edited_spec(tmp_path, "bch-15-7-2", field=field)
         rc = run_cli("simulate", "honest", "--code", path, "--trials", "1")
         lines = capsys.readouterr().err.splitlines()
         assert rc == EXIT_CONFIG
-        assert len(lines) == 1 and "field exponent" in lines[0]
-        assert "outside [2, 8]" in lines[0]
+        assert len(lines) == 1 and f"field exponent {w} " in lines[0]
+        if w < 2:
+            assert "is below 2" in lines[0] and "smaller code" not in lines[0]
+        else:
+            assert "outside [2, 8]" in lines[0] and "smaller code" in lines[0]
+
+
+class TestProcessBoundary:
+    """``python -m qauth.cli`` in its own process.
+
+    The tests above call ``main(argv)``; only a process runs ``main()``
+    reading ``sys.argv`` and ``sys.exit(main())`` turning its return
+    value into the exit status.
+    """
+
+    @staticmethod
+    def _run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "qauth.cli", *argv],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(qauth.__file__).parents[1])},
+        )
+
+    def test_a_report_matches_the_in_process_run(self, capsys):
+        out = self._run("oracle", "pdec", "--code", "hamming74")
+        assert out.returncode == EXIT_OK, out.stderr
+        assert run_cli("oracle", "pdec", "--code", "hamming74") == EXIT_OK
+        assert out.stdout == capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "honest", "--code", "rep4"],
+        [],
+    ], ids=["rep4", "no-arguments"])
+    def test_a_user_error_exits_2_with_one_line(self, argv):
+        out = self._run(*argv)
+        assert out.returncode == EXIT_CONFIG
+        assert out.stdout == ""
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 JSON = st.recursive(

@@ -18,6 +18,7 @@ from qauth.codes import (
     load_code_spec,
     make_hamming_7_4,
     make_repetition,
+    nearest_codeword_decoder,
     syndrome_table_decoder,
 )
 from qauth.bch import bch_generator_poly
@@ -28,6 +29,7 @@ from qauth.errors import (
     UnsupportedSizeError,
 )
 from qauth.gf2 import DEFAULT_PRIMITIVE_POLY, BitMatrix, BitWord, GF2m, mat_vec_mul
+from qauth.gf2 import linear_table
 from reference_model import table_decoder
 
 
@@ -169,7 +171,8 @@ class TestFieldCodesAreBch:
     def test_no_field_is_built_for_an_unsupported_exponent(
         self, w, tmp_path, monkeypatch
     ):
-        # a spec's w is checked before its field table is built
+        # a spec's w is checked before its field table is built: below 2
+        # no BCH code exists, a spec error; above 8 the size is unsupported
         def no_field(*args):
             raise AssertionError(f"GF2m{args} built for w={w}")
 
@@ -178,8 +181,12 @@ class TestFieldCodesAreBch:
                 "field": {"w": w, "primitive_poly": (1 << w) | 1}}
         path = tmp_path / "code.json"
         path.write_text(json.dumps(spec))
-        with pytest.raises(UnsupportedSizeError, match=r"outside \[2, 8\]"):
-            load_code_spec(path)
+        if w < 2:
+            with pytest.raises(SpecError, match=f"field exponent {w} is below 2"):
+                load_code_spec(path)
+        else:
+            with pytest.raises(UnsupportedSizeError, match=r"outside \[2, 8\]"):
+                load_code_spec(path)
 
     def test_the_cyclic_hamming_code_is_bch_3_1(self):
         code = LinearCode("x", [0b1011 << i for i in range(4)], 7, 1, self.FIELD3)
@@ -337,12 +344,14 @@ class TestDecoding:
             code.decode(1 << 5)  # now past the end of the built map
 
     def test_syndrome_table_is_bounded_by_its_pattern_count(self):
-        # rep19 has 18 checks, within that bound, but 2^18 patterns of
-        # weight <= 9, beyond SYNDROME_TABLE_MAX_PATTERNS = 2^16; the
-        # table is built by the first decode, so that is where it fails
-        assert SYNDROME_TABLE_MAX_PATTERNS < 1 << 18
-        code = make_repetition(19)
-        with pytest.raises(UnsupportedSizeError, match="error patterns"):
+        # rep257 is past NEAREST_CODEWORD_MAX_N, so it decodes by syndrome
+        # table, and has 2^256 patterns of weight <= 128, beyond
+        # SYNDROME_TABLE_MAX_PATTERNS = 2^16; the table is built by the
+        # first decode, so that is where it fails
+        code = make_repetition(257)
+        assert code.n > codes.NEAREST_CODEWORD_MAX_N
+        assert SYNDROME_TABLE_MAX_PATTERNS < 1 << 256
+        with pytest.raises(UnsupportedSizeError, match="2\\^256 error patterns"):
             code.decode(0)
 
     def test_majority_vote(self, rep3):
@@ -491,10 +500,17 @@ class TestDecodeMapByCoset:
         assert code.decode(0) == (True, 0)
         assert len(calls) == 1 << (code.n - code.m)  # the leaders, and no more
 
-    @pytest.mark.parametrize("name", ["hamming74", "rep17", "bch-15-7-2", "bch-31-6-7"])
+    # whether the first decode reads H's columns: a decode map does, and so
+    # does a syndrome-table decoder; a nearest-codeword decoder reads the
+    # codewords, and a BCH decoder bch.syndrome_columns
+    READS_COLUMNS = {
+        "hamming74": True, "rep17": False, "bch-15-7-2": True, "bch-31-6-7": False,
+        "short-hamming17-12": True, "bch-63-10": False,
+    }
+
+    @pytest.mark.parametrize("name", list(READS_COLUMNS))
     def test_h_columns_are_computed_once(self, name, monkeypatch):
-        # a table code's decoder and its map share H's n columns; a BCH
-        # code needs them only for its map, its decoder reads bch.syndrome_columns
+        # the map and a table code's decoder share H's n columns, computed once
         calls = []
 
         def counted(matrix, v):
@@ -504,7 +520,7 @@ class TestDecodeMapByCoset:
         monkeypatch.setattr(codes, "mat_vec_mul", counted)
         code = _word_table_code(name)
         code.decode(0)
-        needed = code.field is None or code._decode_map is not None
+        needed = self.READS_COLUMNS[name]
         assert calls == ([1 << j for j in range(code.n)] if needed else [])
 
     @pytest.mark.parametrize("name", ["rep17", "short-hamming17-12", "bch-31-6-7"])
@@ -513,6 +529,67 @@ class TestDecodeMapByCoset:
         code.decode(0)
         assert code._decoder is not None
         assert code._decode_map is None
+
+
+def _nearest(code):
+    """``nearest_codeword_decoder`` of ``code``, built directly."""
+    return nearest_codeword_decoder(linear_table(list(code.generator.rows)), code.n, code.t)
+
+
+class TestNearestCodeword:
+    """Codes with no decode map, at most 2^8 codewords and n <= 255.
+
+    ``LinearCode.decoder`` gives them the nearest-codeword decoder,
+    whatever their family: the one codeword within t, found by summing
+    byte-lane distance tables.  It is the same bounded-distance map as
+    the syndrome table, checked here on every word of short codes; the
+    table of rep17, 2^16 patterns of weight <= 8, still fits its bound.
+    """
+
+    @pytest.mark.parametrize("name", [f"rep{n}" for n in range(3, 19, 2)] + [
+        "hamming74", "bch-7-4-1", "bch-15-7-2", "bch-15-5-3",
+    ])
+    def test_every_word_matches_the_syndrome_table(self, name):
+        code = cli.resolve_code(name)
+        decoder, table = _nearest(code), table_decoder(code)
+        for word in range(1 << code.n):
+            assert decoder(word) == table(word), word
+
+    @pytest.mark.parametrize("weight, ok_zero", [(0, True), (127, True), (128, False),
+                                                 (255, False)])
+    def test_rep255_distances_fill_a_byte_lane(self, weight, ok_zero):
+        # a word of weight w lies at 255 - w from the all-ones codeword:
+        # every distance up to n = 255 fits its lane without a carry
+        code = make_repetition(255)
+        word = sum(1 << j for j in random.Random(weight).sample(range(255), weight))
+        flips = word if ok_zero else word ^ ((1 << 255) - 1)
+        assert code.decode(word) == (True, flips)
+
+    @pytest.mark.parametrize("name, picked", [
+        ("bch-31-6-7", True), ("rep17", True), ("rep255", True),
+        ("hamming74", False), ("bch-15-7-2", False), ("bch-63-10", False),
+        ("bch-127-22", False), ("rep257", False),
+    ])
+    def test_the_decoder_rule_picks_it_by_size(self, name, picked, monkeypatch):
+        # no decode map (n >= 17), m <= 8 and n <= 255, whatever the family
+        built = []
+        build = codes.nearest_codeword_decoder
+
+        def recorded(words, n, t):
+            built.append(words)
+            return build(words, n, t)
+
+        monkeypatch.setattr(codes, "nearest_codeword_decoder", recorded)
+        code = cli.resolve_code(name)
+        if name == "rep257":
+            with pytest.raises(UnsupportedSizeError, match="error patterns"):
+                code.decoder
+        else:
+            code.decoder
+        if picked:
+            assert len(built) == 1 and sorted(built[0]) == sorted(code.codewords())
+        else:
+            assert built == []
 
 
 class TestSerialization:

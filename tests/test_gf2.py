@@ -171,6 +171,23 @@ class TestGF2m:
             acc = field.mul(acc, a)
         assert acc == field._exp[field._log[a] * k % field.order]
 
+    @pytest.mark.parametrize("w", [0, 17])
+    def test_exponent_outside_1_to_16_is_unsupported(self, w):
+        bound = rf"field exponent {w} outside \[1, 16\]"
+        with pytest.raises(UnsupportedSizeError, match=bound):
+            GF2m(w, (1 << w) | 1)
+
+    @pytest.mark.parametrize("w, poly", [(1, 0b11), (16, 0x1100B)])
+    def test_exponents_1_and_16_build(self, w, poly):
+        # x + 1 gives GF(2) itself; x^16 + x^12 + x^3 + x + 1 is primitive
+        field = GF2m(w, poly)
+        assert field.order == (1 << w) - 1
+        assert field.mul(1, field.order) == field.order
+
+    def test_repr_names_w_and_the_polynomial(self):
+        field = GF2m(4, DEFAULT_PRIMITIVE_POLY[4])
+        assert repr(field) == "GF2m(w=4, primitive_poly=0b10011)"
+
     def test_default_polys_cover_6_and_7(self):
         assert DEFAULT_PRIMITIVE_POLY[6] == 0b1000011
         assert DEFAULT_PRIMITIVE_POLY[7] == 0b10001001

@@ -496,7 +496,9 @@ def test_verify_counts_readouts_with_count_codewords():
 
 
 # what building a decoder calls; only LinearCode.decoder may call them
-DECODER_BUILDERS = {"BchAlgebraicDecoder", "syndrome_table_decoder"}
+DECODER_BUILDERS = {
+    "BchAlgebraicDecoder", "nearest_codeword_decoder", "syndrome_table_decoder",
+}
 
 
 def _placed_by_owner(module, tree, match):
